@@ -70,18 +70,19 @@ int main() {
   // Running example: both rules agree (the short path is also concise).
   auto scenario = efes::MakePaperExample();
   if (!scenario.ok()) return 1;
-  efes::Csg source = efes::BuildCsg(scenario->sources[0].database);
-  efes::NodeId albums = *source.graph.FindTableNode("albums");
-  efes::NodeId artist =
-      *source.graph.FindAttributeNode("artist_credits", "artist");
+  // Path selection reads only the schema graph, not the instance.
+  efes::CsgGraph source =
+      efes::BuildCsgGraph(scenario->sources[0].database);
+  efes::NodeId albums = *source.FindTableNode("albums");
+  efes::NodeId artist = *source.FindAttributeNode("artist_credits", "artist");
   std::vector<efes::PathMatch> example_candidates =
-      efes::EnumeratePaths(source.graph, albums, artist);
+      efes::EnumeratePaths(source, albums, artist);
   auto example_best = efes::SelectMostConcise(example_candidates);
   std::printf(
       "\nRunning example (albums -> artist): %zu candidates; conciseness\n"
       "selects %s\n(matching Section 4.1: both candidate paths infer "
       "0..*, the shorter wins\nby Occam's razor).\n",
       example_candidates.size(),
-      efes::DescribePath(source.graph, example_best->path).c_str());
+      efes::DescribePath(source, example_best->path).c_str());
   return 0;
 }

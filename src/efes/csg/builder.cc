@@ -1,7 +1,10 @@
 #include "efes/csg/builder.h"
 
+#include <optional>
 #include <unordered_map>
-#include <unordered_set>
+
+#include "efes/common/metrics.h"
+#include "efes/telemetry/trace.h"
 
 namespace efes {
 
@@ -21,6 +24,70 @@ struct GraphLayout {
     RelationshipId relationship;
   };
   std::vector<EqualityEdge> equalities;
+};
+
+/// Interns values into a dictionary by Value equality and hash (so
+/// INTEGER 3 and REAL 3.0 share an id), assigning dense ids in
+/// first-occurrence order. Open addressing with linear probing over a
+/// power-of-two slot array sized once per dictionary; each slot keeps the
+/// id plus the high hash bits, so most mismatches skip the Value compare.
+class ValueInterner {
+ public:
+  /// Starts an empty dictionary with room for `capacity` distinct values.
+  void Reset(size_t capacity) {
+    values_.clear();
+    values_.reserve(capacity);
+    size_t slots = 16;
+    while (slots < 2 * capacity) slots *= 2;
+    slots_.assign(slots, Slot{});
+    mask_ = slots - 1;
+  }
+
+  /// The id of `value`, interning it first when new.
+  ElementId Intern(const Value& value) {
+    const size_t hash = value.Hash();
+    Slot& slot = slots_[Probe(value, hash)];
+    if (slot.id_plus_one == 0) {
+      values_.push_back(value);
+      slot = Slot{static_cast<uint32_t>(values_.size()), Tag(hash)};
+    }
+    return slot.id_plus_one - 1;
+  }
+
+  /// The id of the interned value equal to `value`, if any.
+  std::optional<ElementId> Find(const Value& value) const {
+    const Slot& slot = slots_[Probe(value, value.Hash())];
+    if (slot.id_plus_one == 0) return std::nullopt;
+    return slot.id_plus_one - 1;
+  }
+
+  /// Hands over the dictionary, in id order.
+  std::vector<Value> TakeDictionary() { return std::move(values_); }
+
+ private:
+  struct Slot {
+    uint32_t id_plus_one = 0;  // 0 marks an empty slot
+    uint32_t tag = 0;
+  };
+  static uint32_t Tag(size_t hash) {
+    return static_cast<uint32_t>(static_cast<uint64_t>(hash) >> 32);
+  }
+
+  /// The slot holding a value equal to `value`, else the empty slot where
+  /// it belongs. The table is never full: it has twice the capacity.
+  size_t Probe(const Value& value, size_t hash) const {
+    for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.id_plus_one == 0 ||
+          (slot.tag == Tag(hash) && values_[slot.id_plus_one - 1] == value)) {
+        return i;
+      }
+    }
+  }
+
+  std::vector<Value> values_;
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
 };
 
 CsgGraph BuildGraphWithLayout(const Database& database,
@@ -82,27 +149,39 @@ CsgGraph BuildCsgGraph(const Database& database) {
 }
 
 Csg BuildCsg(const Database& database) {
+  static Histogram& build_ms =
+      MetricsRegistry::Global().GetHistogram("csg.build.ms");
+  TraceSpan span("csg.build", nullptr, &build_ms);
   GraphLayout layout;
   CsgGraph graph = BuildGraphWithLayout(database, &layout);
   CsgInstance instance(graph.nodes().size(), graph.relationships().size());
 
+  ValueInterner interner;
   for (const Table& table : database.tables()) {
     auto table_node_result = graph.FindTableNode(table.name());
     if (!table_node_result.ok()) continue;
-    NodeId table_node = *table_node_result;
+    const size_t rows = table.row_count();
+    instance.SetTableElements(*table_node_result, rows);
     const std::vector<RelationshipId>& attr_rels =
         layout.attribute_relationships[table.name()];
 
-    for (size_t r = 0; r < table.row_count(); ++r) {
-      Value tuple_id = Value::Integer(static_cast<int64_t>(r));
-      instance.AddElement(table_node, tuple_id);
-      for (size_t c = 0; c < table.column_count(); ++c) {
-        const Value& cell = table.at(r, c);
-        if (cell.is_null()) continue;
-        const CsgRelationship& rel = graph.relationship(attr_rels[c]);
-        instance.AddElement(rel.to, cell);
-        instance.AddLink(graph, attr_rels[c], tuple_id, cell);
+    // Each column becomes its attribute node's dictionary plus the
+    // tuple -> value links: one target per non-null cell.
+    for (size_t c = 0; c < table.column_count(); ++c) {
+      const std::vector<Value>& column = table.column(c);
+      interner.Reset(rows);
+      CsrLinks links;
+      links.offsets.resize(rows + 1);
+      links.targets.reserve(rows);
+      for (size_t r = 0; r < rows; ++r) {
+        if (!column[r].is_null()) {
+          links.targets.push_back(interner.Intern(column[r]));
+        }
+        links.offsets[r + 1] = static_cast<uint32_t>(links.targets.size());
       }
+      instance.SetDictionary(graph.relationship(attr_rels[c]).to,
+                             interner.TakeDictionary());
+      instance.SetLinks(graph, attr_rels[c], std::move(links));
     }
   }
 
@@ -110,15 +189,20 @@ Csg BuildCsg(const Database& database) {
   // value when it exists (dangling FK values simply lack the link, which
   // surfaces as a violation of the prescribed κ = 1).
   for (const GraphLayout::EqualityEdge& eq : layout.equalities) {
-    std::unordered_set<Value, ValueHash> parent_values(
-        instance.ElementsOf(eq.parent_attribute).begin(),
-        instance.ElementsOf(eq.parent_attribute).end());
-    for (const Value& child_value :
-         instance.ElementsOf(eq.child_attribute)) {
-      if (parent_values.count(child_value) > 0) {
-        instance.AddLink(graph, eq.relationship, child_value, child_value);
-      }
+    const std::vector<Value>& parents =
+        instance.Dictionary(eq.parent_attribute);
+    interner.Reset(parents.size());
+    for (const Value& parent : parents) interner.Intern(parent);
+    const std::vector<Value>& children =
+        instance.Dictionary(eq.child_attribute);
+    CsrLinks links;
+    links.offsets.resize(children.size() + 1);
+    for (size_t c = 0; c < children.size(); ++c) {
+      std::optional<ElementId> parent = interner.Find(children[c]);
+      if (parent.has_value()) links.targets.push_back(*parent);
+      links.offsets[c + 1] = static_cast<uint32_t>(links.targets.size());
     }
+    instance.SetLinks(graph, eq.relationship, std::move(links));
   }
 
   return Csg(std::move(graph), std::move(instance));

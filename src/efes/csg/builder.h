@@ -18,7 +18,7 @@
 #ifndef EFES_CSG_BUILDER_H_
 #define EFES_CSG_BUILDER_H_
 
-#include <memory>
+#include <utility>
 
 #include "efes/csg/graph.h"
 #include "efes/relational/database.h"
@@ -37,10 +37,11 @@ struct Csg {
 /// Builds the CSG of the database's schema only (no instance elements).
 CsgGraph BuildCsgGraph(const Database& database);
 
-/// Builds graph and instance. Table-node elements are abstract tuple ids;
-/// attribute-node elements are the distinct attribute values; links
-/// connect tuples with their values and equal FK/parent values with each
-/// other.
+/// Builds graph and instance. Table-node elements are the row indices;
+/// attribute-node elements are the distinct non-null attribute values,
+/// each interned once in first-occurrence order; links connect tuples
+/// with their values and equal FK/parent values with each other. Records
+/// the `csg.build` span and the `csg.build.ms` histogram.
 Csg BuildCsg(const Database& database);
 
 }  // namespace efes

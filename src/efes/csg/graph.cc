@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 namespace efes {
 
@@ -104,132 +103,188 @@ std::string CsgGraph::ToText() const {
 }
 
 CsgInstance::CsgInstance(size_t node_count, size_t relationship_count)
-    : elements_(node_count),
-      element_order_(node_count),
+    : element_counts_(node_count, 0),
+      dictionaries_(node_count),
+      is_table_(node_count, false),
       links_(relationship_count) {}
 
-void CsgInstance::AddElement(NodeId node, const Value& element) {
-  auto [it, inserted] = elements_[node].emplace(element, true);
-  if (inserted) element_order_[node].push_back(element);
+void CsgInstance::SetTableElements(NodeId node, size_t rows) {
+  element_counts_[node] = rows;
+  is_table_[node] = true;
+  dictionaries_[node].clear();
 }
 
-void CsgInstance::AddLink(const CsgGraph& graph, RelationshipId forward_id,
-                          const Value& from_element,
-                          const Value& to_element) {
+void CsgInstance::SetDictionary(NodeId node, std::vector<Value> dictionary) {
+  element_counts_[node] = dictionary.size();
+  is_table_[node] = false;
+  dictionaries_[node] = std::move(dictionary);
+}
+
+void CsgInstance::SetLinks(const CsgGraph& graph, RelationshipId forward_id,
+                           CsrLinks links) {
   const CsgRelationship& rel = graph.relationship(forward_id);
-  links_[forward_id][from_element].push_back(to_element);
-  links_[rel.inverse][to_element].push_back(from_element);
-}
-
-size_t CsgInstance::LinkCount(RelationshipId rel) const {
-  size_t count = 0;
-  for (const auto& [element, targets] : links_[rel]) {
-    count += targets.size();
+  // Counting sort by target: count, prefix-sum, then scatter the sources
+  // in ascending order so every inverse target list is sorted.
+  CsrLinks inverse;
+  inverse.offsets.assign(element_counts_[rel.to] + 1, 0);
+  for (ElementId target : links.targets) ++inverse.offsets[target + 1];
+  for (size_t i = 1; i < inverse.offsets.size(); ++i) {
+    inverse.offsets[i] += inverse.offsets[i - 1];
   }
-  return count;
-}
-
-std::unordered_map<Value, size_t, ValueHash> CsgInstance::OutDegrees(
-    const CsgGraph& graph, RelationshipId rel) const {
-  std::unordered_map<Value, size_t, ValueHash> degrees;
-  NodeId from = graph.relationship(rel).from;
-  const auto& adjacency = links_[rel];
-  for (const Value& element : element_order_[from]) {
-    auto it = adjacency.find(element);
-    degrees[element] = it == adjacency.end() ? 0 : it->second.size();
+  inverse.targets.resize(links.targets.size());
+  std::vector<uint32_t> cursor(inverse.offsets.begin(),
+                               inverse.offsets.end() - 1);
+  for (ElementId from = 0; from + 1 < links.offsets.size(); ++from) {
+    for (uint32_t i = links.offsets[from]; i < links.offsets[from + 1];
+         ++i) {
+      inverse.targets[cursor[links.targets[i]]++] = from;
+    }
   }
-  return degrees;
+  links_[forward_id] = std::move(links);
+  links_[rel.inverse] = std::move(inverse);
 }
 
-Cardinality CsgInstance::ActualCardinality(const CsgGraph& graph,
-                                           RelationshipId rel) const {
-  auto degrees = OutDegrees(graph, rel);
+Value CsgInstance::ElementValue(NodeId node, ElementId element) const {
+  if (is_table_[node]) return Value::Integer(static_cast<int64_t>(element));
+  return dictionaries_[node][element];
+}
+
+namespace {
+
+/// The tightest interval containing every degree; 0..0 when empty.
+Cardinality Envelope(const std::vector<size_t>& degrees) {
   if (degrees.empty()) return Cardinality::Exactly(0);
-  uint64_t lo = Cardinality::kUnbounded;
-  uint64_t hi = 0;
-  for (const auto& [element, degree] : degrees) {
-    lo = std::min<uint64_t>(lo, degree);
-    hi = std::max<uint64_t>(hi, degree);
-  }
-  return Cardinality::Between(lo, hi);
+  auto [lo, hi] = std::minmax_element(degrees.begin(), degrees.end());
+  return Cardinality::Between(*lo, *hi);
 }
 
-size_t CsgInstance::CountViolations(const CsgGraph& graph,
-                                    RelationshipId rel,
-                                    const Cardinality& prescribed) const {
+size_t CountOutside(const std::vector<size_t>& degrees,
+                    const Cardinality& prescribed) {
   size_t violations = 0;
-  for (const auto& [element, degree] : OutDegrees(graph, rel)) {
+  for (size_t degree : degrees) {
     if (!prescribed.Contains(degree)) ++violations;
   }
   return violations;
 }
 
-std::unordered_map<Value, size_t, ValueHash> CsgInstance::PathOutDegrees(
+}  // namespace
+
+std::vector<size_t> CsgInstance::OutDegrees(const CsgGraph& graph,
+                                            RelationshipId rel) const {
+  std::vector<size_t> degrees(element_counts_[graph.relationship(rel).from]);
+  const CsrLinks& links = links_[rel];
+  // A relationship without installed links leaves every degree at 0.
+  if (links.offsets.empty()) return degrees;
+  for (ElementId e = 0; e < degrees.size(); ++e) degrees[e] = links.Degree(e);
+  return degrees;
+}
+
+Cardinality CsgInstance::ActualCardinality(const CsgGraph& graph,
+                                           RelationshipId rel) const {
+  return Envelope(OutDegrees(graph, rel));
+}
+
+size_t CsgInstance::CountViolations(const CsgGraph& graph,
+                                    RelationshipId rel,
+                                    const Cardinality& prescribed) const {
+  return CountOutside(OutDegrees(graph, rel), prescribed);
+}
+
+std::vector<size_t> CsgInstance::PathOutDegrees(
     const CsgGraph& graph, const std::vector<RelationshipId>& path) const {
-  std::unordered_map<Value, size_t, ValueHash> degrees;
-  if (path.empty()) return degrees;
-  NodeId start = graph.relationship(path.front()).from;
-  for (const Value& element : element_order_[start]) {
-    // Walk the path breadth-first, deduplicating at every hop: the
-    // composition of relations relates an element to the *set* of
-    // reachable end elements.
-    std::unordered_set<Value, ValueHash> frontier = {element};
-    for (RelationshipId rel : path) {
-      std::unordered_set<Value, ValueHash> next;
-      for (const Value& v : frontier) {
-        auto it = links_[rel].find(v);
-        if (it == links_[rel].end()) continue;
-        next.insert(it->second.begin(), it->second.end());
+  if (path.empty()) return {};
+  std::vector<size_t> degrees(
+      element_counts_[graph.relationship(path.front()).from]);
+  // Walk the path breadth-first from every start element, deduplicating
+  // at every hop: the composition of relations relates an element to the
+  // *set* of reachable end elements. Each hop owns a stamp array over its
+  // end node; stamping with the start element's generation marks an
+  // element as seen without clearing the array between starts.
+  std::vector<std::vector<uint32_t>> seen(path.size());
+  for (size_t hop = 0; hop < path.size(); ++hop) {
+    seen[hop].assign(element_counts_[graph.relationship(path[hop]).to], 0);
+  }
+  std::vector<ElementId> frontier;
+  std::vector<ElementId> next;
+  for (ElementId start = 0; start < degrees.size(); ++start) {
+    const uint32_t generation = start + 1;
+    frontier.assign(1, start);
+    for (size_t hop = 0; hop < path.size() && !frontier.empty(); ++hop) {
+      const CsrLinks& links = links_[path[hop]];
+      if (links.offsets.empty()) {
+        frontier.clear();
+        break;
       }
-      frontier = std::move(next);
-      if (frontier.empty()) break;
+      std::vector<uint32_t>& stamps = seen[hop];
+      next.clear();
+      for (ElementId element : frontier) {
+        for (uint32_t i = links.offsets[element];
+             i < links.offsets[element + 1]; ++i) {
+          const ElementId target = links.targets[i];
+          if (stamps[target] != generation) {
+            stamps[target] = generation;
+            next.push_back(target);
+          }
+        }
+      }
+      frontier.swap(next);
     }
-    degrees[element] = frontier.size();
+    degrees[start] = frontier.size();
   }
   return degrees;
 }
 
 std::vector<Value> CsgInstance::ReachableViaPath(
     const CsgGraph& graph, const std::vector<RelationshipId>& path,
-    const Value& start) const {
-  (void)graph;
-  std::unordered_set<Value, ValueHash> frontier = {start};
-  for (RelationshipId rel : path) {
-    std::unordered_set<Value, ValueHash> next;
-    for (const Value& v : frontier) {
-      auto it = links_[rel].find(v);
-      if (it == links_[rel].end()) continue;
-      next.insert(it->second.begin(), it->second.end());
+    ElementId start) const {
+  if (path.empty()) return {};
+  // An equality link joins two equal values; the FK side's value is the
+  // one the walk carries across it. So a path ending on the FK -> parent
+  // half (the forward half, which has the smaller id) stops one hop
+  // early and reports the FK elements that have the link.
+  const CsgRelationship& last = graph.relationship(path.back());
+  const bool report_fk_side =
+      last.kind == CsgEdgeKind::kEquality && last.id < last.inverse;
+  const size_t hops = report_fk_side ? path.size() - 1 : path.size();
+  std::vector<ElementId> frontier = {start};
+  std::vector<ElementId> next;
+  for (size_t hop = 0; hop < hops && !frontier.empty(); ++hop) {
+    const CsrLinks& links = links_[path[hop]];
+    next.clear();
+    if (!links.offsets.empty()) {
+      for (ElementId element : frontier) {
+        next.insert(next.end(), links.targets.begin() + links.offsets[element],
+                    links.targets.begin() + links.offsets[element + 1]);
+      }
     }
-    frontier = std::move(next);
-    if (frontier.empty()) break;
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    frontier.swap(next);
   }
-  std::vector<Value> result(frontier.begin(), frontier.end());
-  std::sort(result.begin(), result.end());
-  return result;
+  const NodeId end = report_fk_side ? last.from : last.to;
+  const CsrLinks& last_links = links_[path.back()];
+  std::vector<Value> values;
+  values.reserve(frontier.size());
+  for (ElementId element : frontier) {
+    if (report_fk_side &&
+        (last_links.offsets.empty() || last_links.Degree(element) == 0)) {
+      continue;
+    }
+    values.push_back(ElementValue(end, element));
+  }
+  std::sort(values.begin(), values.end());
+  return values;
 }
 
 Cardinality CsgInstance::ActualPathCardinality(
     const CsgGraph& graph, const std::vector<RelationshipId>& path) const {
-  auto degrees = PathOutDegrees(graph, path);
-  if (degrees.empty()) return Cardinality::Exactly(0);
-  uint64_t lo = Cardinality::kUnbounded;
-  uint64_t hi = 0;
-  for (const auto& [element, degree] : degrees) {
-    lo = std::min<uint64_t>(lo, degree);
-    hi = std::max<uint64_t>(hi, degree);
-  }
-  return Cardinality::Between(lo, hi);
+  return Envelope(PathOutDegrees(graph, path));
 }
 
 size_t CsgInstance::CountPathViolations(
     const CsgGraph& graph, const std::vector<RelationshipId>& path,
     const Cardinality& prescribed) const {
-  size_t violations = 0;
-  for (const auto& [element, degree] : PathOutDegrees(graph, path)) {
-    if (!prescribed.Contains(degree)) ++violations;
-  }
-  return violations;
+  return CountOutside(PathOutDegrees(graph, path), prescribed);
 }
 
 }  // namespace efes

@@ -16,9 +16,9 @@
 #define EFES_CSG_GRAPH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "efes/common/result.h"
@@ -120,38 +120,75 @@ class CsgGraph {
   std::vector<std::vector<RelationshipId>> adjacency_;
 };
 
+/// Dense id of an element within its node. A table node's elements are
+/// its row indices; an attribute node's elements index its dictionary of
+/// distinct values. Ids and link offsets are 32-bit, so a node holds and
+/// a relationship links fewer than 2^32 elements; loaded tables are
+/// capped far below that (CsvReadOptions::max_rows).
+using ElementId = uint32_t;
+
+/// The links of one directed relationship in compressed sparse row form:
+/// the targets of element `e` of the `from` node are
+/// `targets[offsets[e] .. offsets[e + 1])`.
+struct CsrLinks {
+  std::vector<uint32_t> offsets;
+  std::vector<ElementId> targets;
+
+  size_t Degree(ElementId element) const {
+    return offsets[element + 1] - offsets[element];
+  }
+};
+
 /// A CSG instance (Definition 2): elements per node, links per directed
 /// relationship. Instances are stored separately from the graph and are
-/// keyed purely by ids, so a graph can have many instances (the structure
-/// repair planner simulates on "virtual" copies).
+/// keyed purely by ids, so a graph can have many instances.
+///
+/// Elements are dense ids (see ElementId). A table node stores only its
+/// row count. An attribute node stores its dictionary: the distinct
+/// non-null values of the attribute by Value equality (so INTEGER 3 and
+/// REAL 3.0 are one element), in first-occurrence order. Every directed
+/// relationship stores its links as one CsrLinks pair; SetLinks fills
+/// the forward half and derives the inverse half by counting sort.
 class CsgInstance {
  public:
   explicit CsgInstance(size_t node_count, size_t relationship_count);
 
-  /// Registers an element of `node`. Duplicate registrations are ignored
-  /// (node elements are sets).
-  void AddElement(NodeId node, const Value& element);
+  /// Declares the `rows` tuple elements of a table node.
+  void SetTableElements(NodeId node, size_t rows);
 
-  /// Adds the link (from_element, to_element) to the forward relationship
-  /// `forward_id` and its mirror to the inverse relationship. The caller
-  /// must pass the id of the forward half created by AddRelationshipPair
-  /// together with the owning graph.
-  void AddLink(const CsgGraph& graph, RelationshipId forward_id,
-               const Value& from_element, const Value& to_element);
+  /// Declares the elements of an attribute node: element i stands for
+  /// `dictionary[i]`. The values must be pairwise unequal.
+  void SetDictionary(NodeId node, std::vector<Value> dictionary);
 
-  size_t ElementCount(NodeId node) const {
-    return elements_[node].size();
+  /// Installs the links of the forward half `forward_id` (as returned by
+  /// AddRelationshipPair) and their mirror on its inverse. Both end nodes
+  /// must already hold their elements; `links.offsets` has one entry per
+  /// `from` element plus one.
+  void SetLinks(const CsgGraph& graph, RelationshipId forward_id,
+                CsrLinks links);
+
+  size_t ElementCount(NodeId node) const { return element_counts_[node]; }
+
+  /// The value `element` of `node` stands for: its dictionary entry, or
+  /// the tuple id Value::Integer(row) for table nodes.
+  Value ElementValue(NodeId node, ElementId element) const;
+
+  /// An attribute node's values in element-id order; empty for table
+  /// nodes.
+  const std::vector<Value>& Dictionary(NodeId node) const {
+    return dictionaries_[node];
   }
-  const std::vector<Value>& ElementsOf(NodeId node) const {
-    return element_order_[node];
+
+  size_t LinkCount(RelationshipId rel) const {
+    return links_[rel].targets.size();
   }
-  size_t LinkCount(RelationshipId rel) const;
 
   /// Number of links leaving each element of the relationship's `from`
-  /// node; elements without links appear with degree 0 (this is what
-  /// makes missing mandatory links — NOT NULL violations — observable).
-  std::unordered_map<Value, size_t, ValueHash> OutDegrees(
-      const CsgGraph& graph, RelationshipId rel) const;
+  /// node, indexed by element id; elements without links have degree 0
+  /// (this is what makes missing mandatory links — NOT NULL violations —
+  /// observable).
+  std::vector<size_t> OutDegrees(const CsgGraph& graph,
+                                 RelationshipId rel) const;
 
   /// The tightest interval containing every element's out-degree; 0..0
   /// for relationships whose from node has no elements.
@@ -164,16 +201,19 @@ class CsgInstance {
                          const Cardinality& prescribed) const;
 
   /// Composition over a path of directed relationships: for each element
-  /// of the path's start node, the number of *distinct* reachable
-  /// elements of the end node.
-  std::unordered_map<Value, size_t, ValueHash> PathOutDegrees(
+  /// of the path's start node (indexed by element id), the number of
+  /// *distinct* reachable elements of the end node. Empty for an empty
+  /// path.
+  std::vector<size_t> PathOutDegrees(
       const CsgGraph& graph, const std::vector<RelationshipId>& path) const;
 
-  /// The distinct end-node elements reachable from `start` along `path`
-  /// (deterministically sorted). Empty path yields {start}.
-  std::vector<Value> ReachableViaPath(
-      const CsgGraph& graph, const std::vector<RelationshipId>& path,
-      const Value& start) const;
+  /// The values of the distinct end-node elements reachable from element
+  /// `start` of the path's start node, sorted. A path whose last hop goes
+  /// from an FK attribute to its referenced attribute reports the FK
+  /// side's values (3, not the referenced 3.0). Empty for an empty path.
+  std::vector<Value> ReachableViaPath(const CsgGraph& graph,
+                                      const std::vector<RelationshipId>& path,
+                                      ElementId start) const;
 
   Cardinality ActualPathCardinality(
       const CsgGraph& graph, const std::vector<RelationshipId>& path) const;
@@ -183,13 +223,12 @@ class CsgInstance {
                              const Cardinality& prescribed) const;
 
  private:
-  // Per node: element set (for dedup) plus insertion order (for
-  // deterministic iteration).
-  std::vector<std::unordered_map<Value, bool, ValueHash>> elements_;
-  std::vector<std::vector<Value>> element_order_;
-  // Per directed relationship: adjacency from element to linked elements.
-  std::vector<std::unordered_map<Value, std::vector<Value>, ValueHash>>
-      links_;
+  std::vector<size_t> element_counts_;
+  // Per node: the dictionary of an attribute node; empty for table nodes.
+  std::vector<std::vector<Value>> dictionaries_;
+  std::vector<bool> is_table_;
+  // Per directed relationship.
+  std::vector<CsrLinks> links_;
 };
 
 }  // namespace efes

@@ -127,22 +127,6 @@ std::vector<std::string> TopologicalTargetOrder(
   return order;
 }
 
-/// Key of a row projected onto `columns`; nullopt when any cell is NULL.
-std::optional<std::string> ProjectionKey(const Table& table, size_t row,
-                                         const std::vector<size_t>& columns) {
-  std::string key;
-  for (size_t c : columns) {
-    const Value& value = table.at(row, c);
-    if (value.is_null()) return std::nullopt;
-    std::string repr = value.ToString();
-    key += std::to_string(repr.size());
-    key += ':';
-    key += repr;
-    key += '\x1f';
-  }
-  return key;
-}
-
 }  // namespace
 
 Result<Database> IntegrationExecutor::Execute(
@@ -328,7 +312,6 @@ Result<Database> IntegrationExecutor::Execute(
       std::map<size_t, std::unordered_set<Value, ValueHash>> pulled;
 
       for (size_t row = 0; row < anchor_table->row_count(); ++row) {
-        Value tuple_element = Value::Integer(static_cast<int64_t>(row));
         std::vector<Value> values(target_rel->attribute_count(),
                                   Value::Null());
         bool reject = false;
@@ -346,7 +329,7 @@ Result<Database> IntegrationExecutor::Execute(
               break;
             case AttributeFeed::Kind::kPath: {
               std::vector<Value> reachable = csg.instance.ReachableViaPath(
-                  csg.graph, feeds[a].path, tuple_element);
+                  csg.graph, feeds[a].path, static_cast<ElementId>(row));
               for (const Value& v : reachable) pulled[a].insert(v);
               if (reachable.empty()) break;
               if (reachable.size() == 1) {
@@ -434,9 +417,10 @@ Result<Database> IntegrationExecutor::Execute(
             (feeds[*pk_feed_index].kind ==
                  AttributeFeed::Kind::kSurrogate ||
              pk_direct)) {
-          Value anchor_key = anchor_key_column.has_value()
-                                 ? anchor_table->at(row, *anchor_key_column)
-                                 : tuple_element;
+          Value anchor_key =
+              anchor_key_column.has_value()
+                  ? anchor_table->at(row, *anchor_key_column)
+                  : Value::Integer(static_cast<int64_t>(row));
           if (!anchor_key.is_null()) {
             key_maps[target_relation][anchor_key] = values[*pk_feed_index];
           }

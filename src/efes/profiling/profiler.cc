@@ -1,21 +1,26 @@
 #include "efes/profiling/profiler.h"
 
 #include <algorithm>
-#include <atomic>
+#include <mutex>
 
 #include "efes/cache/fingerprint.h"
 #include "efes/cache/profile_cache.h"
 #include "efes/common/clock.h"
 #include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
+#include "efes/common/thread_annotations.h"
 
 namespace efes {
 
 namespace {
 
-// Ambient options (ScopedProfileOptions), following the
-// ScopedProfileCache atomic-pointer idiom.
-std::atomic<const ProfileOptions*> g_active_options{nullptr};
+// Ambient options: every live ScopedProfileOptions in installation
+// order. Concurrent runs (efes_serve) open and close scopes in any order,
+// so each scope removes exactly its own entry instead of restoring a
+// predecessor that may already be gone.
+std::mutex g_options_mutex;
+std::vector<const ScopedProfileOptions*> g_live_options
+    EFES_GUARDED_BY(g_options_mutex);
 
 /// True when the options can change the finalized statistics: any
 /// capped mode makes the result a function of the budget too, so cache
@@ -58,18 +63,21 @@ uint64_t ChunkSketchKey(const std::vector<Value>& column, size_t begin,
 }  // namespace
 
 ProfileOptions ActiveProfileOptions() {
-  const ProfileOptions* active =
-      g_active_options.load(std::memory_order_acquire);
-  return active == nullptr ? ProfileOptions{} : *active;
+  std::lock_guard<std::mutex> lock(g_options_mutex);
+  return g_live_options.empty() ? ProfileOptions{}
+                                : g_live_options.back()->options_;
 }
 
 ScopedProfileOptions::ScopedProfileOptions(const ProfileOptions& options)
-    : options_(options),
-      previous_(g_active_options.exchange(&options_,
-                                          std::memory_order_acq_rel)) {}
+    : options_(options) {
+  std::lock_guard<std::mutex> lock(g_options_mutex);
+  g_live_options.push_back(this);
+}
 
 ScopedProfileOptions::~ScopedProfileOptions() {
-  g_active_options.store(previous_, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(g_options_mutex);
+  g_live_options.erase(
+      std::find(g_live_options.begin(), g_live_options.end(), this));
 }
 
 Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,

@@ -41,13 +41,16 @@ struct ProfileRequest {
   DataType target_type = DataType::kText;
 };
 
-/// The ambient options consulted by the single-argument overloads: the
-/// innermost ScopedProfileOptions, or defaults when none is installed.
+/// The ambient options consulted by the single-argument overloads: those
+/// of the most recently installed live ScopedProfileOptions, or defaults
+/// when none is installed.
 ProfileOptions ActiveProfileOptions();
 
-/// RAII activation of ambient profile options, mirroring
-/// ScopedProfileCache: installs a copy for the current scope and
-/// restores the previous options on destruction.
+/// RAII activation of ambient profile options: installs a copy for the
+/// scope's lifetime. Nested scopes shadow outer ones. Overlapping scopes
+/// of concurrent runs may end in any order; each removes only its own
+/// copy, so no scope ever leaves the ambient options pointing at a
+/// destroyed one.
 class ScopedProfileOptions {
  public:
   explicit ScopedProfileOptions(const ProfileOptions& options);
@@ -57,8 +60,9 @@ class ScopedProfileOptions {
   ScopedProfileOptions& operator=(const ScopedProfileOptions&) = delete;
 
  private:
+  friend ProfileOptions ActiveProfileOptions();
+
   ProfileOptions options_;
-  const ProfileOptions* previous_;
 };
 
 /// Profiles one column against `target_type`. Fails only on a

@@ -50,23 +50,6 @@ size_t Database::TotalRowCount() const {
 
 namespace {
 
-/// Serializes the projection of row `r` onto `columns`, or returns false
-/// if any projected cell is NULL.
-bool ProjectKey(const Table& table, size_t r,
-                const std::vector<size_t>& columns, std::string* key) {
-  key->clear();
-  for (size_t c : columns) {
-    const Value& value = table.at(r, c);
-    if (value.is_null()) return false;
-    std::string repr = value.ToString();
-    *key += std::to_string(repr.size());
-    *key += ':';
-    *key += repr;
-    *key += '\x1f';
-  }
-  return true;
-}
-
 std::vector<size_t> ResolveColumns(const RelationDef& def,
                                    const std::vector<std::string>& names) {
   std::vector<size_t> columns;
@@ -115,17 +98,16 @@ std::vector<ConstraintViolation> Database::FindConstraintViolations() const {
             ResolveColumns(child.def(), c.referenced_attributes);
         std::map<std::string, std::set<std::string>> dependents_of;
         std::map<std::string, size_t> group_sizes;
-        std::string lhs_key;
-        std::string rhs_key;
         for (size_t r = 0; r < child.row_count(); ++r) {
-          if (!ProjectKey(child, r, columns, &lhs_key)) continue;
-          rhs_key.clear();
+          std::optional<std::string> lhs_key =
+              ProjectionKey(child, r, columns);
+          if (!lhs_key.has_value()) continue;
+          std::string rhs_key;
           for (size_t col : dependent_columns) {
-            rhs_key += child.at(r, col).ToString();
-            rhs_key += '\x1f';
+            AppendProjectionKey(child.at(r, col), &rhs_key);
           }
-          dependents_of[lhs_key].insert(rhs_key);
-          ++group_sizes[lhs_key];
+          dependents_of[*lhs_key].insert(std::move(rhs_key));
+          ++group_sizes[*lhs_key];
         }
         for (const auto& [key, dependents] : dependents_of) {
           if (dependents.size() > 1) violating += group_sizes[key];
@@ -139,15 +121,14 @@ std::vector<ConstraintViolation> Database::FindConstraintViolations() const {
         std::vector<size_t> parent_columns =
             ResolveColumns(parent.def(), c.referenced_attributes);
         std::unordered_set<std::string> parent_keys;
-        std::string key;
         for (size_t r = 0; r < parent.row_count(); ++r) {
-          if (ProjectKey(parent, r, parent_columns, &key)) {
-            parent_keys.insert(key);
-          }
+          std::optional<std::string> key =
+              ProjectionKey(parent, r, parent_columns);
+          if (key.has_value()) parent_keys.insert(std::move(*key));
         }
         for (size_t r = 0; r < child.row_count(); ++r) {
-          if (ProjectKey(child, r, columns, &key) &&
-              parent_keys.count(key) == 0) {
+          std::optional<std::string> key = ProjectionKey(child, r, columns);
+          if (key.has_value() && parent_keys.count(*key) == 0) {
             ++violating;
           }
         }

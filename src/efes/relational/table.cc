@@ -119,27 +119,10 @@ std::unordered_map<Value, size_t, ValueHash> Table::ValueFrequencies(
 
 size_t Table::CountDuplicateProjections(
     const std::vector<size_t>& columns) const {
-  // Serialize each projection into a string key. Values render
-  // unambiguously enough for grouping because we separate with '\x1f'
-  // and values never contain that byte in our generators; a length-prefix
-  // guards against adversarial text.
   std::map<std::string, size_t> groups;
   for (size_t r = 0; r < row_count_; ++r) {
-    bool has_null = false;
-    std::string key;
-    for (size_t c : columns) {
-      const Value& value = columns_[c][r];
-      if (value.is_null()) {
-        has_null = true;
-        break;
-      }
-      std::string repr = value.ToString();
-      key += std::to_string(repr.size());
-      key += ':';
-      key += repr;
-      key += '\x1f';
-    }
-    if (!has_null) ++groups[key];
+    std::optional<std::string> key = ProjectionKey(*this, r, columns);
+    if (key.has_value()) ++groups[*key];
   }
   size_t duplicates = 0;
   for (const auto& [key, count] : groups) {
@@ -150,6 +133,28 @@ size_t Table::CountDuplicateProjections(
 
 bool Table::IsUnique(const std::vector<size_t>& columns) const {
   return CountDuplicateProjections(columns) == 0;
+}
+
+void AppendProjectionKey(const Value& value, std::string* key) {
+  if (value.is_null()) {
+    *key += 'N';
+    return;
+  }
+  const std::string repr = value.ToString();
+  *key += std::to_string(repr.size());
+  *key += ':';
+  *key += repr;
+}
+
+std::optional<std::string> ProjectionKey(const Table& table, size_t row,
+                                         const std::vector<size_t>& columns) {
+  std::string key;
+  for (size_t c : columns) {
+    const Value& value = table.at(row, c);
+    if (value.is_null()) return std::nullopt;
+    AppendProjectionKey(value, &key);
+  }
+  return key;
 }
 
 }  // namespace efes

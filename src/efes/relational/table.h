@@ -9,6 +9,7 @@
 #define EFES_RELATIONAL_TABLE_H_
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -92,6 +93,19 @@ class Table {
   // columns_[c][r] is the value of attribute c in row r.
   std::vector<std::vector<Value>> columns_;
 };
+
+/// Appends the projection-key encoding of one cell to `key`: NULL as
+/// "N", any other value as "<size>:<rendering>" of its ToString(). The
+/// length prefix makes every encoding self-delimiting, so no byte inside
+/// a value can move a field boundary, and NULL never collides with the
+/// text "NULL". Keys of equal-arity projections are equal exactly when
+/// their cells render equally.
+void AppendProjectionKey(const Value& value, std::string* key);
+
+/// The key of `row` projected onto `columns`, or nullopt when a projected
+/// cell is NULL (SQL key semantics: NULL keys are exempt).
+std::optional<std::string> ProjectionKey(const Table& table, size_t row,
+                                         const std::vector<size_t>& columns);
 
 }  // namespace efes
 

@@ -1,11 +1,16 @@
 #include "efes/structure/conflict_detector.h"
 
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "efes/common/deadline.h"
+#include "efes/common/fault.h"
+#include "efes/common/parallel.h"
+#include "efes/telemetry/trace.h"
 
 namespace efes {
 
@@ -260,22 +265,15 @@ void DetectFunctionalDependencyConflicts(
     std::map<std::string, std::set<std::string>> dependents_of;
     std::map<std::string, size_t> group_sizes;
     for (size_t r = 0; r < table.row_count(); ++r) {
-      std::string lhs_key;
-      bool lhs_null = false;
-      for (size_t c : lhs_columns) {
-        const Value& value = table.at(r, c);
-        if (value.is_null()) { lhs_null = true; break; }
-        lhs_key += value.ToString();
-        lhs_key += '\x1f';
-      }
-      if (lhs_null) continue;
+      std::optional<std::string> lhs_key =
+          ProjectionKey(table, r, lhs_columns);
+      if (!lhs_key.has_value()) continue;
       std::string rhs_key;
       for (size_t c : rhs_columns) {
-        rhs_key += table.at(r, c).ToString();
-        rhs_key += '\x1f';
+        AppendProjectionKey(table.at(r, c), &rhs_key);
       }
-      dependents_of[lhs_key].insert(rhs_key);
-      ++group_sizes[lhs_key];
+      dependents_of[*lhs_key].insert(std::move(rhs_key));
+      ++group_sizes[*lhs_key];
     }
     size_t violating = 0;
     for (const auto& [key, dependents] : dependents_of) {
@@ -394,6 +392,108 @@ void DetectCrossSourceConflicts(const IntegrationScenario& scenario,
   }
 }
 
+/// Assesses one source: builds its CSG, maps the target nodes onto it,
+/// matches every constrained target relationship to its most concise
+/// source path, counts the violations Lemma 1 cannot rule out, and runs
+/// the composite-key and FD checks.
+Result<SourceStructureAssessment> AssessSource(
+    const IntegrationScenario& scenario, const SourceBinding& source,
+    const CsgGraph& target_graph, const ConflictDetectorOptions& options) {
+  Csg source_csg = BuildCsg(source.database);
+  std::map<NodeId, NodeId> node_mapping = BuildNodeMapping(
+      target_graph, source_csg.graph, source.correspondences);
+
+  SourceStructureAssessment assessment;
+  assessment.source_database = source.database.name();
+
+  // The source relationship matched to one target relationship.
+  struct Match {
+    const CsgRelationship* target;
+    NodeId source_from;
+    std::optional<PathMatch> best;
+  };
+  std::vector<Match> matches;
+  {
+    TraceSpan span("csg.path_search");
+    for (const CsgRelationship& rel : target_graph.relationships()) {
+      // Unconstrained relationships cannot be violated.
+      if (rel.prescribed == Cardinality::Any()) continue;
+      auto from_it = node_mapping.find(rel.from);
+      auto to_it = node_mapping.find(rel.to);
+      if (from_it == node_mapping.end() || to_it == node_mapping.end()) {
+        continue;  // no source information about this relationship
+      }
+      matches.push_back(
+          Match{&rel, from_it->second,
+                FindBestPath(source_csg.graph, from_it->second,
+                             to_it->second, options.path_search)});
+    }
+  }
+  EFES_RETURN_IF_ERROR(CheckCancellation());
+
+  {
+    TraceSpan span("csg.violations");
+    for (const Match& match : matches) {
+      const CsgRelationship& rel = *match.target;
+      auto emit = [&](bool excess, const Cardinality& inferred,
+                      const std::string& path_desc, size_t count) {
+        if (count == 0) return;
+        StructureConflict conflict;
+        conflict.source_database = source.database.name();
+        conflict.target_relationship = rel.id;
+        conflict.target_constraint = DescribeConstraint(target_graph, rel);
+        conflict.kind = ClassifyConflict(target_graph, rel, excess);
+        conflict.excess = excess;
+        conflict.prescribed = rel.prescribed;
+        conflict.inferred = inferred;
+        conflict.source_path = path_desc;
+        conflict.violation_count = count;
+        assessment.conflicts.push_back(std::move(conflict));
+      };
+
+      if (!match.best.has_value()) {
+        // No source relationship realizes the target relationship: every
+        // element ends up with zero links.
+        if (!rel.prescribed.Contains(0)) {
+          emit(/*excess=*/false, Cardinality::Exactly(0), "(no source path)",
+               source_csg.instance.ElementCount(match.source_from));
+        }
+        continue;
+      }
+      if (match.best->inferred.IsSubsetOf(rel.prescribed)) {
+        continue;  // statically guaranteed to fit
+      }
+
+      // Count actually conflicting elements, split by defect side.
+      size_t too_few = 0;
+      size_t too_many = 0;
+      for (size_t degree : source_csg.instance.PathOutDegrees(
+               source_csg.graph, match.best->path)) {
+        if (rel.prescribed.Contains(degree)) continue;
+        if (degree < rel.prescribed.min()) {
+          ++too_few;
+        } else {
+          ++too_many;
+        }
+      }
+      std::string path_desc =
+          DescribePath(source_csg.graph, match.best->path);
+      emit(/*excess=*/false, match.best->inferred, path_desc, too_few);
+      emit(/*excess=*/true, match.best->inferred, path_desc, too_many);
+    }
+  }
+
+  if (options.detect_composite_keys) {
+    DetectCompositeKeyConflicts(scenario, source, target_graph,
+                                &assessment);
+  }
+  if (options.detect_functional_dependencies) {
+    DetectFunctionalDependencyConflicts(scenario, source, target_graph,
+                                        &assessment);
+  }
+  return assessment;
+}
+
 }  // namespace
 
 std::string_view StructuralConflictKindToString(
@@ -435,94 +535,30 @@ StructuralConflictKind ClassifyConflict(const CsgGraph& graph,
 Result<std::vector<SourceStructureAssessment>> DetectStructureConflicts(
     const IntegrationScenario& scenario, CsgGraph* target_graph_out,
     const ConflictDetectorOptions& options) {
-  const PathSearchOptions& path_options = options.path_search;
   if (target_graph_out == nullptr) {
     return Status::InvalidArgument("target_graph_out must not be null");
   }
   *target_graph_out = BuildCsgGraph(scenario.target);
   const CsgGraph& target_graph = *target_graph_out;
 
-  std::vector<SourceStructureAssessment> assessments;
-  for (const SourceBinding& source : scenario.sources) {
-    Csg source_csg = BuildCsg(source.database);
-    std::map<NodeId, NodeId> node_mapping = BuildNodeMapping(
-        target_graph, source_csg.graph, source.correspondences);
-
-    SourceStructureAssessment assessment;
-    assessment.source_database = source.database.name();
-
-    for (const CsgRelationship& rel : target_graph.relationships()) {
-      // Unconstrained relationships cannot be violated.
-      if (rel.prescribed == Cardinality::Any()) continue;
-
-      auto from_it = node_mapping.find(rel.from);
-      auto to_it = node_mapping.find(rel.to);
-      if (from_it == node_mapping.end() || to_it == node_mapping.end()) {
-        continue;  // no source information about this relationship
-      }
-
-      std::optional<PathMatch> best = FindBestPath(
-          source_csg.graph, from_it->second, to_it->second, path_options);
-
-      auto emit = [&](bool excess, const Cardinality& inferred,
-                      const std::string& path_desc, size_t count) {
-        if (count == 0) return;
-        StructureConflict conflict;
-        conflict.source_database = source.database.name();
-        conflict.target_relationship = rel.id;
-        conflict.target_constraint = DescribeConstraint(target_graph, rel);
-        conflict.kind = ClassifyConflict(target_graph, rel, excess);
-        conflict.excess = excess;
-        conflict.prescribed = rel.prescribed;
-        conflict.inferred = inferred;
-        conflict.source_path = path_desc;
-        conflict.violation_count = count;
-        assessment.conflicts.push_back(std::move(conflict));
-      };
-
-      if (!best.has_value()) {
-        // No source relationship realizes the target relationship: every
-        // element ends up with zero links.
-        if (!rel.prescribed.Contains(0)) {
-          size_t affected =
-              source_csg.instance.ElementCount(from_it->second);
-          emit(/*excess=*/false, Cardinality::Exactly(0), "(no source path)",
-               affected);
-        }
-        continue;
-      }
-
-      if (best->inferred.IsSubsetOf(rel.prescribed)) {
-        continue;  // statically guaranteed to fit
-      }
-
-      // Count actually conflicting elements, split by defect side.
-      size_t too_few = 0;
-      size_t too_many = 0;
-      for (const auto& [element, degree] : source_csg.instance.PathOutDegrees(
-               source_csg.graph, best->path)) {
-        if (rel.prescribed.Contains(degree)) continue;
-        if (degree < rel.prescribed.min()) {
-          ++too_few;
-        } else {
-          ++too_many;
-        }
-      }
-      std::string path_desc = DescribePath(source_csg.graph, best->path);
-      emit(/*excess=*/false, best->inferred, path_desc, too_few);
-      emit(/*excess=*/true, best->inferred, path_desc, too_many);
-    }
-
-    if (options.detect_composite_keys) {
-      DetectCompositeKeyConflicts(scenario, source, target_graph,
-                                  &assessment);
-    }
-    if (options.detect_functional_dependencies) {
-      DetectFunctionalDependencyConflicts(scenario, source, target_graph,
-                                          &assessment);
-    }
-    assessments.push_back(std::move(assessment));
-  }
+  // Sources are independent, so each is assessed by its own task, which
+  // writes only its own slot; the slots are then read in source order.
+  // Pool threads carry no cancel token or request faults of their own,
+  // so every task runs under the caller's.
+  std::vector<SourceStructureAssessment> assessments(scenario.sources.size());
+  CancelToken* token = ActiveCancelToken();
+  FaultRegistry* request_faults = ActiveRequestFaults();
+  EFES_RETURN_IF_ERROR(
+      ParallelFor(scenario.sources.size(), [&](size_t i) -> Status {
+        ScopedCancelToken scoped_token(token);
+        ScopedRequestFaults scoped_faults(request_faults);
+        EFES_RETURN_IF_ERROR(CheckCancellation());
+        EFES_ASSIGN_OR_RETURN(
+            assessments[i],
+            AssessSource(scenario, scenario.sources[i], target_graph,
+                         options));
+        return Status::OK();
+      }));
 
   if (options.detect_cross_source_conflicts) {
     SourceStructureAssessment combined;

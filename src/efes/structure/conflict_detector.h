@@ -99,6 +99,8 @@ struct ConflictDetectorOptions {
 /// (required) receives the target CSG the conflicts' relationship ids
 /// refer to. With cross-source detection enabled, an extra assessment
 /// named "(combined)" is appended when combination conflicts exist.
+/// Sources are assessed in parallel, one task each; the assessments come
+/// back in source order and do not depend on the thread count.
 Result<std::vector<SourceStructureAssessment>> DetectStructureConflicts(
     const IntegrationScenario& scenario, CsgGraph* target_graph_out,
     const ConflictDetectorOptions& options = {});

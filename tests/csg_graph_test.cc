@@ -1,8 +1,11 @@
-// Tests for CSG graphs and instances.
+// Tests for CSG graphs, and for the Value-keyed instance the dense
+// CsgInstance is differentially tested against (csg_differential_test).
 
 #include "efes/csg/graph.h"
 
 #include <gtest/gtest.h>
+
+#include "csg_reference.h"
 
 namespace efes {
 namespace {
@@ -80,8 +83,8 @@ TEST(CsgGraphTest, DescribeAndToText) {
 
 TEST(CsgInstanceTest, ElementsDeduplicate) {
   TinyCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
+  ReferenceCsgInstance instance(csg.graph.nodes().size(),
+                                csg.graph.relationships().size());
   instance.AddElement(csg.attribute, Value::Text("x"));
   instance.AddElement(csg.attribute, Value::Text("x"));
   instance.AddElement(csg.attribute, Value::Text("y"));
@@ -90,8 +93,8 @@ TEST(CsgInstanceTest, ElementsDeduplicate) {
 
 TEST(CsgInstanceTest, LinksMirrorOnInverse) {
   TinyCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
+  ReferenceCsgInstance instance(csg.graph.nodes().size(),
+                                csg.graph.relationships().size());
   Value tuple = Value::Integer(0);
   Value value = Value::Text("x");
   instance.AddElement(csg.table, tuple);
@@ -104,8 +107,8 @@ TEST(CsgInstanceTest, LinksMirrorOnInverse) {
 
 TEST(CsgInstanceTest, OutDegreesIncludeZeroDegreeElements) {
   TinyCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
+  ReferenceCsgInstance instance(csg.graph.nodes().size(),
+                                csg.graph.relationships().size());
   instance.AddElement(csg.table, Value::Integer(0));
   instance.AddElement(csg.table, Value::Integer(1));
   instance.AddElement(csg.attribute, Value::Text("x"));
@@ -118,8 +121,8 @@ TEST(CsgInstanceTest, OutDegreesIncludeZeroDegreeElements) {
 
 TEST(CsgInstanceTest, ActualCardinalityAndViolations) {
   TinyCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
+  ReferenceCsgInstance instance(csg.graph.nodes().size(),
+                                csg.graph.relationships().size());
   // Tuple 0 has two artist values, tuple 1 has one, tuple 2 none.
   for (int t = 0; t < 3; ++t) {
     instance.AddElement(csg.table, Value::Integer(t));
@@ -146,8 +149,8 @@ TEST(CsgInstanceTest, ActualCardinalityAndViolations) {
 
 TEST(CsgInstanceTest, EmptyNodeActualCardinalityIsZero) {
   TinyCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
+  ReferenceCsgInstance instance(csg.graph.nodes().size(),
+                                csg.graph.relationships().size());
   EXPECT_EQ(instance.ActualCardinality(csg.graph, csg.forward),
             Cardinality::Exactly(0));
 }
@@ -173,8 +176,8 @@ struct ChainCsg {
 
 TEST(CsgInstanceTest, PathOutDegreesDeduplicateTargets) {
   ChainCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
+  ReferenceCsgInstance instance(csg.graph.nodes().size(),
+                                csg.graph.relationships().size());
   instance.AddElement(csg.a, Value::Integer(0));
   instance.AddElement(csg.b, Value::Text("b1"));
   instance.AddElement(csg.b, Value::Text("b2"));
@@ -196,8 +199,8 @@ TEST(CsgInstanceTest, PathOutDegreesDeduplicateTargets) {
 
 TEST(CsgInstanceTest, PathViolationsCountBrokenChains) {
   ChainCsg csg;
-  CsgInstance instance(csg.graph.nodes().size(),
-                       csg.graph.relationships().size());
+  ReferenceCsgInstance instance(csg.graph.nodes().size(),
+                                csg.graph.relationships().size());
   instance.AddElement(csg.a, Value::Integer(0));
   instance.AddElement(csg.a, Value::Integer(1));
   instance.AddElement(csg.b, Value::Text("b1"));

@@ -69,6 +69,25 @@ TEST(FdInstanceTest, ViolationCounting) {
   EXPECT_EQ(violations[0].violating_rows, 3u);
 }
 
+TEST(FdInstanceTest, NullDependentDiffersFromTextNull) {
+  // zip 1 -> {NULL, "NULL"}: two different dependents, so both rows of
+  // the group violate the FD.
+  Schema schema("db");
+  (void)schema.AddRelation(RelationDef(
+      "cities", {{"zip", DataType::kText}, {"city", DataType::kText}}));
+  schema.AddConstraint(
+      Constraint::FunctionalDependency("cities", {"zip"}, {"city"}));
+  auto db = Database::Create(std::move(schema));
+  ASSERT_TRUE(db.ok());
+  Table* cities = *db->mutable_table("cities");
+  ASSERT_TRUE(cities->AppendRow({Value::Text("1"), Value::Null()}).ok());
+  ASSERT_TRUE(
+      cities->AppendRow({Value::Text("1"), Value::Text("NULL")}).ok());
+  auto violations = db->FindConstraintViolations();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].violating_rows, 2u);
+}
+
 TEST(FdDdlTest, RoundTrip) {
   auto schema = ParseSchemaText(R"(
 CREATE TABLE cities (
@@ -233,6 +252,51 @@ TEST(FdDetectorTest, SourceFdShortCircuits) {
   for (const StructureConflict& conflict : (*assessments)[0].conflicts) {
     EXPECT_EQ(conflict.target_constraint.find("FUNCTIONAL DEPENDENCY"),
               std::string::npos);
+  }
+}
+
+TEST(FdDetectorTest, DeterminantKeysAreLengthPrefixed) {
+  // The determinants ("x\x1fy", "z") and ("x", "y\x1fz") are distinct,
+  // so their disagreeing dependents do not violate (a, b) -> c.
+  Schema target_schema("t");
+  (void)target_schema.AddRelation(RelationDef(
+      "facts", {{"a", DataType::kText},
+                {"b", DataType::kText},
+                {"c", DataType::kText}}));
+  target_schema.AddConstraint(
+      Constraint::FunctionalDependency("facts", {"a", "b"}, {"c"}));
+
+  Schema source_schema("s");
+  (void)source_schema.AddRelation(RelationDef(
+      "rows", {{"p", DataType::kText},
+               {"q", DataType::kText},
+               {"r", DataType::kText}}));
+  auto source = Database::Create(std::move(source_schema));
+  ASSERT_TRUE(source.ok());
+  Table* rows = *source->mutable_table("rows");
+  ASSERT_TRUE(rows->AppendRow({Value::Text("x\x1fy"), Value::Text("z"),
+                               Value::Text("one")})
+                  .ok());
+  ASSERT_TRUE(rows->AppendRow({Value::Text("x"), Value::Text("y\x1fz"),
+                               Value::Text("two")})
+                  .ok());
+
+  CorrespondenceSet correspondences;
+  correspondences.AddRelation("rows", "facts");
+  correspondences.AddAttribute("rows", "p", "facts", "a");
+  correspondences.AddAttribute("rows", "q", "facts", "b");
+  correspondences.AddAttribute("rows", "r", "facts", "c");
+  IntegrationScenario scenario(
+      "fd-keys", std::move(*Database::Create(std::move(target_schema))));
+  scenario.AddSource(std::move(*source), std::move(correspondences));
+
+  CsgGraph graph;
+  auto assessments = DetectStructureConflicts(scenario, &graph);
+  ASSERT_TRUE(assessments.ok());
+  for (const StructureConflict& conflict : (*assessments)[0].conflicts) {
+    EXPECT_EQ(conflict.target_constraint.find("FUNCTIONAL DEPENDENCY"),
+              std::string::npos)
+        << conflict.violation_count << " FD violations";
   }
 }
 

@@ -18,9 +18,11 @@
 #include "efes/profiling/constraint_discovery.h"
 #include "efes/cache/profile_cache.h"
 #include "efes/scenario/bibliographic.h"
+#include "efes/scenario/paper_example.h"
 #include "efes/scenario/fuzzer.h"
 #include "efes/scenario/scenario_io.h"
 #include "efes/common/metrics.h"
+#include "efes/structure/conflict_detector.h"
 
 namespace efes {
 namespace {
@@ -158,6 +160,46 @@ TEST(ParallelDeterminismTest, ParallelItemCountersMatchAcrossThreadCounts) {
   SetThreadCountOverride(0);
   EXPECT_EQ(batch_items[0], batch_items[1]);
   EXPECT_EQ(batch_items[0], batch_items[2]);
+}
+
+TEST(ParallelDeterminismTest, StructureConflictsAreThreadCountInvariant) {
+  // Three sources, each with the paper example's conflicts drawn from a
+  // different seed: the per-source fan-out must merge in source order
+  // and count the same violations at any thread count.
+  auto scenario = MakePaperExample();
+  ASSERT_TRUE(scenario.ok());
+  for (uint64_t seed : {7u, 99u}) {
+    PaperExampleOptions options;
+    options.seed = seed;
+    auto other = MakePaperExample(options);
+    ASSERT_TRUE(other.ok());
+    scenario->sources.push_back(std::move(other->sources[0]));
+  }
+  ASSERT_EQ(scenario->sources.size(), 3u);
+  ConflictDetectorOptions options;
+  options.detect_cross_source_conflicts = true;
+  std::vector<std::string> runs;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SetThreadCountOverride(threads);
+    CsgGraph graph;
+    auto assessments = DetectStructureConflicts(*scenario, &graph, options);
+    ASSERT_TRUE(assessments.ok()) << assessments.status();
+    std::string rendered;
+    for (const SourceStructureAssessment& source : *assessments) {
+      rendered += "source " + source.source_database + "\n";
+      for (const StructureConflict& conflict : source.conflicts) {
+        rendered += conflict.target_constraint + " | " +
+                    std::string(StructuralConflictKindToString(conflict.kind)) +
+                    " | " + conflict.inferred.ToString() + " | " +
+                    conflict.source_path + " | " +
+                    std::to_string(conflict.violation_count) + "\n";
+      }
+    }
+    runs.push_back(std::move(rendered));
+  }
+  SetThreadCountOverride(0);
+  EXPECT_NE(runs[0].find("Multiple attribute values"), std::string::npos);
+  EXPECT_EQ(runs[0], runs[1]);
 }
 
 }  // namespace

@@ -188,8 +188,7 @@ TEST_P(CsgPropertyTest, TableToAttributeDegreesNeverExceedOne) {
   for (const CsgRelationship& rel : csg.graph.relationships()) {
     if (rel.kind != CsgEdgeKind::kAttribute) continue;
     if (csg.graph.node(rel.from).kind != CsgNodeKind::kTable) continue;
-    for (const auto& [element, degree] :
-         csg.instance.OutDegrees(csg.graph, rel.id)) {
+    for (size_t degree : csg.instance.OutDegrees(csg.graph, rel.id)) {
       EXPECT_LE(degree, 1u);
     }
   }
@@ -203,8 +202,7 @@ TEST_P(CsgPropertyTest, AttributeToTableDegreesAtLeastOne) {
   for (const CsgRelationship& rel : csg.graph.relationships()) {
     if (rel.kind != CsgEdgeKind::kAttribute) continue;
     if (csg.graph.node(rel.from).kind != CsgNodeKind::kAttribute) continue;
-    for (const auto& [element, degree] :
-         csg.instance.OutDegrees(csg.graph, rel.id)) {
+    for (size_t degree : csg.instance.OutDegrees(csg.graph, rel.id)) {
       EXPECT_GE(degree, 1u);
     }
   }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
@@ -223,6 +224,31 @@ TEST(SketchBudget, ExactModeFailsWhereSketchAndAutoDegrade) {
   auto unlimited = ProfileColumn(column, DataType::kText);
   ASSERT_TRUE(unlimited.ok());
   EXPECT_EQ(unlimited->constancy.distinct_count, distinct.size());
+}
+
+TEST(SketchBudget, OverlappingOptionScopesMayEndInAnyOrder) {
+  // Two concurrent server runs: A installs, B installs, A ends, B ends.
+  // The ambient options must never point at A's destroyed copy.
+  ProfileOptions a;
+  a.max_memory_bytes = 111;
+  ProfileOptions b;
+  b.max_memory_bytes = 222;
+  auto first = std::make_unique<ScopedProfileOptions>(a);
+  auto second = std::make_unique<ScopedProfileOptions>(b);
+  EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 222u);
+  first.reset();
+  EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 222u);
+  second.reset();
+  EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 0u);
+  {
+    ScopedProfileOptions outer(a);
+    {
+      ScopedProfileOptions inner(b);
+      EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 222u);
+    }
+    EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 111u);
+  }
+  EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 0u);
 }
 
 TEST(ValueBloomTest, SubsetPruningIsSound) {

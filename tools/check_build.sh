@@ -4,7 +4,8 @@
 # Default mode configures a dedicated build tree with -DEFES_WERROR=ON,
 # builds everything, and runs the full test suite. `--tsan` adds a second
 # configuration with -DEFES_TSAN=ON (-fsanitize=thread) and runs the
-# threaded subset (telemetry, parallel, determinism) under the sanitizer.
+# threaded subset (telemetry, parallel, determinism, structure fan-out)
+# under the sanitizer.
 # `--asan` configures with -DEFES_ASAN=ON (-fsanitize=address,undefined)
 # and runs the full suite — the corruption and fault-injection tests are
 # most valuable here, where a parser walking off a buffer actually traps.
@@ -102,9 +103,12 @@ if [[ "$MODE" == "tsan" ]]; then
   cmake -B "$BUILD_DIR" -S . -DEFES_TSAN=ON
   cmake --build "$BUILD_DIR" -j
   # The threaded tests: the parallel layer itself, the end-to-end
-  # determinism harness, and the telemetry registry it reports through.
+  # determinism harness, the telemetry registry it reports through, and
+  # the per-source structure fan-out (the CSG differential test, the
+  # conflict-detector suites, and the structure-module composite-key and
+  # cross-source suites).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j \
-    -R '(Parallel|ThreadPool|ThreadCount|Telemetry|Metrics|Report)'
+    -R '(Parallel|ThreadPool|ThreadCount|Telemetry|Metrics|Report|CsgDifferential|Detector|Conflict|CompositeKey|CrossSource)'
   echo "check_build: OK (EFES_TSAN=ON, threaded tests passed)"
 elif [[ "$MODE" == "asan" ]]; then
   BUILD_DIR="${1:-build-asan}"
