@@ -1,5 +1,7 @@
 // Performance benchmarks for the Section 5.1 statistics through the
-// chunked, budgeted profiler (profiling/profiler.h).
+// chunked, budgeted profiler (profiling/profiler.h), and for the scenario
+// load that turns CSV bytes into the typed columns they profile
+// (BM_LoadScenario).
 //
 // Two workload shapes:
 //   - default: a 32-column in-memory batch through ProfileColumns, wide
@@ -13,8 +15,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "bench_json.h"
@@ -26,6 +32,8 @@
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/sketch.h"
 #include "efes/profiling/statistics.h"
+#include "efes/scenario/fuzzer.h"
+#include "efes/scenario/scenario_io.h"
 
 namespace efes {
 namespace {
@@ -107,6 +115,57 @@ void BM_OverallFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OverallFit);
+
+/// A 15000-entity, 3-source fuzz scenario with target data, saved once
+/// to a temporary directory that is removed at exit.
+const std::string& SavedLoadScenario() {
+  struct TempScenario {
+    TempScenario() {
+      dir = (std::filesystem::temp_directory_path() /
+             ("efes_perf_load_" + std::to_string(::getpid())))
+                .string();
+      FuzzOptions options;
+      options.min_sources = options.max_sources = 3;
+      options.min_entities = options.max_entities = 15000;
+      options.target_data_rate = 1.0;
+      auto fuzzed = FuzzScenario(1, options);
+      Status saved = fuzzed.ok() ? SaveScenario(fuzzed->scenario, dir)
+                                 : fuzzed.status();
+      if (!saved.ok()) {
+        std::fprintf(stderr, "perf_profiling: cannot save scenario: %s\n",
+                     saved.ToString().c_str());
+        std::abort();
+      }
+    }
+    TempScenario(const TempScenario&) = delete;
+    TempScenario& operator=(const TempScenario&) = delete;
+    ~TempScenario() {
+      std::error_code ignored;
+      std::filesystem::remove_all(dir, ignored);
+    }
+    std::string dir;
+  };
+  static const TempScenario scenario;
+  return scenario.dir;
+}
+
+/// CSV bytes to typed tables: the per-file scan and cast fan-out of
+/// LoadScenario, at the thread count given as the argument.
+void BM_LoadScenario(benchmark::State& state) {
+  const std::string& dir = SavedLoadScenario();
+  const size_t configured = ConfiguredThreadCount();
+  SetThreadCountOverride(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto loaded = LoadScenario(dir);
+    if (!loaded.ok()) {
+      state.SkipWithError(loaded.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(loaded);
+  }
+  SetThreadCountOverride(configured);
+}
+BENCHMARK(BM_LoadScenario)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_GeneralizeToPattern(benchmark::State& state) {
   std::string text = "Sweet Home Alabama 1974 (4:43)";

@@ -1,7 +1,9 @@
 #include "efes/common/csv.h"
 
+#include <cstring>
 #include <deque>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -39,21 +41,47 @@ void AddIssue(std::vector<DataIssue>* issues, std::string location,
       DataIssue{"csv", std::move(location), std::move(message)});
 }
 
-// Incremental RFC-4180 scanner shared by ParseCsv (one Feed over the whole
+// Incremental RFC-4180 scanner shared by ScanCsv (one Feed over the whole
 // text) and ChunkedCsvReader (repeated Feeds over file blocks). Because a
 // quote escape ("") and a \r\n sequence can straddle a block boundary, the
 // scanner defers those decisions with one-character pending flags instead
 // of looking ahead, which makes it produce the exact same records for any
-// split of the input.
+// split of the input. Each completed record goes to
+// `sink.OnRecord(std::vector<std::string_view>&)`; the views point into
+// the scanner's record buffer and are valid only during the call.
+template <typename Sink>
 class CsvScanner {
  public:
-  explicit CsvScanner(const CsvReadOptions& options) : options_(options) {}
+  CsvScanner(const CsvReadOptions& options, Sink& sink)
+      : options_(options), sink_(sink) {
+    for (char c : {options.delimiter, '"', '\r', '\n'}) {
+      breaks_run_[static_cast<unsigned char>(c)] = true;
+    }
+  }
 
-  // Feeds input bytes; completed records accumulate in records().
-  // Returns false once a resource limit latched (see limit_error()).
+  // Feeds input bytes. A run of bytes that cannot change the scanner's
+  // state (outside quotes: up to a delimiter, quote, CR or LF; inside
+  // quotes: up to a quote) is appended in one step; every other byte
+  // goes through FeedChar. Returns false once a resource limit latched
+  // (see limit_error()).
   bool Feed(std::string_view text) {
-    for (char c : text) {
-      if (!FeedChar(c)) return false;
+    const char* next = text.data();
+    const char* const end = next + text.size();
+    while (next != end) {
+      if (!pending_quote_ && !pending_cr_) {
+        const char* run_end = in_quotes_ ? FindQuote(next, end)
+                                         : FindRunBreak(next, end);
+        if (run_end != next) {
+          if (!GrowCell(std::string_view(
+                  next, static_cast<size_t>(run_end - next)))) {
+            return false;
+          }
+          cell_started_ = true;
+          next = run_end;
+          if (next == end) break;
+        }
+      }
+      if (!FeedChar(*next++)) return false;
     }
     return true;
   }
@@ -74,13 +102,12 @@ class CsvScanner {
       unterminated_quote_ = true;
       in_quotes_ = false;
     }
-    if (!current_cell_.empty() || !current_record_.empty() || cell_started_) {
+    if (CellSize() > 0 || !cell_ends_.empty() || cell_started_) {
       if (!EndRecord()) return false;
     }
     return true;
   }
 
-  std::deque<std::vector<std::string>>& records() { return records_; }
   bool unterminated_quote() const { return unterminated_quote_; }
   const Status& limit_error() const { return limit_error_; }
 
@@ -88,8 +115,8 @@ class CsvScanner {
   bool FeedChar(char c) {
     if (pending_quote_) {
       pending_quote_ = false;
-      if (c == '"') return GrowCell('"');  // doubled quote: literal "
-      in_quotes_ = false;                  // closing quote; reprocess c
+      if (c == '"') return GrowCell("\"");  // doubled quote: literal "
+      in_quotes_ = false;                   // closing quote; reprocess c
     } else if (pending_cr_) {
       pending_cr_ = false;
       if (c == '\n') return EndRecord();  // \r\n ends one record
@@ -100,9 +127,9 @@ class CsvScanner {
         pending_quote_ = true;  // escape or closing quote: next char tells
         return true;
       }
-      return GrowCell(c);
+      return GrowCell(std::string_view(&c, 1));
     }
-    if (c == '"' && !cell_started_ && current_cell_.empty()) {
+    if (c == '"' && !cell_started_ && CellSize() == 0) {
       in_quotes_ = true;
       cell_started_ = true;
       return true;
@@ -117,19 +144,42 @@ class CsvScanner {
     }
     if (c == '\n') return EndRecord();
     cell_started_ = true;
-    return GrowCell(c);
+    return GrowCell(std::string_view(&c, 1));
   }
 
+  const char* FindRunBreak(const char* next, const char* end) const {
+    while (next != end && !breaks_run_[static_cast<unsigned char>(*next)]) {
+      ++next;
+    }
+    return next;
+  }
+
+  static const char* FindQuote(const char* next, const char* end) {
+    const void* quote =
+        std::memchr(next, '"', static_cast<size_t>(end - next));
+    return quote == nullptr ? end : static_cast<const char*>(quote);
+  }
+
+  size_t CellSize() const { return record_.size() - cell_start_; }
+
   void EndCell() {
-    current_record_.push_back(std::move(current_cell_));
-    current_cell_.clear();
+    cell_ends_.push_back(record_.size());
+    cell_start_ = record_.size();
     cell_started_ = false;
   }
 
   bool EndRecord() {
     EndCell();
-    records_.push_back(std::move(current_record_));
-    current_record_.clear();
+    cells_.clear();
+    size_t begin = 0;
+    for (size_t cell_end : cell_ends_) {
+      cells_.emplace_back(record_.data() + begin, cell_end - begin);
+      begin = cell_end;
+    }
+    sink_.OnRecord(cells_);
+    record_.clear();
+    cell_ends_.clear();
+    cell_start_ = 0;
     ++total_records_;
     if (total_records_ > options_.max_rows) {
       std::ostringstream oss;
@@ -140,8 +190,10 @@ class CsvScanner {
     return true;
   }
 
-  bool GrowCell(char c) {
-    if (current_cell_.size() >= options_.max_field_bytes) {
+  // Fails exactly when appending `bytes` one at a time would: once the
+  // open cell would exceed max_field_bytes.
+  bool GrowCell(std::string_view bytes) {
+    if (bytes.size() > options_.max_field_bytes - CellSize()) {
       std::ostringstream oss;
       oss << "CSV field in record " << total_records_ + 1
           << " exceeds the field limit of " << options_.max_field_bytes
@@ -149,14 +201,19 @@ class CsvScanner {
       limit_error_ = Status::ResourceExhausted(oss.str());
       return false;
     }
-    current_cell_.push_back(c);
+    record_.append(bytes);
     return true;
   }
 
   const CsvReadOptions options_;
-  std::deque<std::vector<std::string>> records_;
-  std::vector<std::string> current_record_;
-  std::string current_cell_;
+  Sink& sink_;
+  bool breaks_run_[256] = {};
+  // The open record's cells back to back; cell_ends_ holds each closed
+  // cell's end offset and cell_start_ the open cell's start.
+  std::string record_;
+  std::vector<size_t> cell_ends_;
+  size_t cell_start_ = 0;
+  std::vector<std::string_view> cells_;
   bool in_quotes_ = false;
   bool cell_started_ = false;
   bool pending_quote_ = false;
@@ -168,7 +225,8 @@ class CsvScanner {
 
 // Conforms `record` (data row number `row_number`, 1-based) to the header
 // width: strict mode fails, recover mode pads/truncates and reports.
-Status NormalizeRecord(std::vector<std::string>& record, size_t header_size,
+template <typename Cells>
+Status NormalizeRecord(Cells& record, size_t header_size,
                        size_t row_number, bool recover,
                        std::vector<DataIssue>* issues) {
   if (record.size() == header_size) return Status::OK();
@@ -193,36 +251,89 @@ Status NormalizeRecord(std::vector<std::string>& record, size_t header_size,
   return Status::OK();
 }
 
+// ScanCsv's scanner sink: the first record is the header; every later
+// one is conformed to its width and passed on, until a strict-mode shape
+// error stops delivery.
+class RowNormalizer {
+ public:
+  RowNormalizer(bool recover, CsvRowSink& sink)
+      : recover_(recover), sink_(sink) {}
+
+  void OnRecord(std::vector<std::string_view>& cells) {
+    if (!has_header_) {
+      has_header_ = true;
+      header_size_ = cells.size();
+      sink_.OnHeader(cells);
+      return;
+    }
+    ++rows_;
+    if (!shape_error_.ok()) return;
+    shape_error_ =
+        NormalizeRecord(cells, header_size_, rows_, recover_, &issues_);
+    if (shape_error_.ok()) sink_.OnRow(rows_, cells);
+  }
+
+  bool has_header() const { return has_header_; }
+  const Status& shape_error() const { return shape_error_; }
+  std::vector<DataIssue>& issues() { return issues_; }
+
+ private:
+  const bool recover_;
+  CsvRowSink& sink_;
+  bool has_header_ = false;
+  size_t header_size_ = 0;
+  size_t rows_ = 0;
+  Status shape_error_;
+  std::vector<DataIssue> issues_;
+};
+
+// Builds the CsvDocument ParseCsv returns.
+class DocumentSink final : public CsvRowSink {
+ public:
+  void OnHeader(const std::vector<std::string_view>& cells) override {
+    doc.header.assign(cells.begin(), cells.end());
+  }
+  void OnRow(size_t, const std::vector<std::string_view>& cells) override {
+    doc.rows.emplace_back(cells.begin(), cells.end());
+  }
+
+  CsvDocument doc;
+};
+
 }  // namespace
+
+Status ScanCsv(std::string_view text, const CsvReadOptions& options,
+               CsvRowSink& sink, std::vector<DataIssue>* issues) {
+  const bool recover = options.mode == CsvReadOptions::Mode::kRecover;
+  RowNormalizer normalizer(recover, sink);
+  CsvScanner<RowNormalizer> scanner(options, normalizer);
+  if (!scanner.Feed(text) || !scanner.Finish()) {
+    return scanner.limit_error();
+  }
+  if (scanner.unterminated_quote() && !recover) {
+    return Status::ParseError("unterminated quoted CSV field");
+  }
+  if (!normalizer.has_header()) {
+    return Status::ParseError("CSV input contains no header row");
+  }
+  EFES_RETURN_IF_ERROR(normalizer.shape_error());
+  if (scanner.unterminated_quote()) {
+    AddIssue(issues, "end of input",
+             "unterminated quoted field closed at end of input");
+  }
+  if (issues != nullptr) {
+    std::move(normalizer.issues().begin(), normalizer.issues().end(),
+              std::back_inserter(*issues));
+  }
+  return Status::OK();
+}
 
 Result<CsvDocument> ParseCsv(std::string_view text,
                              const CsvReadOptions& options,
                              std::vector<DataIssue>* issues) {
-  const bool recover = options.mode == CsvReadOptions::Mode::kRecover;
-  CsvScanner scanner(options);
-  if (!scanner.Feed(text) || !scanner.Finish()) {
-    return scanner.limit_error();
-  }
-  if (scanner.unterminated_quote()) {
-    if (!recover) {
-      return Status::ParseError("unterminated quoted CSV field");
-    }
-    AddIssue(issues, "end of input",
-             "unterminated quoted field closed at end of input");
-  }
-  std::deque<std::vector<std::string>>& records = scanner.records();
-  if (records.empty()) {
-    return Status::ParseError("CSV input contains no header row");
-  }
-
-  CsvDocument doc;
-  doc.header = std::move(records.front());
-  for (size_t r = 1; r < records.size(); ++r) {
-    EFES_RETURN_IF_ERROR(
-        NormalizeRecord(records[r], doc.header.size(), r, recover, issues));
-    doc.rows.push_back(std::move(records[r]));
-  }
-  return doc;
+  DocumentSink sink;
+  EFES_RETURN_IF_ERROR(ScanCsv(text, options, sink, issues));
+  return std::move(sink.doc);
 }
 
 Result<CsvDocument> ParseCsv(std::string_view text, char delimiter) {
@@ -272,11 +383,22 @@ Status WriteCsvFile(const CsvDocument& doc, const std::string& path,
 // --- ChunkedCsvReader ------------------------------------------------------
 
 struct ChunkedCsvReader::Impl {
+  // The scanner's sink: completed records wait here until delivered.
+  struct RecordQueue {
+    void OnRecord(std::vector<std::string_view>& cells) {
+      records.emplace_back(cells.begin(), cells.end());
+    }
+    std::deque<std::vector<std::string>> records;
+  };
+
   Impl(const CsvReadOptions& options, std::string path, size_t chunk_rows)
       : options(options),
         path(std::move(path)),
         chunk_rows(chunk_rows),
-        scanner(options) {}
+        scanner(options, queue) {}
+  // The scanner refers to `queue`, so an Impl never copies or moves.
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
 
   // Appends " (path)" the way ReadCsvFile does, and latches the error so
   // every later NextChunk repeats it.
@@ -309,7 +431,8 @@ struct ChunkedCsvReader::Impl {
   const std::string path;
   const size_t chunk_rows;
   std::ifstream stream;
-  CsvScanner scanner;
+  RecordQueue queue;  // before the scanner, which holds a reference
+  CsvScanner<RecordQueue> scanner;
   std::vector<std::string> header;
   bool source_done = false;
   bool quote_issue_reported = false;
@@ -333,14 +456,14 @@ Result<ChunkedCsvReader> ChunkedCsvReader::Open(const std::string& path,
   if (!impl->stream) {
     return Status::NotFound("cannot open: " + path);
   }
-  while (impl->scanner.records().empty() && !impl->source_done) {
+  while (impl->queue.records.empty() && !impl->source_done) {
     EFES_RETURN_IF_ERROR(impl->Pump());
   }
-  if (impl->scanner.records().empty()) {
+  if (impl->queue.records.empty()) {
     return impl->Fail(Status::ParseError("CSV input contains no header row"));
   }
-  impl->header = std::move(impl->scanner.records().front());
-  impl->scanner.records().pop_front();
+  impl->header = std::move(impl->queue.records.front());
+  impl->queue.records.pop_front();
   return ChunkedCsvReader(std::move(impl));
 }
 
@@ -355,7 +478,7 @@ Result<std::vector<std::vector<std::string>>> ChunkedCsvReader::NextChunk(
   const bool recover = impl.options.mode == CsvReadOptions::Mode::kRecover;
   const size_t want =
       impl.chunk_rows == 0 ? impl.options.max_rows : impl.chunk_rows;
-  while (impl.scanner.records().size() < want && !impl.source_done) {
+  while (impl.queue.records.size() < want && !impl.source_done) {
     EFES_RETURN_IF_ERROR(impl.Pump());
   }
   if (impl.source_done && impl.scanner.unterminated_quote() &&
@@ -368,7 +491,7 @@ Result<std::vector<std::vector<std::string>>> ChunkedCsvReader::NextChunk(
              "unterminated quoted field closed at end of input");
   }
   std::vector<std::vector<std::string>> rows;
-  std::deque<std::vector<std::string>>& pending = impl.scanner.records();
+  std::deque<std::vector<std::string>>& pending = impl.queue.records;
   while (!pending.empty() && rows.size() < want) {
     std::vector<std::string> record = std::move(pending.front());
     pending.pop_front();
@@ -383,7 +506,7 @@ Result<std::vector<std::vector<std::string>>> ChunkedCsvReader::NextChunk(
 }
 
 bool ChunkedCsvReader::done() const {
-  return impl_->source_done && impl_->scanner.records().empty();
+  return impl_->source_done && impl_->queue.records.empty();
 }
 
 size_t ChunkedCsvReader::rows_delivered() const {

@@ -50,6 +50,29 @@ struct CsvReadOptions {
   size_t max_rows = 10u * 1000 * 1000;
 };
 
+/// Receives the records ScanCsv completes, in input order. The views
+/// point into the scanner's buffer and are valid only during the call.
+class CsvRowSink {
+ public:
+  virtual void OnHeader(const std::vector<std::string_view>& cells) = 0;
+  /// Data row `row` (1-based), already conformed to the header width.
+  virtual void OnRow(size_t row,
+                     const std::vector<std::string_view>& cells) = 0;
+
+ protected:
+  ~CsvRowSink() = default;
+};
+
+/// Parses CSV text like ParseCsv, but hands every record to `sink` as
+/// soon as it is complete instead of building a CsvDocument. Repairs,
+/// issues and errors are ParseCsv's, in the same precedence: a limit
+/// error, then an unterminated quote (strict), then a missing header,
+/// then the first misshapen row (strict). In strict mode no row after the
+/// first misshapen one reaches the sink. Issues are appended only when
+/// the scan succeeds.
+Status ScanCsv(std::string_view text, const CsvReadOptions& options,
+               CsvRowSink& sink, std::vector<DataIssue>* issues = nullptr);
+
 /// Parses CSV text. Supports quoted fields with embedded delimiters,
 /// doubled quotes, and embedded newlines; accepts both \n and \r\n.
 /// In strict mode every row must have exactly as many cells as the

@@ -127,12 +127,20 @@ Result<std::string> ReadFileToString(const std::string& path) {
   if (!file) {
     return Status::NotFound("cannot open: " + path);
   }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
+  // Read straight into a string sized from the file, not through a
+  // growing stream buffer and a copy: scenario loads read every CSV.
+  std::string content;
+  std::error_code size_error;
+  const uintmax_t size = fs::file_size(path, size_error);
+  if (!size_error) content.reserve(size);
+  char block[1 << 16];
+  while (file.read(block, sizeof(block)) || file.gcount() > 0) {
+    content.append(block, static_cast<size_t>(file.gcount()));
+  }
   if (file.bad()) {
     return Status::Unavailable("read error on " + path);
   }
-  return buffer.str();
+  return content;
 }
 
 }  // namespace efes

@@ -148,30 +148,12 @@ bool Database::SatisfiesConstraints() const {
 
 Status Database::LoadCsv(std::string_view relation, const CsvDocument& doc) {
   EFES_ASSIGN_OR_RETURN(Table * target, mutable_table(relation));
-  const RelationDef& def = target->def();
-  if (doc.header.size() != def.attribute_count()) {
-    return Status::InvalidArgument(
-        "CSV header arity does not match relation '" +
-        std::string(relation) + "'");
-  }
-  for (size_t i = 0; i < doc.header.size(); ++i) {
-    if (doc.header[i] != def.attributes()[i].name) {
-      return Status::InvalidArgument("CSV header column '" + doc.header[i] +
-                                     "' does not match attribute '" +
-                                     def.attributes()[i].name + "'");
-    }
-  }
-  for (const auto& csv_row : doc.rows) {
-    std::vector<Value> row;
-    row.reserve(csv_row.size());
-    for (const std::string& cell : csv_row) {
-      if (cell.empty()) {
-        row.push_back(Value::Null());
-      } else {
-        row.push_back(Value::Text(cell));
-      }
-    }
-    EFES_RETURN_IF_ERROR(target->AppendRow(std::move(row)));
+  std::vector<std::string_view> cells(doc.header.begin(), doc.header.end());
+  EFES_RETURN_IF_ERROR(target->CheckCsvHeader(cells));
+  target->Reserve(target->row_count() + doc.rows.size());
+  for (const std::vector<std::string>& row : doc.rows) {
+    cells.assign(row.begin(), row.end());
+    EFES_RETURN_IF_ERROR(target->AppendCsvRow(cells));
   }
   return Status::OK();
 }

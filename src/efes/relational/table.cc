@@ -10,14 +10,20 @@ Table::Table(RelationDef def) : def_(std::move(def)) {
   columns_.resize(def_.attribute_count());
 }
 
+namespace {
+
+Status CheckArity(const RelationDef& def, size_t cells) {
+  if (cells == def.attribute_count()) return Status::OK();
+  std::ostringstream oss;
+  oss << "row arity " << cells << " does not match relation '" << def.name()
+      << "' with " << def.attribute_count() << " attributes";
+  return Status::InvalidArgument(oss.str());
+}
+
+}  // namespace
+
 Status Table::AppendRow(std::vector<Value> row) {
-  if (row.size() != def_.attribute_count()) {
-    std::ostringstream oss;
-    oss << "row arity " << row.size() << " does not match relation '"
-        << def_.name() << "' with " << def_.attribute_count()
-        << " attributes";
-    return Status::InvalidArgument(oss.str());
-  }
+  EFES_RETURN_IF_ERROR(CheckArity(def_, row.size()));
   // Validate castability first so a failed append leaves the table
   // unchanged.
   std::vector<Value> canonical;
@@ -32,6 +38,46 @@ Status Table::AppendRow(std::vector<Value> row) {
   }
   ++row_count_;
   return Status::OK();
+}
+
+Status Table::CheckCsvHeader(
+    const std::vector<std::string_view>& header) const {
+  if (header.size() != def_.attribute_count()) {
+    return Status::InvalidArgument(
+        "CSV header arity does not match relation '" + def_.name() + "'");
+  }
+  for (size_t i = 0; i < header.size(); ++i) {
+    if (header[i] != def_.attributes()[i].name) {
+      return Status::InvalidArgument(
+          "CSV header column '" + std::string(header[i]) +
+          "' does not match attribute '" + def_.attributes()[i].name + "'");
+    }
+  }
+  return Status::OK();
+}
+
+Status Table::AppendCsvRow(const std::vector<std::string_view>& cells) {
+  EFES_RETURN_IF_ERROR(CheckArity(def_, cells.size()));
+  for (size_t c = 0; c < cells.size(); ++c) {
+    if (cells[c].empty()) {
+      columns_[c].emplace_back();
+      continue;
+    }
+    Result<Value> cast = Value::CastText(cells[c], def_.attributes()[c].type);
+    if (!cast.ok()) {
+      for (size_t appended = 0; appended < c; ++appended) {
+        columns_[appended].pop_back();
+      }
+      return cast.status();
+    }
+    columns_[c].push_back(std::move(*cast));
+  }
+  ++row_count_;
+  return Status::OK();
+}
+
+void Table::Reserve(size_t rows) {
+  for (std::vector<Value>& column : columns_) column.reserve(rows);
 }
 
 void Table::RemoveRows(const std::vector<size_t>& rows) {

@@ -35,6 +35,17 @@ class Table {
   /// in canonical (cast) form.
   Status AppendRow(std::vector<Value> row);
 
+  /// Fails unless `header` names the attributes, in order.
+  Status CheckCsvHeader(const std::vector<std::string_view>& header) const;
+
+  /// Appends one CSV data row: an empty cell is NULL, any other cell is
+  /// cast from text to its attribute type (Value::CastText). A failed
+  /// append leaves the table unchanged.
+  Status AppendCsvRow(const std::vector<std::string_view>& cells);
+
+  /// Reserves column capacity for `rows` rows in total.
+  void Reserve(size_t rows);
+
   /// Removes the rows at the given indices (out-of-range entries are
   /// ignored; duplicates are fine). Used by the integration executor's
   /// repair operations.

@@ -1,6 +1,7 @@
 #include "efes/relational/value.h"
 
 #include <cmath>
+#include <optional>
 
 #include "efes/common/string_util.h"
 
@@ -102,6 +103,7 @@ bool Value::CanCastTo(DataType target) const {
 Result<Value> Value::CastTo(DataType target) const {
   if (is_null()) return Value::Null();
   if (target == type()) return *this;
+  if (type() == DataType::kText) return CastText(AsText(), target);
   if (!CanCastTo(target)) {
     return Status::TypeMismatch(
         "cannot cast " + ToString() + " (" +
@@ -124,21 +126,39 @@ Result<Value> Value::CastTo(DataType target) const {
         return Value::Integer(static_cast<int64_t>(AsReal()));
       }
       return Value::Text(FormatDouble(AsReal(), 15));
-    case DataType::kText: {
-      const std::string& text = AsText();
-      if (target == DataType::kInteger) {
-        return Value::Integer(*ParseInt64(text));
-      }
-      if (target == DataType::kReal) {
-        return Value::Real(*ParseDouble(text));
-      }
-      std::string lower = ToLower(text);
-      return Value::Boolean(lower == "true" || lower == "1");
-    }
+    case DataType::kText:  // handled above
     case DataType::kNull:
       return Value::Null();
   }
   return Status::Internal("unreachable cast");
+}
+
+Result<Value> Value::CastText(std::string_view text, DataType target) {
+  switch (target) {
+    case DataType::kText:
+      return Value::Text(std::string(text));
+    case DataType::kInteger:
+      if (std::optional<int64_t> parsed = ParseInt64(text)) {
+        return Value::Integer(*parsed);
+      }
+      break;
+    case DataType::kReal:
+      if (std::optional<double> parsed = ParseDouble(text)) {
+        return Value::Real(*parsed);
+      }
+      break;
+    case DataType::kBoolean: {
+      const std::string lower = ToLower(text);
+      if (lower == "true" || lower == "1") return Value::Boolean(true);
+      if (lower == "false" || lower == "0") return Value::Boolean(false);
+      break;
+    }
+    case DataType::kNull:
+      break;
+  }
+  return Status::TypeMismatch("cannot cast " + std::string(text) +
+                              " (text) to " +
+                              std::string(DataTypeToString(target)));
 }
 
 std::string Value::ToString() const {

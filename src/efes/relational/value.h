@@ -75,6 +75,10 @@ class Value {
   /// Performs the cast; fails with kTypeMismatch when CanCastTo is false.
   Result<Value> CastTo(DataType target) const;
 
+  /// Text(text).CastTo(target), parsing `text` once and without building
+  /// the intermediate text value. This is how CSV cells become typed.
+  static Result<Value> CastText(std::string_view text, DataType target);
+
   /// Human-readable rendering; NULL renders as "NULL", text verbatim.
   std::string ToString() const;
 

@@ -24,8 +24,14 @@
 //   * kRecover: defects are skipped or repaired and recorded as
 //     DataIssue diagnostics in the caller's ScenarioLoadReport; the load
 //     succeeds with whatever could be salvaged (the target schema itself
-//     remains mandatory). This is how a service estimates effort *over*
-//     dirty inputs instead of refusing them.
+//     remains mandatory). A data row with a cell that cannot be cast to
+//     its attribute type is skipped alone and reported with its file and
+//     row number. This is how a service estimates effort *over* dirty
+//     inputs instead of refusing them.
+//
+// Files are read on the calling thread in a fixed order, then each CSV
+// file is scanned and cast into its table by its own pool task; the
+// result does not depend on the thread count (DESIGN.md §9).
 
 #ifndef EFES_SCENARIO_SCENARIO_IO_H_
 #define EFES_SCENARIO_SCENARIO_IO_H_
@@ -80,8 +86,9 @@ Status SaveScenario(const IntegrationScenario& scenario,
                     const std::string& directory);
 
 /// Loads a scenario from `directory`. The scenario name is the directory
-/// base name; sources load in lexicographic order. Fault point:
-/// `scenario.load`.
+/// base name; sources load in lexicographic order. A strict load that
+/// fails returns the first error in that order, but may have read later
+/// files first. Fault point: `scenario.load`.
 Result<IntegrationScenario> LoadScenario(const std::string& directory);
 
 /// Loads with explicit options; `report` (may be null) receives the

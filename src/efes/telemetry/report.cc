@@ -1,5 +1,8 @@
 #include "efes/telemetry/report.h"
 
+#include <string>
+#include <string_view>
+
 #include "efes/common/json_writer.h"
 #include "efes/common/string_util.h"
 #include "efes/common/text_table.h"
@@ -17,14 +20,22 @@ std::string RenderMetricsReport(const MetricsSnapshot& snapshot) {
     table.AddRow({gauge.name, "gauge", FormatDouble(gauge.value, 6)});
   }
   for (const auto& histogram : snapshot.histograms) {
+    // Timings end in a ".ms" or "_ms" name component; other histograms
+    // (item counts such as parallel.pool.worker_items) are unitless.
+    const std::string_view name = histogram.name;
+    const bool timing =
+        name.size() > 3 && name.substr(name.size() - 2) == "ms" &&
+        (name[name.size() - 3] == '.' || name[name.size() - 3] == '_');
+    const std::string unit = timing ? " ms" : "";
     table.AddRow({histogram.name, "histogram",
                   std::to_string(histogram.count),
-                  "mean " + FormatDouble(histogram.Mean(), 4) + " ms, p50 " +
-                      FormatDouble(histogram.Quantile(0.5), 4) + " ms, p95 " +
-                      FormatDouble(histogram.Quantile(0.95), 4) +
-                      " ms, min " + FormatDouble(histogram.min, 4) +
-                      " ms, max " + FormatDouble(histogram.max, 4) +
-                      " ms, total " + FormatDouble(histogram.sum, 4) + " ms"});
+                  "mean " + FormatDouble(histogram.Mean(), 4) + unit +
+                      ", p50 " + FormatDouble(histogram.Quantile(0.5), 4) +
+                      unit + ", p95 " +
+                      FormatDouble(histogram.Quantile(0.95), 4) + unit +
+                      ", min " + FormatDouble(histogram.min, 4) + unit +
+                      ", max " + FormatDouble(histogram.max, 4) + unit +
+                      ", total " + FormatDouble(histogram.sum, 4) + unit});
   }
   return table.ToString();
 }

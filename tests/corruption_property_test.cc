@@ -15,6 +15,8 @@
 #include "efes/relational/schema_text.h"
 #include "efes/scenario/scenario_io.h"
 
+#include "corruption.h"
+
 namespace efes {
 namespace {
 
@@ -40,46 +42,6 @@ constexpr char kValidDdl[] =
     "  record INTEGER NOT NULL REFERENCES records(id),\n"
     "  title TEXT NOT NULL\n"
     ");\n";
-
-/// Applies one seeded corruption to `text`: a truncation, a byte
-/// mutation, an insertion of hostile bytes, or a combination. The result
-/// intentionally includes NUL bytes, stray quotes, lone separators, and
-/// cut-off tokens.
-std::string Corrupt(std::string text, Random& rng) {
-  const size_t edits = 1 + rng.UniformUint64(4);
-  for (size_t e = 0; e < edits; ++e) {
-    if (text.empty()) break;
-    switch (rng.UniformUint64(4)) {
-      case 0:  // truncate at an arbitrary byte
-        text.resize(rng.UniformUint64(text.size() + 1));
-        break;
-      case 1: {  // flip one byte to an arbitrary value
-        size_t at = rng.UniformUint64(text.size());
-        text[at] = static_cast<char>(rng.UniformUint64(256));
-        break;
-      }
-      case 2: {  // splice in a hostile fragment
-        static const char* kFragments[] = {
-            "\"",   ",,,,",      "\r",          "\n\"unterminated",
-            "\t",   "->",        ".",           "CREATE TABLE",
-            "(",    "REFERENCES", "\xff\xfe",   "--",
-        };
-        size_t at = rng.UniformUint64(text.size() + 1);
-        text.insert(at, kFragments[rng.UniformUint64(
-                            sizeof(kFragments) / sizeof(kFragments[0]))]);
-        break;
-      }
-      default: {  // duplicate a random slice (repeated headers/rows)
-        size_t from = rng.UniformUint64(text.size());
-        size_t len = rng.UniformUint64(text.size() - from + 1);
-        text.insert(rng.UniformUint64(text.size() + 1),
-                    text.substr(from, len));
-        break;
-      }
-    }
-  }
-  return text;
-}
 
 /// A parse outcome is acceptable when it is OK or a non-OK status with a
 /// message — anything else (a throw reaching here fails the test via

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "efes/common/file_io.h"
 #include "test_paths.h"
 
@@ -265,6 +268,53 @@ Result<std::vector<std::vector<std::string>>> DrainChunks(
   return rows;
 }
 
+TEST(CsvGuardTest, FieldLimitIsExactInsideAndOutsideQuotes) {
+  // Cells reach the limit through one run of plain bytes, through runs
+  // split by a literal mid-cell quote, and inside quotes through runs
+  // split by a doubled quote. The limit itself is accepted; one more
+  // byte fails with the message the scanner has always produced.
+  CsvReadOptions options;
+  options.max_field_bytes = 8;
+  const std::string expected_error =
+      "CSV field in record 2 exceeds the field limit of 8 bytes";
+  struct Case {
+    std::string at_limit;
+    std::string over_limit;
+    std::string value;  // the parsed at-limit cell
+  };
+  const std::vector<Case> cases = {
+      {"abcdefgh", "abcdefghi", "abcdefgh"},
+      {"abc\"defg", "abc\"defgh", "abc\"defg"},
+      {"\"abcdefgh\"", "\"abcdefghi\"", "abcdefgh"},
+      {"\"a,c\n\r\nfg\"", "\"a,c\n\r\nfgh\"", "a,c\n\r\nfg"},
+      {"\"ab\"\"cdefg\"", "\"ab\"\"cdefgh\"", "ab\"cdefg"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.at_limit);
+    const std::string fits = "x,y\n" + c.at_limit + ",1\n";
+    const std::string over = "x,y\n" + c.over_limit + ",1\n";
+    auto accepted = ParseCsv(fits, options);
+    ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+    EXPECT_EQ(accepted->rows[0][0], c.value);
+    auto rejected = ParseCsv(over, options);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(rejected.status().message(), expected_error);
+
+    const std::string fits_path = ChunkedScratchFile("limit_fits", fits);
+    auto reader = ChunkedCsvReader::Open(fits_path, options, 0);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    auto rows = DrainChunks(*reader);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(*rows, accepted->rows);
+    const std::string over_path = ChunkedScratchFile("limit_over", over);
+    auto failed = ChunkedCsvReader::Open(over_path, options, 0);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().message(),
+              expected_error + " (" + over_path + ")");
+  }
+}
+
 TEST(ChunkedCsvTest, DeliversAllRowsInOrderForAnyChunkSize) {
   std::string text = "id,name\n";
   for (int i = 0; i < 100; ++i) {
@@ -303,6 +353,34 @@ TEST(ChunkedCsvTest, QuotedNewlinesAndCrLfStraddleChunkBoundaries) {
     SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
     auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, chunk_rows);
     ASSERT_TRUE(reader.ok());
+    auto rows = DrainChunks(*reader);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(*rows, whole->rows);
+  }
+}
+
+TEST(ChunkedCsvTest, EveryBlockSplitOfQuotedCrLfInputYieldsTheSameRecords) {
+  // The reader feeds the scanner 64 KiB blocks. Padding the first row
+  // moves that block boundary across every byte of a window holding
+  // quoted newlines, doubled quotes, empty quoted cells and CRLF ends.
+  const std::string window =
+      "\"he said \"\"hi\"\"\",\"\"\r\n"
+      "\"multi\r\nline\",\"a,b\"\r\n"
+      "plain,\"\"\"\"\r\n";
+  constexpr size_t kBlock = size_t{1} << 16;
+  for (size_t offset = 0; offset <= window.size(); ++offset) {
+    SCOPED_TRACE("boundary at window byte " + std::to_string(offset));
+    // "title,notes\r\n" + "<pad>,x\r\n" puts the window at kBlock - offset.
+    const size_t pad = kBlock - offset - 13 - 4;
+    const std::string text = "title,notes\r\n" + std::string(pad, 'p') +
+                             ",x\r\n" + window + "last,row\r\n";
+    ASSERT_EQ(text.find(window), kBlock - offset);
+    auto whole = ParseCsv(text);
+    ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+    ASSERT_EQ(whole->rows.size(), 5u);
+    const std::string path = ChunkedScratchFile("split", text);
+    auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, 2);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
     auto rows = DrainChunks(*reader);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     EXPECT_EQ(*rows, whole->rows);

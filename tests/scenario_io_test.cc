@@ -6,8 +6,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "efes/common/fault.h"
 #include "efes/common/file_io.h"
+#include "efes/common/string_util.h"
 #include "efes/experiment/default_pipeline.h"
 #include "efes/scenario/paper_example.h"
 
@@ -202,8 +206,147 @@ class LenientLoadTest : public ScenarioIoTest {
     return options;
   }
 
+  /// Replaces the first cell of data row `row` (1-based) of `path`.
+  static void SetFirstCell(const std::string& path, size_t row,
+                           const std::string& cell) {
+    Result<std::string> text = ReadFileToString(path);
+    ASSERT_TRUE(text.ok());
+    std::vector<std::string> lines = Split(*text, '\n');
+    ASSERT_LT(row, lines.size());
+    lines[row] = cell + lines[row].substr(lines[row].find(','));
+    std::string rewritten;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (i > 0) rewritten += '\n';
+      rewritten += lines[i];
+    }
+    ASSERT_TRUE(WriteFileAtomic(path, rewritten).ok());
+  }
+
+  std::string Csv(const std::string& table) const {
+    return source_dir_ + "/data/" + table + ".csv";
+  }
+
+  static size_t RowCount(const IntegrationScenario& scenario,
+                         const std::string& table) {
+    auto loaded = scenario.sources.at(0).database.table(table);
+    EXPECT_TRUE(loaded.ok());
+    return loaded.ok() ? (*loaded)->row_count() : 0;
+  }
+
   std::string source_dir_;
 };
+
+TEST_F(LenientLoadTest, RecoverSkipsOnlyTheRejectedRow) {
+  SetFirstCell(Csv("albums"), 9, "x9");
+
+  // Strict: the first rejected row fails the load, as before.
+  auto strict = LoadScenario(directory_);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kTypeMismatch);
+  EXPECT_EQ(strict.status().message(), "cannot cast x9 (text) to integer");
+
+  ScenarioLoadReport report;
+  auto loaded = LoadScenario(directory_, Recover(), &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(RowCount(*loaded, "albums"), 29u);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues[0].component, "data");
+  EXPECT_EQ(report.issues[0].location, Csv("albums") + ", row 9");
+  EXPECT_EQ(report.issues[0].message,
+            "row rejected: type mismatch: cannot cast x9 (text) to integer");
+}
+
+TEST_F(LenientLoadTest, CsvIssuesNameTheirFile) {
+  // A short row whose one cell is not an id: padded, then rejected.
+  Append(Csv("albums"), "zz\n");
+  Append(Csv("songs"), "\"never closed");
+
+  ScenarioLoadReport report;
+  auto loaded = LoadScenario(directory_, Recover(), &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  std::vector<std::string> rendered;
+  for (const DataIssue& issue : report.issues) {
+    rendered.push_back(issue.ToString());
+  }
+  EXPECT_EQ(rendered,
+            (std::vector<std::string>{
+                "csv (" + Csv("albums") +
+                    ", row 31): short row padded from 1 to 3 cells",
+                "data (" + Csv("albums") +
+                    ", row 31): row rejected: type mismatch: cannot cast zz "
+                    "(text) to integer",
+                "csv (" + Csv("songs") +
+                    ", end of input): unterminated quoted field closed at "
+                    "end of input",
+                "csv (" + Csv("songs") +
+                    ", row 41): short row padded from 1 to 4 cells",
+                "data (" + Csv("songs") +
+                    ", row 41): row rejected: type mismatch: cannot cast "
+                    "never closed (text) to integer",
+            }));
+  EXPECT_EQ(RowCount(*loaded, "albums"), 30u);
+}
+
+TEST_F(LenientLoadTest, IssuesFollowFileOrderThenParseThenRowOrder) {
+  // Rejected rows in two files, listed per file in schema order (albums
+  // before songs); within a file the repaired short row comes first.
+  SetFirstCell(Csv("albums"), 7, "seven");
+  SetFirstCell(Csv("albums"), 3, "three");
+  SetFirstCell(Csv("songs"), 2, "two");
+  Append(Csv("songs"), "1\n");
+
+  ScenarioLoadReport report;
+  auto loaded = LoadScenario(directory_, Recover(), &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  std::vector<std::string> locations;
+  for (const DataIssue& issue : report.issues) {
+    locations.push_back(issue.component + " " + issue.location);
+  }
+  EXPECT_EQ(locations, (std::vector<std::string>{
+                           "data " + Csv("albums") + ", row 3",
+                           "data " + Csv("albums") + ", row 7",
+                           "csv " + Csv("songs") + ", row 41",
+                           "data " + Csv("songs") + ", row 2",
+                       }));
+  EXPECT_EQ(RowCount(*loaded, "albums"), 28u);
+  EXPECT_EQ(RowCount(*loaded, "songs"), 40u);
+}
+
+TEST_F(LenientLoadTest, StrictErrorInAnEarlierFileBeatsALaterReadFault) {
+  // Every file is read before any is parsed, so the fault below fires on
+  // songs.csv, which a sequential loader would never have reached; the
+  // albums.csv error still comes first in load order.
+  Append(Csv("albums"), "zz\n");
+  size_t target_files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           directory_ + "/target/data")) {
+    if (entry.path().extension() == ".csv") ++target_files;
+  }
+  // Source CSVs are read in schema order: albums, then songs.
+  const std::string spec = "csv.read:n=" + std::to_string(target_files + 2);
+  FaultRegistry::Global().DisarmAll();
+  ASSERT_TRUE(FaultRegistry::Global().ArmFromString(spec).ok());
+  auto strict = LoadScenario(directory_);
+  const uint64_t hits = FaultRegistry::Global().HitCount("csv.read");
+  FaultRegistry::Global().DisarmAll();
+  EXPECT_GE(hits, target_files + 2);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(strict.status().message(),
+            "CSV row 31 has 1 cells, expected 3 (" + Csv("albums") + ")");
+}
+
+TEST_F(LenientLoadTest, StrictParseErrorStillBeatsAnEarlierRejectedRow) {
+  // The whole file parses before any row is judged, so the arity error
+  // in the last row wins over the type error in row 2.
+  SetFirstCell(Csv("albums"), 2, "two");
+  Append(Csv("albums"), "zz\n");
+  auto strict = LoadScenario(directory_);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(strict.status().message(),
+            "CSV row 31 has 1 cells, expected 3 (" + Csv("albums") + ")");
+}
 
 TEST_F(LenientLoadTest, RecoversFromCorruptCorrespondences) {
   Append(source_dir_ + "/correspondences.txt",

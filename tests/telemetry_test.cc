@@ -419,6 +419,26 @@ TEST(ReportTest, RendersMetricsTable) {
   EXPECT_EQ(RenderMetricsReport(MetricsSnapshot{}), "");
 }
 
+TEST(ReportTest, OnlyTimingHistogramsCarryMilliseconds) {
+  MetricsRegistry registry;
+  registry.GetHistogram("engine.run.ms").Observe(4.0);
+  registry.GetHistogram("parallel.pool.worker_busy_ms").Observe(2.0);
+  registry.GetHistogram("parallel.pool.worker_items").Observe(3.0);
+  const std::string report = RenderMetricsReport(registry.Snapshot());
+  auto row = [&report](const std::string& name) {
+    const size_t begin = report.find(name);
+    EXPECT_NE(begin, std::string::npos) << name;
+    return report.substr(begin, report.find('\n', begin) - begin);
+  };
+  EXPECT_NE(row("engine.run.ms").find("mean 4 ms"), std::string::npos);
+  EXPECT_NE(row("engine.run.ms").find("total 4 ms"), std::string::npos);
+  EXPECT_NE(row("worker_busy_ms").find("max 2 ms"), std::string::npos);
+  const std::string items = row("parallel.pool.worker_items");
+  EXPECT_NE(items.find("mean 3, "), std::string::npos) << items;
+  EXPECT_NE(items.find("total 3"), std::string::npos) << items;
+  EXPECT_EQ(items.find(" ms"), std::string::npos) << items;
+}
+
 TEST(ReportTest, WriteMetricsJsonIsLoadable) {
   MetricsRegistry registry;
   registry.GetCounter("a.b.c").Increment(3);

@@ -103,12 +103,13 @@ if [[ "$MODE" == "tsan" ]]; then
   cmake -B "$BUILD_DIR" -S . -DEFES_TSAN=ON
   cmake --build "$BUILD_DIR" -j
   # The threaded tests: the parallel layer itself, the end-to-end
-  # determinism harness, the telemetry registry it reports through, and
-  # the per-source structure fan-out (the CSG differential test, the
+  # determinism harness, the telemetry registry it reports through, the
+  # per-source structure fan-out (the CSG differential test, the
   # conflict-detector suites, and the structure-module composite-key and
-  # cross-source suites).
+  # cross-source suites), and the per-file scenario-load fan-out (the
+  # loader thread-invariance, lenient-load and scenario-IO suites).
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j \
-    -R '(Parallel|ThreadPool|ThreadCount|Telemetry|Metrics|Report|CsgDifferential|Detector|Conflict|CompositeKey|CrossSource)'
+    -R '(Parallel|ThreadPool|ThreadCount|Telemetry|Metrics|Report|CsgDifferential|Detector|Conflict|CompositeKey|CrossSource|ScenarioLoad|LenientLoad|ScenarioIo)'
   echo "check_build: OK (EFES_TSAN=ON, threaded tests passed)"
 elif [[ "$MODE" == "asan" ]]; then
   BUILD_DIR="${1:-build-asan}"
