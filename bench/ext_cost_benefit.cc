@@ -16,7 +16,7 @@ namespace {
 int PrintCurve(const efes::IntegrationScenario& scenario) {
   efes::EfesEngine engine = efes::MakeDefaultEngine();
   auto result =
-      engine.Run(scenario, efes::ExpectedQuality::kHighQuality);
+      engine.Run(scenario);
   if (!result.ok()) {
     std::fprintf(stderr, "estimation failed: %s\n",
                  result.status().ToString().c_str());

@@ -28,7 +28,7 @@ double PlannedRepetitions(const efes::EstimationResult& result,
 int Validate(const efes::IntegrationScenario& scenario) {
   efes::EfesEngine engine = efes::MakeDefaultEngine();
   auto estimation =
-      engine.Run(scenario, efes::ExpectedQuality::kHighQuality);
+      engine.Run(scenario);
   if (!estimation.ok()) {
     std::fprintf(stderr, "estimation: %s\n",
                  estimation.status().ToString().c_str());

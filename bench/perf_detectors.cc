@@ -24,10 +24,8 @@ IntegrationScenario ScaledScenario(int64_t albums) {
 void BM_FullEstimation(benchmark::State& state) {
   IntegrationScenario scenario = ScaledScenario(state.range(0));
   EfesEngine engine = MakeDefaultEngine();
-  ExecutionSettings settings;
   for (auto _ : state) {
-    auto result =
-        engine.Run(scenario, ExpectedQuality::kHighQuality, settings);
+    auto result = engine.Run(scenario);
     benchmark::DoNotOptimize(result->estimate.TotalMinutes());
   }
   int64_t tuples = 0;
@@ -56,7 +54,7 @@ BENCHMARK(BM_ComplexityAssessmentOnly)->Arg(2000)
 void JsonLineWorkload() {
   IntegrationScenario scenario = ScaledScenario(2000);
   EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(scenario, ExpectedQuality::kHighQuality);
+  auto result = engine.Run(scenario);
   benchmark::DoNotOptimize(result->estimate.TotalMinutes());
 }
 

@@ -25,8 +25,7 @@ int main() {
   efes::EfesEngine engine = efes::MakeDefaultEngine();
   for (const efes::IntegrationScenario* scenario :
        {&*biblio, &*music}) {
-    auto result = engine.Run(*scenario,
-                             efes::ExpectedQuality::kHighQuality, {});
+    auto result = engine.Run(*scenario);
     if (!result.ok()) {
       std::fprintf(stderr, "estimation failed: %s\n",
                    result.status().ToString().c_str());

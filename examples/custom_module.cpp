@@ -155,19 +155,19 @@ int main() {
   // CrowdER's back-of-the-envelope model, reviewing one candidate pair
   // takes ~5 seconds when pairs are grouped sensibly.
   efes::EffortModel model = efes::EffortModel::PaperDefault();
-  model.SetFunction(efes::TaskType::kAggregateTuples,
-                    [](const efes::Task& task,
-                       const efes::ExecutionSettings&) {
-                      double pairs = task.Param("pairs");
-                      if (pairs > 0.0) return pairs * 5.0 / 60.0;
-                      return 5.0;  // stock behavior for structural merges
-                    });
+  model.SetFunction(
+      efes::TaskType::kAggregateTuples,
+      [](const efes::Task& task, const efes::ExecutionSettings&) {
+        double pairs = task.Param("pairs");
+        if (pairs > 0.0) return pairs * 5.0 / 60.0;
+        return 5.0;  // stock behavior for structural merges
+      },
+      "(if #pairs > 0) #pairs * 5 / 60, (else) 5", {"pairs"});
 
   efes::EfesEngine engine = efes::MakeDefaultEngine(std::move(model));
   engine.AddModule(std::make_unique<DuplicationModule>());
 
-  auto result = engine.Run(*scenario, efes::ExpectedQuality::kHighQuality,
-                           {});
+  auto result = engine.Run(*scenario);
   if (!result.ok()) {
     std::fprintf(stderr, "estimation: %s\n",
                  result.status().ToString().c_str());

@@ -48,7 +48,7 @@ int main() {
   engine.AddModule(std::make_unique<efes::ValueModule>());
 
   auto result =
-      engine.Run(*scenario, efes::ExpectedQuality::kHighQuality, {});
+      engine.Run(*scenario);
   if (!result.ok()) {
     std::fprintf(stderr, "estimation failed: %s\n",
                  result.status().ToString().c_str());

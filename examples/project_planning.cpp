@@ -41,8 +41,9 @@ Add missing values = 1.5 * values   # offshore data-research desk
   }
   efes::EfesEngine engine =
       efes::MakeDefaultEngine(std::move(config->model));
-  auto result = engine.Run(*scenario, efes::ExpectedQuality::kHighQuality,
-                           config->settings);
+  efes::RunOptions options;
+  options.settings = config->settings;
+  auto result = engine.Run(*scenario, options);
   if (!result.ok()) {
     std::fprintf(stderr, "estimation: %s\n",
                  result.status().ToString().c_str());

@@ -30,10 +30,12 @@ int main() {
   // 2./3. The engine runs the three paper modules (mapping, structure,
   //       values) and prices the planned tasks.
   efes::EfesEngine engine = efes::MakeDefaultEngine();
-  efes::ExecutionSettings settings;  // SQL + basic admin tool, Section 6.1
+  // Expected quality plus the execution settings (SQL + basic admin tool,
+  // Section 6.1); the defaults are high quality and the paper's settings.
+  efes::RunOptions options;
+  options.quality = efes::ExpectedQuality::kHighQuality;
 
-  auto high = engine.Run(*scenario, efes::ExpectedQuality::kHighQuality,
-                         settings);
+  auto high = engine.Run(*scenario, options);
   if (!high.ok()) {
     std::fprintf(stderr, "estimation failed: %s\n",
                  high.status().ToString().c_str());
@@ -44,8 +46,9 @@ int main() {
 
   // 4. The same scenario under a low-effort strategy (remove offending
   //    tuples instead of repairing them).
-  auto low =
-      engine.Run(*scenario, efes::ExpectedQuality::kLowEffort, settings);
+  efes::RunOptions low_effort = options;
+  low_effort.quality = efes::ExpectedQuality::kLowEffort;
+  auto low = engine.Run(*scenario, low_effort);
   if (!low.ok()) {
     std::fprintf(stderr, "estimation failed: %s\n",
                  low.status().ToString().c_str());
@@ -60,10 +63,9 @@ int main() {
       high->estimate.TotalMinutes(), low->estimate.TotalMinutes());
 
   // A second-generation mapping tool (Example 3.6) changes the picture:
-  efes::ExecutionSettings with_tool = settings;
-  with_tool.mapping_tool_available = true;
-  auto tooled = engine.Run(*scenario, efes::ExpectedQuality::kHighQuality,
-                           with_tool);
+  efes::RunOptions with_tool = options;
+  with_tool.settings.mapping_tool_available = true;
+  auto tooled = engine.Run(*scenario, with_tool);
   std::printf(
       "With an automatic mapping tool the high-quality estimate drops to "
       "%.0f minutes.\n",

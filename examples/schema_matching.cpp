@@ -68,12 +68,10 @@ int main() {
   matched_scenario.sources[0].correspondences = std::move(discovered);
 
   efes::EfesEngine engine = efes::MakeDefaultEngine();
-  auto matched_estimate = engine.Run(
-      matched_scenario, efes::ExpectedQuality::kHighQuality, {});
+  auto matched_estimate = engine.Run(matched_scenario);
   matched_scenario.sources[0].correspondences =
       std::move(curated_correspondences);
-  auto curated_estimate = engine.Run(
-      matched_scenario, efes::ExpectedQuality::kHighQuality, {});
+  auto curated_estimate = engine.Run(matched_scenario);
   if (!matched_estimate.ok() || !curated_estimate.ok()) {
     std::fprintf(stderr, "estimation failed\n");
     return 1;

@@ -490,76 +490,6 @@ Result<std::vector<DiscoveredConstraint>> ParseConstraints(
   return constraints;
 }
 
-// --- Sketch serialization --------------------------------------------------
-
-std::string SerializeSketch(const StatisticsSketch& sketch) {
-  const SketchState state = sketch.ExportState();
-  TokenWriter w;
-  w.Uint(static_cast<uint64_t>(state.target_type));
-  w.Uint(static_cast<uint64_t>(state.mode));
-  w.Uint(state.cap_bytes);
-  w.Uint(state.level);
-  w.Uint(state.total_count);
-  w.Uint(state.null_count);
-  w.Uint(state.uncastable_count);
-  w.Uint(state.numeric_count);
-  w.Double(state.numeric_min);
-  w.Double(state.numeric_max);
-  w.Uint(state.entries.size());
-  for (const auto& [value, count] : state.entries) {
-    w.ValueToken(value);
-    w.Uint(count);
-  }
-  return w.TakeLine();
-}
-
-Result<StatisticsSketch> ParseSketch(std::string_view line) {
-  TokenReader r(line);
-  SketchState state;
-  uint64_t type_raw = 0;
-  uint64_t mode_raw = 0;
-  uint64_t level = 0;
-  uint64_t entry_count = 0;
-  // Entry cap: tracked values are bounded by the budget (64+ bytes per
-  // entry), so anything beyond a million entries is a corrupt length
-  // field, not a plausible sketch.
-  constexpr uint64_t kMaxEntries = 1 << 20;
-  bool ok = r.NextUint(&type_raw) && ValidDataType(type_raw) &&
-            r.NextUint(&mode_raw) &&
-            mode_raw <= static_cast<uint64_t>(ApproximationMode::kAuto) &&
-            r.NextUint(&state.cap_bytes) && r.NextUint(&level) &&
-            level <= 63 && r.NextUint(&state.total_count) &&
-            r.NextUint(&state.null_count) &&
-            r.NextUint(&state.uncastable_count) &&
-            r.NextUint(&state.numeric_count) &&
-            r.NextDouble(&state.numeric_min) &&
-            r.NextDouble(&state.numeric_max) && r.NextUint(&entry_count) &&
-            entry_count <= kMaxEntries;
-  if (ok) {
-    state.target_type = static_cast<DataType>(type_raw);
-    state.mode = static_cast<ApproximationMode>(mode_raw);
-    state.level = static_cast<uint32_t>(level);
-    state.entries.reserve(static_cast<size_t>(entry_count));
-  }
-  for (uint64_t i = 0; ok && i < entry_count; ++i) {
-    Value value;
-    uint64_t count = 0;
-    ok = r.NextValue(&value) && r.NextUint(&count);
-    if (ok) state.entries.emplace_back(std::move(value), count);
-  }
-  if (!ok || !r.AtEnd()) {
-    return Status::ParseError("profile cache: malformed sketch entry");
-  }
-  // FromState re-checks the sampling threshold, duplicate values, and
-  // counter consistency — a mangled-but-parseable line still fails here.
-  Result<StatisticsSketch> sketch = StatisticsSketch::FromState(state);
-  if (!sketch.ok()) {
-    return Status::ParseError("profile cache: inconsistent sketch entry (" +
-                              sketch.status().message() + ")");
-  }
-  return sketch;
-}
-
 // --- ProfileCache ----------------------------------------------------------
 
 namespace {
@@ -615,34 +545,15 @@ void ProfileCache::StoreConstraints(
   constraints_.insert_or_assign(key, constraints);
 }
 
-std::optional<StatisticsSketch> ProfileCache::LookupSketch(
-    uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = sketches_.find(key);
-  if (it == sketches_.end()) {
-    CacheCounter("cache.misses").Increment();
-    return std::nullopt;
-  }
-  CacheCounter("cache.hits").Increment();
-  return it->second;
-}
-
-void ProfileCache::StoreSketch(uint64_t key, const StatisticsSketch& sketch) {
-  CacheCounter("cache.stores").Increment();
-  std::lock_guard<std::mutex> lock(mutex_);
-  sketches_.insert_or_assign(key, sketch);
-}
-
 size_t ProfileCache::entry_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return statistics_.size() + constraints_.size() + sketches_.size();
+  return statistics_.size() + constraints_.size();
 }
 
 void ProfileCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   statistics_.clear();
   constraints_.clear();
-  sketches_.clear();
 }
 
 std::string ProfileCache::FilePathInDirectory(const std::string& directory) {
@@ -694,7 +605,7 @@ Status ProfileCache::LoadFromFile(const std::string& path) {
     if (line.empty()) continue;
     bool entry_ok = false;
     if (line.size() > 19 &&
-        (line[0] == 'S' || line[0] == 'C' || line[0] == 'K') &&
+        (line[0] == 'S' || line[0] == 'C') &&
         line[1] == ' ' && line[18] == ' ') {
       std::string key_text(line.substr(2, 16));
       char* end = nullptr;
@@ -708,19 +619,12 @@ Status ProfileCache::LoadFromFile(const std::string& path) {
             statistics_.insert_or_assign(key, *std::move(stats));
             entry_ok = true;
           }
-        } else if (line[0] == 'C') {
+        } else {
           Result<std::vector<DiscoveredConstraint>> constraints =
               ParseConstraints(payload);
           if (constraints.ok()) {
             std::lock_guard<std::mutex> lock(mutex_);
             constraints_.insert_or_assign(key, *std::move(constraints));
-            entry_ok = true;
-          }
-        } else {
-          Result<StatisticsSketch> sketch = ParseSketch(payload);
-          if (sketch.ok()) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            sketches_.insert_or_assign(key, *std::move(sketch));
             entry_ok = true;
           }
         }
@@ -756,10 +660,6 @@ Status ProfileCache::SaveToFile(const std::string& path) const {
     for (const auto& [key, constraints] : constraints_) {
       out << "C " << FingerprintToHex(key) << ' '
           << SerializeConstraints(constraints) << "\n";
-    }
-    for (const auto& [key, sketch] : sketches_) {
-      out << "K " << FingerprintToHex(key) << ' ' << SerializeSketch(sketch)
-          << "\n";
     }
   }
   std::error_code ec;

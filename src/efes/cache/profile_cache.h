@@ -25,13 +25,12 @@
 //     out over the shared pool and all workers may consult the cache.
 //
 // On-disk format (version bumps on any encoding change — old files are
-// then ignored wholesale; version 2 added `K` partial-sketch entries
-// and re-keyed statistics computed through the sketch path):
+// then ignored wholesale; version 3 dropped the per-chunk partial-sketch
+// entries of version 2, so their lines never reach a parser):
 //
-//   EFESCACHE 2
+//   EFESCACHE 3
 //   S <16-hex-key> <statistics tokens>
 //   C <16-hex-key> <constraint tokens>
-//   K <16-hex-key> <sketch-state tokens>
 //
 // Telemetry: `cache.hits`, `cache.misses`, `cache.stores`,
 // `cache.bytes`, `cache.load.corrupt_entries`.
@@ -49,13 +48,12 @@
 #include "efes/common/result.h"
 #include "efes/common/thread_annotations.h"
 #include "efes/profiling/constraint_discovery.h"
-#include "efes/profiling/sketch.h"
 #include "efes/profiling/statistics.h"
 
 namespace efes {
 
 /// Current on-disk format version (the number of the header line).
-inline constexpr int kProfileCacheFormatVersion = 2;
+inline constexpr int kProfileCacheFormatVersion = 3;
 
 class ProfileCache {
  public:
@@ -76,12 +74,6 @@ class ProfileCache {
   void StoreConstraints(uint64_t key,
                         const std::vector<DiscoveredConstraint>& constraints);
 
-  /// Cached partial sketch for a chunk fingerprint, or nullopt — the
-  /// spill-to-cache path of ProfileColumn (profiling/profiler.h): warm
-  /// runs re-load absorbed chunks instead of recomputing them.
-  std::optional<StatisticsSketch> LookupSketch(uint64_t key) const;
-  void StoreSketch(uint64_t key, const StatisticsSketch& sketch);
-
   size_t entry_count() const;
   void Clear();
 
@@ -99,7 +91,7 @@ class ProfileCache {
   static std::string FilePathInDirectory(const std::string& directory);
 
   /// The process-wide active cache consulted by the profiling paths
-  /// (ComputeStatistics, DiscoverConstraints), or nullptr (compute
+  /// (ProfileColumn, DiscoverConstraints), or nullptr (compute
   /// everything). Installed via ScopedProfileCache, typically by
   /// EfesEngine::Run from RunOptions::cache.
   static ProfileCache* Active();
@@ -113,7 +105,6 @@ class ProfileCache {
       EFES_GUARDED_BY(mutex_);
   std::map<uint64_t, std::vector<DiscoveredConstraint>> constraints_
       EFES_GUARDED_BY(mutex_);
-  std::map<uint64_t, StatisticsSketch> sketches_ EFES_GUARDED_BY(mutex_);
 };
 
 /// RAII activation: installs `cache` as ProfileCache::Active() for the
@@ -142,13 +133,6 @@ std::string SerializeConstraints(
     const std::vector<DiscoveredConstraint>& constraints);
 Result<std::vector<DiscoveredConstraint>> ParseConstraints(
     std::string_view line);
-
-/// Sketch-state roundtrip (format version 2). Serialization is
-/// canonical — equal sketch states produce byte-identical lines — and
-/// parsing re-validates the sampling invariant via
-/// StatisticsSketch::FromState, so tampered entries degrade to misses.
-std::string SerializeSketch(const StatisticsSketch& sketch);
-Result<StatisticsSketch> ParseSketch(std::string_view line);
 
 }  // namespace efes
 

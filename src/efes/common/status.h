@@ -63,9 +63,9 @@ std::string_view StatusCodeToString(StatusCode code);
 
 /// Result of an operation that may fail. Cheap to copy in the OK case.
 /// Marked [[nodiscard]]: silently dropping a Status hides failures, so a
-/// discarded return is a compile error under EFES_WERROR (and an
-/// efes_lint `discarded-status` finding). Use `(void)` plus an
-/// EFES_LINT_ALLOW comment for the rare intentional drop.
+/// discarded return is a compile error (the build adds
+/// -Werror=unused-result). Cast to `(void)`, with a comment saying why,
+/// for the rare intentional drop.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

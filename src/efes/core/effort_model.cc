@@ -42,6 +42,13 @@ std::vector<std::string> DefaultFunctionParameters(TaskType type) {
 
 EffortModel EffortModel::PaperDefault() {
   EffortModel model;
+  // Every Table 9 function carries its formula text and the task
+  // parameters it reads, so Explain() can name them.
+  auto add = [&model](TaskType type, EffortFunction function) {
+    model.SetFunction(type, std::move(function),
+                      DescribeDefaultFunction(type),
+                      DefaultFunctionParameters(type));
+  };
   auto constant = [](double minutes) {
     return [minutes](const Task&, const ExecutionSettings&) {
       return minutes;
@@ -49,69 +56,68 @@ EffortModel EffortModel::PaperDefault() {
   };
 
   // --- Value transformation tasks (Table 9, top block) ---------------------
-  model.SetFunction(TaskType::kAggregateValues,
-                    [](const Task& task, const ExecutionSettings&) {
-                      return 3.0 * Repetitions(task);
-                    });
-  model.SetFunction(TaskType::kConvertValues,
-                    [](const Task& task, const ExecutionSettings&) {
-                      double dist = DistinctValues(task);
-                      return dist < 120.0 ? 30.0 : 0.25 * dist;
-                    });
-  model.SetFunction(TaskType::kGeneralizeValues,
-                    [](const Task& task, const ExecutionSettings&) {
-                      return 0.5 * DistinctValues(task);
-                    });
-  model.SetFunction(TaskType::kRefineValues,
-                    [](const Task& task, const ExecutionSettings&) {
-                      return 0.5 * Values(task);
-                    });
-  model.SetFunction(TaskType::kDropValues, constant(10.0));
-  model.SetFunction(TaskType::kAddValues,
-                    [](const Task& task, const ExecutionSettings&) {
-                      return 2.0 * Values(task);
-                    });
+  add(TaskType::kAggregateValues,
+      [](const Task& task, const ExecutionSettings&) {
+        return 3.0 * Repetitions(task);
+      });
+  add(TaskType::kConvertValues,
+      [](const Task& task, const ExecutionSettings&) {
+        double dist = DistinctValues(task);
+        return dist < 120.0 ? 30.0 : 0.25 * dist;
+      });
+  add(TaskType::kGeneralizeValues,
+      [](const Task& task, const ExecutionSettings&) {
+        return 0.5 * DistinctValues(task);
+      });
+  add(TaskType::kRefineValues,
+      [](const Task& task, const ExecutionSettings&) {
+        return 0.5 * Values(task);
+      });
+  add(TaskType::kDropValues, constant(10.0));
+  add(TaskType::kAddValues,
+      [](const Task& task, const ExecutionSettings&) {
+        return 2.0 * Values(task);
+      });
 
   // --- Structural repair tasks (Table 9, middle block) --------------------
-  model.SetFunction(TaskType::kCreateEnclosingTuples, constant(10.0));
-  model.SetFunction(TaskType::kDropDetachedValues, constant(0.0));
-  model.SetFunction(TaskType::kRejectTuples, constant(5.0));
-  model.SetFunction(TaskType::kKeepAnyValue, constant(5.0));
-  model.SetFunction(TaskType::kAddTuples, constant(5.0));
-  model.SetFunction(TaskType::kAggregateTuples, constant(5.0));
-  model.SetFunction(TaskType::kDeleteDanglingValues, constant(5.0));
-  model.SetFunction(TaskType::kAddReferencedValues, constant(5.0));
-  model.SetFunction(TaskType::kDeleteDanglingTuples, constant(5.0));
-  model.SetFunction(TaskType::kUnlinkAllButOneTuple, constant(5.0));
+  add(TaskType::kCreateEnclosingTuples, constant(10.0));
+  add(TaskType::kDropDetachedValues, constant(0.0));
+  add(TaskType::kRejectTuples, constant(5.0));
+  add(TaskType::kKeepAnyValue, constant(5.0));
+  add(TaskType::kAddTuples, constant(5.0));
+  add(TaskType::kAggregateTuples, constant(5.0));
+  add(TaskType::kDeleteDanglingValues, constant(5.0));
+  add(TaskType::kAddReferencedValues, constant(5.0));
+  add(TaskType::kDeleteDanglingTuples, constant(5.0));
+  add(TaskType::kUnlinkAllButOneTuple, constant(5.0));
   // "Add missing values" prices like "Add values": the practitioner has to
   // investigate and provide each value (2 minutes per value, Section 6.1).
-  model.SetFunction(TaskType::kAddMissingValues,
-                    [](const Task& task, const ExecutionSettings&) {
-                      return 2.0 * Values(task);
-                    });
+  add(TaskType::kAddMissingValues,
+      [](const Task& task, const ExecutionSettings&) {
+        return 2.0 * Values(task);
+      });
   // One SQL aggregation script plus validation, independent of the number
   // of affected tuples (this reproduces Table 5's 15 minutes for 503
   // repetitions of Merge values).
-  model.SetFunction(TaskType::kMergeValues, constant(15.0));
+  add(TaskType::kMergeValues, constant(15.0));
   // Setting violating values to NULL is a single UPDATE statement.
-  model.SetFunction(TaskType::kSetValuesToNull, constant(5.0));
+  add(TaskType::kSetValuesToNull, constant(5.0));
 
   // --- Deduplication (dedup module) ----------------------------------------
   // Resolving a cluster group is merge work per confirmed cluster plus a
   // human look at every candidate pair (the configurable pair-review cost;
   // see effort_config.h's [dedup] section).
-  model.SetFunction(TaskType::kResolveDuplicateClusters,
-                    [](const Task& task, const ExecutionSettings&) {
-                      return 2.0 * task.Param(task_params::kClusters) +
-                             0.5 * task.Param(task_params::kPairs);
-                    });
+  add(TaskType::kResolveDuplicateClusters,
+      [](const Task& task, const ExecutionSettings&) {
+        return 2.0 * task.Param(task_params::kClusters) +
+               0.5 * task.Param(task_params::kPairs);
+      });
   // Low effort keeps one arbitrary record per cluster: one DELETE script
   // per affected relation, independent of the cluster count.
-  model.SetFunction(TaskType::kDropDuplicateRecords, constant(8.0));
+  add(TaskType::kDropDuplicateRecords, constant(8.0));
 
   // --- Mapping (Table 9, bottom row; Example 3.8) --------------------------
-  model.SetFunction(
-      TaskType::kWriteMapping,
+  add(TaskType::kWriteMapping,
       [](const Task& task, const ExecutionSettings& settings) {
         if (settings.mapping_tool_available) {
           return settings.mapping_tool_minutes;
@@ -122,26 +128,14 @@ EffortModel EffortModel::PaperDefault() {
                3.0 * task.Param(task_params::kTables);
       });
 
-  // The defaults are fully described: attach the Table 9 formula text and
-  // parameter lists so Explain() can name them.
-  for (auto& [type, entry] : model.functions_) {
-    entry.description = DescribeDefaultFunction(type);
-    entry.parameters = DefaultFunctionParameters(type);
-    entry.described = true;
-  }
-
   return model;
-}
-
-void EffortModel::SetFunction(TaskType type, EffortFunction function) {
-  functions_[type] = FunctionEntry{std::move(function), "", {}, false};
 }
 
 void EffortModel::SetFunction(TaskType type, EffortFunction function,
                               std::string description,
                               std::vector<std::string> parameters) {
   functions_[type] = FunctionEntry{std::move(function), std::move(description),
-                                   std::move(parameters), true};
+                                   std::move(parameters)};
 }
 
 bool EffortModel::HasFunction(TaskType type) const {
@@ -167,15 +161,8 @@ EffortExplanation EffortModel::Explain(
   explanation.base = it->second.function(task, settings);
   explanation.minutes =
       explanation.base * explanation.multiplier * explanation.scale;
-  if (it->second.described) {
-    explanation.function = it->second.description;
-    explanation.parameters = it->second.parameters;
-  } else {
-    explanation.function = "(custom function)";
-    for (const auto& [name, value] : task.parameters) {
-      explanation.parameters.push_back(name);
-    }
-  }
+  explanation.function = it->second.description;
+  explanation.parameters = it->second.parameters;
   return explanation;
 }
 

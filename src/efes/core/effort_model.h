@@ -63,9 +63,7 @@ struct EffortExplanation {
   /// Human-readable formula, e.g. "3 * #FKs + 3 * #PKs + #atts +
   /// 3 * #tables" or the effort-config formula text.
   std::string function;
-  /// Names of the task parameters the function reads. Falls back to every
-  /// parameter of the task when the function was registered without
-  /// metadata (the legacy SetFunction overload).
+  /// Names of the task parameters the function reads.
   std::vector<std::string> parameters;
 };
 
@@ -81,10 +79,9 @@ class EffortModel {
   /// The Table 9 configuration of the paper.
   static EffortModel PaperDefault();
 
-  /// Registers (or replaces) the function for `type`.
-  void SetFunction(TaskType type, EffortFunction function);
-  /// Same, with explainability metadata: a human-readable `description`
-  /// of the formula and the task `parameters` it reads.
+  /// Registers (or replaces) the function for `type`, with the
+  /// explainability metadata Explain() reports: a human-readable
+  /// `description` of the formula and the task `parameters` it reads.
   void SetFunction(TaskType type, EffortFunction function,
                    std::string description,
                    std::vector<std::string> parameters);
@@ -114,8 +111,6 @@ class EffortModel {
     EffortFunction function;
     std::string description;
     std::vector<std::string> parameters;
-    /// True when registered through the metadata overload.
-    bool described = false;
   };
 
   std::map<TaskType, FunctionEntry> functions_;

@@ -30,8 +30,7 @@ class ProfileCache;
 ///   engine.Run(scenario, options);
 ///
 /// New knobs land here as defaulted fields, so adding one never breaks a
-/// call site (the old positional Run(scenario, quality, settings)
-/// overload delegates here and is kept for compatibility).
+/// call site.
 struct RunOptions {
   /// The expected-quality input of the paper's Section 3.2.
   ExpectedQuality quality = ExpectedQuality::kHighQuality;
@@ -118,16 +117,6 @@ class EfesEngine {
   /// Runs phase 1 + 2 of every module and prices the resulting tasks.
   Result<EstimationResult> Run(const IntegrationScenario& scenario,
                                const RunOptions& options = {}) const;
-
-  /// Compatibility shim for the pre-RunOptions positional signature.
-  Result<EstimationResult> Run(const IntegrationScenario& scenario,
-                               ExpectedQuality quality,
-                               const ExecutionSettings& settings = {}) const {
-    RunOptions options;
-    options.quality = quality;
-    options.settings = settings;
-    return Run(scenario, options);
-  }
 
   /// Runs phase 1 only — the pure complexity assessment, useful for
   /// source selection and data visualization (Section 3.3). Only

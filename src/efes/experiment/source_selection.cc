@@ -12,9 +12,12 @@ Result<std::vector<SourceRanking>> RankSources(
     const std::vector<IntegrationScenario>& candidates,
     ExpectedQuality quality, const ExecutionSettings& settings) {
   std::vector<SourceRanking> rankings;
+  RunOptions options;
+  options.quality = quality;
+  options.settings = settings;
   for (const IntegrationScenario& candidate : candidates) {
     EFES_ASSIGN_OR_RETURN(EstimationResult result,
-                          engine.Run(candidate, quality, settings));
+                          engine.Run(candidate, options));
     SourceRanking ranking;
     ranking.scenario = candidate.name;
     ranking.estimated_minutes = result.estimate.TotalMinutes();

@@ -108,7 +108,7 @@ Result<StudyResult> RunStudy(
   }
   EfesEngine engine = MakeDefaultEngine(std::move(model));
   CountingEstimator counting(options.counting_minutes_per_attribute);
-  ExecutionSettings settings;
+  RunOptions run_options;
 
   StudyResult result;
   result.domain = domain;
@@ -142,8 +142,9 @@ Result<StudyResult> RunStudy(
       outcome.measured_structure = measured.structure_minutes;
       outcome.measured_values = measured.value_minutes;
 
+      run_options.quality = quality;
       EFES_ASSIGN_OR_RETURN(EstimationResult estimation,
-                            engine.Run(scenario, quality, settings));
+                            engine.Run(scenario, run_options));
       outcome.efes_total = estimation.estimate.TotalMinutes();
       outcome.efes_mapping =
           estimation.estimate.CategoryMinutes(TaskCategory::kMapping);
@@ -181,14 +182,15 @@ struct TrainingData {
 Result<TrainingData> CollectTrainingData(
     const std::vector<IntegrationScenario>& scenarios, uint64_t seed) {
   EfesEngine engine = MakeDefaultEngine();
-  ExecutionSettings settings;
+  RunOptions run_options;
   TrainingData data;
   for (const IntegrationScenario& scenario : scenarios) {
     for (ExpectedQuality quality : kQualities) {
       EFES_ASSIGN_OR_RETURN(MeasuredEffort measured,
                             SimulateMeasuredEffort(scenario, quality, seed));
+      run_options.quality = quality;
       EFES_ASSIGN_OR_RETURN(EstimationResult estimation,
-                            engine.Run(scenario, quality, settings));
+                            engine.Run(scenario, run_options));
       data.measured.push_back(measured.total());
       data.efes_raw.push_back(estimation.estimate.TotalMinutes());
       data.attribute_counts.push_back(

@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <set>
 #include <utility>
 
 #include "efes/common/json_writer.h"
+#include "efes/lint/program.h"
 #include "efes/lint/token.h"
 
 namespace efes::lint {
 namespace {
 
-constexpr std::string_view kDiscardedStatus = "discarded-status";
 constexpr std::string_view kNondeterminism = "nondeterminism";
 constexpr std::string_view kUnorderedIteration = "unordered-iteration";
 constexpr std::string_view kRawFileWrite = "raw-file-write";
@@ -20,23 +19,19 @@ constexpr std::string_view kHeaderHygiene = "header-hygiene";
 constexpr std::string_view kBannedFunction = "banned-function";
 constexpr std::string_view kUnboundedWait = "unbounded-wait";
 constexpr std::string_view kMetricName = "metric-name";
-constexpr std::string_view kWholeColumnProfile = "whole-column-profile";
 constexpr std::string_view kBadSuppression = "bad-suppression";
 
 /// Check ids a suppression may name (bad-suppression itself is not
 /// suppressible — the escape hatch must stay auditable).
 constexpr std::string_view kSuppressibleChecks[] = {
-    kDiscardedStatus, kNondeterminism, kUnorderedIteration,
-    kRawFileWrite,    kHeaderHygiene,  kBannedFunction,
-    kUnboundedWait,   kMetricName,     kWholeColumnProfile};
+    kNondeterminism, kUnorderedIteration, kRawFileWrite,
+    kHeaderHygiene,  kBannedFunction,     kUnboundedWait,
+    kMetricName,     kLockDiscipline,     kCancellation,
+    kLayering,       kRegistry};
 
-bool PathMatchesAny(std::string_view path,
-                    const std::vector<std::string>& patterns) {
-  for (const std::string& p : patterns) {
-    if (path.find(p) != std::string_view::npos) return true;
-  }
-  return false;
-}
+/// Files only the per-file checks see: test fakes and bench programs
+/// never join the call graph or the registry.
+const std::vector<std::string> kPerFileOnlyPaths = {"tests/", "bench/"};
 
 bool IsHeaderPath(std::string_view path) {
   auto ends_with = [&](std::string_view suffix) {
@@ -45,20 +40,6 @@ bool IsHeaderPath(std::string_view path) {
   };
   return ends_with(".h") || ends_with(".hh") || ends_with(".hpp");
 }
-
-bool IsIdent(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kIdentifier && t.text == text;
-}
-
-bool IsPunct(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kPunct && t.text == text;
-}
-
-/// An EFES_LINT_ALLOW occurrence parsed out of a comment.
-struct Suppression {
-  std::string check;
-  int line = 0;
-};
 
 /// Extracts suppressions from comment tokens. Malformed ones (unknown
 /// check id, missing reason) become bad-suppression findings directly.
@@ -123,163 +104,27 @@ void CollectSuppressions(const std::vector<Token>& tokens,
   }
 }
 
-/// Index of the matching ')' for the '(' at `open`, or npos. Operates on
-/// the code-token vector (comments already filtered out).
-size_t MatchParen(const std::vector<Token>& code, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < code.size(); ++i) {
-    if (IsPunct(code[i], "(")) ++depth;
-    if (IsPunct(code[i], ")")) {
-      --depth;
-      if (depth == 0) return i;
-    }
-  }
-  return std::string_view::npos;
-}
-
-/// After code[i] == "<", returns the index one past the balanced closing
-/// angle bracket, treating ">>" as two closers. Returns npos when no
-/// close is found within a sane window (then it was a comparison).
-size_t SkipAngles(const std::vector<Token>& code, size_t i) {
-  int depth = 0;
-  size_t limit = std::min(code.size(), i + 256);
-  for (size_t k = i; k < limit; ++k) {
-    if (code[k].kind != TokenKind::kPunct) continue;
-    if (code[k].text == "<") ++depth;
-    if (code[k].text == ">") --depth;
-    if (code[k].text == ">>") depth -= 2;
-    if (depth <= 0) return k + 1;
-  }
-  return std::string_view::npos;
-}
-
-}  // namespace
-
-bool IsDottedMetricName(std::string_view name) {
-  bool seen_dot = false;
-  bool segment_char = false;
-  for (char c : name) {
-    if (c == '.') {
-      if (!segment_char) return false;  // empty segment
-      seen_dot = true;
-      segment_char = false;
-      continue;
-    }
-    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_') {
-      segment_char = true;
-      continue;
-    }
-    return false;
-  }
-  return seen_dot && segment_char;
-}
-
-const std::vector<std::string>& AllCheckIds() {
-  static const std::vector<std::string>* ids = []() {
-    auto* v = new std::vector<std::string>();  // EFES_LINT_ALLOW(banned-function): intentionally leaked function-local singleton
-    for (std::string_view id : kSuppressibleChecks) v->emplace_back(id);
-    v->emplace_back(kBadSuppression);
-    return v;
-  }();
-  return *ids;
-}
-
-Linter::Linter(LintConfig config) : config_(std::move(config)) {}
-
-void Linter::IndexFile(std::string_view /*path*/, std::string_view content) {
-  std::vector<Token> tokens = Tokenize(content);
-  std::vector<Token> code;
-  code.reserve(tokens.size());
-  for (const Token& t : tokens) {
-    if (t.kind != TokenKind::kComment) code.push_back(t);
-  }
-  // A function "returns Status/Result" when the token stream reads
-  //   Status [Qualifier ::]* Name (          or
-  //   Result < ... > [Qualifier ::]* Name (
-  // which covers declarations in headers and qualified definitions in
-  // .cc files. Constructor-style locals (`Status s(...)`) match too;
-  // that is harmless noise unless a same-named function exists.
-  for (size_t i = 0; i < code.size(); ++i) {
-    if (code[i].kind != TokenKind::kIdentifier) continue;
-    size_t name_begin = std::string_view::npos;
-    if (code[i].text == "Status") {
-      name_begin = i + 1;
-    } else if (code[i].text == "Result" && i + 1 < code.size() &&
-               IsPunct(code[i + 1], "<")) {
-      name_begin = SkipAngles(code, i + 1);
-      if (name_begin == std::string_view::npos) continue;
-    } else {
-      continue;
-    }
-    // Qualified-id: ident (:: ident)* then '('.
-    size_t k = name_begin;
-    std::string_view last_name;
-    while (k + 1 < code.size() && code[k].kind == TokenKind::kIdentifier) {
-      last_name = code[k].text;
-      if (IsPunct(code[k + 1], "::")) {
-        k += 2;
-        continue;
-      }
-      if (IsPunct(code[k + 1], "(")) {
-        status_functions_.emplace(last_name);
-      }
-      break;
-    }
-  }
-  // Disambiguation: a name also declared with some OTHER return type
-  // ("Type Name (" where Type is not Status) is overloaded across
-  // classes — call sites can't be attributed by name alone, so the check
-  // skips it and leaves those to the compiler's [[nodiscard]]. The
-  // keyword filter keeps `return Foo(...)` / `throw Foo(...)` / `new
-  // Foo(...)` from being mistaken for declarations.
-  for (size_t i = 0; i + 2 < code.size(); ++i) {
-    if (code[i].kind != TokenKind::kIdentifier ||
-        code[i + 1].kind != TokenKind::kIdentifier ||
-        !IsPunct(code[i + 2], "(")) {
-      continue;
-    }
-    std::string_view first = code[i].text;
-    if (first == "Status" || first == "return" || first == "throw" ||
-        first == "new" || first == "delete" || first == "else" ||
-        first == "case" || first == "goto" || first == "do" ||
-        first == "operator" || first == "co_return" ||
-        first == "co_yield" || first == "co_await") {
-      continue;
-    }
-    non_status_functions_.emplace(code[i + 1].text);
-  }
-}
-
-void Linter::CheckFile(std::string_view path, std::string_view content,
-                       std::vector<Finding>* findings) const {
-  std::vector<Token> tokens = Tokenize(content);
-  std::vector<Finding> raw;
-  std::vector<Suppression> suppressions;
-  CollectSuppressions(tokens, path, &suppressions, &raw);
-
-  std::vector<Token> code;
-  code.reserve(tokens.size());
-  for (const Token& t : tokens) {
-    if (t.kind != TokenKind::kComment) code.push_back(t);
-  }
+/// The per-file checks over one file's code tokens; metric-name reads
+/// the call sites its summary already collected.
+void CheckCode(std::string_view path, const std::vector<Token>& code,
+               const LintConfig& config, const FileSummary& summary,
+               std::vector<Finding>* findings) {
   auto add = [&](std::string_view check, int line, std::string message) {
-    raw.push_back(
+    findings->push_back(
         {std::string(path), line, std::string(check), std::move(message),
          false});
   };
   const bool header = IsHeaderPath(path);
   const bool allow_nondet =
-      PathMatchesAny(path, config_.nondeterminism_allowlist);
+      PathMatchesAny(path, config.nondeterminism_allowlist);
   const bool allow_raw_write =
-      PathMatchesAny(path, config_.raw_file_write_allowlist);
+      PathMatchesAny(path, config.raw_file_write_allowlist);
   const bool allow_banned =
-      PathMatchesAny(path, config_.banned_function_allowlist);
+      PathMatchesAny(path, config.banned_function_allowlist);
   const bool allow_unbounded_wait =
-      PathMatchesAny(path, config_.unbounded_wait_allowlist);
-  const bool allow_whole_column =
-      PathMatchesAny(path, config_.whole_column_profile_allowlist);
+      PathMatchesAny(path, config.unbounded_wait_allowlist);
   const bool ordered_output =
-      PathMatchesAny(path, config_.ordered_output_paths);
+      PathMatchesAny(path, config.ordered_output_paths);
 
   // ---- header-hygiene -------------------------------------------------
   if (header) {
@@ -388,11 +233,6 @@ void Linter::CheckFile(std::string_view path, std::string_view content,
         add(kBannedFunction, t.line,
             "naked 'delete'; owning raw pointers are banned");
       }
-      if (t.text == "mutable_effort_model") {
-        add(kBannedFunction, t.line,
-            "mutable_effort_model() was removed; use "
-            "set_effort_model(EffortModel), which validates the model");
-      }
     }
 
     // ---- unbounded-wait ----------------------------------------------
@@ -432,112 +272,14 @@ void Linter::CheckFile(std::string_view path, std::string_view content,
         }
       }
     }
+  }
 
-    // ---- whole-column-profile ----------------------------------------
-    if (!allow_whole_column) {
-      if (t.text == "ComputeStatistics" ||
-          t.text == "ComputeStatisticsBatch") {
-        add(kWholeColumnProfile, t.line,
-            std::string(t.text) +
-                " is the deprecated whole-column profiler; use "
-                "ProfileColumn/ProfileColumns (profiling/profiler.h), "
-                "which stream the column in chunks under the ambient "
-                "ProfileOptions");
-      }
-      if (t.text == "ColumnStatisticsRequest") {
-        add(kWholeColumnProfile, t.line,
-            "ColumnStatisticsRequest is superseded by ProfileRequest "
-            "(profiling/profiler.h), which profiles through the chunked, "
-            "budgeted sketch path");
-      }
-    }
-
-    // ---- metric-name -------------------------------------------------
-    if (t.text == "GetCounter" || t.text == "GetGauge" ||
-        t.text == "GetHistogram" || t.text == "TraceSpan") {
-      // The Get* registrars are calls; TraceSpan also appears as a
-      // declaration (`TraceSpan span("name", ...)`).
-      size_t open = std::string_view::npos;
-      if (i + 1 < code.size() && IsPunct(code[i + 1], "(")) {
-        open = i + 1;
-      } else if (t.text == "TraceSpan" && i + 2 < code.size() &&
-                 code[i + 1].kind == TokenKind::kIdentifier &&
-                 IsPunct(code[i + 2], "(")) {
-        open = i + 2;
-      }
-      // Only complete literal names are checkable: the literal must be
-      // the whole first argument (followed by ',' or ')'), not a prefix
-      // of a concatenation or a runtime-built name.
-      if (open != std::string_view::npos && open + 2 < code.size() &&
-          code[open + 1].kind == TokenKind::kString &&
-          (IsPunct(code[open + 2], ",") || IsPunct(code[open + 2], ")"))) {
-        std::string_view literal = code[open + 1].text;
-        if (literal.size() >= 2 && literal.front() == '"' &&
-            literal.back() == '"' &&
-            !IsDottedMetricName(literal.substr(1, literal.size() - 2))) {
-          add(kMetricName, code[open + 1].line,
-              "metric/span name " + std::string(literal) +
-                  " violates the dotted lowercase scheme "
-                  "module.phase.metric ([a-z0-9_] segments, two or more)");
-        }
-      }
-    }
-
-    // ---- unordered-iteration (decl tracking happens below) -----------
-
-    // ---- discarded-status --------------------------------------------
-    if (called && status_functions_.count(t.text) > 0 &&
-        non_status_functions_.count(t.text) == 0) {
-      // Walk back over the qualifier/member chain to the statement anchor.
-      size_t chain = i;
-      while (chain >= 2 &&
-             (IsPunct(code[chain - 1], "::") ||
-              IsPunct(code[chain - 1], ".") ||
-              IsPunct(code[chain - 1], "->")) &&
-             code[chain - 2].kind == TokenKind::kIdentifier) {
-        chain -= 2;
-      }
-      bool chained_receiver =
-          chain >= 1 && (IsPunct(code[chain - 1], "::") ||
-                         IsPunct(code[chain - 1], ".") ||
-                         IsPunct(code[chain - 1], "->"));
-      if (chained_receiver) continue;  // receiver is an expression; skip
-      // Declaration/definition site, not a call: return type precedes.
-      if (chain >= 1 && (IsIdent(code[chain - 1], "Status") ||
-                         IsPunct(code[chain - 1], ">") ||
-                         IsPunct(code[chain - 1], "~"))) {
-        continue;
-      }
-      size_t close = MatchParen(code, i + 1);
-      if (close == std::string_view::npos || close + 1 >= code.size()) {
-        continue;
-      }
-      if (!IsPunct(code[close + 1], ";")) continue;  // result is consumed
-      bool discarded = false;
-      if (chain == 0) {
-        discarded = true;
-      } else {
-        const Token& anchor = code[chain - 1];
-        if (IsPunct(anchor, ";") || IsPunct(anchor, "{") ||
-            IsPunct(anchor, "}") || IsIdent(anchor, "else") ||
-            IsIdent(anchor, "do")) {
-          discarded = true;
-        } else if (IsPunct(anchor, ")")) {
-          // `(void)Call();` is an explicit discard; `if (c) Call();` is
-          // not. Distinguish by the contents of the closing paren group.
-          size_t rp = chain - 1;
-          bool void_cast = rp >= 2 && IsIdent(code[rp - 1], "void") &&
-                           IsPunct(code[rp - 2], "(");
-          discarded = !void_cast;
-        }
-      }
-      if (discarded) {
-        add(kDiscardedStatus, t.line,
-            "result of '" + std::string(t.text) +
-                "' (Status/Result) is ignored; check it, propagate it, or "
-                "cast to (void) with an EFES_LINT_ALLOW reason");
-      }
-    }
+  // ---- metric-name ---------------------------------------------------
+  for (const LiteralSite& site : summary.undotted_metric_names) {
+    add(kMetricName, site.line,
+        "metric/span name \"" + site.name +
+            "\" violates the dotted lowercase scheme "
+            "module.phase.metric ([a-z0-9_] segments, two or more)");
   }
 
   // ---- unordered-iteration -------------------------------------------
@@ -594,37 +336,73 @@ void Linter::CheckFile(std::string_view path, std::string_view content,
       }
     }
   }
+}
 
-  // ---- apply suppressions --------------------------------------------
-  for (Finding& f : raw) {
+}  // namespace
+
+const std::vector<std::string>& AllCheckIds() {
+  static const std::vector<std::string>* ids = []() {
+    auto* v = new std::vector<std::string>();  // EFES_LINT_ALLOW(banned-function): intentionally leaked function-local singleton
+    for (std::string_view id : kSuppressibleChecks) v->emplace_back(id);
+    v->emplace_back(kBadSuppression);
+    return v;
+  }();
+  return *ids;
+}
+
+Linter::Linter(LintConfig config) : config_(std::move(config)) {}
+
+void Linter::AddFile(std::string_view path, std::string_view content) {
+  const std::vector<Token> tokens = Tokenize(content);
+  CollectSuppressions(tokens, path, &suppressions_[std::string(path)],
+                      &file_findings_);
+  std::vector<Token> code;
+  code.reserve(tokens.size());
+  for (const Token& t : tokens) {
+    if (t.kind != TokenKind::kComment) code.push_back(t);
+  }
+  FileSummary summary = Summarize(path, code, config_.summary);
+  CheckCode(path, code, config_, summary, &file_findings_);
+  if (!PathMatchesAny(path, kPerFileOnlyPaths)) {
+    summaries_.push_back(std::move(summary));
+  }
+}
+
+void Linter::SetRegistry(RegistryManifests manifests) {
+  registry_ = std::move(manifests);
+}
+
+std::vector<Finding> Linter::Run() const {
+  std::vector<Finding> findings = file_findings_;
+  CheckProgram(summaries_, config_, registry_ ? &*registry_ : nullptr,
+               &findings);
+  // Manifest .md files have no suppressions, so stale-entry findings
+  // stay unsuppressed.
+  for (Finding& f : findings) {
     if (f.check == kBadSuppression) continue;
-    for (const Suppression& s : suppressions) {
+    auto it = suppressions_.find(f.file);
+    if (it == suppressions_.end()) continue;
+    for (const Suppression& s : it->second) {
       if (s.check == f.check && (s.line == f.line || s.line == f.line - 1)) {
         f.suppressed = true;
         break;
       }
     }
   }
-  std::sort(raw.begin(), raw.end(), [](const Finding& a, const Finding& b) {
-    if (a.line != b.line) return a.line < b.line;
-    if (a.check != b.check) return a.check < b.check;
-    return a.message < b.message;
-  });
-  findings->insert(findings->end(), std::make_move_iterator(raw.begin()),
-                   std::make_move_iterator(raw.end()));
+  std::sort(findings.begin(), findings.end(),
+            [](const Finding& a, const Finding& b) {
+              if (a.file != b.file) return a.file < b.file;
+              if (a.line != b.line) return a.line < b.line;
+              if (a.check != b.check) return a.check < b.check;
+              return a.message < b.message;
+            });
+  return findings;
 }
 
-std::vector<Finding> Linter::Run(
-    const std::vector<std::pair<std::string, std::string>>& files) const {
-  Linter pass(config_);
-  for (const auto& [path, content] : files) {
-    pass.IndexFile(path, content);
-  }
-  std::vector<Finding> findings;
-  for (const auto& [path, content] : files) {
-    pass.CheckFile(path, content, &findings);
-  }
-  return findings;
+std::vector<Finding> Linter::RunFiles(
+    const std::vector<std::pair<std::string, std::string>>& files) {
+  for (const auto& [path, content] : files) AddFile(path, content);
+  return Run();
 }
 
 std::string RenderText(const std::vector<Finding>& findings,

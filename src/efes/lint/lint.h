@@ -1,19 +1,21 @@
-// efes_lint: project-invariant static analysis for the EFES tree.
+// efes_lint: project-invariant static analysis for the EFES tree
+// (DESIGN.md "Static analysis").
 //
-// The guarantees PRs 1-3 established at runtime — bit-identical parallel
-// output, contained module failures, atomic file writes — are easy to
-// regress silently at the source level: an ignored Status, an
-// unordered_map iterated straight into a report, a raw ofstream that
-// bypasses WriteFileAtomic. This linter encodes those invariants as
-// machine-checked rules over the token stream (see token.h), runs as a
-// tier-1 ctest, and fails the build on any unsuppressed finding.
+// The guarantees the runtime relies on — bit-identical parallel output,
+// contained module failures, atomic file writes, cancellable estimation,
+// lock-protected shared state — are easy to regress silently at the
+// source level. This checker encodes them as machine-checked rules over
+// the token stream (see token.h), runs as a tier-1 ctest, and fails the
+// build on any unsuppressed finding. Discarded Status/Result values are
+// left to the compiler: both types are [[nodiscard]] and the build uses
+// -Werror=unused-result.
 //
-// Check catalog (ids as they appear in findings and suppressions):
+// Each file is read and tokenized once. The same token vector feeds the
+// per-file checks and the file's summary (summary.h); the whole-program
+// checks run over the merged summaries.
 //
-//   discarded-status    A call to a function returning Status/Result<T>
-//                       whose result is discarded without `(void)`.
-//                       Function names are collected in an index pass
-//                       over all files (declarations and definitions).
+// Per-file checks (every file given):
+//
 //   nondeterminism      rand/srand/std::random_device/time()/argless
 //                       system_clock::now outside the seeded-random and
 //                       telemetry-clock allowlists.
@@ -26,9 +28,8 @@
 //   header-hygiene      A header without #pragma once or an
 //                       #ifndef/#define guard, or `using namespace` in a
 //                       header.
-//   banned-function     strcpy/sprintf/atoi, naked new/delete, and the
-//                       removed mutable_effort_model() accessor
-//                       (leaked singletons carry suppressions).
+//   banned-function     strcpy/sprintf/atoi and naked new/delete (leaked
+//                       singletons carry suppressions).
 //   unbounded-wait      A blocking primitive with no cancellation path:
 //                       this_thread::sleep_for/sleep_until, or a .wait()
 //                       call without a predicate argument, outside the
@@ -37,18 +38,41 @@
 //                       (wait_for with predicate, CancelToken) so drain
 //                       and watchdog cancellation can always make
 //                       progress.
-//   metric-name         A complete string-literal name passed to
-//                       GetCounter/GetGauge/GetHistogram/TraceSpan that
-//                       does not follow the dotted lowercase
-//                       `module.phase.metric` scheme (two or more
-//                       [a-z0-9_]+ segments).
-//   whole-column-profile A use of the deprecated one-shot profiling API
-//                       (ComputeStatistics, ComputeStatisticsBatch,
-//                       ColumnStatisticsRequest) outside profiling/.
-//                       New call sites must go through ProfileColumn/
-//                       ProfileColumns/ProfileRequest (profiler.h) so
-//                       profiling stays chunked, budget-aware, and
-//                       byte-identical across thread counts.
+//   metric-name         A complete string-literal name passed to a
+//                       metric or span site (SummaryConfig::
+//                       metric_functions) that does not follow the
+//                       dotted lowercase `module.phase.metric` scheme
+//                       (two or more [a-z0-9_]+ segments).
+//
+// Whole-program checks (files outside tests/ and bench/, so test fakes
+// never join the call graph or the registry):
+//
+//   lock-discipline  An EFES_GUARDED_BY(mutex)-annotated member is
+//                    accessed in a method body outside a lexical
+//                    std::lock_guard/unique_lock/scoped_lock region of
+//                    that mutex (constructors, destructors, and
+//                    *Locked caller-holds-the-lock helpers exempt).
+//                    Also the inference direction: a member whose every
+//                    access is under the same mutex must carry the
+//                    annotation, so deleting one is itself a finding
+//                    rather than a silent relaxation.
+//   cancellation     An estimation root — a function named
+//                    AssessComplexity/Run in core/serve/module code, or
+//                    any function there fanning out via ParallelFor/
+//                    ParallelMap — never reaches CheckCancellation
+//                    through the name-based call graph. New modules
+//                    cannot silently become un-cancellable.
+//   layering         An `#include "efes/..."` edge points from a lower
+//                    layer to a higher one (LintConfig::layers; tools/
+//                    tests/bench above all), a directory is missing
+//                    from the declared order, or headers form an
+//                    include cycle.
+//   registry         An observability name (metric/span, fault point,
+//                    CLI flag) appears at a call site but not in the
+//                    docs/registry/ manifest, or a manifest entry has no
+//                    call site left (stale). Runs only when manifests
+//                    are installed (SetRegistry, --registry).
+//
 //   bad-suppression     An EFES_LINT_ALLOW comment with an unknown check
 //                       id or without a reason.
 //
@@ -56,14 +80,21 @@
 // findings of that check on the same line and the line below. The reason
 // is mandatory; a reasonless or unknown-check suppression is itself a
 // finding (bad-suppression), so the escape hatch stays auditable.
+// Stale-manifest findings anchor in the manifest .md files and are
+// therefore not suppressible — fix the manifest.
 
 #ifndef EFES_LINT_LINT_H_
 #define EFES_LINT_LINT_H_
 
-#include <set>
+#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "efes/lint/registry.h"
+#include "efes/lint/summary.h"
 
 namespace efes::lint {
 
@@ -71,7 +102,7 @@ namespace efes::lint {
 struct Finding {
   std::string file;
   int line = 0;
-  /// Check id, e.g. "discarded-status".
+  /// Check id, e.g. "lock-discipline".
   std::string check;
   std::string message;
   /// True when an EFES_LINT_ALLOW comment covers this finding. Suppressed
@@ -80,8 +111,17 @@ struct Finding {
   bool suppressed = false;
 };
 
-/// Where each class of construct is legitimate. Entries are
-/// forward-slash path substrings matched against the linted file's path.
+/// One directory-substring → layer-rank rule. Includes may point to the
+/// same or a lower rank; an edge to a strictly higher rank is a
+/// back-edge finding.
+struct LayerRule {
+  std::string dir;
+  int rank = 0;
+};
+
+/// Where each class of construct is legitimate, and the shape of the
+/// tree the whole-program checks assume. Path entries are forward-slash
+/// substrings matched against the checked file's path.
 struct LintConfig {
   /// Files allowed to touch raw entropy/time sources.
   std::vector<std::string> nondeterminism_allowlist = {"common/random",
@@ -94,11 +134,6 @@ struct LintConfig {
   /// concurrency and I/O primitives everything else is supposed to
   /// block through.
   std::vector<std::string> unbounded_wait_allowlist = {"common/"};
-  /// Files allowed to name the deprecated whole-column profiling API
-  /// (ComputeStatistics/ComputeStatisticsBatch/ColumnStatisticsRequest):
-  /// the profiling module that declares, defines, and wraps it. Every
-  /// other call site must use ProfileColumn/ProfileColumns.
-  std::vector<std::string> whole_column_profile_allowlist = {"profiling/"};
   /// Output-rendering paths where unordered iteration order would become
   /// observable bytes; the unordered-iteration check only runs here.
   std::vector<std::string> ordered_output_paths = {
@@ -106,49 +141,87 @@ struct LintConfig {
       "experiment/visualization", "common/text_table",
       "common/json_writer",     "csg/render_dot",
       "core/engine"};
+
+  /// Call-site names the summaries (and metric-name) read.
+  SummaryConfig summary;
+
+  /// The declared layer order. Same-rank directories may include each
+  /// other (cache<->profiling, core<->dedup are deliberate pairs; the
+  /// include-cycle check still rejects header cycles inside them).
+  std::vector<LayerRule> layers = {
+      {"efes/common/", 0},
+      {"efes/lint/", 1},       {"efes/telemetry/", 1},
+      {"efes/relational/", 2}, {"efes/provenance/", 2},
+      {"efes/cache/", 3},      {"efes/profiling/", 3},
+      {"efes/matching/", 4},   {"efes/csg/", 4},
+      {"efes/core/", 5},       {"efes/dedup/", 5},
+      {"efes/mapping/", 5},    {"efes/structure/", 5},
+      {"efes/values/", 5},     {"efes/baseline/", 5},
+      {"efes/execute/", 6},    {"efes/scenario/", 6},
+      {"efes/experiment/", 7},
+      {"efes/serve/", 8},
+  };
+  /// Path substrings sitting above every layer (may include anything).
+  std::vector<std::string> top_paths = {"tools/", "tests/", "bench/"};
+
+  /// Function names that are cancellation roots when defined under
+  /// `checkpoint_dirs`.
+  std::vector<std::string> checkpoint_roots = {"AssessComplexity", "Run"};
+  /// Directories whose roots (and ParallelFor/ParallelMap callers) must
+  /// reach the checkpoint.
+  std::vector<std::string> checkpoint_dirs = {
+      "efes/core/",   "efes/serve/",     "efes/execute/",
+      "efes/mapping/", "efes/structure/", "efes/values/",
+      "efes/dedup/",  "efes/baseline/"};
+  std::string checkpoint_function = "CheckCancellation";
+  /// Calling one of these also makes a function a root: a fan-out point
+  /// must stay cancellable (today they are, via ParallelFor's own entry
+  /// checkpoint — this is the regression guard for exactly that).
+  std::vector<std::string> parallel_primitives = {"ParallelFor",
+                                                  "ParallelMap"};
+};
+
+/// An EFES_LINT_ALLOW occurrence parsed out of a comment.
+struct Suppression {
+  std::string check;
+  int line = 0;
 };
 
 /// Names of all checks, for --list-checks and validation.
 const std::vector<std::string>& AllCheckIds();
 
-/// True for dotted lowercase metric/span names: two or more [a-z0-9_]+
-/// segments joined by single dots (`module.phase.metric`). Shared with
-/// efes_analyze, whose registry check collects exactly these literals.
-bool IsDottedMetricName(std::string_view name);
-
-/// Two-pass linter. Feed every file to IndexFile first (collects the
-/// names of Status/Result-returning functions tree-wide), then run
-/// CheckFile per file. Both passes are pure functions of their inputs,
-/// so output is deterministic for a fixed file set and order.
+/// Feed every file, optionally install the registry manifests, then
+/// Run(). Deterministic for a fixed file set: findings are sorted by
+/// file, line, check, and message.
 class Linter {
  public:
   Linter() : Linter(LintConfig()) {}
   explicit Linter(LintConfig config);
 
-  /// Pass 1: records functions declared/defined as returning Status or
-  /// Result<T> in `content`.
-  void IndexFile(std::string_view path, std::string_view content);
+  /// Tokenizes `content` once, runs the per-file checks on it, and —
+  /// outside tests/ and bench/ — keeps its summary for the
+  /// whole-program checks.
+  void AddFile(std::string_view path, std::string_view content);
 
-  /// Pass 2: runs every check on `content`, appending to `findings`.
-  void CheckFile(std::string_view path, std::string_view content,
-                 std::vector<Finding>* findings) const;
+  /// Installs the registry manifests and enables the registry check
+  /// (without them the check is skipped — the CLI says so on stderr).
+  void SetRegistry(RegistryManifests manifests);
 
-  /// Convenience: index-then-check over in-memory files (used by tests).
-  /// Each element is a {path, content} pair.
-  std::vector<Finding> Run(
-      const std::vector<std::pair<std::string, std::string>>& files) const;
+  /// Every finding, per-file and whole-program, with suppressions
+  /// applied.
+  std::vector<Finding> Run() const;
 
-  /// The function-name index built by IndexFile (exposed for tests).
-  const std::set<std::string, std::less<>>& status_functions() const {
-    return status_functions_;
-  }
+  /// Convenience for tests: AddFile each {path, content} pair, then Run.
+  std::vector<Finding> RunFiles(
+      const std::vector<std::pair<std::string, std::string>>& files);
 
  private:
   LintConfig config_;
-  std::set<std::string, std::less<>> status_functions_;
-  /// Names also declared with a non-Status return type somewhere in the
-  /// indexed tree; discarded-status skips these (ambiguous by name).
-  std::set<std::string, std::less<>> non_status_functions_;
+  std::vector<Finding> file_findings_;
+  std::map<std::string, std::vector<Suppression>, std::less<>>
+      suppressions_;
+  std::vector<FileSummary> summaries_;
+  std::optional<RegistryManifests> registry_;
 };
 
 /// Renders findings one per line: "file:line: [check] message". Appends a

@@ -1,4 +1,4 @@
-#include "efes/analyze/analyze.h"
+#include "efes/lint/program.h"
 
 #include <algorithm>
 #include <climits>
@@ -7,19 +7,7 @@
 #include <string>
 #include <utility>
 
-namespace efes::analyze {
-namespace {
-
-constexpr std::string_view kLockDiscipline = "lock-discipline";
-constexpr std::string_view kCancellation = "cancellation";
-constexpr std::string_view kLayering = "layering";
-constexpr std::string_view kRegistry = "registry";
-constexpr std::string_view kBadSuppression = "bad-suppression";
-
-constexpr int kTopRank = INT_MAX;
-constexpr int kUnknownRank = -1;
-
-using lint::Finding;
+namespace efes::lint {
 
 bool PathMatchesAny(std::string_view path,
                     const std::vector<std::string>& patterns) {
@@ -29,17 +17,14 @@ bool PathMatchesAny(std::string_view path,
   return false;
 }
 
-bool Contains(const std::vector<std::string>& haystack,
-              std::string_view needle) {
-  for (const std::string& s : haystack) {
-    if (s == needle) return true;
-  }
-  return false;
-}
+namespace {
+
+constexpr int kTopRank = INT_MAX;
+constexpr int kUnknownRank = -1;
 
 /// The layer rank of a path: top for tools/tests/bench, the matching
 /// LayerRule's rank for efes/ directories, kUnknownRank otherwise.
-int RankOf(std::string_view path, const AnalyzeConfig& config) {
+int RankOf(std::string_view path, const LintConfig& config) {
   if (PathMatchesAny(path, config.top_paths)) return kTopRank;
   for (const LayerRule& rule : config.layers) {
     if (path.find(rule.dir) != std::string_view::npos) return rule.rank;
@@ -102,7 +87,7 @@ void CheckLockDiscipline(const std::vector<FileSummary>& summaries,
       // Inference direction: intersect the held-mutex sets across every
       // access; a non-empty result at the end means the member is
       // consistently locked but not annotated — deleting an annotation
-      // must fail the analyzer, not silently relax the check.
+      // must fail the check, not silently relax it.
       auto [entry, inserted] =
           inferred.emplace(key, access.held_mutexes);
       if (inserted) {
@@ -135,7 +120,7 @@ void CheckLockDiscipline(const std::vector<FileSummary>& summaries,
 }
 
 void CheckCancellationCoverage(const std::vector<FileSummary>& summaries,
-                               const AnalyzeConfig& config,
+                               const LintConfig& config,
                                std::vector<Finding>* findings) {
   // Name-based call graph: callees merged across every definition
   // sharing a name (conservative: reachability only gets easier).
@@ -166,10 +151,12 @@ void CheckCancellationCoverage(const std::vector<FileSummary>& summaries,
   for (const FileSummary& summary : summaries) {
     if (!PathMatchesAny(summary.path, config.checkpoint_dirs)) continue;
     for (const FunctionInfo& fn : summary.functions) {
-      bool root_name = Contains(config.checkpoint_roots, fn.name);
+      bool root_name = std::ranges::find(config.checkpoint_roots, fn.name) !=
+                       config.checkpoint_roots.end();
       bool fans_out = false;
       for (const std::string& call : fn.calls) {
-        if (Contains(config.parallel_primitives, call)) {
+        if (std::ranges::find(config.parallel_primitives, call) !=
+            config.parallel_primitives.end()) {
           fans_out = true;
           break;
         }
@@ -191,7 +178,7 @@ void CheckCancellationCoverage(const std::vector<FileSummary>& summaries,
 }
 
 void CheckLayering(const std::vector<FileSummary>& summaries,
-                   const AnalyzeConfig& config,
+                   const LintConfig& config,
                    std::vector<Finding>* findings) {
   for (const FileSummary& summary : summaries) {
     int file_rank = RankOf(summary.path, config);
@@ -201,7 +188,7 @@ void CheckLayering(const std::vector<FileSummary>& summaries,
           {summary.path, 1, std::string(kLayering),
            "directory of " + summary.path +
                " is not in the declared layer order "
-               "(AnalyzeConfig::layers) — add it at the right rank",
+               "(LintConfig::layers) — add it at the right rank",
            false});
       continue;
     }
@@ -218,7 +205,7 @@ void CheckLayering(const std::vector<FileSummary>& summaries,
             {summary.path, include.line, std::string(kLayering),
              "included header \"" + include.target +
                  "\" is in no declared layer "
-                 "(AnalyzeConfig::layers)",
+                 "(LintConfig::layers)",
              false});
         continue;
       }
@@ -346,99 +333,14 @@ void CheckRegistry(const std::vector<FileSummary>& summaries,
 
 }  // namespace
 
-const std::vector<std::string>& AllCheckIds() {
-  static const std::vector<std::string>* ids = []() {
-    // EFES_LINT_ALLOW(banned-function): intentionally leaked function-local singleton
-    auto* v = new std::vector<std::string>();
-    v->emplace_back(kLockDiscipline);
-    v->emplace_back(kCancellation);
-    v->emplace_back(kLayering);
-    v->emplace_back(kRegistry);
-    v->emplace_back(kBadSuppression);
-    return v;
-  }();
-  return *ids;
+void CheckProgram(const std::vector<FileSummary>& summaries,
+                  const LintConfig& config,
+                  const RegistryManifests* registry,
+                  std::vector<Finding>* findings) {
+  CheckLockDiscipline(summaries, findings);
+  CheckCancellationCoverage(summaries, config, findings);
+  CheckLayering(summaries, config, findings);
+  if (registry != nullptr) CheckRegistry(summaries, *registry, findings);
 }
 
-Analyzer::Analyzer(AnalyzeConfig config) : config_(std::move(config)) {}
-
-void Analyzer::AddFile(std::string_view path, std::string_view content) {
-  summaries_.push_back(Summarize(path, content, config_.summary));
-}
-
-void Analyzer::SetRegistry(RegistryManifests manifests) {
-  registry_ = std::move(manifests);
-  has_registry_ = true;
-}
-
-std::vector<Finding> Analyzer::Run() const {
-  std::vector<Finding> findings;
-  for (const FileSummary& summary : summaries_) {
-    findings.insert(findings.end(), summary.findings.begin(),
-                    summary.findings.end());
-  }
-  CheckLockDiscipline(summaries_, &findings);
-  CheckCancellationCoverage(summaries_, config_, &findings);
-  CheckLayering(summaries_, config_, &findings);
-  if (has_registry_) CheckRegistry(summaries_, registry_, &findings);
-
-  // Apply in-source suppressions (same line or the line above; the
-  // manifest .md files have no summaries, so stale-entry findings stay).
-  std::map<std::string, const FileSummary*> by_path;
-  for (const FileSummary& summary : summaries_) {
-    by_path.emplace(summary.path, &summary);
-  }
-  for (Finding& f : findings) {
-    if (f.check == kBadSuppression) continue;
-    auto it = by_path.find(f.file);
-    if (it == by_path.end()) continue;
-    for (const Suppression& s : it->second->suppressions) {
-      if (s.check == f.check && (s.line == f.line || s.line == f.line - 1)) {
-        f.suppressed = true;
-        break;
-      }
-    }
-  }
-
-  std::sort(findings.begin(), findings.end(),
-            [](const Finding& a, const Finding& b) {
-              if (a.file != b.file) return a.file < b.file;
-              if (a.line != b.line) return a.line < b.line;
-              if (a.check != b.check) return a.check < b.check;
-              return a.message < b.message;
-            });
-  return findings;
-}
-
-std::vector<Finding> Analyzer::RunFiles(
-    const std::vector<std::pair<std::string, std::string>>& files) {
-  for (const auto& [path, content] : files) {
-    AddFile(path, content);
-  }
-  return Run();
-}
-
-std::string RenderText(const std::vector<Finding>& findings,
-                       bool show_suppressed) {
-  std::string out;
-  size_t shown = 0;
-  for (const Finding& f : findings) {
-    if (f.suppressed && !show_suppressed) continue;
-    out += f.file + ":" + std::to_string(f.line) + ": [" + f.check + "] " +
-           f.message;
-    if (f.suppressed) out += " (suppressed)";
-    out += "\n";
-    ++shown;
-  }
-  size_t unsuppressed = lint::CountUnsuppressed(findings);
-  out += "efes_analyze: " + std::to_string(unsuppressed) +
-         " unsuppressed finding(s), " +
-         std::to_string(findings.size() - unsuppressed) + " suppressed";
-  if (!show_suppressed && shown != findings.size()) {
-    out += " (hidden)";
-  }
-  out += "\n";
-  return out;
-}
-
-}  // namespace efes::analyze
+}  // namespace efes::lint

@@ -1,10 +1,10 @@
-#include "efes/analyze/registry.h"
+#include "efes/lint/registry.h"
 
 #include <utility>
 
 #include "efes/common/file_io.h"
 
-namespace efes::analyze {
+namespace efes::lint {
 
 std::vector<ManifestEntry> ParseManifest(std::string_view content) {
   std::vector<ManifestEntry> entries;
@@ -54,4 +54,4 @@ Result<RegistryManifests> LoadRegistryDir(const std::string& dir) {
   return manifests;
 }
 
-}  // namespace efes::analyze
+}  // namespace efes::lint

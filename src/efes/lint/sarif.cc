@@ -7,8 +7,7 @@
 
 namespace efes::lint {
 
-std::string RenderSarif(std::string_view tool_name,
-                        const std::vector<Finding>& findings) {
+std::string RenderSarif(const std::vector<Finding>& findings) {
   std::set<std::string> rule_ids;
   for (const Finding& f : findings) rule_ids.insert(f.check);
 
@@ -22,7 +21,7 @@ std::string RenderSarif(std::string_view tool_name,
 
   writer.Key("tool").BeginObject();
   writer.Key("driver").BeginObject();
-  writer.Key("name").String(tool_name);
+  writer.Key("name").String("efes_lint");
   writer.Key("rules").BeginArray();
   for (const std::string& id : rule_ids) {
     writer.BeginObject();

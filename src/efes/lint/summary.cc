@@ -1,4 +1,4 @@
-#include "efes/analyze/summary.h"
+#include "efes/lint/summary.h"
 
 #include <algorithm>
 #include <cstddef>
@@ -7,30 +7,10 @@
 #include <string>
 #include <utility>
 
-#include "efes/lint/token.h"
-
-namespace efes::analyze {
+namespace efes::lint {
 namespace {
 
-using lint::Token;
-using lint::TokenKind;
-
 constexpr size_t kNpos = std::string_view::npos;
-
-constexpr std::string_view kBadSuppression = "bad-suppression";
-
-/// Check ids an EFES_ANALYZE_ALLOW comment may name (bad-suppression is
-/// not suppressible, mirroring efes_lint).
-constexpr std::string_view kSuppressibleChecks[] = {
-    "lock-discipline", "cancellation", "layering", "registry"};
-
-bool IsIdent(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kIdentifier && t.text == text;
-}
-
-bool IsPunct(const Token& t, std::string_view text) {
-  return t.kind == TokenKind::kPunct && t.text == text;
-}
 
 bool Contains(const std::vector<std::string>& haystack,
               std::string_view needle) {
@@ -57,96 +37,95 @@ bool HasLowercase(std::string_view s) {
   return false;
 }
 
+/// True for a plain "..." literal token (no prefix, not raw).
+bool IsPlainLiteral(std::string_view text) {
+  return text.size() >= 2 && text.front() == '"' && text.back() == '"';
+}
+
 /// Strips the quotes off a plain "..." literal token.
 std::string Unquote(std::string_view text) {
-  if (text.size() >= 2 && text.front() == '"' && text.back() == '"') {
-    return std::string(text.substr(1, text.size() - 2));
-  }
-  return std::string(text);
+  if (!IsPlainLiteral(text)) return std::string(text);
+  return std::string(text.substr(1, text.size() - 2));
 }
 
-/// Same shape as efes_lint's suppression scanner, with the
-/// EFES_ANALYZE_ALLOW marker and the analyzer's check catalog.
-void CollectSuppressions(const std::vector<Token>& tokens,
-                         std::string_view path,
-                         std::vector<Suppression>* suppressions,
-                         std::vector<lint::Finding>* findings) {
-  constexpr std::string_view kMarker = "EFES_ANALYZE_ALLOW(";
-  for (const Token& t : tokens) {
-    if (t.kind != TokenKind::kComment) continue;
-    std::string_view text = t.text;
-    size_t pos = 0;
-    while ((pos = text.find(kMarker, pos)) != kNpos) {
-      int line = t.line + static_cast<int>(std::count(
-                              text.begin(), text.begin() + pos, '\n'));
-      size_t id_begin = pos + kMarker.size();
-      pos = id_begin;
-      if (id_begin >= text.size() || text[id_begin] < 'a' ||
-          text[id_begin] > 'z') {
-        continue;  // prose describing the syntax, not a suppression
+/// True for dotted lowercase metric/span names: two or more [a-z0-9_]+
+/// segments joined by single dots (`module.phase.metric`).
+bool IsDottedMetricName(std::string_view name) {
+  bool seen_dot = false;
+  bool segment_char = false;
+  for (char c : name) {
+    if (c == '.') {
+      if (!segment_char) return false;  // empty segment
+      seen_dot = true;
+      segment_char = false;
+      continue;
+    }
+    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_') {
+      segment_char = true;
+      continue;
+    }
+    return false;
+  }
+  return seen_dot && segment_char;
+}
+
+/// Records the names at observability call sites — the one scan the
+/// metric-name and registry checks share. Runs over every token, so a
+/// site in a default argument or a member-init list counts too.
+void CollectLiteralSites(const std::vector<Token>& code,
+                         const SummaryConfig& config, FileSummary* out) {
+  for (size_t i = 0; i + 1 < code.size(); ++i) {
+    const Token& t = code[i];
+    if (t.kind != TokenKind::kIdentifier) continue;
+    LiteralSite::Kind kind = LiteralSite::Kind::kMetric;
+    if (Contains(config.fault_functions, t.text)) {
+      kind = LiteralSite::Kind::kFault;
+    } else if (Contains(config.flag_functions, t.text)) {
+      kind = LiteralSite::Kind::kFlag;
+    } else if (!Contains(config.metric_functions, t.text)) {
+      continue;
+    }
+    size_t open = kNpos;
+    if (IsPunct(code[i + 1], "(")) {
+      open = i + 1;
+    } else if (i + 2 < code.size() &&
+               code[i + 1].kind == TokenKind::kIdentifier &&
+               IsPunct(code[i + 2], "(")) {
+      open = i + 2;  // declaration form: TraceSpan span("name", ...)
+    }
+    if (open == kNpos) continue;
+    // Only a complete literal is checkable: the literal must be the
+    // whole first argument, not a prefix of a concatenation.
+    if (kind == LiteralSite::Kind::kMetric && open + 2 < code.size() &&
+        code[open + 1].kind == TokenKind::kString &&
+        IsPlainLiteral(code[open + 1].text) &&
+        (IsPunct(code[open + 2], ",") || IsPunct(code[open + 2], ")"))) {
+      std::string name = Unquote(code[open + 1].text);
+      if (!IsDottedMetricName(name)) {
+        out->undotted_metric_names.push_back(
+            {kind, std::move(name), code[open + 1].line});
       }
-      size_t id_end = text.find(')', id_begin);
-      if (id_end == kNpos) continue;
-      std::string check(text.substr(id_begin, id_end - id_begin));
-      bool known = std::find(std::begin(kSuppressibleChecks),
-                             std::end(kSuppressibleChecks),
-                             check) != std::end(kSuppressibleChecks);
-      if (!known) {
-        findings->push_back({std::string(path), line,
-                             std::string(kBadSuppression),
-                             "EFES_ANALYZE_ALLOW names unknown check '" +
-                                 check + "'",
-                             false});
-        continue;
+    }
+    size_t close = MatchParen(code, open);
+    if (close == kNpos) continue;
+    if (kind == LiteralSite::Kind::kFlag) {
+      // Only the first argument of a flag definition is a name.
+      if (open + 1 < close && code[open + 1].kind == TokenKind::kString) {
+        out->literals.push_back(
+            {kind, Unquote(code[open + 1].text), code[open + 1].line});
       }
-      size_t r = id_end + 1;
-      if (r < text.size() && text[r] == ':') ++r;
-      size_t reason_end = text.find('\n', r);
-      if (reason_end == kNpos) reason_end = text.size();
-      std::string_view reason = text.substr(r, reason_end - r);
-      bool has_reason = false;
-      for (char c : reason) {
-        if (c != ' ' && c != '\t' && c != '*' && c != '/') {
-          has_reason = true;
-          break;
-        }
+      continue;
+    }
+    for (size_t m = open + 1; m < close; ++m) {
+      if (code[m].kind != TokenKind::kString) continue;
+      std::string name = Unquote(code[m].text);
+      // Complete dotted names only: concatenation fragments of dynamic
+      // names ("fault.", ".hits") fail this test.
+      if (IsDottedMetricName(name)) {
+        out->literals.push_back({kind, std::move(name), code[m].line});
       }
-      if (!has_reason) {
-        findings->push_back(
-            {std::string(path), line, std::string(kBadSuppression),
-             "EFES_ANALYZE_ALLOW(" + check + ") has no reason; write "
-             "EFES_ANALYZE_ALLOW(" + check + "): <why this is safe>",
-             false});
-        continue;
-      }
-      suppressions->push_back({std::move(check), line});
     }
   }
-}
-
-size_t MatchParen(const std::vector<Token>& code, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < code.size(); ++i) {
-    if (IsPunct(code[i], "(")) ++depth;
-    if (IsPunct(code[i], ")")) {
-      --depth;
-      if (depth == 0) return i;
-    }
-  }
-  return kNpos;
-}
-
-size_t SkipAngles(const std::vector<Token>& code, size_t i) {
-  int depth = 0;
-  size_t limit = std::min(code.size(), i + 256);
-  for (size_t k = i; k < limit; ++k) {
-    if (code[k].kind != TokenKind::kPunct) continue;
-    if (code[k].text == "<") ++depth;
-    if (code[k].text == ">") --depth;
-    if (code[k].text == ">>") depth -= 2;
-    if (depth <= 0) return k + 1;
-  }
-  return kNpos;
 }
 
 struct ClassScope {
@@ -174,19 +153,11 @@ struct OpenFunction {
 
 }  // namespace
 
-FileSummary Summarize(std::string_view path, std::string_view content,
+FileSummary Summarize(std::string_view path, const std::vector<Token>& code,
                       const SummaryConfig& config) {
   FileSummary out;
   out.path = std::string(path);
-
-  std::vector<Token> tokens = lint::Tokenize(content);
-  CollectSuppressions(tokens, path, &out.suppressions, &out.findings);
-
-  std::vector<Token> code;
-  code.reserve(tokens.size());
-  for (const Token& t : tokens) {
-    if (t.kind != TokenKind::kComment) code.push_back(t);
-  }
+  CollectLiteralSites(code, config, &out);
 
   std::vector<ClassScope> classes;
   std::vector<LockRegion> locks;
@@ -236,50 +207,6 @@ FileSummary Summarize(std::string_view path, std::string_view content,
     }
 
     if (t.kind != TokenKind::kIdentifier) continue;
-
-    // ---- observability literal sites (any scope) ---------------------
-    {
-      std::optional<LiteralSite::Kind> kind;
-      if (Contains(config.metric_functions, t.text)) {
-        kind = LiteralSite::Kind::kMetric;
-      } else if (Contains(config.fault_functions, t.text)) {
-        kind = LiteralSite::Kind::kFault;
-      } else if (Contains(config.flag_functions, t.text)) {
-        kind = LiteralSite::Kind::kFlag;
-      }
-      if (kind) {
-        size_t open = kNpos;
-        if (i + 1 < code.size() && IsPunct(code[i + 1], "(")) {
-          open = i + 1;
-        } else if (i + 2 < code.size() &&
-                   code[i + 1].kind == TokenKind::kIdentifier &&
-                   IsPunct(code[i + 2], "(")) {
-          open = i + 2;  // declaration form: TraceSpan span("name", ...)
-        }
-        size_t close = open == kNpos ? kNpos : MatchParen(code, open);
-        if (close != kNpos) {
-          if (*kind == LiteralSite::Kind::kFlag) {
-            // Only the first argument of a flag definition is a name.
-            if (open + 1 < close &&
-                code[open + 1].kind == TokenKind::kString) {
-              out.literals.push_back({*kind, Unquote(code[open + 1].text),
-                                      code[open + 1].line});
-            }
-          } else {
-            for (size_t m = open + 1; m < close; ++m) {
-              if (code[m].kind != TokenKind::kString) continue;
-              std::string name = Unquote(code[m].text);
-              // Complete dotted names only: concatenation fragments of
-              // dynamic names ("fault.", ".hits") fail this test.
-              if (lint::IsDottedMetricName(name)) {
-                out.literals.push_back({*kind, std::move(name),
-                                        code[m].line});
-              }
-            }
-          }
-        }
-      }
-    }
 
     // ---- class/struct scope tracking ---------------------------------
     if ((t.text == "class" || t.text == "struct") && !fn) {
@@ -487,4 +414,4 @@ FileSummary Summarize(std::string_view path, std::string_view content,
   return out;
 }
 
-}  // namespace efes::analyze
+}  // namespace efes::lint

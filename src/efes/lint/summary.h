@@ -1,15 +1,16 @@
-// Per-translation-unit summaries for efes_analyze (DESIGN.md §15).
+// Per-file summaries for the whole-program checks of efes_lint
+// (lint.h, DESIGN.md "Static analysis").
 //
-// efes_lint (PR 4) checks token-local invariants one file at a time.
-// The whole-program checks in analyze.h need more: which class members
-// are lock-annotated, which functions call which, which headers include
+// The per-file checks look at one token stream in isolation; the
+// whole-program checks need more: which class members are
+// lock-annotated, which functions call which, which headers include
 // which, which observability names appear at call sites. Summarize()
-// extracts exactly that from one file's token stream (lint/token.h) —
-// a deliberately shallow, deterministic parse with a brace/class/
-// function scope tracker, not an AST. The merged summaries of every
-// file form the index the checks in analyze.cc run over.
+// extracts exactly that from one file's code tokens (token.h) — a
+// deliberately shallow, deterministic parse with a brace/class/function
+// scope tracker, not an AST. The merged summaries of every file form
+// the index the whole-program checks run over.
 //
-// Known lexical approximations (documented in DESIGN.md §15):
+// Known lexical approximations:
 //   * lock regions are brace-scoped: a std::lock_guard/unique_lock/
 //     scoped_lock declaration opens a region until its enclosing block
 //     closes; `x.unlock()` / `x.lock()` on the named lock object
@@ -22,16 +23,16 @@
 //   * constructors and destructors are exempt from access recording —
 //     no concurrent access exists before/after the object's lifetime.
 
-#ifndef EFES_ANALYZE_SUMMARY_H_
-#define EFES_ANALYZE_SUMMARY_H_
+#ifndef EFES_LINT_SUMMARY_H_
+#define EFES_LINT_SUMMARY_H_
 
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "efes/lint/lint.h"
+#include "efes/lint/token.h"
 
-namespace efes::analyze {
+namespace efes::lint {
 
 /// `#include "efes/..."` edge, path without quotes.
 struct IncludeEdge {
@@ -76,31 +77,28 @@ struct LiteralSite {
   int line = 0;
 };
 
-/// A suppression comment naming one check id.
-struct Suppression {
-  std::string check;
-  int line = 0;
-};
-
 struct FileSummary {
   std::string path;
   std::vector<IncludeEdge> includes;
   std::vector<GuardedMember> guarded;
   std::vector<MemberAccess> accesses;
   std::vector<FunctionInfo> functions;
+  /// Complete dotted literals at observability call sites (the names
+  /// the registry check compares against the manifests).
   std::vector<LiteralSite> literals;
-  std::vector<Suppression> suppressions;
-  /// bad-suppression findings discovered while summarizing.
-  std::vector<lint::Finding> findings;
+  /// Metric sites whose whole first argument is one plain literal that
+  /// is not a dotted name (the metric-name check's findings).
+  std::vector<LiteralSite> undotted_metric_names;
 };
 
 /// Call-site names whose string-literal arguments are observability
 /// names. Defaults match the EFES tree; tests override them.
 struct SummaryConfig {
   /// Metric/span registration sites: every complete dotted literal
-  /// (lint::IsDottedMetricName) anywhere in the argument list is a
-  /// metric name. Concatenation fragments ("fault.", ".hits") fail the
-  /// dotted test, which is what keeps dynamic names out.
+  /// (two or more [a-z0-9_]+ segments, `module.phase.metric`) anywhere
+  /// in the argument list is a metric name. Concatenation fragments
+  /// ("fault.", ".hits") fail the dotted test, which is what keeps
+  /// dynamic names out.
   std::vector<std::string> metric_functions = {
       "GetCounter", "GetGauge", "GetHistogram",
       "TraceSpan",  "ServeCounter", "CacheCounter"};
@@ -115,11 +113,12 @@ struct SummaryConfig {
                                          "scoped_lock"};
 };
 
-/// Extracts `content`'s summary. Never fails: malformed input degrades
-/// to a partial summary, exactly like the lint tokenizer itself.
-FileSummary Summarize(std::string_view path, std::string_view content,
-                      const SummaryConfig& config = SummaryConfig());
+/// Extracts the summary of one file from its code tokens (comments
+/// filtered out). Never fails: malformed input degrades to a partial
+/// summary, exactly like the tokenizer itself.
+FileSummary Summarize(std::string_view path, const std::vector<Token>& code,
+                      const SummaryConfig& config);
 
-}  // namespace efes::analyze
+}  // namespace efes::lint
 
-#endif  // EFES_ANALYZE_SUMMARY_H_
+#endif  // EFES_LINT_SUMMARY_H_

@@ -1,5 +1,6 @@
 #include "efes/lint/token.h"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstddef>
@@ -184,6 +185,31 @@ std::vector<Token> Tokenize(std::string_view source) {
     i += len;
   }
   return tokens;
+}
+
+size_t MatchParen(const std::vector<Token>& code, size_t open) {
+  int depth = 0;
+  for (size_t i = open; i < code.size(); ++i) {
+    if (IsPunct(code[i], "(")) ++depth;
+    if (IsPunct(code[i], ")")) {
+      --depth;
+      if (depth == 0) return i;
+    }
+  }
+  return std::string_view::npos;
+}
+
+size_t SkipAngles(const std::vector<Token>& code, size_t i) {
+  int depth = 0;
+  size_t limit = std::min(code.size(), i + 256);
+  for (size_t k = i; k < limit; ++k) {
+    if (code[k].kind != TokenKind::kPunct) continue;
+    if (code[k].text == "<") ++depth;
+    if (code[k].text == ">") --depth;
+    if (code[k].text == ">>") depth -= 2;
+    if (depth <= 0) return k + 1;
+  }
+  return std::string_view::npos;
 }
 
 }  // namespace efes::lint

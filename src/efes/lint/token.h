@@ -8,11 +8,13 @@
 // universal-character-names, and preprocessor directives are tokenized
 // inline (`#` is an ordinary punctuator). That is enough for the
 // project-invariant checks in lint.h, and it never fails: malformed
-// input degrades to best-effort tokens rather than an error.
+// input degrades to best-effort tokens rather than an error. The
+// matching helpers below are shared by every check.
 
 #ifndef EFES_LINT_TOKEN_H_
 #define EFES_LINT_TOKEN_H_
 
+#include <cstddef>
 #include <string_view>
 #include <vector>
 
@@ -45,6 +47,23 @@ struct Token {
 /// consumed to end of line or end of input. The returned views alias
 /// `source`, which must outlive them.
 std::vector<Token> Tokenize(std::string_view source);
+
+inline bool IsIdent(const Token& t, std::string_view text) {
+  return t.kind == TokenKind::kIdentifier && t.text == text;
+}
+
+inline bool IsPunct(const Token& t, std::string_view text) {
+  return t.kind == TokenKind::kPunct && t.text == text;
+}
+
+/// Index of the ')' matching the '(' at `open`, or npos. Operates on a
+/// code-token vector (comments already filtered out).
+size_t MatchParen(const std::vector<Token>& code, size_t open);
+
+/// After code[i] == "<", returns the index one past the balanced closing
+/// angle bracket, treating ">>" as two closers. Returns npos when no
+/// close is found within a sane window (then it was a comparison).
+size_t SkipAngles(const std::vector<Token>& code, size_t i);
 
 }  // namespace efes::lint
 

@@ -44,22 +44,6 @@ uint64_t StatisticsKey(const std::vector<Value>& column, DataType target_type,
   return fp.digest();
 }
 
-/// Content address of one chunk's partial sketch (the spill-to-cache
-/// key): chunk values in row order plus everything that shapes the
-/// sketch state — target type, mode, and budget.
-uint64_t ChunkSketchKey(const std::vector<Value>& column, size_t begin,
-                        size_t end, DataType target_type,
-                        const ProfileOptions& options) {
-  Fingerprinter fp;
-  fp.MixString("profile.chunk");
-  fp.MixUint64(static_cast<uint64_t>(target_type));
-  fp.MixUint64(static_cast<uint64_t>(options.mode));
-  fp.MixUint64(options.max_memory_bytes);
-  fp.MixUint64(end - begin);
-  for (size_t i = begin; i < end; ++i) fp.MixValue(column[i]);
-  return fp.digest();
-}
-
 }  // namespace
 
 ProfileOptions ActiveProfileOptions() {
@@ -128,19 +112,8 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
       EFES_RETURN_IF_ERROR(ParallelFor(batch, [&](size_t i) -> Status {
         const size_t lo = (base + i) * chunk_rows;
         const size_t hi = std::min(lo + chunk_rows, column.size());
-        uint64_t chunk_key = 0;
-        if (cache != nullptr) {
-          chunk_key =
-              ChunkSketchKey(column, lo, hi, target_type, options);
-          if (std::optional<StatisticsSketch> spilled =
-                  cache->LookupSketch(chunk_key)) {
-            partials[i] = *std::move(spilled);
-            return Status::OK();
-          }
-        }
         StatisticsSketch sketch(target_type, options);
         EFES_RETURN_IF_ERROR(sketch.AbsorbRange(column, lo, hi));
-        if (cache != nullptr) cache->StoreSketch(chunk_key, sketch);
         partials[i] = std::move(sketch);
         return Status::OK();
       }));

@@ -1,21 +1,16 @@
 // The profiling entry points — chunked, budgeted, cache-fronted.
 //
-// ProfileColumn/ProfileColumns replace the whole-column
-// ComputeStatistics/ComputeStatisticsBatch API (both still exist in
-// statistics.h as deprecated one-shot wrappers over this path). A column
-// is split into ProfileOptions::chunk_rows blocks, each block is
-// absorbed into a partial StatisticsSketch on the shared pool, and the
-// partials are folded in canonical chunk order — so the result is
-// byte-identical for any --threads=N and any chunk size (sketch.h
-// explains why), while peak profiling memory is bounded by
+// ProfileColumn/ProfileColumns are the only way to compute the Section
+// 5.1 statistics. A column is split into ProfileOptions::chunk_rows
+// blocks, each block is absorbed into a partial StatisticsSketch on the
+// shared pool, and the partials are folded in canonical chunk order — so
+// the result is byte-identical for any --threads=N and any chunk size
+// (sketch.h explains why), while peak profiling memory is bounded by
 // (threads + 1) sketches instead of one map over the whole column.
 //
-// Spill-to-cache: when a ProfileCache is active, multi-chunk columns
-// content-address each chunk's partial sketch in the cache, so a warm
-// (or interrupted-and-resumed) run re-reads absorbed chunks instead of
-// recomputing them, and the finalized statistics are stored under a key
-// that mixes in the approximation mode and budget whenever they can
-// influence the result.
+// When a ProfileCache is active, the finalized statistics of a column
+// are looked up and stored under a key that mixes in the approximation
+// mode and budget whenever they can influence the result.
 //
 // Options are threaded the PR-5 way: explicitly per call, or ambient
 // via ScopedProfileOptions (installed by EfesEngine::Run from

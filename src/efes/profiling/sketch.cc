@@ -389,77 +389,6 @@ AttributeStatistics StatisticsSketch::Finalize() const {
   return stats;
 }
 
-SketchState StatisticsSketch::ExportState() const {
-  SketchState state;
-  state.target_type = target_type_;
-  state.mode = mode_;
-  state.cap_bytes = cap_bytes_;
-  state.level = level_;
-  state.total_count = total_count_;
-  state.null_count = null_count_;
-  state.uncastable_count = uncastable_count_;
-  state.numeric_count = numeric_count_;
-  state.numeric_min = numeric_min_;
-  state.numeric_max = numeric_max_;
-  state.entries.reserve(tracked_.size());
-  for (const auto& [value, entry] : tracked_) {
-    state.entries.emplace_back(value, entry.first);
-  }
-  std::sort(state.entries.begin(), state.entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return state;
-}
-
-Result<StatisticsSketch> StatisticsSketch::FromState(
-    const SketchState& state) {
-  if (state.mode != ApproximationMode::kExact &&
-      state.mode != ApproximationMode::kSketch &&
-      state.mode != ApproximationMode::kAuto) {
-    return Status::InvalidArgument("sketch state has an unknown mode");
-  }
-  if (state.level > 63) {
-    return Status::InvalidArgument("sketch state has an impossible level");
-  }
-  StatisticsSketch sketch;
-  sketch.target_type_ = state.target_type;
-  sketch.mode_ = state.mode;
-  sketch.cap_bytes_ = state.cap_bytes;
-  sketch.level_ = state.level;
-  sketch.total_count_ = state.total_count;
-  sketch.null_count_ = state.null_count;
-  sketch.uncastable_count_ = state.uncastable_count;
-  sketch.numeric_count_ = state.numeric_count;
-  sketch.numeric_min_ = state.numeric_min;
-  sketch.numeric_max_ = state.numeric_max;
-  uint64_t non_null = 0;
-  for (const auto& [value, count] : state.entries) {
-    if (count == 0 || value.is_null()) {
-      return Status::InvalidArgument("sketch state entry is degenerate");
-    }
-    const uint64_t hash = SketchValueHash(value);
-    if (!sketch.Tracks(hash)) {
-      return Status::InvalidArgument(
-          "sketch state entry violates its sampling threshold");
-    }
-    auto [it, inserted] = sketch.tracked_.try_emplace(
-        value, std::pair<uint64_t, uint64_t>(count, hash));
-    if (!inserted) {
-      return Status::InvalidArgument("sketch state has duplicate entries");
-    }
-    sketch.tracked_bytes_ += EntryCost(value);
-    non_null += count;
-  }
-  if (non_null > state.total_count - state.null_count ||
-      state.null_count > state.total_count) {
-    return Status::InvalidArgument("sketch state counters are inconsistent");
-  }
-  if (sketch.cap_bytes_ != 0 &&
-      kSketchFixedBytes + sketch.tracked_bytes_ > sketch.cap_bytes_) {
-    return Status::InvalidArgument("sketch state exceeds its own budget");
-  }
-  return sketch;
-}
-
 void ValueBloom::InsertHash(uint64_t hash) {
   // Three probes from independent 12-bit slices of the 64-bit hash.
   for (int probe = 0; probe < 3; ++probe) {

@@ -1,8 +1,8 @@
 // Mergeable statistic sketches — out-of-core profiling (DESIGN.md §16).
 //
-// The whole-column ComputeStatistics path materializes a column before
-// profiling it, which caps EFES far below the 100M+ row target. This
-// layer redesigns profiling around a *mergeable accumulator*:
+// Profiling one whole materialized column in a single pass would cap
+// EFES far below the 100M+ row target. This layer builds profiling
+// around a *mergeable accumulator*:
 //
 //   StatisticsSketch sketch(type, options);
 //   sketch.Absorb(chunk values...);      // any partition of the column
@@ -88,23 +88,6 @@ struct ProfileOptions {
 /// is not set (roughly a few thousand tracked values).
 inline constexpr size_t kDefaultSketchMemoryBytes = 256 * 1024;
 
-/// Serializable sketch state (cache/profile_cache.cc persists it with
-/// hexfloat doubles and escaped strings). `entries` is in canonical
-/// sorted-value order, so equal sketches serialize byte-identically.
-struct SketchState {
-  DataType target_type = DataType::kText;
-  ApproximationMode mode = ApproximationMode::kExact;
-  uint64_t cap_bytes = 0;
-  uint32_t level = 0;
-  uint64_t total_count = 0;
-  uint64_t null_count = 0;
-  uint64_t uncastable_count = 0;
-  uint64_t numeric_count = 0;
-  double numeric_min = 0.0;
-  double numeric_max = 0.0;
-  std::vector<std::pair<Value, uint64_t>> entries;
-};
-
 class StatisticsSketch {
  public:
   /// An exact, unbudgeted sketch against text (vector-resize default).
@@ -138,12 +121,6 @@ class StatisticsSketch {
   ApproximationMode effective_mode() const;
   uint32_t level() const { return level_; }
   size_t tracked_count() const { return tracked_.size(); }
-
-  /// State export/import for cache persistence. FromState re-validates
-  /// the tracking invariant, so a mangled snapshot entry degrades to a
-  /// parse error (= a cache miss), never a corrupt sketch.
-  SketchState ExportState() const;
-  static Result<StatisticsSketch> FromState(const SketchState& state);
 
  private:
   Status EnforceBudget();

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "efes/common/string_util.h"
-#include "efes/profiling/profiler.h"
 
 namespace efes {
 
@@ -145,40 +144,6 @@ std::string GeneralizeToPattern(std::string_view text) {
     last_class = cls;
   }
   return pattern;
-}
-
-namespace {
-
-/// The legacy one-shot semantics: exact, unchunked, unbudgeted. An
-/// exact profile without a --max-memory budget cannot fail, which is
-/// what lets the deprecated wrappers keep their non-Result signatures.
-ProfileOptions LegacyWholeColumnOptions() {
-  ProfileOptions options;
-  options.chunk_rows = 0;  // the whole column as one chunk
-  options.max_memory_bytes = 0;
-  options.mode = ApproximationMode::kExact;
-  return options;
-}
-
-}  // namespace
-
-AttributeStatistics ComputeStatistics(const std::vector<Value>& column,
-                                      DataType target_type) {
-  Result<AttributeStatistics> stats =
-      ProfileColumn(column, target_type, LegacyWholeColumnOptions());
-  if (!stats.ok()) return AttributeStatistics{};  // unreachable: cannot fail
-  return *std::move(stats);
-}
-
-Result<std::vector<AttributeStatistics>> ComputeStatisticsBatch(
-    const std::vector<ColumnStatisticsRequest>& requests) {
-  std::vector<ProfileRequest> profile_requests;
-  profile_requests.reserve(requests.size());
-  for (const ColumnStatisticsRequest& request : requests) {
-    profile_requests.push_back(
-        ProfileRequest{request.column, request.target_type});
-  }
-  return ProfileColumns(profile_requests, LegacyWholeColumnOptions());
 }
 
 std::vector<StatisticType> ApplicableStatistics(DataType target_type) {

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "efes/common/result.h"
 #include "efes/relational/table.h"
 #include "efes/relational/value.h"
 
@@ -145,29 +144,6 @@ struct AttributeStatistics {
   /// Multi-line human-readable rendering for reports/examples.
   std::string ToString() const;
 };
-
-/// \deprecated One-shot whole-column wrapper kept for compatibility.
-/// New call sites must use ProfileColumn (profiling/profiler.h), which
-/// streams the column in chunks under the ambient ProfileOptions; the
-/// `whole-column-profile` efes_lint check bans this name outside
-/// profiling/. This wrapper profiles exactly, unchunked, unbudgeted —
-/// the legacy semantics — and is itself a thin shim over the sketch
-/// path, so wrapper and sketch outputs are bit-identical.
-AttributeStatistics ComputeStatistics(const std::vector<Value>& column,
-                                      DataType target_type);
-
-/// \deprecated Superseded by ProfileRequest (profiling/profiler.h),
-/// which adds ProfileOptions (chunking, memory budget, approximation
-/// mode). Kept only for the ComputeStatisticsBatch wrapper below.
-struct ColumnStatisticsRequest {
-  const std::vector<Value>* column = nullptr;
-  DataType target_type = DataType::kText;
-};
-
-/// \deprecated Whole-column batch wrapper over ProfileColumns
-/// (profiling/profiler.h); same migration rule as ComputeStatistics.
-Result<std::vector<AttributeStatistics>> ComputeStatisticsBatch(
-    const std::vector<ColumnStatisticsRequest>& requests);
 
 /// Generalizes a string into its text pattern: digit runs -> '9', letter
 /// runs -> 'a', whitespace runs -> ' ', everything else verbatim.

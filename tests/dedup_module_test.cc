@@ -291,7 +291,7 @@ TEST(DedupModuleTest, DetectFaultIsContainedByTheEngine) {
   ASSERT_TRUE(
       FaultRegistry::Global().ArmFromString("dedup.detect:once").ok());
   EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(scenario, ExpectedQuality::kHighQuality);
+  auto result = engine.Run(scenario);
   FaultRegistry::Global().DisarmAll();
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->degraded);

@@ -120,14 +120,17 @@ TEST(EffortModelTest, EmptyModelEstimatesZero) {
 
 TEST(EffortModelTest, SetFunctionOverrides) {
   EffortModel model = EffortModel::PaperDefault();
-  model.SetFunction(TaskType::kRejectTuples,
-                    [](const Task&, const ExecutionSettings&) {
-                      return 99.0;
-                    });
+  model.SetFunction(
+      TaskType::kRejectTuples,
+      [](const Task&, const ExecutionSettings&) { return 99.0; }, "99", {});
   ExecutionSettings settings;
   EXPECT_DOUBLE_EQ(
       model.EstimateMinutes(MakeTask(TaskType::kRejectTuples, {}), settings),
       99.0);
+  EffortExplanation explanation =
+      model.Explain(MakeTask(TaskType::kRejectTuples, {}), settings);
+  EXPECT_EQ(explanation.function, "99");
+  EXPECT_TRUE(explanation.parameters.empty());
 }
 
 TEST(EffortModelTest, DescribeDefaultFunctions) {

@@ -11,6 +11,13 @@
 namespace efes {
 namespace {
 
+/// The low-effort run most tests here price.
+RunOptions LowEffort() {
+  RunOptions options;
+  options.quality = ExpectedQuality::kLowEffort;
+  return options;
+}
+
 IntegrationScenario MakeTrivialScenario() {
   Schema target_schema("target");
   (void)target_schema.AddRelation(
@@ -75,7 +82,7 @@ TEST(EngineTest, RunsModulesAndPricesTasks) {
   engine.AddModule(std::make_unique<FakeModule>(3));
   EXPECT_EQ(engine.module_count(), 1u);
   IntegrationScenario scenario = MakeTrivialScenario();
-  auto result = engine.Run(scenario, ExpectedQuality::kLowEffort);
+  auto result = engine.Run(scenario, LowEffort());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->estimate.tasks.size(), 3u);
   EXPECT_DOUBLE_EQ(result->estimate.TotalMinutes(), 15.0);
@@ -94,7 +101,7 @@ TEST(EngineTest, MultipleModulesAggregate) {
   engine.AddModule(std::make_unique<FakeModule>(1));
   engine.AddModule(std::make_unique<FakeModule>(2));
   IntegrationScenario scenario = MakeTrivialScenario();
-  auto result = engine.Run(scenario, ExpectedQuality::kHighQuality);
+  auto result = engine.Run(scenario);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->estimate.tasks.size(), 3u);
   EXPECT_EQ(result->module_runs.size(), 2u);
@@ -114,7 +121,7 @@ TEST(EngineTest, RunValidatesScenario) {
   broken.AddRelation("ghost", "t");
   IntegrationScenario scenario("broken", std::move(*target));
   scenario.AddSource(std::move(*source), std::move(broken));
-  auto result = engine.Run(scenario, ExpectedQuality::kLowEffort);
+  auto result = engine.Run(scenario, LowEffort());
   EXPECT_FALSE(result.ok());
 }
 
@@ -133,7 +140,7 @@ TEST(EngineTest, CustomEffortModelIsUsed) {
   EfesEngine engine(std::move(model));
   engine.AddModule(std::make_unique<FakeModule>(2));
   IntegrationScenario scenario = MakeTrivialScenario();
-  auto result = engine.Run(scenario, ExpectedQuality::kLowEffort);
+  auto result = engine.Run(scenario, LowEffort());
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result->estimate.TotalMinutes(), 0.0);
 }
@@ -142,7 +149,7 @@ TEST(EngineTest, EstimateToTextContainsBreakdown) {
   EfesEngine engine;
   engine.AddModule(std::make_unique<FakeModule>(1));
   IntegrationScenario scenario = MakeTrivialScenario();
-  auto result = engine.Run(scenario, ExpectedQuality::kLowEffort);
+  auto result = engine.Run(scenario, LowEffort());
   ASSERT_TRUE(result.ok());
   std::string text = result->ToText();
   EXPECT_NE(text.find("fake report"), std::string::npos);
@@ -185,7 +192,7 @@ TEST(EngineDegradedTest, FailingModuleDegradesInsteadOfAborting) {
   engine.AddModule(std::make_unique<FakeModule>(3));
   engine.AddModule(std::make_unique<BrokenAssessModule>());
   IntegrationScenario scenario = MakeTrivialScenario();
-  auto result = engine.Run(scenario, ExpectedQuality::kLowEffort);
+  auto result = engine.Run(scenario, LowEffort());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->degraded);
   ASSERT_EQ(result->module_runs.size(), 2u);
@@ -209,7 +216,7 @@ TEST(EngineDegradedTest, ThrowingModuleIsConvertedToStatus) {
   EfesEngine engine;
   engine.AddModule(std::make_unique<ThrowingPlanModule>());
   IntegrationScenario scenario = MakeTrivialScenario();
-  auto result = engine.Run(scenario, ExpectedQuality::kLowEffort);
+  auto result = engine.Run(scenario, LowEffort());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->degraded);
   ASSERT_EQ(result->module_runs.size(), 1u);
@@ -227,7 +234,7 @@ TEST(EngineDegradedTest, DegradedTextCallsOutTheFailure) {
   EfesEngine engine;
   engine.AddModule(std::make_unique<BrokenAssessModule>());
   IntegrationScenario scenario = MakeTrivialScenario();
-  auto result = engine.Run(scenario, ExpectedQuality::kLowEffort);
+  auto result = engine.Run(scenario, LowEffort());
   ASSERT_TRUE(result.ok());
   std::string text = result->ToText();
   EXPECT_NE(text.find("DEGRADED RUN"), std::string::npos);
@@ -238,7 +245,7 @@ TEST(EngineDegradedTest, CleanRunTextHasNoDegradedMarkers) {
   EfesEngine engine;
   engine.AddModule(std::make_unique<FakeModule>(1));
   IntegrationScenario scenario = MakeTrivialScenario();
-  auto result = engine.Run(scenario, ExpectedQuality::kLowEffort);
+  auto result = engine.Run(scenario, LowEffort());
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->degraded);
   EXPECT_EQ(result->ToText().find("DEGRADED"), std::string::npos);
@@ -288,7 +295,7 @@ TEST(SetEffortModelTest, InstalledModelPricesTasks) {
   doubled.set_global_scale(2.0);
   ASSERT_TRUE(engine.set_effort_model(std::move(doubled)).ok());
   IntegrationScenario scenario = MakeTrivialScenario();
-  auto result = engine.Run(scenario, ExpectedQuality::kLowEffort);
+  auto result = engine.Run(scenario, LowEffort());
   ASSERT_TRUE(result.ok());
   // 3 reject-tuples tasks at 5 min each, doubled by the global scale.
   EXPECT_DOUBLE_EQ(result->estimate.TotalMinutes(), 30.0);

@@ -196,7 +196,7 @@ class FaultMatrixTest : public FaultTest {
     auto scenario = LoadScenario(directory_);
     if (!scenario.ok()) return scenario.status();
     EfesEngine engine = MakeDefaultEngine();
-    return engine.Run(*scenario, ExpectedQuality::kHighQuality);
+    return engine.Run(*scenario);
   }
 
   std::string directory_;

@@ -17,10 +17,12 @@ class PipelineTest : public ::testing::Test {
     ASSERT_TRUE(scenario.ok());
     scenario_ = std::make_unique<IntegrationScenario>(std::move(*scenario));
     EfesEngine engine = MakeDefaultEngine();
-    auto high = engine.Run(*scenario_, ExpectedQuality::kHighQuality);
+    auto high = engine.Run(*scenario_);
     ASSERT_TRUE(high.ok());
     high_ = std::make_unique<EstimationResult>(std::move(*high));
-    auto low = engine.Run(*scenario_, ExpectedQuality::kLowEffort);
+    RunOptions low_effort;
+    low_effort.quality = ExpectedQuality::kLowEffort;
+    auto low = engine.Run(*scenario_, low_effort);
     ASSERT_TRUE(low.ok());
     low_ = std::make_unique<EstimationResult>(std::move(*low));
   }
@@ -125,10 +127,9 @@ TEST_F(PipelineTest, ComplexityAssessmentAloneWorks) {
 
 TEST_F(PipelineTest, ExecutionSettingsScaleTheEstimate) {
   EfesEngine engine = MakeDefaultEngine();
-  ExecutionSettings stressed;
-  stressed.criticality = 2.0;
-  auto result =
-      engine.Run(*scenario_, ExpectedQuality::kHighQuality, stressed);
+  RunOptions stressed;
+  stressed.settings.criticality = 2.0;
+  auto result = engine.Run(*scenario_, stressed);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->estimate.TotalMinutes(),
               2.0 * high_->estimate.TotalMinutes(), 1e-6);

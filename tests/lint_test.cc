@@ -2,9 +2,8 @@
 // is found), a negative case (idiomatic code stays clean), and a
 // suppression case (EFES_LINT_ALLOW with a reason silences it, without
 // one it doesn't). Fixture sources live in raw strings, so linting this
-// file itself stays clean. The meta-test at the bottom runs the linter
-// over the real tree and is the executable form of the project rule
-// "the tree ships lint-clean".
+// file itself stays clean. The meta-tests at the end lint the real tree
+// in-process; the lint_tree ctest runs the full gate through the CLI.
 
 #include "efes/lint/lint.h"
 
@@ -12,11 +11,14 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "efes/common/file_io.h"
+#include "efes/lint/registry.h"
+#include "efes/lint/sarif.h"
 #include "efes/lint/token.h"
 
 namespace efes::lint {
@@ -26,7 +28,7 @@ using File = std::pair<std::string, std::string>;
 
 std::vector<Finding> Lint(const std::vector<File>& files) {
   Linter linter;
-  return linter.Run(files);
+  return linter.RunFiles(files);
 }
 
 /// Unsuppressed findings of one check id.
@@ -82,67 +84,6 @@ TEST(TokenizerTest, SurvivesUnterminatedLiterals) {
   EXPECT_FALSE(Tokenize("const char* s = \"never closed").empty());
   EXPECT_FALSE(Tokenize("/* never closed").empty());
   EXPECT_FALSE(Tokenize("R\"tag(never closed").empty());
-}
-
-// ------------------------------------------------------ discarded-status
-
-constexpr char kStatusDecls[] = R"(
-#pragma once
-Status Save(int x);
-Result<int> Load(int x);
-)";
-
-TEST(DiscardedStatusTest, FlagsBareStatementCall) {
-  auto findings = Lint({{"a/decl.h", kStatusDecls},
-                        {"a/use.cc", "void F() {\n  Save(1);\n}\n"}});
-  auto hits = FindingsOf(findings, "discarded-status");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].file, "a/use.cc");
-  EXPECT_EQ(hits[0].line, 2);
-}
-
-TEST(DiscardedStatusTest, FlagsResultAndMemberCalls) {
-  auto findings =
-      Lint({{"a/decl.h", kStatusDecls},
-            {"a/use.cc", "void F(Db& db) {\n  Load(2);\n  db.Save(3);\n}\n"}});
-  EXPECT_EQ(FindingsOf(findings, "discarded-status").size(), 2u);
-}
-
-TEST(DiscardedStatusTest, ConsumedResultsAreClean) {
-  auto findings = Lint(
-      {{"a/decl.h", kStatusDecls},
-       {"a/use.cc",
-        "Status G();\n"
-        "Status F() {\n"
-        "  Status s = Save(1);\n"
-        "  if (!Save(2).ok()) return G();\n"
-        "  EFES_RETURN_IF_ERROR(Save(3));\n"
-        "  (void)Save(4);\n"
-        "  return Save(5);\n"
-        "}\n"}});
-  EXPECT_TRUE(FindingsOf(findings, "discarded-status").empty());
-}
-
-TEST(DiscardedStatusTest, NameOverloadedWithOtherReturnTypeIsSkipped) {
-  // A second declaration `void Save(...)` makes the name ambiguous; the
-  // check backs off and leaves it to the compiler's [[nodiscard]].
-  auto findings = Lint({{"a/decl.h", kStatusDecls},
-                        {"a/other.h", "#pragma once\nvoid Save(double x);\n"},
-                        {"a/use.cc", "void F() {\n  Save(1);\n}\n"}});
-  EXPECT_TRUE(FindingsOf(findings, "discarded-status").empty());
-}
-
-TEST(DiscardedStatusTest, SuppressionWithReasonSilences) {
-  auto findings = Lint(
-      {{"a/decl.h", kStatusDecls},
-       {"a/use.cc",
-        "void F() {\n"
-        "  // EFES_LINT_ALLOW(discarded-status): best-effort cleanup\n"
-        "  Save(1);\n"
-        "}\n"}});
-  EXPECT_TRUE(FindingsOf(findings, "discarded-status").empty());
-  ASSERT_EQ(findings.size(), 1u);  // still reported, as suppressed
-  EXPECT_TRUE(findings[0].suppressed);
 }
 
 // -------------------------------------------------------- nondeterminism
@@ -311,20 +252,11 @@ TEST(BannedFunctionTest, FlagsCFootgunsAndNakedNewDelete) {
   EXPECT_EQ(FindingsOf(findings, "banned-function").size(), 5u);
 }
 
-TEST(BannedFunctionTest, FlagsRemovedMutableEffortModelAccessor) {
-  auto findings = Lint({{"src/efes/core/x.cc",
-                         "void F(EfesEngine& engine) {\n"
-                         "  engine.mutable_effort_model().set_global_scale("
-                         "2.0);\n"
-                         "}\n"}});
-  EXPECT_EQ(FindingsOf(findings, "banned-function").size(), 1u);
-}
-
 TEST(BannedFunctionTest, MentionInStringLiteralIsClean) {
   auto findings = Lint({{"src/efes/core/x.cc",
                          "const char* kHint =\n"
-                         "    \"mutable_effort_model was replaced by "
-                         "set_effort_model\";\n"}});
+                         "    \"strcpy(d, s) and new Thing() are "
+                         "banned\";\n"}});
   EXPECT_TRUE(FindingsOf(findings, "banned-function").empty());
 }
 
@@ -430,6 +362,18 @@ TEST(MetricNameTest, ConcatenatedOrComputedNamesAreSkipped) {
   EXPECT_TRUE(FindingsOf(findings, "metric-name").empty());
 }
 
+TEST(MetricNameTest, ServeAndCacheCounterSitesAreChecked) {
+  // metric-name reads the same call sites as the registry check.
+  auto findings = Lint({{"src/efes/serve/x.cc",
+                         "void F() {\n"
+                         "  ServeCounter(\"Requests\").Increment();\n"
+                         "  CacheCounter(\"cache.hits\").Increment();\n"
+                         "}\n"}});
+  auto hits = FindingsOf(findings, "metric-name");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].line, 2);
+}
+
 TEST(MetricNameTest, SuppressionWithReasonSilences) {
   auto findings = Lint(
       {{"src/efes/core/x.cc",
@@ -440,50 +384,404 @@ TEST(MetricNameTest, SuppressionWithReasonSilences) {
   EXPECT_TRUE(FindingsOf(findings, "metric-name").empty());
 }
 
-// -------------------------------------------------- whole-column-profile
+// ------------------------------------------------------- lock-discipline
 
-TEST(WholeColumnProfileTest, FlagsDeprecatedApiOutsideProfiling) {
-  auto findings = Lint(
-      {{"src/efes/matching/x.cc",
-        "void F(const std::vector<Value>& column) {\n"
-        "  AttributeStatistics s = ComputeStatistics(column, "
-        "DataType::kText);\n"
-        "  std::vector<ColumnStatisticsRequest> requests;\n"
-        "  auto batch = ComputeStatisticsBatch(requests);\n"
-        "}\n"}});
-  EXPECT_EQ(FindingsOf(findings, "whole-column-profile").size(), 3u);
+// A guarded member, one locked accessor, one unlocked accessor. The
+// annotation lives in the header and the violation in the .cc — the
+// check only works across the merged index.
+constexpr char kGuardedHeader[] = R"(
+#pragma once
+class Counter {
+ public:
+  void Add(int n);
+  int Total() const;
+ private:
+  mutable std::mutex mutex_;
+  int total_ EFES_GUARDED_BY(mutex_) = 0;
+};
+)";
+
+TEST(LockDisciplineTest, FlagsUnlockedAccessAcrossFiles) {
+  auto findings =
+      Lint({{"src/efes/x/counter.h", kGuardedHeader},
+            {"src/efes/x/counter.cc",
+             "void Counter::Add(int n) {\n"
+             "  std::lock_guard<std::mutex> lock(mutex_);\n"
+             "  total_ += n;\n"
+             "}\n"
+             "int Counter::Total() const {\n"
+             "  return total_;\n"
+             "}\n"}});
+  auto hits = FindingsOf(findings, "lock-discipline");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].file, "src/efes/x/counter.cc");
+  EXPECT_EQ(hits[0].line, 6);
+  EXPECT_NE(hits[0].message.find("Counter::total_"), std::string::npos);
 }
 
-TEST(WholeColumnProfileTest, ProfilingModuleAndSketchApiAreClean) {
-  // The declaring module keeps the deprecated wrapper; everyone else is
-  // clean when using the chunked ProfileColumn path.
-  EXPECT_TRUE(
-      FindingsOf(
-          Lint({{"src/efes/profiling/statistics.cc",
-                 "AttributeStatistics ComputeStatistics(\n"
-                 "    const std::vector<Value>& column, DataType t) {\n"
-                 "  return {};\n"
-                 "}\n"}}),
-          "whole-column-profile")
-          .empty());
-  EXPECT_TRUE(
-      FindingsOf(
-          Lint({{"src/efes/matching/x.cc",
-                 "void F(const std::vector<Value>& column) {\n"
-                 "  auto s = ProfileColumn(column, DataType::kText);\n"
-                 "}\n"}}),
-          "whole-column-profile")
-          .empty());
+TEST(LockDisciplineTest, LockedAccessesAreClean) {
+  auto findings =
+      Lint({{"src/efes/x/counter.h", kGuardedHeader},
+            {"src/efes/x/counter.cc",
+             "void Counter::Add(int n) {\n"
+             "  std::lock_guard<std::mutex> lock(mutex_);\n"
+             "  total_ += n;\n"
+             "}\n"
+             "int Counter::Total() const {\n"
+             "  std::unique_lock<std::mutex> lock(mutex_);\n"
+             "  return total_;\n"
+             "}\n"}});
+  EXPECT_TRUE(FindingsOf(findings, "lock-discipline").empty());
 }
 
-TEST(WholeColumnProfileTest, SuppressionWithReasonSilences) {
+TEST(LockDisciplineTest, ConstructorsAndLockedHelpersAreExempt) {
+  auto findings =
+      Lint({{"src/efes/x/counter.h", kGuardedHeader},
+            {"src/efes/x/counter.cc",
+             "Counter::Counter() {\n"
+             "  total_ = 0;\n"
+             "}\n"
+             "void Counter::AddLocked(int n) {\n"
+             "  total_ += n;\n"
+             "}\n"
+             "void Counter::Add(int n) {\n"
+             "  std::lock_guard<std::mutex> lock(mutex_);\n"
+             "  total_ += n;\n"
+             "}\n"}});
+  EXPECT_TRUE(FindingsOf(findings, "lock-discipline").empty());
+}
+
+TEST(LockDisciplineTest, ManualUnlockSuspendsTheRegion) {
+  auto findings =
+      Lint({{"src/efes/x/counter.h", kGuardedHeader},
+            {"src/efes/x/counter.cc",
+             "void Counter::Add(int n) {\n"
+             "  std::unique_lock<std::mutex> lock(mutex_);\n"
+             "  total_ += n;\n"
+             "  lock.unlock();\n"
+             "  total_ += n;\n"
+             "}\n"}});
+  auto hits = FindingsOf(findings, "lock-discipline");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].line, 5);
+}
+
+TEST(LockDisciplineTest, DeletedAnnotationIsInferredBack) {
+  // Same class without the annotation: every access still happens under
+  // mutex_, so the checker demands the annotation be restored.
+  auto findings =
+      Lint({{"src/efes/x/counter.h",
+             "#pragma once\n"
+             "class Counter {\n"
+             " public:\n"
+             "  void Add(int n);\n"
+             "  int Total() const;\n"
+             " private:\n"
+             "  mutable std::mutex mutex_;\n"
+             "  int total_ = 0;\n"
+             "};\n"},
+            {"src/efes/x/counter.cc",
+             "void Counter::Add(int n) {\n"
+             "  std::lock_guard<std::mutex> lock(mutex_);\n"
+             "  total_ += n;\n"
+             "}\n"
+             "int Counter::Total() const {\n"
+             "  std::lock_guard<std::mutex> lock(mutex_);\n"
+             "  return total_;\n"
+             "}\n"}});
+  auto hits = FindingsOf(findings, "lock-discipline");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_NE(hits[0].message.find("not annotated"), std::string::npos);
+}
+
+TEST(LockDisciplineTest, MixedLockedAndUnlockedMemberIsNotInferred) {
+  // An unannotated member read outside any lock somewhere is not
+  // "consistently locked" — no inference finding (that pattern needs a
+  // human, not a lint rule).
+  auto findings =
+      Lint({{"src/efes/x/counter.cc",
+             "void Counter::Add(int n) {\n"
+             "  std::lock_guard<std::mutex> lock(mutex_);\n"
+             "  total_ += n;\n"
+             "}\n"
+             "int Counter::Total() const {\n"
+             "  return total_;\n"
+             "}\n"}});
+  EXPECT_TRUE(FindingsOf(findings, "lock-discipline").empty());
+}
+
+TEST(LockDisciplineTest, SuppressionWithReasonSilences) {
+  auto findings =
+      Lint({{"src/efes/x/counter.h", kGuardedHeader},
+            {"src/efes/x/counter.cc",
+             "int Counter::Total() const {\n"
+             "  // EFES_LINT_ALLOW(lock-discipline): racy read is "
+             "a documented estimate\n"
+             "  return total_;\n"
+             "}\n"}});
+  EXPECT_TRUE(FindingsOf(findings, "lock-discipline").empty());
+  // Still reported, as suppressed.
+  bool saw_suppressed = false;
+  for (const Finding& f : findings) {
+    if (f.check == "lock-discipline") {
+      EXPECT_TRUE(f.suppressed);
+      saw_suppressed = true;
+    }
+  }
+  EXPECT_TRUE(saw_suppressed);
+}
+
+TEST(LockDisciplineTest, LintMarkerSilencesItNextToAPerFileFinding) {
+  // One marker for every check: EFES_LINT_ALLOW silences a
+  // whole-program finding and a per-file finding in the same file, and
+  // neither suppression is itself a bad-suppression.
+  auto findings =
+      Lint({{"src/efes/x/counter.h", kGuardedHeader},
+            {"src/efes/x/counter.cc",
+             "int Counter::Total() const {\n"
+             "  // EFES_LINT_ALLOW(lock-discipline): racy read is an "
+             "estimate\n"
+             "  return total_;\n"
+             "}\n"
+             "void Counter::Pause() {\n"
+             "  // EFES_LINT_ALLOW(unbounded-wait): test-only pause\n"
+             "  std::this_thread::sleep_for(kTick);\n"
+             "}\n"}});
+  size_t suppressed = 0;
+  for (const Finding& f : findings) {
+    if (f.check == "lock-discipline" || f.check == "unbounded-wait") {
+      EXPECT_TRUE(f.suppressed) << f.message;
+      ++suppressed;
+    }
+  }
+  EXPECT_EQ(suppressed, 2u);
+  EXPECT_TRUE(FindingsOf(findings, "bad-suppression").empty());
+}
+
+// ---------------------------------------------------------- cancellation
+
+TEST(CancellationTest, FlagsRootThatNeverReachesCheckpoint) {
   auto findings = Lint(
-      {{"tests/statistics_test.cc",
-        "void F(const std::vector<Value>& column) {\n"
-        "  // EFES_LINT_ALLOW(whole-column-profile): wrapper coverage\n"
-        "  auto s = ComputeStatistics(column, DataType::kText);\n"
+      {{"src/efes/mapping/m.cc",
+        "Result<int> MappingModule::AssessComplexity(const Scenario& s) "
+        "const {\n"
+        "  return Walk(s);\n"
+        "}\n"
+        "Result<int> Walk(const Scenario& s) {\n"
+        "  return 1;\n"
         "}\n"}});
-  EXPECT_TRUE(FindingsOf(findings, "whole-column-profile").empty());
+  auto hits = FindingsOf(findings, "cancellation");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].line, 1);
+  EXPECT_NE(hits[0].message.find("AssessComplexity"), std::string::npos);
+}
+
+TEST(CancellationTest, CheckpointThroughCalleeIsClean) {
+  // The root reaches CheckCancellation two hops away, across files.
+  auto findings = Lint(
+      {{"src/efes/mapping/m.cc",
+        "Result<int> MappingModule::AssessComplexity(const Scenario& s) "
+        "const {\n"
+        "  return Walk(s);\n"
+        "}\n"},
+       {"src/efes/mapping/walk.cc",
+        "Result<int> Walk(const Scenario& s) {\n"
+        "  EFES_RETURN_IF_ERROR(CheckCancellation());\n"
+        "  return 1;\n"
+        "}\n"}});
+  EXPECT_TRUE(FindingsOf(findings, "cancellation").empty());
+}
+
+TEST(CancellationTest, ParallelFanOutIsARoot) {
+  auto findings = Lint(
+      {{"src/efes/core/fan.cc",
+        "Status FanOut(std::vector<int>& items) {\n"
+        "  return ParallelFor(items, [](int i) { return Use(i); });\n"
+        "}\n"}});
+  auto hits = FindingsOf(findings, "cancellation");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_NE(hits[0].message.find("FanOut"), std::string::npos);
+}
+
+TEST(CancellationTest, RootsOutsideCheckpointDirsAreClean) {
+  // Run() in a directory outside the checkpoint set is not a root.
+  auto findings = Lint(
+      {{"src/efes/matching/m.cc",
+        "Status Matcher::Run() {\n"
+        "  return Status::Ok();\n"
+        "}\n"}});
+  EXPECT_TRUE(FindingsOf(findings, "cancellation").empty());
+}
+
+TEST(CancellationTest, SuppressionWithReasonSilences) {
+  auto findings = Lint(
+      {{"src/efes/mapping/m.cc",
+        "// EFES_LINT_ALLOW(cancellation): trivially O(1) body\n"
+        "Result<int> MappingModule::AssessComplexity(const Scenario& s) "
+        "const {\n"
+        "  return 1;\n"
+        "}\n"}});
+  EXPECT_TRUE(FindingsOf(findings, "cancellation").empty());
+}
+
+// -------------------------------------------------------------- layering
+
+TEST(LayeringTest, FlagsBackEdge) {
+  auto findings = Lint(
+      {{"src/efes/common/helper.h",
+        "#pragma once\n"
+        "#include \"efes/serve/server.h\"\n"},
+       {"src/efes/serve/server.h", "#pragma once\n"}});
+  auto hits = FindingsOf(findings, "layering");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].file, "src/efes/common/helper.h");
+  EXPECT_EQ(hits[0].line, 2);
+}
+
+TEST(LayeringTest, DownwardAndSameRankEdgesAreClean) {
+  auto findings = Lint(
+      {{"src/efes/serve/server.h",
+        "#pragma once\n"
+        "#include \"efes/common/status.h\"\n"},
+       {"src/efes/cache/cache.h",
+        "#pragma once\n"
+        "#include \"efes/profiling/stats.h\"\n"},
+       {"src/efes/common/status.h", "#pragma once\n"},
+       {"src/efes/profiling/stats.h", "#pragma once\n"}});
+  EXPECT_TRUE(FindingsOf(findings, "layering").empty());
+}
+
+TEST(LayeringTest, FlagsIncludeCycle) {
+  auto findings = Lint(
+      {{"src/efes/core/a.h",
+        "#pragma once\n#include \"efes/core/b.h\"\n"},
+       {"src/efes/core/b.h",
+        "#pragma once\n#include \"efes/core/a.h\"\n"}});
+  auto hits = FindingsOf(findings, "layering");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_NE(hits[0].message.find("cycle"), std::string::npos);
+}
+
+TEST(LayeringTest, FlagsDirectoryMissingFromDeclaredOrder) {
+  auto findings =
+      Lint({{"src/efes/mystery/new_thing.h", "#pragma once\n"}});
+  auto hits = FindingsOf(findings, "layering");
+  ASSERT_EQ(hits.size(), 1u);
+}
+
+TEST(LayeringTest, ToolsAndTestsMayIncludeAnything) {
+  auto findings = Lint(
+      {{"tools/efes_cli.cc", "#include \"efes/serve/server.h\"\n"},
+       {"src/efes/serve/server.h", "#pragma once\n"}});
+  EXPECT_TRUE(FindingsOf(findings, "layering").empty());
+}
+
+// -------------------------------------------------------------- registry
+
+RegistryManifests TestManifests() {
+  RegistryManifests m;
+  m.metrics_path = "docs/registry/metrics.md";
+  m.faults_path = "docs/registry/faults.md";
+  m.flags_path = "docs/registry/flags.md";
+  m.metrics = {{"core.run.tuples", 1}};
+  m.faults = {{"io.read", 1}};
+  m.flags = {{"threads", 1}};
+  return m;
+}
+
+TEST(RegistryTest, UnlistedCallSiteIsAFinding) {
+  Linter linter;
+  // Uses every registered name (so nothing is stale) plus one unknown.
+  linter.AddFile("src/efes/core/x.cc",
+                 "Status F(MetricsRegistry& m, FlagSet& flags) {\n"
+                 "  m.GetCounter(\"core.run.unknown\").Increment(1);\n"
+                 "  m.GetCounter(\"core.run.tuples\").Increment(1);\n"
+                 "  EFES_RETURN_IF_ERROR(CheckFaultPoint(\"io.read\"));\n"
+                 "  flags.AddUint(\"threads\", \"N\", \"workers\", &n);\n"
+                 "  return Status::Ok();\n"
+                 "}\n");
+  linter.SetRegistry(TestManifests());
+  auto hits = FindingsOf(linter.Run(), "registry");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].line, 2);
+  EXPECT_NE(hits[0].message.find("core.run.unknown"), std::string::npos);
+}
+
+TEST(RegistryTest, StaleManifestEntryIsAFinding) {
+  Linter linter;
+  linter.AddFile("src/efes/core/x.cc",
+                 "void F(MetricsRegistry& m) {\n"
+                 "  m.GetCounter(\"core.run.tuples\").Increment(1);\n"
+                 "}\n");
+  RegistryManifests manifests = TestManifests();
+  manifests.metrics.push_back({"core.run.ghost", 7});
+  linter.SetRegistry(std::move(manifests));
+  auto hits = FindingsOf(linter.Run(), "registry");
+  ASSERT_EQ(hits.size(), 3u);  // ghost metric + unused fault + flag
+  EXPECT_EQ(hits[0].file, "docs/registry/faults.md");
+  EXPECT_EQ(hits[1].file, "docs/registry/flags.md");
+  EXPECT_EQ(hits[2].file, "docs/registry/metrics.md");
+  EXPECT_EQ(hits[2].line, 7);
+}
+
+TEST(RegistryTest, ListedNamesInAllThreeKindsAreClean) {
+  Linter linter;
+  linter.AddFile("src/efes/core/x.cc",
+                 "Status F(MetricsRegistry& m, FlagSet& flags) {\n"
+                 "  m.GetCounter(\"core.run.tuples\").Increment(1);\n"
+                 "  EFES_RETURN_IF_ERROR(CheckFaultPoint(\"io.read\"));\n"
+                 "  flags.AddUint(\"threads\", \"N\", \"workers\", &n);\n"
+                 "  return Status::Ok();\n"
+                 "}\n");
+  linter.SetRegistry(TestManifests());
+  EXPECT_TRUE(FindingsOf(linter.Run(), "registry").empty());
+}
+
+TEST(RegistryTest, ConcatenatedNamesAreSkipped) {
+  // Runtime-built families never match the complete-dotted-literal rule
+  // and are documented as (dynamic) manifest lines instead.
+  Linter linter;
+  linter.AddFile("src/efes/core/x.cc",
+                 "void F(MetricsRegistry& m, std::string p) {\n"
+                 "  m.GetCounter(\"fault.\" + p + \".hits\")"
+                 ".Increment(1);\n"
+                 "}\n");
+  // Empty manifests: the concatenation fragments must not register as
+  // unlisted call sites.
+  linter.SetRegistry(RegistryManifests());
+  EXPECT_TRUE(FindingsOf(linter.Run(), "registry").empty());
+}
+
+TEST(RegistryTest, WithoutManifestsTheCheckIsSkipped) {
+  auto findings =
+      Lint({{"src/efes/core/x.cc",
+             "void F(MetricsRegistry& m) {\n"
+             "  m.GetCounter(\"core.run.unknown\").Increment(1);\n"
+             "}\n"}});
+  EXPECT_TRUE(FindingsOf(findings, "registry").empty());
+}
+
+// -------------------------------------------------------- manifest parser
+
+TEST(ManifestParserTest, ParsesBacktickedListLines) {
+  auto entries = ParseManifest(
+      "# Registry\n"
+      "\n"
+      "Prose about `inline.code` is not an entry.\n"
+      "- `core.run.tuples` — tuples integrated\n"
+      "  - `serve.request.ms` — indented is fine\n"
+      "- `fault.<point>.hits` (dynamic) — excluded family\n"
+      "- not backticked\n");
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].name, "core.run.tuples");
+  EXPECT_EQ(entries[0].line, 4);
+  EXPECT_EQ(entries[1].name, "serve.request.ms");
+  EXPECT_EQ(entries[1].line, 5);
+}
+
+TEST(ManifestParserTest, MissingManifestFileIsAnError) {
+  auto result = LoadRegistryDir("does/not/exist");
+  EXPECT_FALSE(result.ok());
 }
 
 // ------------------------------------------------------- bad-suppression
@@ -529,27 +827,62 @@ TEST(RenderTest, TextAndJsonCarryFindings) {
   EXPECT_EQ(CountUnsuppressed(findings), 1u);
 }
 
-TEST(RenderTest, CheckCatalogIsStable) {
-  const auto& ids = AllCheckIds();
-  EXPECT_EQ(ids.size(), 10u);
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "metric-name"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "whole-column-profile"),
-            ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "unbounded-wait"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "discarded-status"),
-            ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "bad-suppression"),
-            ids.end());
+TEST(RenderTest, TextCarriesFindingsAndSummary) {
+  // A whole-program finding renders through the same text report.
+  auto findings =
+      Lint({{"src/efes/common/h.h",
+             "#pragma once\n#include \"efes/serve/s.h\"\n"},
+            {"src/efes/serve/s.h", "#pragma once\n"}});
+  ASSERT_EQ(findings.size(), 1u);
+  std::string text = RenderText(findings);
+  EXPECT_NE(text.find("src/efes/common/h.h:2:"), std::string::npos);
+  EXPECT_NE(text.find("[layering]"), std::string::npos);
+  EXPECT_NE(text.find("efes_lint: 1 unsuppressed"), std::string::npos);
 }
 
-// -------------------------------------------------------------- meta-test
+TEST(RenderTest, CheckCatalogIsStable) {
+  const auto& ids = AllCheckIds();
+  EXPECT_EQ(ids.size(), 12u);
+  for (const char* id :
+       {"nondeterminism", "unordered-iteration", "raw-file-write",
+        "header-hygiene", "banned-function", "unbounded-wait", "metric-name",
+        "lock-discipline", "cancellation", "layering", "registry",
+        "bad-suppression"}) {
+    EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
+  }
+}
+
+TEST(SarifTest, RendersValidMinimalDocument) {
+  auto findings =
+      Lint({{"src/efes/common/h.h",
+             "#pragma once\n#include \"efes/serve/s.h\"\n"},
+            {"src/efes/serve/s.h", "#pragma once\n"}});
+  ASSERT_EQ(findings.size(), 1u);
+  std::string sarif = RenderSarif(findings);
+  EXPECT_NE(sarif.find("\"version\":\"2.1.0\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"name\":\"efes_lint\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"ruleId\":\"layering\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"startLine\":2"), std::string::npos);
+  EXPECT_EQ(sarif.find("\"suppressions\""), std::string::npos);
+}
+
+TEST(SarifTest, SuppressedFindingsAreMarkedInSource) {
+  std::vector<Finding> findings = {
+      {"a.cc", 3, "layering", "msg", true}};
+  std::string sarif = RenderSarif(findings);
+  EXPECT_NE(sarif.find("\"level\":\"note\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"kind\":\"inSource\""), std::string::npos);
+}
+
+// ------------------------------------------------------------- meta-tests
 
 #ifdef EFES_SOURCE_DIR
-TEST(LintTreeMetaTest, RealTreeIsLintClean) {
+/// Feeds every C++ source under `dirs` of the real tree to `linter`.
+void AddRealTree(std::initializer_list<const char*> dirs, Linter* linter) {
   namespace fs = std::filesystem;
   const fs::path root(EFES_SOURCE_DIR);
-  std::vector<File> sources;
-  for (const char* dir : {"src", "tools", "tests", "bench"}) {
+  size_t file_count = 0;
+  for (const char* dir : dirs) {
     for (const auto& entry :
          fs::recursive_directory_iterator(root / dir)) {
       if (!entry.is_regular_file()) continue;
@@ -560,16 +893,41 @@ TEST(LintTreeMetaTest, RealTreeIsLintClean) {
       }
       auto content = ReadFileToString(entry.path().string());
       ASSERT_TRUE(content.ok()) << entry.path();
-      sources.emplace_back(entry.path().generic_string(),
-                           std::move(content).value());
+      linter->AddFile(entry.path().generic_string(), content.value());
+      ++file_count;
     }
   }
-  ASSERT_GT(sources.size(), 100u);  // sanity: the walk found the tree
-  auto findings = Lint(sources);
+  ASSERT_GT(file_count, 100u);  // sanity: the walk found the tree
+}
+
+std::vector<Finding> Unsuppressed(const std::vector<Finding>& findings) {
   std::vector<Finding> bad;
   for (const Finding& f : findings) {
     if (!f.suppressed) bad.push_back(f);
   }
+  return bad;
+}
+
+TEST(LintTreeMetaTest, RealTreeIsLintClean) {
+  // Every check but the registry one, over all four trees.
+  Linter linter;
+  ASSERT_NO_FATAL_FAILURE(
+      AddRealTree({"src", "tools", "tests", "bench"}, &linter));
+  const auto bad = Unsuppressed(linter.Run());
+  EXPECT_TRUE(bad.empty()) << RenderText(bad);
+}
+
+TEST(AnalyzeTreeMetaTest, RealTreeIsAnalyzeClean) {
+  // The whole-program scope (the shipped tree) against the checked-in
+  // registry.
+  Linter linter;
+  ASSERT_NO_FATAL_FAILURE(AddRealTree({"src", "tools"}, &linter));
+  auto manifests = LoadRegistryDir(
+      (std::filesystem::path(EFES_SOURCE_DIR) / "docs" / "registry")
+          .string());
+  ASSERT_TRUE(manifests.ok()) << manifests.status().ToString();
+  linter.SetRegistry(std::move(manifests).value());
+  const auto bad = Unsuppressed(linter.Run());
   EXPECT_TRUE(bad.empty()) << RenderText(bad);
 }
 #endif  // EFES_SOURCE_DIR

@@ -60,7 +60,7 @@ TEST(ParallelDeterminismTest, EstimateJsonIsByteIdenticalAcrossThreadCounts) {
     SetThreadCountOverride(threads);
     MetricsRegistry::Global().Reset();
     EfesEngine engine = MakeDefaultEngine();
-    auto result = engine.Run(scenario, ExpectedQuality::kHighQuality);
+    auto result = engine.Run(scenario);
     ASSERT_TRUE(result.ok()) << result.status();
     reports.push_back(EstimationResultToJson(*result));
     counters.push_back(
@@ -122,7 +122,7 @@ TEST(ParallelDeterminismTest, FuzzedScenarioIsThreadAndCacheInvariant) {
   for (size_t threads : kThreadCounts) {
     SetThreadCountOverride(threads);
     EfesEngine engine = MakeDefaultEngine();
-    auto result = engine.Run(fuzzed->scenario, ExpectedQuality::kHighQuality);
+    auto result = engine.Run(fuzzed->scenario);
     ASSERT_TRUE(result.ok()) << result.status();
     reports.push_back(EstimationResultToJson(*result));
   }

@@ -17,14 +17,14 @@ namespace {
 
 double HighQualityMinutes(const IntegrationScenario& scenario) {
   EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(scenario, ExpectedQuality::kHighQuality);
+  auto result = engine.Run(scenario);
   EXPECT_TRUE(result.ok());
   return result->estimate.TotalMinutes();
 }
 
 double StructureMinutes(const IntegrationScenario& scenario) {
   EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(scenario, ExpectedQuality::kHighQuality);
+  auto result = engine.Run(scenario);
   EXPECT_TRUE(result.ok());
   return result->estimate.CategoryMinutes(TaskCategory::kCleaningStructure);
 }
@@ -58,7 +58,7 @@ TEST(GeneratorKnobTest, MultiArtistCountDrivesMergeRepetitions) {
     options.orphan_artists = 0;
     auto scenario = MakePaperExample(options);
     ASSERT_TRUE(scenario.ok());
-    auto result = engine.Run(*scenario, ExpectedQuality::kHighQuality);
+    auto result = engine.Run(*scenario);
     ASSERT_TRUE(result.ok());
     bool found = false;
     for (const TaskEstimate& task : result->estimate.tasks) {
@@ -127,7 +127,7 @@ TEST(GeneratorKnobTest, ScenarioSizeScalesButIdentityStaysClean) {
                                       MusicSchemaId::kDiscogs, options);
     ASSERT_TRUE(scenario.ok());
     EfesEngine engine = MakeDefaultEngine();
-    auto result = engine.Run(*scenario, ExpectedQuality::kHighQuality);
+    auto result = engine.Run(*scenario);
     ASSERT_TRUE(result.ok());
     EXPECT_DOUBLE_EQ(
         result->estimate.CategoryMinutes(TaskCategory::kCleaningStructure),
@@ -153,7 +153,7 @@ TEST(GeneratorKnobTest, ThreadCountKnobNeverChangesEstimate) {
   for (size_t threads : {1u, 2u, 3u, 8u}) {
     SetThreadCountOverride(threads);
     EfesEngine engine = MakeDefaultEngine();
-    auto result = engine.Run(*scenario, ExpectedQuality::kHighQuality);
+    auto result = engine.Run(*scenario);
     ASSERT_TRUE(result.ok()) << result.status();
     std::string json = EstimationResultToJson(*result);
     if (baseline.empty()) {

@@ -436,60 +436,26 @@ TEST(CachePersistenceTest, VersionMismatchIsIgnoredWholesale) {
 }
 
 TEST(CachePersistenceTest, PreSketchV1SnapshotDegradesToAMiss) {
-  // The sketch-spill entries forced the EFESCACHE 2 bump; a v1 snapshot
-  // from an older build must load as empty (a cold start), never crash
-  // or resurrect stale statistics under the new key scheme.
-  const std::string path = TempCachePath("v1");
-  ASSERT_TRUE(WriteFileAtomic(path,
+  // Snapshots from older builds load as empty (a cold start), never
+  // crash or resurrect entries: v1 predates the sketch key scheme, and
+  // v2 may hold per-chunk `K` sketch lines that no parser reads anymore.
+  const std::string v1 = TempCachePath("v1");
+  ASSERT_TRUE(WriteFileAtomic(v1,
                               "EFESCACHE 1\n"
                               "S 00000000deadbeef 3 1 0 0\n"
                               "C 00000000deadbeef 0\n")
                   .ok());
-  ProfileCache cache;
-  EXPECT_TRUE(cache.LoadFromFile(path).ok());
-  EXPECT_EQ(cache.entry_count(), 0u);
-}
-
-TEST(CachePersistenceTest, SpilledSketchChunksRoundtripThroughDisk) {
-  // Multi-chunk profiling spills per-chunk partial sketches ('K'
-  // entries) into the active cache; a reloaded snapshot must serve them
-  // so a resumed run re-reads absorbed chunks instead of recomputing.
-  Random rng(31337);
-  std::vector<Value> column;
-  for (size_t i = 0; i < 400; ++i) {
-    column.push_back(Value::Text("cell-" + std::to_string(rng.UniformUint64(
-                                     90))));
-  }
-  ProfileOptions options;
-  options.chunk_rows = 64;  // 400 rows -> 7 chunks -> 7 spilled sketches
-
-  ProfileCache cache;
-  std::string expected;
-  {
-    ScopedProfileCache scoped(&cache);
-    auto cold = ProfileColumn(column, DataType::kText, options);
-    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-    expected = cold->ToString();
-  }
-  const std::string path = TempCachePath("sketch_spill");
-  ASSERT_TRUE(cache.SaveToFile(path).ok());
-  auto snapshot = ReadFileToString(path);
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_NE(snapshot->find("\nK "), std::string::npos)
-      << "no spilled sketch entries in the snapshot";
-
-  ProfileCache reloaded;
-  ASSERT_TRUE(reloaded.LoadFromFile(path).ok());
-  EXPECT_EQ(reloaded.entry_count(), cache.entry_count());
-  {
-    ScopedProfileCache scoped(&reloaded);
-    MetricsRegistry::Global().Reset();
-    auto warm = ProfileColumn(column, DataType::kText, options);
-    ASSERT_TRUE(warm.ok());
-    EXPECT_EQ(warm->ToString(), expected);
-    const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
-    EXPECT_GT(metrics.CounterValue("cache.hits"), 0u);
-    EXPECT_EQ(metrics.CounterValue("cache.misses"), 0u);
+  const std::string v2 = TempCachePath("v2");
+  ASSERT_TRUE(WriteFileAtomic(v2,
+                              "EFESCACHE 2\n"
+                              "C 00000000deadbeef 0\n"
+                              "K 00000000deadbeef 4 0 0 0 1 0 0 0 0x0p+0 "
+                              "0x0p+0 1 tx 1\n")
+                  .ok());
+  for (const std::string& path : {v1, v2}) {
+    ProfileCache cache;
+    EXPECT_TRUE(cache.LoadFromFile(path).ok()) << path;
+    EXPECT_EQ(cache.entry_count(), 0u) << path;
   }
 }
 
@@ -510,7 +476,7 @@ std::string Corrupt(std::string text, Random& rng) {
       }
       case 2: {
         static const char* kFragments[] = {
-            "S ",   "C ",  "K ",      "EFESCACHE 1", "EFESCACHE 2",
+            "S ",   "C ",  "EFESCACHE 2", "EFESCACHE 3",
             "\n\n", "=%%", "\xff\xfe",
             " ",    "r0x1p+1", "999999999999999999999999",
         };
@@ -538,17 +504,6 @@ TEST(CachePersistenceTest, CorruptSnapshotsDegradeToRecomputationNotError) {
     (void)Stats(MixedColumn(), DataType::kText);
     (void)Stats(NumericColumn(), DataType::kReal);
     (void)DiscoverConstraints(MakeTinyDatabase());
-    // A multi-chunk profile spills 'K' sketch entries, so the mangler
-    // also exercises the sketch-state parser.
-    Random spill_rng(808);
-    std::vector<Value> wide;
-    for (size_t i = 0; i < 300; ++i) {
-      wide.push_back(
-          Value::Text("w" + std::to_string(spill_rng.UniformUint64(70))));
-    }
-    ProfileOptions chunked;
-    chunked.chunk_rows = 64;
-    (void)ProfileColumn(wide, DataType::kText, chunked);
   }
   const std::string path = TempCachePath("corrupt");
   ASSERT_TRUE(cache.SaveToFile(path).ok());

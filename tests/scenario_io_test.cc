@@ -158,9 +158,9 @@ TEST_F(ScenarioIoTest, LoadedScenarioEstimatesIdentically) {
 
   EfesEngine engine = MakeDefaultEngine();
   auto original_estimate =
-      engine.Run(*original, ExpectedQuality::kHighQuality);
+      engine.Run(*original);
   auto loaded_estimate =
-      engine.Run(*loaded, ExpectedQuality::kHighQuality);
+      engine.Run(*loaded);
   ASSERT_TRUE(original_estimate.ok());
   ASSERT_TRUE(loaded_estimate.ok());
   EXPECT_DOUBLE_EQ(loaded_estimate->estimate.TotalMinutes(),

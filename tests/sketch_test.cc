@@ -293,55 +293,5 @@ TEST(ValueBloomTest, SubsetPruningIsSound) {
   }
 }
 
-TEST(SketchStateTest, ExportImportRoundtripPreservesFinalize) {
-  Random rng(99);
-  const std::vector<Value> column = TextColumn(rng, 25000, 9000);
-  StatisticsSketch sketch(DataType::kText, SketchOptions(16384));
-  ASSERT_TRUE(sketch.AbsorbRange(column, 0, column.size()).ok());
-  ASSERT_GT(sketch.level(), 0u);
-
-  const SketchState state = sketch.ExportState();
-  auto restored = StatisticsSketch::FromState(state);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->Finalize().ToString(), sketch.Finalize().ToString());
-  EXPECT_EQ(restored->level(), sketch.level());
-  EXPECT_EQ(restored->tracked_count(), sketch.tracked_count());
-
-  // A restored sketch keeps absorbing and merging like the original.
-  StatisticsSketch continued = *std::move(restored);
-  ASSERT_TRUE(continued.Absorb(Value::Text("v1")).ok());
-  StatisticsSketch reference = std::move(sketch);
-  ASSERT_TRUE(reference.Absorb(Value::Text("v1")).ok());
-  EXPECT_EQ(continued.Finalize().ToString(), reference.Finalize().ToString());
-}
-
-TEST(SketchStateTest, MangledStatesDegradeToErrorsNotCorruptSketches) {
-  Random rng(123);
-  const std::vector<Value> column = TextColumn(rng, 25000, 9000);
-  StatisticsSketch sketch(DataType::kText, SketchOptions(16384));
-  ASSERT_TRUE(sketch.AbsorbRange(column, 0, column.size()).ok());
-  ASSERT_GT(sketch.level(), 0u);
-  const SketchState pristine = sketch.ExportState();
-
-  SketchState impossible_level = pristine;
-  impossible_level.level = 64;
-  EXPECT_FALSE(StatisticsSketch::FromState(impossible_level).ok());
-
-  // Splice in a value whose hash the sketch's level must have dropped:
-  // re-validation catches the broken tracking invariant.
-  SketchState broken_invariant = pristine;
-  const uint32_t level = pristine.level;
-  for (int i = 0; i < 100000; ++i) {
-    Value candidate = Value::Text("intruder-" + std::to_string(i));
-    const uint64_t hash = SketchValueHash(candidate);
-    if ((hash >> (64 - level)) != 0) {
-      broken_invariant.entries.emplace_back(std::move(candidate), 1);
-      break;
-    }
-  }
-  ASSERT_GT(broken_invariant.entries.size(), pristine.entries.size());
-  EXPECT_FALSE(StatisticsSketch::FromState(broken_invariant).ok());
-}
-
 }  // namespace
 }  // namespace efes

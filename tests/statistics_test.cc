@@ -25,10 +25,9 @@ std::vector<Value> Integers(const std::vector<int64_t>& numbers) {
   return values;
 }
 
-/// Content tests profile through the production chunked API; only the
-/// dedicated wrapper tests below name the deprecated one-shot entry
-/// points. ProfileColumn fails only under an unsatisfiable exact
-/// --max-memory budget, which no test here configures.
+/// Content tests profile through the production chunked API.
+/// ProfileColumn fails only under an unsatisfiable exact --max-memory
+/// budget, which no test here configures.
 AttributeStatistics Stats(const std::vector<Value>& column, DataType type) {
   auto result = ProfileColumn(column, type);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -272,18 +271,15 @@ TEST(StatisticsTest, BatchMatchesSequentialForAnyThreadCount) {
       {Value::Null(), Value::Text("x"), Value::Null()},
       {},
   };
-  // EFES_LINT_ALLOW(whole-column-profile): deprecated-wrapper coverage
-  std::vector<ColumnStatisticsRequest> requests;
+  std::vector<ProfileRequest> requests;
   std::vector<DataType> types = {DataType::kText, DataType::kInteger,
                                  DataType::kText, DataType::kReal};
   for (size_t i = 0; i < columns.size(); ++i) {
-    // EFES_LINT_ALLOW(whole-column-profile): deprecated-wrapper coverage
-    requests.push_back(ColumnStatisticsRequest{&columns[i], types[i]});
+    requests.push_back(ProfileRequest{&columns[i], types[i]});
   }
   for (size_t threads : {1u, 4u}) {
     SetThreadCountOverride(threads);
-    // EFES_LINT_ALLOW(whole-column-profile): deprecated-wrapper coverage
-    auto batch = ComputeStatisticsBatch(requests);
+    auto batch = ProfileColumns(requests);
     ASSERT_TRUE(batch.ok());
     ASSERT_EQ(batch->size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -301,17 +297,6 @@ TEST(StatisticsTest, ToStringMentionsKeyFacts) {
   std::string text = stats.ToString();
   EXPECT_NE(text.find("patterns:"), std::string::npos);
   EXPECT_NE(text.find("9:9"), std::string::npos);
-}
-
-TEST(StatisticsTest, DeprecatedWrapperMatchesProfileColumn) {
-  // The one-shot wrapper is a shim over the sketch path, so its output
-  // must stay bit-identical to ProfileColumn under default options.
-  std::vector<Value> column = Texts({"4:43", "6:55", "1:02", "4:43", "x"});
-  // EFES_LINT_ALLOW(whole-column-profile): deprecated-wrapper coverage
-  AttributeStatistics wrapper = ComputeStatistics(column, DataType::kText);
-  auto profiled = ProfileColumn(column, DataType::kText);
-  ASSERT_TRUE(profiled.ok());
-  EXPECT_EQ(wrapper.ToString(), profiled->ToString());
 }
 
 TEST(StatisticTypeTest, Names) {

@@ -3,21 +3,18 @@
 #
 # Default mode configures a dedicated build tree with -DEFES_WERROR=ON,
 # builds everything, and runs the full test suite. `--tsan` adds a second
-# configuration with -DEFES_TSAN=ON (-fsanitize=thread) and runs the
-# threaded subset (telemetry, parallel, determinism, structure fan-out)
-# under the sanitizer.
+# configuration with -DEFES_TSAN=ON (-fsanitize=thread) and runs the full
+# suite under the sanitizer, so every threaded path is covered without a
+# list of suites to keep current.
 # `--asan` configures with -DEFES_ASAN=ON (-fsanitize=address,undefined)
 # and runs the full suite — the corruption and fault-injection tests are
 # most valuable here, where a parser walking off a buffer actually traps.
 # `--ubsan` configures with -DEFES_UBSAN=ON (undefined + integer checks,
 # -fno-sanitize-recover) and runs the full suite; any UB aborts the test.
 # `--lint` builds only the efes_lint tool and runs it over src/, tools/,
-# tests/, and bench/ with --format=json, failing on any unsuppressed
-# finding.
-# `--analyze` builds efes_lint and efes_analyze and runs both: the
-# linter over the full tree, the whole-program analyzer (lock
-# discipline, cancellation coverage, layering, registry consistency)
-# over src/ and tools/ against docs/registry/.
+# tests/, and bench/ with --format=json against docs/registry/ (per-file
+# checks everywhere, whole-program checks outside tests/ and bench/),
+# failing on any unsuppressed finding.
 # `--cache-roundtrip` builds only the CLI, exports the paper example, and
 # estimates it three times — cold with a fresh --cache-dir, warm against
 # the saved snapshot, and once with --no-cache — then diffs the three
@@ -51,7 +48,6 @@
 #   tools/check_build.sh --asan [build-dir]             # default: build-asan
 #   tools/check_build.sh --ubsan [build-dir]            # default: build-ubsan
 #   tools/check_build.sh --lint [build-dir]             # default: build-lint
-#   tools/check_build.sh --analyze [build-dir]          # default: build-lint
 #   tools/check_build.sh --cache-roundtrip [build-dir]  # default: build-cache
 #   tools/check_build.sh --explain-determinism [build-dir]  # default: build-cache
 #   tools/check_build.sh --bench-smoke [build-dir]      # default: build-bench
@@ -74,9 +70,6 @@ elif [[ "${1:-}" == "--ubsan" ]]; then
   shift
 elif [[ "${1:-}" == "--lint" ]]; then
   MODE=lint
-  shift
-elif [[ "${1:-}" == "--analyze" ]]; then
-  MODE=analyze
   shift
 elif [[ "${1:-}" == "--cache-roundtrip" ]]; then
   MODE=cache
@@ -102,15 +95,8 @@ if [[ "$MODE" == "tsan" ]]; then
   BUILD_DIR="${1:-build-tsan}"
   cmake -B "$BUILD_DIR" -S . -DEFES_TSAN=ON
   cmake --build "$BUILD_DIR" -j
-  # The threaded tests: the parallel layer itself, the end-to-end
-  # determinism harness, the telemetry registry it reports through, the
-  # per-source structure fan-out (the CSG differential test, the
-  # conflict-detector suites, and the structure-module composite-key and
-  # cross-source suites), and the per-file scenario-load fan-out (the
-  # loader thread-invariance, lenient-load and scenario-IO suites).
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -j \
-    -R '(Parallel|ThreadPool|ThreadCount|Telemetry|Metrics|Report|CsgDifferential|Detector|Conflict|CompositeKey|CrossSource|ScenarioLoad|LenientLoad|ScenarioIo)'
-  echo "check_build: OK (EFES_TSAN=ON, threaded tests passed)"
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+  echo "check_build: OK (EFES_TSAN=ON, all tests passed)"
 elif [[ "$MODE" == "asan" ]]; then
   BUILD_DIR="${1:-build-asan}"
   cmake -B "$BUILD_DIR" -S . -DEFES_ASAN=ON
@@ -127,16 +113,9 @@ elif [[ "$MODE" == "lint" ]]; then
   BUILD_DIR="${1:-build-lint}"
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j --target efes_lint
-  "$BUILD_DIR/tools/efes_lint" --format=json src tools tests bench
+  "$BUILD_DIR/tools/efes_lint" --format=json --registry=docs/registry \
+    src tools tests bench
   echo "check_build: OK (efes_lint, tree is lint-clean)"
-elif [[ "$MODE" == "analyze" ]]; then
-  BUILD_DIR="${1:-build-lint}"
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target efes_lint --target efes_analyze
-  "$BUILD_DIR/tools/efes_lint" --format=json src tools tests bench
-  "$BUILD_DIR/tools/efes_analyze" --format=json --registry=docs/registry \
-    src tools
-  echo "check_build: OK (efes_lint + efes_analyze, tree is analyze-clean)"
 elif [[ "$MODE" == "cache" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .

@@ -1,17 +1,22 @@
 // efes_lint — project-invariant static analyzer for the EFES tree.
 //
-//   efes_lint [flags] <path>...       lint files / directory trees
+//   efes_lint [flags] <path>...       check files / directory trees
 //
 // Paths may be single files or directories; directories are walked
 // recursively for C++ sources (.h .hh .hpp .cc .cpp), visited in sorted
-// order so output is byte-stable across filesystems. The check catalog,
-// the suppression syntax, and the allowlist policy live in
-// src/efes/lint/lint.h (and DESIGN.md §10).
+// order so output is byte-stable across filesystems. Every file gets
+// the per-file checks; files outside tests/ and bench/ also feed the
+// whole-program checks. The check catalog, the suppression syntax, and
+// the allowlist policy live in src/efes/lint/lint.h (and DESIGN.md
+// "Static analysis").
 //
 // Flags:
 //   --format=text|json|sarif  report format (default text)
-//   --show-suppressed    include suppressed findings in text output
-//   --list-checks        print the check catalog and exit
+//   --registry=<dir>          docs/registry/ manifest directory; the
+//                             registry check is skipped (with a stderr
+//                             note) when not given
+//   --show-suppressed         include suppressed findings in text output
+//   --list-checks             print the check catalog and exit
 //
 // Exit codes: 0 clean, 1 unsuppressed findings or I/O error, 2 usage
 // error, 64 unknown flag — matching the efes CLI convention.
@@ -27,6 +32,7 @@
 #include "efes/common/flags.h"
 #include "efes/common/result.h"
 #include "efes/lint/lint.h"
+#include "efes/lint/registry.h"
 #include "efes/lint/sarif.h"
 
 namespace {
@@ -40,8 +46,9 @@ constexpr int kExitUnknownFlag = 64;
 int Usage(int exit_code = kExitUsage) {
   std::fprintf(stderr,
                "usage: efes_lint [--format=text|json|sarif] "
-               "[--show-suppressed]\n"
-               "                 [--list-checks] <path>...\n"
+               "[--registry=<dir>]\n"
+               "                 [--show-suppressed] [--list-checks] "
+               "<path>...\n"
                "Paths are C++ files or directories (walked recursively).\n");
   return exit_code;
 }
@@ -88,11 +95,16 @@ bool CollectFiles(const std::vector<std::string>& paths,
 
 int main(int argc, char** argv) {
   std::string format = "text";
+  std::string registry_dir;
   bool show_suppressed = false;
   bool list_checks = false;
   efes::FlagSet flags;
   flags.AddChoice("format", {"text", "json", "sarif"}, "report format",
                   &format);
+  flags.AddString("registry", "<dir>",
+                  "docs/registry manifest directory (enables the "
+                  "registry check)",
+                  &registry_dir);
   flags.AddBool("show-suppressed",
                 "include suppressed findings in text output",
                 &show_suppressed);
@@ -117,10 +129,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   bool paths_ok = CollectFiles(paths, &files);
 
-  // Load every file up front (Result<T> carries per-file I/O errors), so
-  // the index pass sees the full tree before any check runs.
-  std::vector<std::pair<std::string, std::string>> sources;
-  sources.reserve(files.size());
+  efes::lint::Linter linter;
   bool io_ok = true;
   for (const std::string& file : files) {
     efes::Result<std::string> content = efes::ReadFileToString(file);
@@ -130,17 +139,30 @@ int main(int argc, char** argv) {
       io_ok = false;
       continue;
     }
-    sources.emplace_back(file, std::move(content).value());
+    linter.AddFile(file, *content);
   }
 
-  efes::lint::Linter linter;
-  std::vector<efes::lint::Finding> findings = linter.Run(sources);
+  if (!registry_dir.empty()) {
+    efes::Result<efes::lint::RegistryManifests> manifests =
+        efes::lint::LoadRegistryDir(registry_dir);
+    if (!manifests.ok()) {
+      std::fprintf(stderr, "efes_lint: %s\n",
+                   manifests.status().ToString().c_str());
+      return kExitFindings;
+    }
+    linter.SetRegistry(std::move(manifests).value());
+  } else {
+    std::fprintf(stderr,
+                 "efes_lint: note: no --registry=<dir>; the registry "
+                 "check is skipped\n");
+  }
+
+  std::vector<efes::lint::Finding> findings = linter.Run();
 
   if (format == "json") {
     std::printf("%s\n", efes::lint::RenderJson(findings).c_str());
   } else if (format == "sarif") {
-    std::printf("%s\n",
-                efes::lint::RenderSarif("efes_lint", findings).c_str());
+    std::printf("%s\n", efes::lint::RenderSarif(findings).c_str());
   } else {
     std::fputs(efes::lint::RenderText(findings, show_suppressed).c_str(),
                stdout);
