@@ -1,7 +1,9 @@
 // Performance benchmarks for the Section 5.1 statistics through the
-// chunked, budgeted profiler (profiling/profiler.h), and for the scenario
+// chunked, budgeted profiler (profiling/profiler.h), for the scenario
 // load that turns CSV bytes into the typed columns they profile
-// (BM_LoadScenario).
+// (BM_LoadScenario), and for the value and dedup assessments that
+// profile those columns in one batch each (BM_AssessValues,
+// BM_AssessDedup).
 //
 // Two workload shapes:
 //   - default: a 32-column in-memory batch through ProfileColumns, wide
@@ -24,16 +26,19 @@
 #include <string>
 
 #include "bench_json.h"
+#include "efes/cache/profile_cache.h"
 #include "efes/common/clock.h"
 #include "efes/common/flags.h"
 #include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
 #include "efes/common/random.h"
+#include "efes/dedup/dedup_module.h"
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/sketch.h"
 #include "efes/profiling/statistics.h"
 #include "efes/scenario/fuzzer.h"
 #include "efes/scenario/scenario_io.h"
+#include "efes/values/value_module.h"
 
 namespace efes {
 namespace {
@@ -166,6 +171,48 @@ void BM_LoadScenario(benchmark::State& state) {
   SetThreadCountOverride(configured);
 }
 BENCHMARK(BM_LoadScenario)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+/// SavedLoadScenario(), loaded once.
+const IntegrationScenario& LoadedScenario() {
+  static const IntegrationScenario scenario = [] {
+    auto loaded = LoadScenario(SavedLoadScenario());
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "perf_profiling: cannot load scenario: %s\n",
+                   loaded.status().ToString().c_str());
+      std::abort();
+    }
+    return *std::move(loaded);
+  }();
+  return scenario;
+}
+
+/// One module's uncached assessment of LoadedScenario() at the thread
+/// count given as the argument: its profiling batch plus detection.
+void AssessModule(benchmark::State& state, const EstimationModule& module) {
+  const IntegrationScenario& scenario = LoadedScenario();
+  const size_t configured = ConfiguredThreadCount();
+  SetThreadCountOverride(static_cast<size_t>(state.range(0)));
+  ScopedProfileCache uncached(nullptr);
+  for (auto _ : state) {
+    auto report = module.AssessComplexity(scenario);
+    if (!report.ok()) {
+      state.SkipWithError(report.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(report);
+  }
+  SetThreadCountOverride(configured);
+}
+
+void BM_AssessValues(benchmark::State& state) {
+  AssessModule(state, ValueModule());
+}
+BENCHMARK(BM_AssessValues)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+void BM_AssessDedup(benchmark::State& state) {
+  AssessModule(state, DedupModule());
+}
+BENCHMARK(BM_AssessDedup)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_GeneralizeToPattern(benchmark::State& state) {
   std::string text = "Sweet Home Alabama 1974 (4:43)";

@@ -1,5 +1,8 @@
 #include "efes/core/effort_config.h"
 
+#include <cmath>
+#include <limits>
+
 #include "efes/common/file_io.h"
 #include "efes/common/string_util.h"
 #include "efes/core/formula.h"
@@ -36,7 +39,32 @@ Result<double> ParseNumber(std::string_view value) {
     return Status::ParseError("expected a number, got '" +
                               std::string(value) + "'");
   }
+  // "nan" and "inf" parse as doubles, but make every estimate they
+  // touch meaningless.
+  if (!std::isfinite(*parsed)) {
+    return Status::ParseError("expected a finite number, got '" +
+                              std::string(value) + "'");
+  }
   return *parsed;
+}
+
+/// A [dedup] row count: a whole, non-negative number that fits in
+/// size_t. Anything else would be clamped or truncated by the cast, and
+/// DedupOptions values are never silently clamped.
+Result<size_t> ParseDedupCount(std::string_view key, std::string_view value) {
+  EFES_ASSIGN_OR_RETURN(double parsed, ParseNumber(value));
+  if (parsed < 0.0) {
+    return Status::InvalidArgument("dedup " + std::string(key) +
+                                   " must not be negative");
+  }
+  // 2^digits is the first whole double past size_t's range.
+  if (parsed != std::floor(parsed) ||
+      parsed >= std::ldexp(1.0, std::numeric_limits<size_t>::digits)) {
+    return Status::InvalidArgument("dedup " + std::string(key) +
+                                   " must be a whole number of rows, got '" +
+                                   std::string(value) + "'");
+  }
+  return static_cast<size_t>(parsed);
 }
 
 Status ApplySetting(ExecutionSettings* settings, std::string_view key,
@@ -103,12 +131,7 @@ Status ApplyDedupSetting(EstimationConfig* config, std::string_view key,
     EFES_ASSIGN_OR_RETURN(dedup.drop_script_minutes, ParseNumber(value));
     cost_changed = true;
   } else if (key == "max_block_size") {
-    EFES_ASSIGN_OR_RETURN(double parsed, ParseNumber(value));
-    if (parsed < 0.0) {
-      return Status::InvalidArgument(
-          "dedup max_block_size must not be negative");
-    }
-    dedup.max_block_size = static_cast<size_t>(parsed);
+    EFES_ASSIGN_OR_RETURN(dedup.max_block_size, ParseDedupCount(key, value));
   } else if (key == "min_key_fill") {
     EFES_ASSIGN_OR_RETURN(dedup.min_key_fill, ParseNumber(value));
   } else if (key == "min_key_uniqueness") {
@@ -116,12 +139,7 @@ Status ApplyDedupSetting(EstimationConfig* config, std::string_view key,
   } else if (key == "min_support_similarity") {
     EFES_ASSIGN_OR_RETURN(dedup.min_support_similarity, ParseNumber(value));
   } else if (key == "sample_limit") {
-    EFES_ASSIGN_OR_RETURN(double parsed, ParseNumber(value));
-    if (parsed < 0.0) {
-      return Status::InvalidArgument(
-          "dedup sample_limit must not be negative");
-    }
-    dedup.sample_limit = static_cast<size_t>(parsed);
+    EFES_ASSIGN_OR_RETURN(dedup.sample_limit, ParseDedupCount(key, value));
   } else {
     return Status::ParseError("unknown dedup setting '" + std::string(key) +
                               "'");
@@ -203,8 +221,20 @@ Result<EstimationConfig> ParseEffortConfig(std::string_view text) {
 
     // [efforts]
     if (key == "global_scale") {
-      EFES_ASSIGN_OR_RETURN(double scale, ParseNumber(value));
-      config.model.set_global_scale(scale);
+      Result<double> scale = ParseNumber(value);
+      if (!scale.ok()) {
+        return Status::ParseError("line " + std::to_string(line_number) +
+                                  ": " + scale.status().message());
+      }
+      // The same contract as EfesEngine::set_effort_model, which an
+      // engine built straight from this model never runs through.
+      if (*scale <= 0.0) {
+        return Status::InvalidArgument(
+            "line " + std::to_string(line_number) +
+            ": global_scale must be a finite positive number, got '" +
+            value + "'");
+      }
+      config.model.set_global_scale(*scale);
       continue;
     }
     auto task_type = TaskTypeFromName(key);

@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 
 #include "efes/common/fault.h"
 #include "efes/common/parallel.h"
@@ -62,20 +64,6 @@ std::string DedupComplexityReport::ToText() const {
 
 namespace {
 
-/// Deterministic strided sample of at most `limit` values (0 = all).
-std::vector<Value> SampleColumn(const std::vector<Value>& column,
-                                size_t limit) {
-  if (limit == 0 || column.size() <= limit) return column;
-  std::vector<Value> sample;
-  sample.reserve(limit);
-  double stride = static_cast<double>(column.size()) /
-                  static_cast<double>(limit);
-  for (size_t i = 0; i < limit; ++i) {
-    sample.push_back(column[static_cast<size_t>(i * stride)]);
-  }
-  return sample;
-}
-
 /// One source relation contributing to a target relation.
 struct Feed {
   std::string label;  // "database:relation"
@@ -90,6 +78,10 @@ struct RelationWork {
   /// Target attributes corresponded by *every* feed, excluding target
   /// PK/FK attributes, in target-schema attribute order.
   std::vector<AttributeDef> shared_attributes;
+  /// Index of the relation's first statistics in the assessment's batch;
+  /// shared attribute `a` of feed `f` sits at
+  /// first_stat + a * feeds.size() + f.
+  size_t first_stat = 0;
 };
 
 double Uniqueness(const AttributeStatistics& stats) {
@@ -204,9 +196,30 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
         static_cast<double>(options_.max_block_size));
   }
 
-  // Pass 2 (parallel): per target relation — profile the shared columns,
-  // select the blocking key, block on the normalized key, and check the
-  // cross-feed support similarity. Provenance is buffered into fragments.
+  // One batch profiles every (relation x shared attribute x feed) column
+  // against the target attribute's datatype, in that order, so a large
+  // relation's columns spread over every worker. The statistics may come
+  // from a sample; blocking below always scans every row. As in the
+  // value module, the batch runs after the thresholds are recorded.
+  std::vector<ProfileRequest> requests;
+  std::map<const std::vector<Value>*, std::vector<Value>> samples;
+  for (RelationWork& work : items) {
+    work.first_stat = requests.size();
+    for (const AttributeDef& attribute : work.shared_attributes) {
+      for (const Feed& feed : work.feeds) {
+        requests.push_back(ProfileRequest{
+            SampleColumn(*feed.columns.at(attribute.name),
+                         options_.sample_limit, &samples),
+            attribute.type});
+      }
+    }
+  }
+  EFES_ASSIGN_OR_RETURN(std::vector<AttributeStatistics> stats,
+                        ProfileColumns(requests));
+
+  // Pass 2 (parallel): per target relation — select the blocking key,
+  // block on the normalized key, and check the cross-feed support
+  // similarity. Provenance is buffered into fragments.
   struct ItemResult {
     bool has_finding = false;
     DuplicateClusterFinding finding;
@@ -218,24 +231,11 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
       ParallelFor(items.size(), [&](size_t index) -> Status {
         const RelationWork& work = items[index];
         ItemResult& computed = results[index];
-
-        // Per-shared-attribute, per-feed statistics against the target
-        // attribute's datatype (cache-served when a ProfileCache is
-        // active).
-        std::vector<std::vector<AttributeStatistics>> stats(
-            work.shared_attributes.size());
-        for (size_t ai = 0; ai < work.shared_attributes.size(); ++ai) {
-          const AttributeDef& attribute = work.shared_attributes[ai];
-          for (const Feed& feed : work.feeds) {
-            const std::vector<Value>& column =
-                *feed.columns.at(attribute.name);
-            EFES_ASSIGN_OR_RETURN(
-                AttributeStatistics feed_stats,
-                ProfileColumn(SampleColumn(column, options_.sample_limit),
-                              attribute.type));
-            stats[ai].push_back(std::move(feed_stats));
-          }
-        }
+        const size_t feed_count = work.feeds.size();
+        // The statistics of shared attribute `ai` in feed `fi`.
+        auto feed_stats = [&](size_t ai, size_t fi) -> const auto& {
+          return stats[work.first_stat + ai * feed_count + fi];
+        };
 
         // Blocking-key selection: the shared attribute that looks most
         // entity-identifying in *every* feed — score = worst-feed
@@ -247,7 +247,8 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
         for (size_t ai = 0; ai < work.shared_attributes.size(); ++ai) {
           double min_fill = 1.0;
           double min_uniqueness = 1.0;
-          for (const AttributeStatistics& s : stats[ai]) {
+          for (size_t fi = 0; fi < feed_count; ++fi) {
+            const AttributeStatistics& s = feed_stats(ai, fi);
             min_fill = std::min(min_fill, s.fill_status.NonNullFraction());
             min_uniqueness = std::min(min_uniqueness, Uniqueness(s));
           }
@@ -279,9 +280,9 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
           size_t fit_count = 0;
           for (size_t ai = 0; ai < work.shared_attributes.size(); ++ai) {
             if (ai == key_index) continue;
-            for (size_t a = 0; a < stats[ai].size(); ++a) {
-              for (size_t b = a + 1; b < stats[ai].size(); ++b) {
-                fit_sum += OverallFit(stats[ai][a], stats[ai][b]);
+            for (size_t a = 0; a < feed_count; ++a) {
+              for (size_t b = a + 1; b < feed_count; ++b) {
+                fit_sum += OverallFit(feed_stats(ai, a), feed_stats(ai, b));
                 ++fit_count;
               }
             }
@@ -299,15 +300,20 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
           size_t feeds_present = 0;
           size_t last_feed = 0;
         };
-        std::map<std::string, Block> blocks;
-        for (size_t fi = 0; fi < work.feeds.size(); ++fi) {
-          const std::vector<Value>& column =
-              *work.feeds[fi].columns.at(key_attribute);
-          for (const Value& value : column) {
+        size_t key_cells = 0;
+        for (const Feed& feed : work.feeds) {
+          key_cells += feed.columns.at(key_attribute)->size();
+        }
+        std::unordered_map<std::string, Block> blocks;
+        blocks.reserve(key_cells);
+        for (size_t fi = 0; fi < feed_count; ++fi) {
+          for (const Value& value : *work.feeds[fi].columns.at(key_attribute)) {
             if (value.is_null()) continue;
-            std::string key = NormalizeEntityKey(value.ToString());
+            std::string key = value.type() == DataType::kText
+                                  ? NormalizeEntityKey(value.AsText())
+                                  : NormalizeEntityKey(value.ToString());
             if (key.empty()) continue;
-            Block& block = blocks[key];
+            Block& block = blocks[std::move(key)];
             if (block.total == 0 || block.last_feed != fi) {
               ++block.feeds_present;
               block.last_feed = fi;
@@ -315,6 +321,16 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
             ++block.total;
           }
         }
+        // Only blocks seen in >= 2 feeds can become clusters; sorting just
+        // those by key gives the canonical cluster order.
+        std::vector<const std::pair<const std::string, Block>*> cross_feed;
+        for (const auto& entry : blocks) {
+          if (entry.second.feeds_present >= 2) cross_feed.push_back(&entry);
+        }
+        std::sort(cross_feed.begin(), cross_feed.end(),
+                  [](const auto* a, const auto* b) {
+                    return a->first < b->first;
+                  });
 
         DuplicateClusterFinding finding;
         finding.target_relation = work.target_relation;
@@ -325,8 +341,8 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
         finding.key_uniqueness = key_uniqueness;
         finding.key_fill = key_fill;
         finding.support_similarity = support_similarity;
-        for (const auto& [key, block] : blocks) {
-          if (block.feeds_present < 2) continue;  // within one feed only
+        for (const auto* entry : cross_feed) {
+          const auto& [key, block] = *entry;
           if (block.total > options_.max_block_size) {
             // Non-discriminative key value ("unknown", "n/a"): resolving
             // it is hopeless, report it skipped instead of pricing a

@@ -1,7 +1,9 @@
 #include "efes/profiling/profiler.h"
 
 #include <algorithm>
+#include <map>
 #include <mutex>
+#include <utility>
 
 #include "efes/cache/fingerprint.h"
 #include "efes/cache/profile_cache.h"
@@ -9,6 +11,7 @@
 #include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
 #include "efes/common/thread_annotations.h"
+#include "efes/telemetry/trace.h"
 
 namespace efes {
 
@@ -45,6 +48,23 @@ uint64_t StatisticsKey(const std::vector<Value>& column, DataType target_type,
 }
 
 }  // namespace
+
+const std::vector<Value>* SampleColumn(
+    const std::vector<Value>& column, size_t limit,
+    std::map<const std::vector<Value>*, std::vector<Value>>* samples) {
+  if (limit == 0 || column.size() <= limit) return &column;
+  auto [it, inserted] = samples->try_emplace(&column);
+  if (inserted) {
+    std::vector<Value>& sample = it->second;
+    sample.reserve(limit);
+    const double stride =
+        static_cast<double>(column.size()) / static_cast<double>(limit);
+    for (size_t i = 0; i < limit; ++i) {
+      sample.push_back(column[static_cast<size_t>(i * stride)]);
+    }
+  }
+  return &it->second;
+}
 
 ProfileOptions ActiveProfileOptions() {
   std::lock_guard<std::mutex> lock(g_options_mutex);
@@ -88,6 +108,7 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
     }
   }
 
+  TraceSpan span("profiling.column");
   columns_profiled.Increment();
   cells_scanned.Increment(column.size());
   const int64_t start_nanos = Clock::Default()->NowNanos();
@@ -141,14 +162,35 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
 Result<std::vector<AttributeStatistics>> ProfileColumns(
     const std::vector<ProfileRequest>& requests,
     const ProfileOptions& options) {
-  std::vector<AttributeStatistics> results(requests.size());
-  EFES_RETURN_IF_ERROR(ParallelFor(requests.size(), [&](size_t i) -> Status {
-    Result<AttributeStatistics> stats =
-        ProfileColumn(*requests[i].column, requests[i].target_type, options);
-    if (!stats.ok()) return stats.status();
-    results[i] = *std::move(stats);
+  // The first request of every distinct (column, target type) pair, in
+  // request order, and each request's index into that list. Distinct
+  // requests keep their relative order, so ParallelFor's lowest failing
+  // index is the lowest failing request.
+  std::vector<size_t> distinct;
+  std::vector<size_t> slot(requests.size());
+  std::map<std::pair<const std::vector<Value>*, DataType>, size_t> seen;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    auto [it, inserted] = seen.emplace(
+        std::make_pair(requests[i].column, requests[i].target_type),
+        distinct.size());
+    if (inserted) distinct.push_back(i);
+    slot[i] = it->second;
+  }
+
+  std::vector<AttributeStatistics> profiled(distinct.size());
+  EFES_RETURN_IF_ERROR(ParallelFor(distinct.size(), [&](size_t d) -> Status {
+    const ProfileRequest& request = requests[distinct[d]];
+    EFES_ASSIGN_OR_RETURN(
+        profiled[d],
+        ProfileColumn(*request.column, request.target_type, options));
     return Status::OK();
   }));
+
+  std::vector<AttributeStatistics> results;
+  results.reserve(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    results.push_back(profiled[slot[i]]);
+  }
   return results;
 }
 

@@ -20,6 +20,7 @@
 #ifndef EFES_PROFILING_PROFILER_H_
 #define EFES_PROFILING_PROFILER_H_
 
+#include <map>
 #include <vector>
 
 #include "efes/common/result.h"
@@ -35,6 +36,17 @@ struct ProfileRequest {
   const std::vector<Value>* column = nullptr;
   DataType target_type = DataType::kText;
 };
+
+/// The values a profile capped at `limit` rows reads (0 = no cap):
+/// `column` itself when the cap does not cut it, otherwise a
+/// deterministic strided sample of `limit` values. A sample is copied
+/// once per column into `samples`, which owns it, so repeated requests
+/// for one column share one address and ProfileColumns profiles them
+/// once. Use one `samples` map per limit and keep it alive for the
+/// ProfileColumns call.
+const std::vector<Value>* SampleColumn(
+    const std::vector<Value>& column, size_t limit,
+    std::map<const std::vector<Value>*, std::vector<Value>>* samples);
 
 /// The ambient options consulted by the single-argument overloads: those
 /// of the most recently installed live ScopedProfileOptions, or defaults
@@ -69,8 +81,16 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
 Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
                                           DataType target_type);
 
-/// Profiles many columns through the shared pool; results come back in
-/// request order, bit-identical to profiling sequentially.
+/// Profiles many columns through the shared pool, one dynamically
+/// balanced task per distinct request; results come back in request
+/// order, bit-identical to one ProfileColumn per request.
+///
+/// Requests with the same column address and target type are profiled
+/// once: each distinct request makes one cache lookup and at most one
+/// store, and every repeat receives a copy of its first occurrence's
+/// result. On failure the status is that of the lowest failing request
+/// index. A repeat fails exactly when its first occurrence does, so this
+/// is the error a sequential loop over the requests would hit first.
 Result<std::vector<AttributeStatistics>> ProfileColumns(
     const std::vector<ProfileRequest>& requests,
     const ProfileOptions& options);

@@ -1,5 +1,6 @@
 #include "efes/values/value_module.h"
 
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -49,24 +50,6 @@ std::string ValueComplexityReport::ToText() const {
   }
   return table.ToString();
 }
-
-namespace {
-
-/// Deterministic strided sample of at most `limit` values (0 = all).
-std::vector<Value> SampleColumn(const std::vector<Value>& column,
-                                size_t limit) {
-  if (limit == 0 || column.size() <= limit) return column;
-  std::vector<Value> sample;
-  sample.reserve(limit);
-  double stride = static_cast<double>(column.size()) /
-                  static_cast<double>(limit);
-  for (size_t i = 0; i < limit; ++i) {
-    sample.push_back(column[static_cast<size_t>(i * stride)]);
-  }
-  return sample;
-}
-
-}  // namespace
 
 bool IsDomainRestricted(const AttributeStatistics& stats,
                         const ValueFitOptions& options) {
@@ -149,16 +132,19 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
 
   // Pass 1 (sequential): resolve every attribute-level correspondence
   // into a self-contained work item, preserving the scenario's canonical
-  // source/correspondence order and its error behaviour.
+  // source/correspondence order and its error behaviour. Each item asks
+  // for two profiles, its source and then its target column, read from
+  // the tables in place unless the sample limit cuts them.
   struct WorkItem {
     const Correspondence* corr = nullptr;
     std::string source_database;
-    std::vector<Value> source_sample;
-    std::vector<Value> target_sample;
+    const std::vector<Value>* source_sample = nullptr;
     AttributeDef target_attribute;
     bool has_target_data = false;
   };
   std::vector<WorkItem> items;
+  std::vector<ProfileRequest> requests;
+  std::map<const std::vector<Value>*, std::vector<Value>> samples;
   for (const SourceBinding& source : scenario.sources) {
     for (const Correspondence& corr : source.correspondences.all()) {
       if (!corr.is_attribute_level()) continue;
@@ -184,8 +170,13 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
       WorkItem item;
       item.corr = &corr;
       item.source_database = source.database.name();
-      item.source_sample = SampleColumn(*source_column, options_.sample_limit);
-      item.target_sample = SampleColumn(*target_column, options_.sample_limit);
+      item.source_sample =
+          SampleColumn(*source_column, options_.sample_limit, &samples);
+      requests.push_back(
+          ProfileRequest{item.source_sample, target_attribute.type});
+      requests.push_back(ProfileRequest{
+          SampleColumn(*target_column, options_.sample_limit, &samples),
+          target_attribute.type});
       item.target_attribute = std::move(target_attribute);
       item.has_target_data = !target_column->empty();
       items.push_back(std::move(item));
@@ -212,12 +203,19 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
                                           "", options_.incompatible_tolerance);
   }
 
-  // Pass 2 (parallel): the statistics and detection work — the dominant
-  // cost, every cell of both samples is scanned — fans out per item and
-  // merges back in item order, keeping the report deterministic.
+  // One batch profiles every distinct column of every item: a target
+  // column shared by several sources' correspondences is profiled once.
+  // Item i's statistics are stats[2 * i] (source) and stats[2 * i + 1]
+  // (target). The batch runs after the thresholds are recorded, so a
+  // module that fails here (an exact --max-memory overflow) leaves the
+  // run's later provenance ids where they were.
+  EFES_ASSIGN_OR_RETURN(std::vector<AttributeStatistics> stats,
+                        ProfileColumns(requests));
+
+  // Pass 2 (parallel): detection, the source pattern count and the
+  // provenance fragment fan out per item and merge back in item order,
+  // keeping the report deterministic.
   struct ItemResult {
-    AttributeStatistics source_stats;
-    AttributeStatistics target_stats;
     double overall_fit = 1.0;
     std::vector<ValueHeterogeneityType> types;
     size_t source_pattern_count = 0;
@@ -230,22 +228,21 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
       ParallelFor(items.size(), [&](size_t index) -> Status {
         const WorkItem& item = items[index];
         ItemResult& computed = results[index];
-        EFES_ASSIGN_OR_RETURN(
-            computed.source_stats,
-            ProfileColumn(item.source_sample, item.target_attribute.type));
-        EFES_ASSIGN_OR_RETURN(
-            computed.target_stats,
-            ProfileColumn(item.target_sample, item.target_attribute.type));
+        const AttributeStatistics& src = stats[2 * index];
+        const AttributeStatistics& tgt = stats[2 * index + 1];
         computed.types = DetectValueHeterogeneities(
-            computed.source_stats, computed.target_stats,
-            item.has_target_data, options_, &computed.overall_fit);
+            src, tgt, item.has_target_data, options_, &computed.overall_fit);
 
         // Count the distinct text patterns of the source values: the
         // number of format rules a conversion script would need.
         std::set<std::string> source_patterns;
-        for (const Value& value : item.source_sample) {
+        for (const Value& value : *item.source_sample) {
           if (value.is_null()) continue;
-          source_patterns.insert(GeneralizeToPattern(value.ToString()));
+          if (value.type() == DataType::kText) {
+            source_patterns.insert(GeneralizeToPattern(value.AsText()));
+          } else {
+            source_patterns.insert(GeneralizeToPattern(value.ToString()));
+          }
           if (source_patterns.size() > options_.max_format_rules) break;
         }
         computed.source_pattern_count = source_patterns.size();
@@ -257,8 +254,6 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
               corr.source_attribute + " -> " + corr.target_relation + "." +
               corr.target_attribute;
           ProvenanceFragment& frag = computed.fragment;
-          const auto& src = computed.source_stats;
-          const auto& tgt = computed.target_stats;
           size_t src_fill = frag.AddValue(
               ProvenanceKind::kStatistic,
               "statistic source.non_null_fraction", subject,
@@ -322,8 +317,8 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
   for (size_t index = 0; index < items.size(); ++index) {
     const WorkItem& item = items[index];
     const Correspondence& corr = *item.corr;
-    const AttributeStatistics& source_stats = results[index].source_stats;
-    const AttributeStatistics& target_stats = results[index].target_stats;
+    const AttributeStatistics& source_stats = stats[2 * index];
+    const AttributeStatistics& target_stats = stats[2 * index + 1];
     double overall_fit = results[index].overall_fit;
     // Canonical-order merge: absorbing here, in item order, assigns the
     // fragment's nodes their global ids independent of which worker

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,7 +15,9 @@
 #include "efes/core/effort_config.h"
 #include "efes/core/effort_model.h"
 #include "efes/experiment/default_pipeline.h"
+#include "efes/profiling/profiler.h"
 #include "efes/provenance/provenance.h"
+#include "efes/scenario/fuzzer.h"
 
 namespace efes {
 namespace {
@@ -265,6 +269,98 @@ TEST(DedupModuleTest, ConfigRejectsInvalidValuesWithInvalidArgument) {
   auto unknown = ParseEffortConfig("[dedup]\nno_such_knob = 1\n");
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kParseError);
+}
+
+TEST(DedupModuleTest, SampledStatisticsStillBlockEveryRow) {
+  FuzzOptions fuzz;
+  fuzz.min_sources = fuzz.max_sources = 3;
+  fuzz.min_entities = fuzz.max_entities = 400;
+  auto fuzzed = FuzzScenario(7, fuzz);
+  ASSERT_TRUE(fuzzed.ok()) << fuzzed.status();
+  const IntegrationScenario& scenario = fuzzed->scenario;
+
+  constexpr size_t kLimit = 40;
+  DedupOptions sampling;
+  sampling.sample_limit = kLimit;
+  auto full = DedupModule().AssessComplexity(scenario);
+  auto sampled = DedupModule(sampling).AssessComplexity(scenario);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_TRUE(sampled.ok()) << sampled.status();
+  const auto& expected = AsDedupReport(**full).findings();
+  const auto& actual = AsDedupReport(**sampled).findings();
+  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(actual.size(), expected.size());
+
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const DuplicateClusterFinding& f = actual[i];
+    SCOPED_TRACE(f.target_relation);
+    // Blocking scanned every row: the clusters are the unsampled ones.
+    EXPECT_EQ(f.blocking_key, expected[i].blocking_key);
+    EXPECT_EQ(f.feeds, expected[i].feeds);
+    EXPECT_EQ(f.oversize_blocks, expected[i].oversize_blocks);
+    EXPECT_EQ(f.verification_pairs, expected[i].verification_pairs);
+    ASSERT_EQ(f.clusters.size(), expected[i].clusters.size());
+    for (size_t c = 0; c < f.clusters.size(); ++c) {
+      EXPECT_EQ(f.clusters[c].key, expected[i].clusters[c].key);
+      EXPECT_EQ(f.clusters[c].size, expected[i].clusters[c].size);
+    }
+
+    // The key statistics came from each feed's kLimit-row sample.
+    auto target_table = scenario.target.table(f.target_relation);
+    ASSERT_TRUE(target_table.ok());
+    auto attribute = (*target_table)->def().Attribute(f.blocking_key);
+    ASSERT_TRUE(attribute.ok());
+    std::map<const std::vector<Value>*, std::vector<Value>> samples;
+    double min_fill = 1.0;
+    double min_uniqueness = 1.0;
+    size_t feeds = 0;
+    for (const SourceBinding& source : scenario.sources) {
+      for (const Correspondence& corr : source.correspondences.all()) {
+        if (!corr.is_attribute_level() ||
+            corr.target_relation != f.target_relation ||
+            corr.target_attribute != f.blocking_key) {
+          continue;
+        }
+        auto table = source.database.table(corr.source_relation);
+        ASSERT_TRUE(table.ok());
+        auto column = (*table)->ColumnByName(corr.source_attribute);
+        ASSERT_TRUE(column.ok());
+        ASSERT_GT((*column)->size(), kLimit);
+        auto stats = ProfileColumn(*SampleColumn(**column, kLimit, &samples),
+                                   attribute->type);
+        ASSERT_TRUE(stats.ok());
+        min_fill = std::min(min_fill, stats->fill_status.NonNullFraction());
+        min_uniqueness = std::min(
+            min_uniqueness,
+            static_cast<double>(stats->constancy.distinct_count) /
+                static_cast<double>(stats->constancy.non_null_count));
+        ++feeds;
+      }
+    }
+    EXPECT_EQ(feeds, f.feeds.size());
+    EXPECT_DOUBLE_EQ(f.key_fill, min_fill);
+    EXPECT_DOUBLE_EQ(f.key_uniqueness, min_uniqueness);
+  }
+}
+
+TEST(DedupModuleTest, FailedBatchFollowsTheThresholdNodes) {
+  // As in the value module: the four thresholds are recorded before the
+  // profiling batch, so a batch that fails leaves exactly them behind.
+  IntegrationScenario scenario = MakeTwoSourceScenario();
+  ProfileOptions exact;
+  exact.mode = ApproximationMode::kExact;
+  exact.max_memory_bytes = 1;
+  ScopedProfileOptions scoped_options(exact);
+  ProvenanceRecorder recorder;
+  ScopedProvenanceRecorder scoped_recorder(&recorder);
+  auto report = DedupModule().AssessComplexity(scenario);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
+  const ProvenanceSnapshot snapshot = recorder.Snapshot();
+  ASSERT_EQ(snapshot.nodes.size(), 4u);
+  for (const ProvenanceNode& node : snapshot.nodes) {
+    EXPECT_EQ(node.kind, ProvenanceKind::kThreshold) << node.label;
+  }
 }
 
 TEST(DedupModuleTest, AssessmentRecordsFindingProvenance) {

@@ -184,6 +184,59 @@ TEST(EffortConfigTest, EmptyConfigIsPaperDefault) {
                    5.0);
 }
 
+/// Parses `text`, expecting it to fail with `code` on line 2.
+void ExpectRejectedOnLine2(const std::string& text, StatusCode code) {
+  auto config = ParseEffortConfig(text);
+  ASSERT_FALSE(config.ok()) << text;
+  EXPECT_EQ(config.status().code(), code) << config.status().ToString();
+  EXPECT_EQ(config.status().message().rfind("line 2: ", 0), 0u)
+      << config.status().ToString();
+}
+
+TEST(EffortConfigTest, RejectsNegativeGlobalScale) {
+  ExpectRejectedOnLine2("[efforts]\nglobal_scale = -1\n",
+                        StatusCode::kInvalidArgument);
+}
+
+TEST(EffortConfigTest, RejectsNanGlobalScale) {
+  ExpectRejectedOnLine2("[efforts]\nglobal_scale = nan\n",
+                        StatusCode::kParseError);
+}
+
+TEST(EffortConfigTest, RejectsNanDedupCost) {
+  ExpectRejectedOnLine2("[dedup]\npair_review_minutes = nan\n",
+                        StatusCode::kParseError);
+}
+
+TEST(EffortConfigTest, RejectsInfiniteSetting) {
+  ExpectRejectedOnLine2("[settings]\npractitioner_skill = inf\n",
+                        StatusCode::kParseError);
+}
+
+TEST(EffortConfigTest, RejectsNanBlockSize) {
+  ExpectRejectedOnLine2("[dedup]\nmax_block_size = nan\n",
+                        StatusCode::kParseError);
+}
+
+TEST(EffortConfigTest, RejectsSampleLimitBeyondSizeT) {
+  ExpectRejectedOnLine2("[dedup]\nsample_limit = 1e300\n",
+                        StatusCode::kInvalidArgument);
+}
+
+TEST(EffortConfigTest, RejectsFractionalBlockSize) {
+  ExpectRejectedOnLine2("[dedup]\nmax_block_size = 2.5\n",
+                        StatusCode::kInvalidArgument);
+  // A whole number written as a double is still a whole number.
+  auto config = ParseEffortConfig("[dedup]\nmax_block_size = 2e1\n");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  EXPECT_EQ(config->dedup.max_block_size, 20u);
+}
+
+TEST(EffortConfigTest, MalformedGlobalScaleCarriesLineNumber) {
+  ExpectRejectedOnLine2("[efforts]\nglobal_scale = abc\n",
+                        StatusCode::kParseError);
+}
+
 TEST(EffortConfigTest, LoadFromFile) {
   std::string path = TestScratchPath("efes_config_test") + ".conf";
   ASSERT_TRUE(

@@ -115,22 +115,29 @@ TEST(ParallelDeterminismTest, SchemaMatchingIsThreadCountInvariant) {
 TEST(ParallelDeterminismTest, FuzzedScenarioIsThreadAndCacheInvariant) {
   // A fuzzed scenario exercises the dedup module's blocking scan, the
   // heaviest new parallel section; the JSON must not depend on the
-  // thread count or on whether profiling statistics come from a cache.
+  // thread count, on how each column is cut into chunks inside the
+  // modules' profiling batches, or on whether profiling statistics come
+  // from a cache.
   auto fuzzed = FuzzScenario(42);
   ASSERT_TRUE(fuzzed.ok()) << fuzzed.status();
   std::vector<std::string> reports;
-  for (size_t threads : kThreadCounts) {
-    SetThreadCountOverride(threads);
-    EfesEngine engine = MakeDefaultEngine();
-    auto result = engine.Run(fuzzed->scenario);
-    ASSERT_TRUE(result.ok()) << result.status();
-    reports.push_back(EstimationResultToJson(*result));
+  for (size_t chunk_rows : {ProfileOptions().chunk_rows, size_t{7}}) {
+    for (size_t threads : kThreadCounts) {
+      SetThreadCountOverride(threads);
+      EfesEngine engine = MakeDefaultEngine();
+      RunOptions options;
+      options.profile.chunk_rows = chunk_rows;
+      auto result = engine.Run(fuzzed->scenario, options);
+      ASSERT_TRUE(result.ok()) << result.status();
+      reports.push_back(EstimationResultToJson(*result));
+    }
   }
   SetThreadCountOverride(0);
-  ASSERT_EQ(reports.size(), 3u);
+  ASSERT_EQ(reports.size(), 6u);
   EXPECT_NE(reports[0].find("\"dedup\""), std::string::npos);
-  EXPECT_EQ(reports[0], reports[1]);
-  EXPECT_EQ(reports[0], reports[2]);
+  for (size_t i = 1; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[0], reports[i]) << "run " << i;
+  }
 
   ProfileCache cache;
   for (int pass = 0; pass < 2; ++pass) {

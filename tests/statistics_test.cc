@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
 #include "efes/profiling/profiler.h"
 
@@ -287,6 +288,78 @@ TEST(StatisticsTest, BatchMatchesSequentialForAnyThreadCount) {
       EXPECT_EQ((*batch)[i].ToString(), sequential.ToString()) << i;
       EXPECT_EQ((*batch)[i].evaluated_against, types[i]);
     }
+  }
+  SetThreadCountOverride(0);
+}
+
+uint64_t ColumnsProfiled() {
+  return MetricsRegistry::Global().Snapshot().CounterValue(
+      "profiling.statistics.columns");
+}
+
+TEST(StatisticsTest, BatchProfilesDuplicateRequestsOnce) {
+  std::vector<std::vector<Value>> columns = {
+      Texts({"4:43", "6:55", "1:02", "4:43"}),
+      Integers({1, 2, 3, 4, 5, 6, 7, 8}),
+  };
+  // Repeats of a column under one target type collapse; the same column
+  // under another type is a distinct request.
+  const std::vector<ProfileRequest> requests = {
+      {&columns[0], DataType::kText},    {&columns[1], DataType::kInteger},
+      {&columns[0], DataType::kText},    {&columns[0], DataType::kInteger},
+      {&columns[1], DataType::kInteger}, {&columns[0], DataType::kText},
+  };
+  for (size_t threads : {1u, 4u}) {
+    SetThreadCountOverride(threads);
+    const uint64_t before = ColumnsProfiled();
+    auto batch = ProfileColumns(requests);
+    const uint64_t profiled = ColumnsProfiled() - before;
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ(profiled, 3u);
+    ASSERT_EQ(batch->size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ((*batch)[i].ToString(),
+                Stats(*requests[i].column, requests[i].target_type)
+                    .ToString())
+          << i;
+    }
+  }
+
+  // Under an exact budget both of these columns overflow, each with its
+  // own message. The batch reports the error the sequential loop over the
+  // requests hits first, whatever the thread count.
+  std::vector<Value> wide;
+  std::vector<Value> narrow;
+  for (int i = 0; i < 2000; ++i) {
+    wide.push_back(Value::Text("a long distinct text value number " +
+                               std::to_string(i)));
+    narrow.push_back(Value::Integer(i));
+  }
+  ProfileOptions exact;
+  exact.mode = ApproximationMode::kExact;
+  exact.max_memory_bytes = 4096;
+  const std::vector<ProfileRequest> failing = {
+      {&columns[1], DataType::kInteger}, {&wide, DataType::kText},
+      {&narrow, DataType::kInteger},     {&wide, DataType::kText},
+  };
+  Status sequential = Status::OK();
+  for (const ProfileRequest& request : failing) {
+    auto one = ProfileColumn(*request.column, request.target_type, exact);
+    if (!one.ok()) {
+      sequential = one.status();
+      break;
+    }
+  }
+  ASSERT_EQ(sequential.code(), StatusCode::kResourceExhausted);
+  auto narrow_only = ProfileColumn(narrow, DataType::kInteger, exact);
+  ASSERT_FALSE(narrow_only.ok());
+  ASSERT_NE(narrow_only.status().message(), sequential.message());
+  for (size_t threads : {1u, 4u}) {
+    SetThreadCountOverride(threads);
+    auto batch = ProfileColumns(failing, exact);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), sequential.code());
+    EXPECT_EQ(batch.status().message(), sequential.message());
   }
   SetThreadCountOverride(0);
 }

@@ -5,8 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
+#include "efes/cache/profile_cache.h"
+#include "efes/common/metrics.h"
+#include "efes/experiment/default_pipeline.h"
 #include "efes/profiling/profiler.h"
+#include "efes/provenance/provenance.h"
+#include "efes/scenario/fuzzer.h"
 #include "efes/scenario/paper_example.h"
+#include "efes/telemetry/trace.h"
 
 namespace efes {
 namespace {
@@ -227,6 +236,129 @@ TEST_F(PaperExampleValueTest, ReportRendersTable6) {
   EXPECT_NE(text.find("songs.length -> tracks.duration"),
             std::string::npos);
   EXPECT_NE(text.find("distinct source values"), std::string::npos);
+}
+
+// --- The profiling batch ----------------------------------------------------
+
+/// Three sources correspond into the same populated target columns, the
+/// shape of the benchmark's estimate workloads.
+IntegrationScenario MakeThreeSourceScenario() {
+  FuzzOptions options;
+  options.min_sources = options.max_sources = 3;
+  options.min_entities = options.max_entities = 300;
+  options.target_data_rate = 1.0;
+  auto fuzzed = FuzzScenario(1, options);
+  EXPECT_TRUE(fuzzed.ok()) << fuzzed.status();
+  return std::move(fuzzed->scenario);
+}
+
+uint64_t ColumnsProfiled() {
+  return MetricsRegistry::Global().Snapshot().CounterValue(
+      "profiling.statistics.columns");
+}
+
+TEST(ValueModuleTest, ProfilesEachDistinctColumnOnce) {
+  const IntegrationScenario scenario = MakeThreeSourceScenario();
+  ASSERT_EQ(scenario.sources.size(), 3u);
+
+  // What the assessment reads: the source and the target column of every
+  // correspondence outside the target's foreign keys, each against the
+  // target attribute's type.
+  std::set<std::string> target_fks;
+  for (const Constraint& c : scenario.target.schema().constraints()) {
+    if (c.kind != ConstraintKind::kForeignKey) continue;
+    for (const std::string& attribute : c.attributes) {
+      target_fks.insert(c.relation + "." + attribute);
+    }
+  }
+  std::set<std::pair<const std::vector<Value>*, DataType>> distinct;
+  size_t requests = 0;
+  for (const SourceBinding& source : scenario.sources) {
+    for (const Correspondence& corr : source.correspondences.all()) {
+      if (!corr.is_attribute_level() ||
+          target_fks.count(corr.target_relation + "." +
+                           corr.target_attribute) > 0) {
+        continue;
+      }
+      auto source_table = source.database.table(corr.source_relation);
+      auto target_table = scenario.target.table(corr.target_relation);
+      ASSERT_TRUE(source_table.ok() && target_table.ok());
+      auto source_column = (*source_table)->ColumnByName(corr.source_attribute);
+      auto target_column = (*target_table)->ColumnByName(corr.target_attribute);
+      auto attribute = (*target_table)->def().Attribute(corr.target_attribute);
+      ASSERT_TRUE(source_column.ok() && target_column.ok() && attribute.ok());
+      distinct.emplace(*source_column, attribute->type);
+      distinct.emplace(*target_column, attribute->type);
+      requests += 2;
+    }
+  }
+  // Every target column is read once per source.
+  ASSERT_LT(distinct.size(), requests);
+
+  ASSERT_EQ(ProfileCache::Active(), nullptr);
+  const uint64_t before = ColumnsProfiled();
+  ValueModule module;
+  auto report = module.AssessComplexity(scenario);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(ColumnsProfiled() - before, distinct.size());
+}
+
+TEST(ValueModuleTest, ProfilingColumnSpansCountComputedColumns) {
+  const IntegrationScenario scenario = MakeThreeSourceScenario();
+  EfesEngine engine = MakeDefaultEngine();
+  TraceRecorder& recorder = TraceRecorder::Global();
+  auto assess = [&](ProfileCache* cache, uint64_t* columns, size_t* spans) {
+    RunOptions options;
+    options.cache = cache;
+    recorder.Clear();
+    recorder.set_enabled(true);
+    const uint64_t before = ColumnsProfiled();
+    auto reports = engine.AssessComplexity(scenario, options);
+    recorder.set_enabled(false);
+    ASSERT_TRUE(reports.ok()) << reports.status();
+    *columns = ColumnsProfiled() - before;
+    *spans = 0;
+    for (const TraceEvent& event : recorder.events()) {
+      if (event.name == "profiling.column") ++*spans;
+    }
+    recorder.Clear();
+  };
+
+  uint64_t columns = 0;
+  size_t spans = 0;
+  assess(nullptr, &columns, &spans);
+  EXPECT_GT(columns, 0u);
+  EXPECT_EQ(spans, columns) << "uncached";
+
+  ProfileCache cache;
+  assess(&cache, &columns, &spans);
+  EXPECT_EQ(spans, columns) << "cold cache";
+  // Every profile is a cache hit now: nothing is computed, no span opens.
+  assess(&cache, &columns, &spans);
+  EXPECT_EQ(columns, 0u);
+  EXPECT_EQ(spans, 0u) << "warm cache";
+}
+
+TEST(ValueModuleTest, FailedBatchFollowsTheThresholdNodes) {
+  // The thresholds are recorded before the profiling batch, so an
+  // assessment that fails in the batch (an exact budget overflow) leaves
+  // exactly those nodes behind, and the ids of every later module's nodes
+  // do not depend on where it failed.
+  const IntegrationScenario scenario = MakeThreeSourceScenario();
+  ProfileOptions exact;
+  exact.mode = ApproximationMode::kExact;
+  exact.max_memory_bytes = 300;
+  ScopedProfileOptions scoped_options(exact);
+  ProvenanceRecorder recorder;
+  ScopedProvenanceRecorder scoped_recorder(&recorder);
+  auto report = ValueModule().AssessComplexity(scenario);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
+  const ProvenanceSnapshot snapshot = recorder.Snapshot();
+  ASSERT_EQ(snapshot.nodes.size(), 3u);
+  for (const ProvenanceNode& node : snapshot.nodes) {
+    EXPECT_EQ(node.kind, ProvenanceKind::kThreshold) << node.label;
+  }
 }
 
 TEST(ValueHeterogeneityNamesTest, MatchAlgorithm1) {

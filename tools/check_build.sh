@@ -15,13 +15,15 @@
 # tests/, and bench/ with --format=json against docs/registry/ (per-file
 # checks everywhere, whole-program checks outside tests/ and bench/),
 # failing on any unsuppressed finding.
-# `--cache-roundtrip` builds only the CLI, exports the paper example, and
-# estimates it three times — cold with a fresh --cache-dir, warm against
-# the saved snapshot, and once with --no-cache — then diffs the three
-# JSON reports byte-for-byte and requires the warm run to have hits.
-# `--explain-determinism` builds only the CLI and requires the --explain
-# provenance tree (and the JSON provenance section) to be byte-identical
-# across --threads=1/4/8 and cold/warm/uncached profile-cache states.
+# `--cache-roundtrip` builds only the CLI and efes_fuzz, exports the
+# paper example and the 3-source fuzz seed 7 scenario, and estimates each
+# three times — cold with a fresh --cache-dir, warm against the saved
+# snapshot, and once with --no-cache — then diffs the three JSON reports
+# byte-for-byte and requires the warm run to have hits and no misses.
+# `--explain-determinism` builds only the CLI and efes_fuzz and requires
+# the --explain provenance tree (and the JSON provenance section) of the
+# same two scenarios to be byte-identical across --threads=1/4/8 and
+# cold/warm/uncached profile-cache states.
 # `--bench-smoke` runs the perf_* benches via tools/run_benches.sh into a
 # scratch file and checks each emitted a valid cold and warm JSON record.
 # `--fuzz-corpus` builds only efes_fuzz and replays the checked-in
@@ -119,62 +121,74 @@ elif [[ "$MODE" == "lint" ]]; then
 elif [[ "$MODE" == "cache" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target efes_cli
+  cmake --build "$BUILD_DIR" -j --target efes_cli --target efes_fuzz
   WORK="$(mktemp -d)"
   trap 'rm -rf "$WORK"' EXIT
-  "$BUILD_DIR/tools/efes" export-example "$WORK/scenario"
-  # Cold run populates the snapshot, warm run must serve from it, and a
-  # --no-cache run recomputes everything; all three reports must be
-  # byte-identical (the cache may change performance, never bytes).
-  "$BUILD_DIR/tools/efes" estimate "$WORK/scenario" --format=json \
-    --cache-dir="$WORK/cache" --out="$WORK/cold.json" --metrics \
-    > "$WORK/cold.metrics"
-  test -f "$WORK/cache/profile_cache.efes"
-  "$BUILD_DIR/tools/efes" estimate "$WORK/scenario" --format=json \
-    --cache-dir="$WORK/cache" --out="$WORK/warm.json" --metrics \
-    > "$WORK/warm.metrics"
-  "$BUILD_DIR/tools/efes" estimate "$WORK/scenario" --format=json \
-    --no-cache --out="$WORK/uncached.json"
-  diff "$WORK/cold.json" "$WORK/warm.json"
-  diff "$WORK/cold.json" "$WORK/uncached.json"
-  grep -q 'cache\.hits' "$WORK/warm.metrics"
-  if grep -q 'cache\.misses' "$WORK/warm.metrics"; then
-    echo "check_build: warm run still missed some profiles" >&2
-    grep 'cache\.' "$WORK/warm.metrics" >&2
-    exit 1
-  fi
-  echo "check_build: OK (cache roundtrip, cold/warm/uncached byte-identical)"
+  # The paper example has one source; fuzz seed 7 has three, so it also
+  # covers target columns read by several sources and the dedup module.
+  "$BUILD_DIR/tools/efes" export-example "$WORK/paper"
+  "$BUILD_DIR/tools/efes_fuzz" generate "$WORK/fuzz7" --fuzz-seed=7
+  for name in paper fuzz7; do
+    S="$WORK/$name"
+    # Cold run populates the snapshot, warm run must serve from it, and
+    # a --no-cache run recomputes everything; all three reports must be
+    # byte-identical (the cache may change performance, never bytes).
+    "$BUILD_DIR/tools/efes" estimate "$S" --format=json \
+      --cache-dir="$S-cache" --out="$S-cold.json" --metrics \
+      > "$S-cold.metrics"
+    test -f "$S-cache/profile_cache.efes"
+    "$BUILD_DIR/tools/efes" estimate "$S" --format=json \
+      --cache-dir="$S-cache" --out="$S-warm.json" --metrics \
+      > "$S-warm.metrics"
+    "$BUILD_DIR/tools/efes" estimate "$S" --format=json \
+      --no-cache --out="$S-uncached.json"
+    diff "$S-cold.json" "$S-warm.json"
+    diff "$S-cold.json" "$S-uncached.json"
+    grep -q 'cache\.hits' "$S-warm.metrics"
+    if grep -q 'cache\.misses' "$S-warm.metrics"; then
+      echo "check_build: warm run on $name still missed some profiles" >&2
+      grep 'cache\.' "$S-warm.metrics" >&2
+      exit 1
+    fi
+  done
+  echo "check_build: OK (cache roundtrip, cold/warm/uncached byte-identical on the paper example and fuzz seed 7)"
 elif [[ "$MODE" == "explain" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target efes_cli
+  cmake --build "$BUILD_DIR" -j --target efes_cli --target efes_fuzz
   WORK="$(mktemp -d)"
   trap 'rm -rf "$WORK"' EXIT
-  "$BUILD_DIR/tools/efes" export-example "$WORK/scenario"
-  # The provenance tree must not depend on how the work was scheduled:
-  # any thread count, cold or warm cache, or no cache at all.
-  for threads in 1 4 8; do
-    "$BUILD_DIR/tools/efes" estimate "$WORK/scenario" --explain \
-      --threads="$threads" > "$WORK/explain-t$threads.txt"
-    "$BUILD_DIR/tools/efes" estimate "$WORK/scenario" --explain \
-      --format=json --threads="$threads" > "$WORK/explain-t$threads.json"
+  # The paper example has one source; fuzz seed 7 has three, so it also
+  # covers target columns read by several sources and the dedup module.
+  "$BUILD_DIR/tools/efes" export-example "$WORK/paper"
+  "$BUILD_DIR/tools/efes_fuzz" generate "$WORK/fuzz7" --fuzz-seed=7
+  for name in paper fuzz7; do
+    S="$WORK/$name"
+    # The provenance tree must not depend on how the work was scheduled:
+    # any thread count, cold or warm cache, or no cache at all.
+    for threads in 1 4 8; do
+      "$BUILD_DIR/tools/efes" estimate "$S" --explain \
+        --threads="$threads" > "$S-explain-t$threads.txt"
+      "$BUILD_DIR/tools/efes" estimate "$S" --explain \
+        --format=json --threads="$threads" > "$S-explain-t$threads.json"
+    done
+    "$BUILD_DIR/tools/efes" estimate "$S" --explain \
+      --cache-dir="$S-cache" > "$S-explain-cold.txt"
+    "$BUILD_DIR/tools/efes" estimate "$S" --explain \
+      --cache-dir="$S-cache" > "$S-explain-warm.txt"
+    "$BUILD_DIR/tools/efes" estimate "$S" --explain \
+      --no-cache > "$S-explain-nocache.txt"
+    for variant in t4 t8; do
+      diff "$S-explain-t1.txt" "$S-explain-$variant.txt"
+      diff "$S-explain-t1.json" "$S-explain-$variant.json"
+    done
+    for variant in cold warm nocache; do
+      diff "$S-explain-t1.txt" "$S-explain-$variant.txt"
+    done
+    grep -q 'total effort' "$S-explain-t1.txt"
+    grep -q '"provenance"' "$S-explain-t1.json"
   done
-  "$BUILD_DIR/tools/efes" estimate "$WORK/scenario" --explain \
-    --cache-dir="$WORK/cache" > "$WORK/explain-cold.txt"
-  "$BUILD_DIR/tools/efes" estimate "$WORK/scenario" --explain \
-    --cache-dir="$WORK/cache" > "$WORK/explain-warm.txt"
-  "$BUILD_DIR/tools/efes" estimate "$WORK/scenario" --explain \
-    --no-cache > "$WORK/explain-nocache.txt"
-  for variant in t4 t8; do
-    diff "$WORK/explain-t1.txt" "$WORK/explain-$variant.txt"
-    diff "$WORK/explain-t1.json" "$WORK/explain-$variant.json"
-  done
-  for variant in cold warm nocache; do
-    diff "$WORK/explain-t1.txt" "$WORK/explain-$variant.txt"
-  done
-  grep -q 'total effort' "$WORK/explain-t1.txt"
-  grep -q '"provenance"' "$WORK/explain-t1.json"
-  echo "check_build: OK (--explain byte-identical across threads and cache states)"
+  echo "check_build: OK (--explain byte-identical across threads and cache states on the paper example and fuzz seed 7)"
 elif [[ "$MODE" == "fuzz" ]]; then
   BUILD_DIR="${1:-build-cache}"
   cmake -B "$BUILD_DIR" -S .
