@@ -110,6 +110,55 @@ void BM_TextStatisticsSketch(benchmark::State& state) {
 }
 BENCHMARK(BM_TextStatisticsSketch)->Arg(50000)->Arg(200000);
 
+/// The columns BM_SketchFinalize finalizes.
+enum class FinalizeColumn { kDistinctText, kDistinctInteger, kHundredTexts };
+
+/// StatisticsSketch::Finalize alone. Every benchmark thread absorbs its
+/// own column once, before the timed loop, so ->Threads(4) shows how
+/// four concurrent finalizations slow each other down.
+void BM_SketchFinalize(benchmark::State& state, FinalizeColumn shape) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  std::vector<Value> column;
+  column.reserve(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    switch (shape) {
+      case FinalizeColumn::kDistinctText:
+        column.push_back(Value::Text("value-" + std::to_string(i)));
+        break;
+      case FinalizeColumn::kDistinctInteger:
+        column.push_back(Value::Integer(static_cast<int64_t>(i)));
+        break;
+      case FinalizeColumn::kHundredTexts:
+        column.push_back(Value::Text("value-" + std::to_string(i % 100)));
+        break;
+    }
+  }
+  const DataType type = shape == FinalizeColumn::kDistinctInteger
+                            ? DataType::kInteger
+                            : DataType::kText;
+  StatisticsSketch sketch(type, ProfileOptions{});
+  if (Status absorbed = sketch.AbsorbRange(column, 0, rows); !absorbed.ok()) {
+    state.SkipWithError(absorbed.ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sketch.Finalize());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_SketchFinalize, distinct_text,
+                  FinalizeColumn::kDistinctText)
+    ->Arg(10000)->Arg(200000)->Threads(1)->Threads(4)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SketchFinalize, distinct_integer,
+                  FinalizeColumn::kDistinctInteger)
+    ->Arg(10000)->Arg(200000)->Threads(1)->Threads(4)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SketchFinalize, hundred_texts,
+                  FinalizeColumn::kHundredTexts)
+    ->Arg(10000)->Arg(200000)->Threads(1)->Threads(4)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_OverallFit(benchmark::State& state) {
   AttributeStatistics a =
       ProfileColumn(RandomTextColumn(5000), DataType::kText).value();

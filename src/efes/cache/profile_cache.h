@@ -26,9 +26,12 @@
 //
 // On-disk format (version bumps on any encoding change — old files are
 // then ignored wholesale; version 3 dropped the per-chunk partial-sketch
-// entries of version 2, so their lines never reach a parser):
+// entries of version 2, so their lines never reach a parser; version 4
+// marks statistics from the order-free sketch Finalize, whose constancy
+// and string-length stddev may differ from version 3's in the last
+// bits — the key covers the column and the options, not the kernel):
 //
-//   EFESCACHE 3
+//   EFESCACHE 4
 //   S <16-hex-key> <statistics tokens>
 //   C <16-hex-key> <constraint tokens>
 //
@@ -53,7 +56,7 @@
 namespace efes {
 
 /// Current on-disk format version (the number of the header line).
-inline constexpr int kProfileCacheFormatVersion = 3;
+inline constexpr int kProfileCacheFormatVersion = 4;
 
 class ProfileCache {
  public:

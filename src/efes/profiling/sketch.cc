@@ -1,11 +1,14 @@
 #include "efes/profiling/sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
 #include <optional>
 #include <sstream>
 
 #include "efes/cache/fingerprint.h"
+#include "efes/common/string_util.h"
 
 namespace efes {
 
@@ -22,18 +25,41 @@ bool IsNumericTarget(DataType type) {
   return type == DataType::kInteger || type == DataType::kReal;
 }
 
-/// The numeric reading the legacy statistics used: numerics directly,
-/// text only when it parses completely; booleans are not numeric.
+/// The numeric reading the statistics use: numerics directly, text only
+/// when it parses completely; booleans are not numeric. Only a finite
+/// reading counts, so NaN and the infinities never reach the range, the
+/// moments or the buckets (they still count in fill status, constancy
+/// and top-k like any other value).
 std::optional<double> NumericOf(const Value& value) {
-  if (value.type() == DataType::kInteger ||
-      value.type() == DataType::kReal) {
-    return value.NumericValue();
+  std::optional<double> number;
+  if (value.type() == DataType::kInteger || value.type() == DataType::kReal) {
+    number = value.NumericValue();
+  } else if (value.type() == DataType::kText) {
+    number = ParseDouble(value.AsText());
   }
-  if (value.CanCastTo(DataType::kReal)) {
-    Result<Value> cast = value.CastTo(DataType::kReal);
-    if (cast.ok()) return cast->AsReal();
-  }
+  if (number.has_value() && std::isfinite(*number)) return number;
   return std::nullopt;
+}
+
+bool IsNaN(const Value& value) {
+  return value.type() == DataType::kReal && std::isnan(value.AsReal());
+}
+
+/// Value's order made total over tracked keys, for the top-k tie-break.
+/// NaN never equals itself, so every NaN cell is an entry of its own;
+/// NaNs rank after every number, and among themselves by bit pattern.
+bool TieBreakLess(const Value& a, const Value& b) {
+  const bool a_nan = IsNaN(a);
+  const bool b_nan = IsNaN(b);
+  if (a_nan && b_nan) {
+    return std::bit_cast<uint64_t>(a.AsReal()) <
+           std::bit_cast<uint64_t>(b.AsReal());
+  }
+  if (a_nan != b_nan && IsNumericTarget(a.type()) &&
+      IsNumericTarget(b.type())) {
+    return b_nan;
+  }
+  return a < b;
 }
 
 /// Budget cost of one tracked map entry: node + key/count overhead plus
@@ -113,8 +139,14 @@ Status StatisticsSketch::Absorb(const Value& value) {
       ++numeric_count_;
     }
   }
-  const uint64_t hash = SketchValueHash(value);
-  if (!Tracks(hash)) return Status::OK();
+  // Only a budget can raise the level and drop values, and Merge refuses
+  // sketches with different budgets, so without one the hash is never
+  // read and is not computed.
+  uint64_t hash = 0;
+  if (cap_bytes_ != 0) {
+    hash = SketchValueHash(value);
+    if (!Tracks(hash)) return Status::OK();
+  }
   auto [it, inserted] =
       tracked_.try_emplace(value, std::pair<uint64_t, uint64_t>(0, hash));
   ++it->second.first;
@@ -221,18 +253,34 @@ AttributeStatistics StatisticsSketch::Finalize() const {
   stats.fill_status.uncastable_count = static_cast<size_t>(uncastable_count_);
   const uint64_t non_null = total_count_ - null_count_;
 
-  // Canonical iteration order: sorted by value, regardless of how the
-  // unordered tracking map hashed. This is what makes Finalize a pure
-  // function of the sketch state.
-  std::vector<std::pair<const Value*, uint64_t>> sorted;
-  sorted.reserve(tracked_.size());
+  // Nothing below depends on the order in which the unordered tracking
+  // map iterates, which is what makes Finalize a pure function of the
+  // sketch state: integer sums are exact, every floating-point sum runs
+  // over a short histogram in key order (or over sorted numbers), and
+  // ranks use a total order. One pass gathers the sample total, the
+  // histogram of counts, and the top k.
+  const auto ranks_before = [](const std::pair<const Value*, uint64_t>& a,
+                               const std::pair<const Value*, uint64_t>& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return TieBreakLess(*a.first, *b.first);  // deterministic tie-break
+  };
+  std::vector<std::pair<const Value*, uint64_t>> top;
+  top.reserve(TopKStats::kK + 1);
+  std::map<uint64_t, uint64_t> values_per_count;
   uint64_t sample_total = 0;
   for (const auto& [value, entry] : tracked_) {
-    sorted.emplace_back(&value, entry.first);
-    sample_total += entry.first;
+    const uint64_t count = entry.first;
+    sample_total += count;
+    ++values_per_count[count];
+    const std::pair<const Value*, uint64_t> candidate(&value, count);
+    if (top.size() == TopKStats::kK && !ranks_before(candidate, top.back())) {
+      continue;
+    }
+    top.insert(std::upper_bound(top.begin(), top.end(), candidate,
+                                ranks_before),
+               candidate);
+    if (top.size() > TopKStats::kK) top.pop_back();
   }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
 
   // Inverse sampling rate: each distinct value is tracked with
   // probability 2^-level, with an exact count when it is.
@@ -244,16 +292,24 @@ AttributeStatistics StatisticsSketch::Finalize() const {
   }
 
   // --- Constancy (inverse normalized entropy). ----------------------------
+  // With p = c/n, -sum p*log2(p) regroups by count: m_c values occur c
+  // times each, T = sum m_c*c, and
+  //   H = scale * (log2(n) * T/n - sum_c m_c*c*log2(c) / n).
+  // At level 0 T = n, so an all-distinct column (every c = 1) gets
+  // H = log2(n) exactly and constancy exactly 0.
   stats.constancy.non_null_count = static_cast<size_t>(non_null);
   stats.constancy.distinct_count = static_cast<size_t>(distinct_estimate);
   if (non_null > 0 && distinct_estimate > 1) {
-    double entropy = 0.0;
-    for (const auto& [value, count] : sorted) {
-      double p = static_cast<double>(count) / static_cast<double>(non_null);
-      entropy -= p * std::log2(p);
+    const double n = static_cast<double>(non_null);
+    double weighted_log = 0.0;
+    for (const auto& [count, values] : values_per_count) {
+      const double c = static_cast<double>(count);
+      weighted_log += static_cast<double>(values) * c * std::log2(c);
     }
-    entropy *= scale;
-    double max_entropy = std::log2(static_cast<double>(non_null));
+    const double max_entropy = std::log2(n);
+    const double entropy =
+        scale * (max_entropy * (static_cast<double>(sample_total) / n) -
+                 weighted_log / n);
     stats.constancy.constancy =
         max_entropy < kEpsilon ? 1.0
                                : std::max(0.0, 1.0 - entropy / max_entropy);
@@ -262,26 +318,12 @@ AttributeStatistics StatisticsSketch::Finalize() const {
   }
 
   // --- Top-k: tracked counts are exact global frequencies. ----------------
-  {
-    std::vector<std::pair<Value, double>> ranked;
-    ranked.reserve(sorted.size());
-    for (const auto& [value, count] : sorted) {
-      ranked.emplace_back(*value,
-                          non_null == 0 ? 0.0
-                                        : static_cast<double>(count) /
-                                              static_cast<double>(non_null));
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;  // deterministic tie-break
-              });
-    if (ranked.size() > TopKStats::kK) ranked.resize(TopKStats::kK);
-    stats.top_k.top_values = std::move(ranked);
-    stats.top_k.coverage = 0.0;
-    for (const auto& [value, freq] : stats.top_k.top_values) {
-      stats.top_k.coverage += freq;
-    }
+  // Integer counts rank exactly as count/non_null does.
+  for (const auto& [value, count] : top) {
+    const double freq =
+        static_cast<double>(count) / static_cast<double>(non_null);
+    stats.top_k.top_values.emplace_back(*value, freq);
+    stats.top_k.coverage += freq;
   }
 
   // --- String-directed statistics (ratio estimates over the sample;
@@ -292,15 +334,22 @@ AttributeStatistics StatisticsSketch::Finalize() const {
     // branch-free, cache-resident, and iterated over *distinct* values
     // only — duplicates cost one integer add, not a re-scan.
     std::array<uint64_t, 256> char_counts{};
+    std::map<size_t, uint64_t> length_counts;  // length -> occurrences
     uint64_t total_chars = 0;
-    double length_sum = 0.0;
-    for (const auto& [value, count] : sorted) {
-      std::string text = value->ToString();
+    std::string rendered;  // the text of a non-text value
+    for (const auto& [value, entry] : tracked_) {
+      const uint64_t count = entry.first;
+      std::string_view text;
+      if (value.type() == DataType::kText) {
+        text = value.AsText();
+      } else {
+        rendered = value.ToString();
+        text = rendered;
+      }
       pattern_counts[GeneralizeToPattern(text)] += count;
       for (unsigned char c : text) char_counts[c] += count;
       total_chars += count * text.size();
-      length_sum += static_cast<double>(count) *
-                    static_cast<double>(text.size());
+      length_counts[text.size()] += count;
     }
 
     const double denom = static_cast<double>(sample_total);
@@ -330,10 +379,11 @@ AttributeStatistics StatisticsSketch::Finalize() const {
     }
     stats.char_histogram = std::move(char_stats);
 
-    double mean = sample_total == 0 ? 0.0 : length_sum / denom;
+    const double mean =
+        sample_total == 0 ? 0.0 : static_cast<double>(total_chars) / denom;
     double variance = 0.0;
-    for (const auto& [value, count] : sorted) {
-      double d = static_cast<double>(value->ToString().size()) - mean;
+    for (const auto& [length, count] : length_counts) {
+      const double d = static_cast<double>(length) - mean;
       variance += static_cast<double>(count) * d * d;
     }
     if (sample_total > 0) variance /= denom;
@@ -344,14 +394,18 @@ AttributeStatistics StatisticsSketch::Finalize() const {
   // from the (exact-at-level-0) sample. ------------------------------------
   if (IsNumericTarget(target_type_) && numeric_count_ > 0) {
     std::vector<std::pair<double, uint64_t>> numbers;
-    numbers.reserve(sorted.size());
+    numbers.reserve(tracked_.size());
     uint64_t sample_numeric = 0;
-    for (const auto& [value, count] : sorted) {
-      if (std::optional<double> num = NumericOf(*value)) {
-        numbers.emplace_back(*num, count);
-        sample_numeric += count;
+    for (const auto& [value, entry] : tracked_) {
+      if (std::optional<double> num = NumericOf(value)) {
+        numbers.emplace_back(*num, entry.first);
+        sample_numeric += entry.first;
       }
     }
+    // Ascending by reading, then by count: a canonical order for the
+    // sums, and Value's own order whenever every tracked value is a
+    // number (equal numbers are one entry then).
+    std::sort(numbers.begin(), numbers.end());
     const double denom = static_cast<double>(sample_numeric);
     double mean = 0.0;
     for (const auto& [v, count] : numbers) {
@@ -371,17 +425,19 @@ AttributeStatistics StatisticsSketch::Finalize() const {
     histogram.min = numeric_min_;
     histogram.max = numeric_max_;
     histogram.bucket_fractions.assign(HistogramStats::kBucketCount, 0.0);
+    constexpr size_t kLastBucket = HistogramStats::kBucketCount - 1;
     double width = (numeric_max_ - numeric_min_) / HistogramStats::kBucketCount;
     for (const auto& [v, count] : numbers) {
-      size_t bucket =
-          width < kEpsilon
-              ? 0
-              : std::min(HistogramStats::kBucketCount - 1,
-                         static_cast<size_t>((v - numeric_min_) / width));
-      if (sample_numeric > 0) {
-        histogram.bucket_fractions[bucket] +=
-            static_cast<double>(count) / denom;
+      size_t bucket = 0;
+      if (width >= kEpsilon) {
+        // Compared as a double first: a range too wide for a double
+        // makes the position NaN, which lands in the last bucket.
+        const double position = (v - numeric_min_) / width;
+        bucket = position < static_cast<double>(kLastBucket)
+                     ? static_cast<size_t>(position)
+                     : kLastBucket;
       }
+      histogram.bucket_fractions[bucket] += static_cast<double>(count) / denom;
     }
     stats.histogram = std::move(histogram);
   }

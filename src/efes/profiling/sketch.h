@@ -14,9 +14,26 @@
 // sketch state is a pure, order-independent function of the *multiset*
 // of absorbed values. Counters are integer sums, min/max are exact
 // scalars, and the value-frequency map is keyed by value — no float is
-// ever accumulated across chunks. All nine §5.1 statistics are derived
-// at Finalize() by iterating the map in sorted-value order, so two
-// sketches with equal state render bit-identical statistics.
+// ever accumulated across chunks. Finalize() derives all nine §5.1
+// statistics without depending on the map's iteration order, and
+// without sorting or copying the distinct values:
+//   * counts, distinct counts, patterns and the character histogram are
+//     integer sums;
+//   * constancy sums over the histogram of counts, and the string-length
+//     moments over the histogram of lengths, each in key order;
+//   * numeric moments and buckets run over the (reading, count) pairs
+//     sorted by reading — Value's own order when every tracked value is
+//     a number;
+//   * top-k is a bounded selection by count, ties broken by a total
+//     order over values, and copies only its winners.
+// So two sketches with equal state render bit-identical statistics.
+//
+// Non-finite numbers: a numeric reading counts only when it is finite.
+// NaN and ±inf cells (REAL columns may hold them) still count in fill
+// status, constancy and top-k, but never reach the range, the moments
+// or the histogram buckets. Each NaN cell is a tracked entry of its own
+// (NaN never equals itself); the top-k tie-break ranks NaNs after every
+// number.
 //
 // Approximation taxonomy (ProfileOptions::mode):
 //   * kExact  — the frequency map holds every distinct value. A

@@ -459,6 +459,36 @@ TEST(CachePersistenceTest, PreSketchV1SnapshotDegradesToAMiss) {
   }
 }
 
+TEST(CachePersistenceTest, Version3StatisticsDegradeToAMiss) {
+  // Version 3 statistics came from the sorted-value Finalize, whose
+  // constancy and length stddev may differ from today's in the last
+  // bits. The key covers only the column and options, so a v3 `S` line
+  // that parses today must still load as nothing.
+  ProfileCache cache;
+  cache.StoreStatistics(FingerprintColumn(MixedColumn(), DataType::kText),
+                        Stats(MixedColumn(), DataType::kText));
+  const std::string current = TempCachePath("v4");
+  ASSERT_TRUE(cache.SaveToFile(current).ok());
+  Result<std::string> text = ReadFileToString(current);
+  ASSERT_TRUE(text.ok());
+  const std::string header =
+      "EFESCACHE " + std::to_string(kProfileCacheFormatVersion) + "\n";
+  ASSERT_EQ(text->rfind(header, 0), 0u) << *text;
+  ASSERT_NE(text->find("\nS "), std::string::npos) << *text;
+
+  ProfileCache reloaded;
+  ASSERT_TRUE(reloaded.LoadFromFile(current).ok());
+  EXPECT_EQ(reloaded.entry_count(), 1u);
+
+  const std::string v3 = TempCachePath("v3");
+  ASSERT_TRUE(
+      WriteFileAtomic(v3, "EFESCACHE 3\n" + text->substr(header.size()))
+          .ok());
+  ProfileCache stale;
+  EXPECT_TRUE(stale.LoadFromFile(v3).ok());
+  EXPECT_EQ(stale.entry_count(), 0u);
+}
+
 /// Seeded byte-mangler in the corruption_property_test style: truncate,
 /// flip a byte, splice a hostile fragment, duplicate a slice.
 std::string Corrupt(std::string text, Random& rng) {

@@ -198,7 +198,9 @@ std::vector<uint64_t> CorpusSeeds() {
   std::vector<uint64_t> seeds;
   if (!text.ok()) return seeds;
   for (const std::string& raw_line : Split(*text, '\n')) {
-    std::string_view line = Trim(raw_line.substr(0, raw_line.find('#')));
+    // Own the substring: Trim returns a view into its argument.
+    const std::string uncommented = raw_line.substr(0, raw_line.find('#'));
+    std::string_view line = Trim(uncommented);
     if (!line.empty()) seeds.push_back(std::stoull(std::string(line)));
   }
   return seeds;

@@ -1,41 +1,69 @@
 // Property tests for the mergeable statistic sketches (DESIGN.md §16):
 // the canonical-merge contract (any chunking, any merge order, any
-// thread count — one Finalize() output), accuracy bounds of the
-// budget-degraded sketches against exact answers, the --max-memory
-// semantics per approximation mode, bloom-pruning soundness, and the
-// cache-persistence state roundtrip.
+// thread count — one Finalize() output, compared bit for bit), the
+// differential test of the order-free Finalize against the sorted-value
+// reference (tests/sketch_reference.h), the non-finite rule, accuracy
+// bounds of the budget-degraded sketches against exact answers, the
+// --max-memory semantics per approximation mode, and bloom-pruning
+// soundness.
 
 #include "efes/profiling/sketch.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "efes/common/file_io.h"
 #include "efes/common/parallel.h"
 #include "efes/common/random.h"
+#include "efes/common/string_util.h"
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/statistics.h"
 #include "efes/relational/value.h"
+#include "efes/scenario/fuzzer.h"
+#include "sketch_reference.h"
 
 namespace efes {
 namespace {
 
-/// A text column drawing from `domain` distinct values, ~5% null.
-std::vector<Value> TextColumn(Random& rng, size_t n, size_t domain) {
+/// Cell `id` of a column whose cells have type `type`. Text renderings
+/// vary in length; numbers include negatives.
+Value CellFor(DataType type, uint64_t id) {
+  switch (type) {
+    case DataType::kBoolean:
+      return Value::Boolean(id % 2 == 0);
+    case DataType::kInteger:
+      return Value::Integer(static_cast<int64_t>(id) * 37 - 500);
+    case DataType::kReal:
+      return Value::Real(static_cast<double>(id) * 0.37 - 12.5);
+    case DataType::kText:
+      return Value::Text("v" + std::to_string(id));
+    case DataType::kNull:
+      break;
+  }
+  return Value::Null();
+}
+
+/// A column of `type` cells drawing from `domain` distinct ids, ~5% null.
+std::vector<Value> RandomColumn(Random& rng, DataType type, size_t n,
+                                size_t domain) {
   std::vector<Value> column;
   column.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     if (rng.Bernoulli(0.05)) {
       column.push_back(Value::Null());
     } else {
-      column.push_back(
-          Value::Text("v" + std::to_string(rng.UniformUint64(domain))));
+      column.push_back(CellFor(type, rng.UniformUint64(domain)));
     }
   }
   return column;
@@ -60,74 +88,420 @@ ProfileOptions SketchOptions(size_t budget) {
   return options;
 }
 
+/// Checks `actual` against `expected` within `tolerance`; a zero
+/// tolerance demands the same bits (so 0.0 differs from -0.0).
+void ExpectDouble(double actual, double expected, double tolerance,
+                  const std::string& what) {
+  if (tolerance == 0.0) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(actual),
+              std::bit_cast<uint64_t>(expected))
+        << what << ": " << actual << " vs " << expected;
+  } else {
+    EXPECT_NEAR(actual, expected, tolerance) << what;
+  }
+}
+
+/// Same type, and for REAL the same bits, so NaN matches NaN.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() == DataType::kReal) {
+    return std::bit_cast<uint64_t>(a.AsReal()) ==
+           std::bit_cast<uint64_t>(b.AsReal());
+  }
+  return a == b;
+}
+
+/// Absolute tolerances per statistic family; zero means bit for bit.
+/// `numeric` is scaled by the expected magnitude (at least 1).
+struct Tolerances {
+  double constancy = 0.0;
+  double length = 0.0;
+  double numeric = 0.0;
+};
+
+/// Compares every field of two statistics bundles.
+void ExpectStatistics(const AttributeStatistics& actual,
+                      const AttributeStatistics& expected,
+                      const Tolerances& tolerances = {}) {
+  const auto numeric = [&](double value) {
+    return tolerances.numeric * std::max(1.0, std::abs(value));
+  };
+  EXPECT_EQ(actual.evaluated_against, expected.evaluated_against);
+  EXPECT_EQ(actual.fill_status.total_count, expected.fill_status.total_count);
+  EXPECT_EQ(actual.fill_status.null_count, expected.fill_status.null_count);
+  EXPECT_EQ(actual.fill_status.uncastable_count,
+            expected.fill_status.uncastable_count);
+
+  EXPECT_EQ(actual.constancy.distinct_count, expected.constancy.distinct_count);
+  EXPECT_EQ(actual.constancy.non_null_count, expected.constancy.non_null_count);
+  ExpectDouble(actual.constancy.constancy, expected.constancy.constancy,
+               tolerances.constancy, "constancy");
+
+  ASSERT_EQ(actual.top_k.top_values.size(), expected.top_k.top_values.size());
+  for (size_t i = 0; i < actual.top_k.top_values.size(); ++i) {
+    const auto& [value, freq] = actual.top_k.top_values[i];
+    const auto& [want_value, want_freq] = expected.top_k.top_values[i];
+    EXPECT_TRUE(SameValue(value, want_value))
+        << "top-k #" << i << ": " << value << " vs " << want_value;
+    ExpectDouble(freq, want_freq, 0.0, "top-k frequency #" + std::to_string(i));
+  }
+  ExpectDouble(actual.top_k.coverage, expected.top_k.coverage, 0.0,
+               "top-k coverage");
+
+  ASSERT_EQ(actual.text_pattern.has_value(), expected.text_pattern.has_value());
+  if (actual.text_pattern.has_value()) {
+    const auto& patterns = actual.text_pattern->patterns;
+    const auto& want = expected.text_pattern->patterns;
+    ASSERT_EQ(patterns.size(), want.size());
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      EXPECT_EQ(patterns[i].first, want[i].first);
+      ExpectDouble(patterns[i].second, want[i].second, 0.0,
+                   "pattern " + want[i].first);
+    }
+  }
+  ASSERT_EQ(actual.char_histogram.has_value(),
+            expected.char_histogram.has_value());
+  if (actual.char_histogram.has_value()) {
+    const auto& frequencies = actual.char_histogram->frequencies;
+    const auto& want = expected.char_histogram->frequencies;
+    ASSERT_EQ(frequencies.size(), want.size());
+    for (auto it = frequencies.begin(), wit = want.begin();
+         it != frequencies.end(); ++it, ++wit) {
+      EXPECT_EQ(it->first, wit->first);
+      ExpectDouble(it->second, wit->second, 0.0,
+                   std::string("char '") + wit->first + "'");
+    }
+  }
+  ASSERT_EQ(actual.string_length.has_value(),
+            expected.string_length.has_value());
+  if (actual.string_length.has_value()) {
+    ExpectDouble(actual.string_length->mean, expected.string_length->mean,
+                 tolerances.length, "string length mean");
+    ExpectDouble(actual.string_length->stddev, expected.string_length->stddev,
+                 tolerances.length, "string length stddev");
+  }
+
+  ASSERT_EQ(actual.mean.has_value(), expected.mean.has_value());
+  if (actual.mean.has_value()) {
+    ExpectDouble(actual.mean->mean, expected.mean->mean,
+                 numeric(expected.mean->mean), "mean");
+    ExpectDouble(actual.mean->stddev, expected.mean->stddev,
+                 numeric(expected.mean->stddev), "stddev");
+  }
+  ASSERT_EQ(actual.value_range.has_value(), expected.value_range.has_value());
+  if (actual.value_range.has_value()) {
+    ExpectDouble(actual.value_range->min, expected.value_range->min, 0.0,
+                 "range min");
+    ExpectDouble(actual.value_range->max, expected.value_range->max, 0.0,
+                 "range max");
+  }
+  ASSERT_EQ(actual.histogram.has_value(), expected.histogram.has_value());
+  if (actual.histogram.has_value()) {
+    ExpectDouble(actual.histogram->min, expected.histogram->min, 0.0,
+                 "histogram min");
+    ExpectDouble(actual.histogram->max, expected.histogram->max, 0.0,
+                 "histogram max");
+    const auto& buckets = actual.histogram->bucket_fractions;
+    const auto& want = expected.histogram->bucket_fractions;
+    ASSERT_EQ(buckets.size(), want.size());
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      ExpectDouble(buckets[i], want[i], tolerances.numeric,
+                   "bucket " + std::to_string(i));
+    }
+  }
+}
+
+/// The concrete types: of the merge-property columns, each profiled
+/// against its own type, and of the differential tests' targets.
+constexpr DataType kCellTypes[] = {DataType::kText, DataType::kInteger,
+                                   DataType::kReal, DataType::kBoolean};
+
 TEST(SketchMergeProperty, AnyChunkingAndMergeOrderFinalizesIdentically) {
   // The canonical-merge contract, stated adversarially: split the column
   // anywhere, build per-chunk partials, fold them in a *random* order —
-  // Finalize() must still equal the single-pass absorb, exact mode and
-  // budget-degraded sketch mode alike.
+  // Finalize() must still equal the single-pass absorb bit for bit,
+  // exact mode and budget-degraded sketch mode alike.
   const ProfileOptions kModes[] = {ProfileOptions{}, SketchOptions(16384)};
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Random data_rng(seed);
-    const std::vector<Value> column = TextColumn(data_rng, 5000, 1500);
-    for (const ProfileOptions& options : kModes) {
-      SCOPED_TRACE(std::string("mode ") +
-                   std::string(ApproximationModeToString(options.mode)));
-      StatisticsSketch reference(DataType::kText, options);
-      ASSERT_TRUE(reference.AbsorbRange(column, 0, column.size()).ok());
-      const std::string expected = reference.Finalize().ToString();
+  for (const DataType type : kCellTypes) {
+    SCOPED_TRACE(std::string("type ") + std::string(DataTypeToString(type)));
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      Random data_rng(seed);
+      const std::vector<Value> column =
+          RandomColumn(data_rng, type, 5000, 1500);
+      for (const ProfileOptions& options : kModes) {
+        SCOPED_TRACE(std::string("mode ") +
+                     std::string(ApproximationModeToString(options.mode)));
+        StatisticsSketch reference(type, options);
+        ASSERT_TRUE(reference.AbsorbRange(column, 0, column.size()).ok());
+        const AttributeStatistics expected = reference.Finalize();
 
-      Random shape_rng(seed * 1000 + 7);
-      for (int round = 0; round < 8; ++round) {
-        SCOPED_TRACE("round " + std::to_string(round));
-        auto chunks = RandomChunking(shape_rng, column.size());
-        std::vector<StatisticsSketch> partials;
-        for (const auto& [lo, hi] : chunks) {
-          StatisticsSketch partial(DataType::kText, options);
-          ASSERT_TRUE(partial.AbsorbRange(column, lo, hi).ok());
-          partials.push_back(std::move(partial));
+        Random shape_rng(seed * 1000 + 7);
+        for (int round = 0; round < 8; ++round) {
+          SCOPED_TRACE("round " + std::to_string(round));
+          auto chunks = RandomChunking(shape_rng, column.size());
+          std::vector<StatisticsSketch> partials;
+          for (const auto& [lo, hi] : chunks) {
+            StatisticsSketch partial(type, options);
+            ASSERT_TRUE(partial.AbsorbRange(column, lo, hi).ok());
+            partials.push_back(std::move(partial));
+          }
+          std::vector<size_t> order(partials.size());
+          std::iota(order.begin(), order.end(), size_t{0});
+          shape_rng.Shuffle(order);
+          StatisticsSketch merged(type, options);
+          for (size_t index : order) {
+            ASSERT_TRUE(merged.Merge(partials[index]).ok());
+          }
+          ExpectStatistics(merged.Finalize(), expected);
         }
-        std::vector<size_t> order(partials.size());
-        std::iota(order.begin(), order.end(), size_t{0});
-        shape_rng.Shuffle(order);
-        StatisticsSketch merged(DataType::kText, options);
-        for (size_t index : order) {
-          ASSERT_TRUE(merged.Merge(partials[index]).ok());
-        }
-        EXPECT_EQ(merged.Finalize().ToString(), expected);
       }
     }
   }
 }
 
 TEST(SketchMergeProperty, ProfileColumnIsChunkAndThreadInvariant) {
-  Random rng(42);
-  const std::vector<Value> column = TextColumn(rng, 20000, 6000);
-  for (const ProfileOptions& base :
-       {ProfileOptions{}, SketchOptions(16384)}) {
-    SCOPED_TRACE(std::string("mode ") +
-                 std::string(ApproximationModeToString(base.mode)));
-    std::string expected;
-    for (size_t chunk_rows : {size_t{0}, size_t{37}, size_t{512},
-                              size_t{4096}}) {
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-        SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) +
-                     " threads=" + std::to_string(threads));
-        SetThreadCountOverride(threads);
-        ProfileOptions options = base;
-        options.chunk_rows = chunk_rows;
-        auto profiled = ProfileColumn(column, DataType::kText, options);
-        SetThreadCountOverride(0);
-        ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
-        const std::string rendered = profiled->ToString();
-        if (expected.empty()) {
-          expected = rendered;
-        } else {
-          EXPECT_EQ(rendered, expected);
+  for (const DataType type : kCellTypes) {
+    SCOPED_TRACE(std::string("type ") + std::string(DataTypeToString(type)));
+    Random rng(42);
+    const std::vector<Value> column = RandomColumn(rng, type, 20000, 6000);
+    for (const ProfileOptions& base :
+         {ProfileOptions{}, SketchOptions(16384)}) {
+      SCOPED_TRACE(std::string("mode ") +
+                   std::string(ApproximationModeToString(base.mode)));
+      std::optional<AttributeStatistics> expected;
+      for (size_t chunk_rows : {size_t{0}, size_t{37}, size_t{512},
+                                size_t{4096}}) {
+        for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+          SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) +
+                       " threads=" + std::to_string(threads));
+          SetThreadCountOverride(threads);
+          ProfileOptions options = base;
+          options.chunk_rows = chunk_rows;
+          auto profiled = ProfileColumn(column, type, options);
+          SetThreadCountOverride(0);
+          ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+          if (!expected.has_value()) {
+            expected = *profiled;
+          } else {
+            ExpectStatistics(*profiled, *expected);
+          }
         }
       }
     }
   }
+}
+
+TEST(SketchMergeProperty, NonFiniteCellsStayOutOfRangeMomentsAndBuckets) {
+  // A REAL column as the loader types `5, 2, nan, 1, inf`: strtod reads
+  // NaN and infinity. Wherever a chunk starts, the range, the moments
+  // and the buckets see only the finite cells, while the non-finite ones
+  // still count as values. Every chunking must finalize bit-identically.
+  std::vector<Value> column;
+  for (const char* cell : {"5", "2", "nan", "1", "inf"}) {
+    Result<Value> typed = Value::CastText(cell, DataType::kReal);
+    ASSERT_TRUE(typed.ok()) << cell;
+    column.push_back(*typed);
+  }
+  StatisticsSketch single(DataType::kReal, ProfileOptions{});
+  ASSERT_TRUE(single.AbsorbRange(column, 0, column.size()).ok());
+  const AttributeStatistics expected = single.Finalize();
+
+  ASSERT_TRUE(expected.value_range.has_value());
+  EXPECT_EQ(expected.value_range->min, 1.0);
+  EXPECT_EQ(expected.value_range->max, 5.0);
+  ASSERT_TRUE(expected.mean.has_value());
+  EXPECT_DOUBLE_EQ(expected.mean->mean, 8.0 / 3.0);
+  EXPECT_TRUE(std::isfinite(expected.mean->stddev));
+  ASSERT_TRUE(expected.histogram.has_value());
+  EXPECT_DOUBLE_EQ(std::accumulate(expected.histogram->bucket_fractions.begin(),
+                                   expected.histogram->bucket_fractions.end(),
+                                   0.0),
+                   1.0);
+  EXPECT_EQ(expected.fill_status.uncastable_count, 0u);
+  EXPECT_EQ(expected.constancy.distinct_count, 5u);
+  ASSERT_EQ(expected.top_k.top_values.size(), 5u);
+  EXPECT_TRUE(std::isinf(expected.top_k.top_values[3].first.AsReal()));
+  EXPECT_TRUE(std::isnan(expected.top_k.top_values[4].first.AsReal()))
+      << "the tie-break ranks NaN after every number";
+
+  // Every split of the five cells into contiguous chunks, folded
+  // forwards and backwards.
+  const size_t n = column.size();
+  for (uint32_t cuts = 0; cuts < (1u << (n - 1)); ++cuts) {
+    std::vector<StatisticsSketch> partials;
+    size_t lo = 0;
+    for (size_t i = 1; i <= n; ++i) {
+      if (i == n || (cuts & (1u << (i - 1))) != 0) {
+        StatisticsSketch partial(DataType::kReal, ProfileOptions{});
+        ASSERT_TRUE(partial.AbsorbRange(column, lo, i).ok());
+        partials.push_back(std::move(partial));
+        lo = i;
+      }
+    }
+    for (bool reverse : {false, true}) {
+      SCOPED_TRACE("cuts=" + std::to_string(cuts) +
+                   (reverse ? " reversed" : ""));
+      if (reverse) std::reverse(partials.begin(), partials.end());
+      StatisticsSketch merged(DataType::kReal, ProfileOptions{});
+      for (const StatisticsSketch& partial : partials) {
+        ASSERT_TRUE(merged.Merge(partial).ok());
+      }
+      ExpectStatistics(merged.Finalize(), expected);
+    }
+  }
+  for (size_t chunk_rows = 1; chunk_rows <= n; ++chunk_rows) {
+    ProfileOptions options;
+    options.chunk_rows = chunk_rows;
+    auto profiled = ProfileColumn(column, DataType::kReal, options);
+    ASSERT_TRUE(profiled.ok());
+    SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
+    ExpectStatistics(*profiled, expected);
+  }
+}
+
+// --- Differential test against the sorted-value reference ------------------
+
+/// How a synthetic column draws its cell ids.
+enum class Shape { kRandom, kAllDistinct, kSingleValued, kSkewed };
+
+/// Text cells of which some parse as numbers and some do not. The ids
+/// 4k+1 and 4k+2 read as the same number through different texts.
+Value NumericTextCell(uint64_t id) {
+  switch (id % 4) {
+    case 0:
+      return Value::Text("x" + std::to_string(id));
+    case 1:
+      return Value::Text(std::to_string(id));
+    case 2:
+      return Value::Text(std::to_string(id - 1) + ".0");
+    default:
+      return Value::Text(" " + std::to_string(id) + "e-1");
+  }
+}
+
+/// A synthetic column: `n` cells of `type` (kNull here means numeric
+/// text), every 17th cell null, ids drawn by `shape`.
+std::vector<Value> ShapedColumn(DataType type, Shape shape, size_t n,
+                                uint64_t seed) {
+  Random rng(seed);
+  std::vector<Value> column;
+  column.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 17 == 16) {
+      column.push_back(Value::Null());
+      continue;
+    }
+    uint64_t id = 0;
+    switch (shape) {
+      case Shape::kRandom:
+        id = rng.UniformUint64(n / 3 + 1);
+        break;
+      case Shape::kAllDistinct:
+        id = i;
+        break;
+      case Shape::kSingleValued:
+        id = 7;
+        break;
+      case Shape::kSkewed:  // small ids far more often than large ones
+        id = rng.UniformUint64(rng.UniformUint64(n / 2 + 1) + 1);
+        break;
+    }
+    column.push_back(type == DataType::kNull ? NumericTextCell(id)
+                                             : CellFor(type, id));
+  }
+  return column;
+}
+
+/// Profiles `column` against `target` through ProfileColumn, whole and
+/// in chunks, and checks both against the reference: exact for counts,
+/// top-k, patterns, characters and range; bit-exact moments and buckets
+/// when every value is a number; constancy and length moments within
+/// 1e-12, and exactly 0 constancy for an all-distinct column.
+void ExpectMatchesReference(const std::vector<Value>& column,
+                            DataType target) {
+  const AttributeStatistics expected = ReferenceStatistics(column, target);
+  bool numbers_only = true;
+  for (const Value& value : column) {
+    if (!value.is_null() && value.type() != DataType::kInteger &&
+        value.type() != DataType::kReal) {
+      numbers_only = false;
+    }
+  }
+  Tolerances tolerances;
+  tolerances.constancy = 1e-12;
+  tolerances.length = 1e-12;
+  tolerances.numeric = numbers_only ? 0.0 : 1e-12;
+  for (size_t chunk_rows : {size_t{0}, size_t{1000}}) {
+    SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
+    ProfileOptions options;
+    options.chunk_rows = chunk_rows;
+    auto profiled = ProfileColumn(column, target, options);
+    ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+    ExpectStatistics(*profiled, expected, tolerances);
+    const ConstancyStats& constancy = profiled->constancy;
+    if (constancy.non_null_count > 1 &&
+        constancy.distinct_count == constancy.non_null_count) {
+      EXPECT_EQ(constancy.constancy, 0.0) << "all-distinct residue";
+    }
+  }
+}
+
+TEST(SketchDifferential, MatchesSortedReferenceOnSyntheticColumns) {
+  // kNull stands for text cells that are partly numeric.
+  const DataType kCells[] = {DataType::kText, DataType::kInteger,
+                             DataType::kReal, DataType::kBoolean,
+                             DataType::kNull};
+  const Shape kShapes[] = {Shape::kRandom, Shape::kAllDistinct,
+                           Shape::kSingleValued, Shape::kSkewed};
+  // 52 cells hold 49 non-null values: summing -p*log2(p) once per value
+  // leaves a constancy residue there for an all-distinct column.
+  const size_t kSizes[] = {0, 1, 2, 52, 1000, 20000};
+  uint64_t seed = 0;
+  for (const DataType cells : kCells) {
+    for (const Shape shape : kShapes) {
+      for (const size_t n : kSizes) {
+        const std::vector<Value> column = ShapedColumn(cells, shape, n, ++seed);
+        for (const DataType target : kCellTypes) {
+          SCOPED_TRACE(std::string("cells ") +
+                       std::string(DataTypeToString(cells)) + " shape " +
+                       std::to_string(static_cast<int>(shape)) + " n " +
+                       std::to_string(n) + " target " +
+                       std::string(DataTypeToString(target)));
+          ExpectMatchesReference(column, target);
+        }
+      }
+    }
+  }
+}
+
+TEST(SketchDifferential, MatchesSortedReferenceOnFuzzCorpusColumns) {
+  Result<std::string> text =
+      ReadFileToString(std::string(EFES_SOURCE_DIR) + "/data/fuzz_corpus.txt");
+  ASSERT_TRUE(text.ok()) << text.status();
+  size_t seeds = 0;
+  for (const std::string& raw_line : Split(*text, '\n')) {
+    const std::string line(Trim(raw_line.substr(0, raw_line.find('#'))));
+    if (line.empty()) continue;
+    std::optional<int64_t> seed = ParseInt64(line);
+    ASSERT_TRUE(seed.has_value()) << "bad corpus line: " << line;
+    auto fuzzed = FuzzScenario(static_cast<uint64_t>(*seed));
+    ASSERT_TRUE(fuzzed.ok()) << "seed " << line;
+    for (const SourceBinding& source : fuzzed->scenario.sources) {
+      for (const Table& table : source.database.tables()) {
+        for (size_t c = 0; c < table.column_count(); ++c) {
+          for (const DataType target : kCellTypes) {
+            SCOPED_TRACE("seed " + line + " " + table.name() + " column " +
+                         std::to_string(c) + " target " +
+                         std::string(DataTypeToString(target)));
+            ExpectMatchesReference(table.column(c), target);
+          }
+        }
+      }
+    }
+    ++seeds;
+  }
+  EXPECT_GE(seeds, 50u);
 }
 
 TEST(SketchAccuracy, DistinctEstimateIsWithinRelativeBound) {
@@ -137,7 +511,8 @@ TEST(SketchAccuracy, DistinctEstimateIsWithinRelativeBound) {
   for (uint64_t seed = 10; seed < 15; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Random rng(seed);
-    const std::vector<Value> column = TextColumn(rng, 40000, 15000);
+    const std::vector<Value> column =
+        RandomColumn(rng, DataType::kText, 40000, 15000);
     std::set<std::string> distinct;
     for (const Value& value : column) {
       if (!value.is_null()) distinct.insert(value.AsText());
@@ -193,7 +568,8 @@ TEST(SketchAccuracy, SurvivingTopKFrequenciesAreExact) {
 
 TEST(SketchBudget, ExactModeFailsWhereSketchAndAutoDegrade) {
   Random rng(5);
-  const std::vector<Value> column = TextColumn(rng, 30000, 20000);
+  const std::vector<Value> column =
+      RandomColumn(rng, DataType::kText, 30000, 20000);
 
   ProfileOptions exact;
   exact.mode = ApproximationMode::kExact;
