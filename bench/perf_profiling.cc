@@ -1,9 +1,11 @@
 // Performance benchmarks for the Section 5.1 statistics through the
 // chunked, budgeted profiler (profiling/profiler.h), for the scenario
 // load that turns CSV bytes into the typed columns they profile
-// (BM_LoadScenario), and for the value and dedup assessments that
+// (BM_LoadScenario), for the value and dedup assessments that
 // profile those columns in one batch each (BM_AssessValues,
-// BM_AssessDedup).
+// BM_AssessDedup), and for the two halves of `efes profile`: reading
+// row blocks (BM_CsvBlocks) and absorbing text cells into sketches
+// (BM_SketchAbsorbText).
 //
 // Two workload shapes:
 //   - default: a 32-column in-memory batch through ProfileColumns, wide
@@ -28,6 +30,8 @@
 #include "bench_json.h"
 #include "efes/cache/profile_cache.h"
 #include "efes/common/clock.h"
+#include "efes/common/csv.h"
+#include "efes/common/file_io.h"
 #include "efes/common/flags.h"
 #include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
@@ -158,6 +162,134 @@ BENCHMARK_CAPTURE(BM_SketchFinalize, hundred_texts,
                   FinalizeColumn::kHundredTexts)
     ->Arg(10000)->Arg(200000)->Threads(1)->Threads(4)
     ->Unit(benchmark::kMicrosecond);
+
+/// How a benchmark hands cells over: as views, or as one string or
+/// Value per cell.
+enum class CellVia { kViews, kStrings };
+
+/// A 200k-row, 8-column CSV in the shape of the profile_stream workload
+/// (a unique id, names, small integers, reals and words), written once
+/// to a temporary file that is removed at exit.
+const std::string& SavedTallCsv() {
+  struct TempCsv {
+    TempCsv() {
+      path = (std::filesystem::temp_directory_path() /
+              ("efes_perf_tall_" + std::to_string(::getpid()) + ".csv"))
+                 .string();
+      Random rng(17);
+      std::string text = "uid,id,name,count,word,small,ratio,label\n";
+      for (size_t row = 1; row <= 200000; ++row) {
+        text += std::to_string(row) + "," +
+                std::to_string(rng.UniformUint64(150000)) + "," +
+                rng.Word(3, 8) + " " + rng.Word(4, 9) + "," +
+                std::to_string(rng.UniformUint64(40)) + "," +
+                rng.Word(4, 7) + "," +
+                (rng.Bernoulli(0.1) ? ""
+                                    : std::to_string(rng.UniformUint64(12))) +
+                "," + std::to_string(rng.UniformUint64(20)) + ".5," +
+                rng.Word(5, 9) + "\n";
+      }
+      Status written = WriteFileAtomic(path, text);
+      if (!written.ok()) {
+        std::fprintf(stderr, "perf_profiling: cannot write CSV: %s\n",
+                     written.ToString().c_str());
+        std::abort();
+      }
+    }
+    TempCsv(const TempCsv&) = delete;
+    TempCsv& operator=(const TempCsv&) = delete;
+    ~TempCsv() {
+      std::error_code ignored;
+      std::filesystem::remove(path, ignored);
+    }
+    std::string path;
+  };
+  static const TempCsv csv;
+  return csv.path;
+}
+
+/// Reads SavedTallCsv() in 65536-row blocks: flat (NextRows) or one
+/// string per cell (NextChunk).
+void BM_CsvBlocks(benchmark::State& state, CellVia via) {
+  const std::string& path = SavedTallCsv();
+  for (auto _ : state) {
+    auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, 65536);
+    if (!reader.ok()) {
+      state.SkipWithError(reader.status().ToString().c_str());
+      break;
+    }
+    size_t rows = 0;
+    while (!reader->done()) {
+      if (via == CellVia::kViews) {
+        auto block = reader->NextRows();
+        if (!block.ok()) break;
+        rows += block->size();
+        benchmark::DoNotOptimize(block->cell(0, 0));
+      } else {
+        auto chunk = reader->NextChunk();
+        if (!chunk.ok()) break;
+        rows += chunk->size();
+        benchmark::DoNotOptimize(chunk->data());
+      }
+    }
+    if (rows != 200000) {
+      state.SkipWithError("short read");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 200000);
+}
+BENCHMARK_CAPTURE(BM_CsvBlocks, rows, CellVia::kViews)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CsvBlocks, chunk, CellVia::kStrings)
+    ->Unit(benchmark::kMillisecond);
+
+/// Absorbs 500k text cells into a fresh text sketch: through AbsorbText
+/// (views) or Absorb(Value::Text) (a Value per cell). `distinct` picks
+/// an all-distinct column over a 60-word one; a nonzero argument sets
+/// profile_stream's 1 MiB sketch budget.
+void BM_SketchAbsorbText(benchmark::State& state, bool distinct,
+                         CellVia via) {
+  constexpr size_t kCells = 500000;
+  std::vector<std::string> cells;
+  cells.reserve(kCells);
+  Random rng(5);
+  std::vector<std::string> words;
+  for (int i = 0; i < 60; ++i) words.push_back(rng.Word(4, 10));
+  for (size_t i = 0; i < kCells; ++i) {
+    cells.push_back(distinct ? "value-" + std::to_string(i)
+                             : words[rng.UniformUint64(words.size())]);
+  }
+  ProfileOptions options;
+  if (state.range(0) != 0) {
+    options.mode = ApproximationMode::kSketch;
+    options.max_memory_bytes = 1 << 20;
+  }
+  for (auto _ : state) {
+    StatisticsSketch sketch(DataType::kText, options);
+    Status status;
+    for (const std::string& cell : cells) {
+      status = via == CellVia::kViews ? sketch.AbsorbText(cell)
+                                      : sketch.Absorb(Value::Text(cell));
+      if (!status.ok()) break;
+    }
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(sketch.tracked_count());
+  }
+  state.SetItemsProcessed(state.iterations() * kCells);
+}
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, words_view, false, CellVia::kViews)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, words_value, false, CellVia::kStrings)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, distinct_view, true, CellVia::kViews)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, distinct_value, true,
+                  CellVia::kStrings)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_OverallFit(benchmark::State& state) {
   AttributeStatistics a =

@@ -68,10 +68,14 @@ Fingerprinter& Fingerprinter::MixValue(const Value& v) {
       MixUint64(static_cast<uint64_t>(MixTag::kReal));
       return MixDouble(v.AsReal());
     case DataType::kText:
-      MixUint64(static_cast<uint64_t>(MixTag::kText));
-      return MixString(v.AsText());
+      return MixText(v.AsText());
   }
   return *this;
+}
+
+Fingerprinter& Fingerprinter::MixText(std::string_view text) {
+  MixUint64(static_cast<uint64_t>(MixTag::kText));
+  return MixString(text);
 }
 
 uint64_t FingerprintColumn(const std::vector<Value>& column,

@@ -34,6 +34,8 @@ class Fingerprinter {
   Fingerprinter& MixString(std::string_view s);
   /// Type tag + payload; NULL mixes the tag alone.
   Fingerprinter& MixValue(const Value& v);
+  /// MixValue(Value::Text(text)), without building the value.
+  Fingerprinter& MixText(std::string_view text);
 
   uint64_t digest() const { return hash_; }
 

@@ -382,26 +382,76 @@ Status WriteCsvFile(const CsvDocument& doc, const std::string& path,
 
 // --- ChunkedCsvReader ------------------------------------------------------
 
+void CsvRows::Append(const std::vector<std::string_view>& cells) {
+  for (std::string_view cell : cells) {
+    bytes_.append(cell);
+    offsets_.push_back(bytes_.size());
+  }
+  ++rows_;
+}
+
 struct ChunkedCsvReader::Impl {
-  // The scanner's sink: completed records wait here until delivered.
-  struct RecordQueue {
+  // A block as the scanner fills it. `records` counts every record the
+  // block spans, stored or not (a strict-mode shape error stops the
+  // storing), because NextRows reads ahead until `block_rows` records
+  // are pending. The repairs and the error wait here until NextRows
+  // delivers the block.
+  struct Block {
+    explicit Block(size_t width) : rows(width) {}
+    CsvRows rows;
+    size_t records = 0;
+    std::vector<DataIssue> issues;
+    Status error;
+  };
+
+  // The scanner's sink: the first record is the header; every later one
+  // is conformed to its width straight into the block being filled, and
+  // a record past `block_rows` starts the next block.
+  struct BlockQueue {
     void OnRecord(std::vector<std::string_view>& cells) {
-      records.emplace_back(cells.begin(), cells.end());
+      if (!has_header) {
+        has_header = true;
+        header.assign(cells.begin(), cells.end());
+        return;
+      }
+      ++records_seen;
+      ++pending_records;
+      if (blocks.empty() || blocks.back().records == block_rows) {
+        blocks.emplace_back(header.size());
+      }
+      Block& block = blocks.back();
+      ++block.records;
+      if (stopped) return;
+      block.error = NormalizeRecord(cells, header.size(), records_seen,
+                                    recover, &block.issues);
+      if (!block.error.ok()) {
+        stopped = true;  // strict mode delivers nothing past this record
+        return;
+      }
+      block.rows.Append(cells);
     }
-    std::deque<std::vector<std::string>> records;
+
+    bool recover = false;
+    size_t block_rows = 0;
+    bool has_header = false;
+    std::vector<std::string> header;
+    size_t records_seen = 0;     // data records scanned
+    size_t pending_records = 0;  // of those, not yet delivered
+    bool stopped = false;
+    std::deque<Block> blocks;
   };
 
   Impl(const CsvReadOptions& options, std::string path, size_t chunk_rows)
-      : options(options),
-        path(std::move(path)),
-        chunk_rows(chunk_rows),
-        scanner(options, queue) {}
+      : path(std::move(path)), scanner(options, queue) {
+    queue.recover = options.mode == CsvReadOptions::Mode::kRecover;
+    queue.block_rows = chunk_rows == 0 ? options.max_rows : chunk_rows;
+  }
   // The scanner refers to `queue`, so an Impl never copies or moves.
   Impl(const Impl&) = delete;
   Impl& operator=(const Impl&) = delete;
 
   // Appends " (path)" the way ReadCsvFile does, and latches the error so
-  // every later NextChunk repeats it.
+  // every later NextRows repeats it.
   Status Fail(const Status& status) {
     error = Status(status.code(), status.message() + " (" + path + ")");
     return error;
@@ -427,13 +477,10 @@ struct ChunkedCsvReader::Impl {
     return Status::OK();
   }
 
-  const CsvReadOptions options;
   const std::string path;
-  const size_t chunk_rows;
   std::ifstream stream;
-  RecordQueue queue;  // before the scanner, which holds a reference
-  CsvScanner<RecordQueue> scanner;
-  std::vector<std::string> header;
+  BlockQueue queue;  // before the scanner, which holds a reference
+  CsvScanner<BlockQueue> scanner;
   bool source_done = false;
   bool quote_issue_reported = false;
   size_t rows_delivered = 0;
@@ -456,57 +503,65 @@ Result<ChunkedCsvReader> ChunkedCsvReader::Open(const std::string& path,
   if (!impl->stream) {
     return Status::NotFound("cannot open: " + path);
   }
-  while (impl->queue.records.empty() && !impl->source_done) {
+  while (!impl->queue.has_header && !impl->source_done) {
     EFES_RETURN_IF_ERROR(impl->Pump());
   }
-  if (impl->queue.records.empty()) {
+  if (!impl->queue.has_header) {
     return impl->Fail(Status::ParseError("CSV input contains no header row"));
   }
-  impl->header = std::move(impl->queue.records.front());
-  impl->queue.records.pop_front();
   return ChunkedCsvReader(std::move(impl));
 }
 
 const std::vector<std::string>& ChunkedCsvReader::header() const {
-  return impl_->header;
+  return impl_->queue.header;
 }
 
-Result<std::vector<std::vector<std::string>>> ChunkedCsvReader::NextChunk(
-    std::vector<DataIssue>* issues) {
+Result<CsvRows> ChunkedCsvReader::NextRows(std::vector<DataIssue>* issues) {
   Impl& impl = *impl_;
   EFES_RETURN_IF_ERROR(impl.error);
-  const bool recover = impl.options.mode == CsvReadOptions::Mode::kRecover;
-  const size_t want =
-      impl.chunk_rows == 0 ? impl.options.max_rows : impl.chunk_rows;
-  while (impl.queue.records.size() < want && !impl.source_done) {
+  while (impl.queue.pending_records < impl.queue.block_rows &&
+         !impl.source_done) {
     EFES_RETURN_IF_ERROR(impl.Pump());
   }
   if (impl.source_done && impl.scanner.unterminated_quote() &&
       !impl.quote_issue_reported) {
     impl.quote_issue_reported = true;
-    if (!recover) {
+    if (!impl.queue.recover) {
       return impl.Fail(Status::ParseError("unterminated quoted CSV field"));
     }
     AddIssue(issues, "end of input",
              "unterminated quoted field closed at end of input");
   }
-  std::vector<std::vector<std::string>> rows;
-  std::deque<std::vector<std::string>>& pending = impl.queue.records;
-  while (!pending.empty() && rows.size() < want) {
-    std::vector<std::string> record = std::move(pending.front());
-    pending.pop_front();
-    Status normalized = NormalizeRecord(record, impl.header.size(),
-                                        impl.rows_delivered + rows.size() + 1,
-                                        recover, issues);
-    if (!normalized.ok()) return impl.Fail(normalized);
-    rows.push_back(std::move(record));
+  std::deque<Impl::Block>& blocks = impl.queue.blocks;
+  if (blocks.empty()) return CsvRows(impl.queue.header.size());
+  Impl::Block& block = blocks.front();
+  if (issues != nullptr) {
+    std::move(block.issues.begin(), block.issues.end(),
+              std::back_inserter(*issues));
   }
+  if (!block.error.ok()) return impl.Fail(block.error);
+  CsvRows rows = std::move(block.rows);
+  impl.queue.pending_records -= block.records;
+  blocks.pop_front();
   impl.rows_delivered += rows.size();
   return rows;
 }
 
+Result<std::vector<std::vector<std::string>>> ChunkedCsvReader::NextChunk(
+    std::vector<DataIssue>* issues) {
+  EFES_ASSIGN_OR_RETURN(CsvRows block, NextRows(issues));
+  std::vector<std::vector<std::string>> rows(block.size());
+  for (size_t r = 0; r < block.size(); ++r) {
+    rows[r].reserve(block.width());
+    for (size_t c = 0; c < block.width(); ++c) {
+      rows[r].emplace_back(block.cell(r, c));
+    }
+  }
+  return rows;
+}
+
 bool ChunkedCsvReader::done() const {
-  return impl_->source_done && impl_->queue.records.empty();
+  return impl_->source_done && impl_->queue.blocks.empty();
 }
 
 size_t ChunkedCsvReader::rows_delivered() const {

@@ -103,9 +103,41 @@ Result<CsvDocument> ReadCsvFile(const std::string& path,
 Status WriteCsvFile(const CsvDocument& doc, const std::string& path,
                     char delimiter = ',');
 
+/// A block of data rows from ChunkedCsvReader::NextRows, each conformed
+/// to the header width. The cells' bytes sit back to back in one buffer,
+/// row-major, with their end offsets in a second, so a block holds two
+/// buffers however many cells it has, and a cell is a view into it.
+class CsvRows {
+ public:
+  /// Rows in the block.
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+  /// Cells per row: the header width.
+  size_t width() const { return width_; }
+
+  /// The cell at (row, column); valid while the block lives.
+  std::string_view cell(size_t row, size_t column) const {
+    const size_t index = row * width_ + column;
+    return std::string_view(bytes_.data() + offsets_[index],
+                            offsets_[index + 1] - offsets_[index]);
+  }
+
+ private:
+  friend class ChunkedCsvReader;
+  explicit CsvRows(size_t width) : width_(width) {}
+  /// Appends one record, already conformed to width().
+  void Append(const std::vector<std::string_view>& cells);
+
+  size_t width_ = 0;
+  size_t rows_ = 0;
+  std::string bytes_;
+  /// offsets_[i] and offsets_[i + 1] bound cell i (row-major).
+  std::vector<size_t> offsets_ = {0};
+};
+
 /// Streaming CSV ingest: reads a file in fixed-size row blocks instead of
 /// materializing the whole document, so profiling can absorb arbitrarily
-/// large sources chunk by chunk (profiling/profiler.h). Parsing semantics
+/// large sources block by block (`efes profile`). Parsing semantics
 /// are identical to ReadCsvFile — same quoting rules, strict/recover
 /// behavior, repair messages, and resource limits — because both run the
 /// same incremental scanner; only the delivery granularity differs.
@@ -114,8 +146,7 @@ Status WriteCsvFile(const CsvDocument& doc, const std::string& path,
 ///   EFES_ASSIGN_OR_RETURN(ChunkedCsvReader reader,
 ///                         ChunkedCsvReader::Open(path, options, 65536));
 ///   while (!reader.done()) {
-///     EFES_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> rows,
-///                           reader.NextChunk(&issues));
+///     EFES_ASSIGN_OR_RETURN(CsvRows rows, reader.NextRows(&issues));
 ///     ...  // at most 65536 rows; empty only at end of file
 ///   }
 class ChunkedCsvReader {
@@ -137,9 +168,13 @@ class ChunkedCsvReader {
 
   /// The next block of at most chunk_rows data rows, normalized to the
   /// header width under the configured mode (repairs reported through
-  /// `issues`, which may be null). Returns an empty vector at end of
+  /// `issues`, which may be null). Returns an empty block at end of
   /// file. Errors (strict-mode shape violations, resource limits) are
   /// sticky: every later call returns the same status.
+  Result<CsvRows> NextRows(std::vector<DataIssue>* issues = nullptr);
+
+  /// NextRows with every cell copied into its own string, for callers
+  /// that keep rows past the block (the benchmark probe, efesbench/).
   Result<std::vector<std::vector<std::string>>> NextChunk(
       std::vector<DataIssue>* issues = nullptr);
 

@@ -64,10 +64,28 @@ bool TieBreakLess(const Value& a, const Value& b) {
 
 /// Budget cost of one tracked map entry: node + key/count overhead plus
 /// the owned text bytes. A deterministic model, not malloc truth.
+constexpr uint64_t kEntryBytes = 64;
 uint64_t EntryCost(const Value& value) {
-  uint64_t cost = 64;
+  uint64_t cost = kEntryBytes;
   if (value.type() == DataType::kText) cost += value.AsText().size();
   return cost;
+}
+
+/// A murmur-style finalizer over an FNV digest (see SketchValueHash).
+uint64_t Avalanche(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+/// SketchValueHash(Value::Text(text)), bit for bit.
+uint64_t SketchTextHash(std::string_view text) {
+  Fingerprinter fp;
+  fp.MixText(text);
+  return Avalanche(fp.digest());
 }
 
 }  // namespace
@@ -102,13 +120,7 @@ uint64_t SketchValueHash(const Value& value) {
   // finalizer makes every digest bit diffuse; without it, small-integer
   // columns leave almost no survivors at level 1 and the distinct
   // estimate collapses.
-  uint64_t h = fp.digest();
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return h;
+  return Avalanche(fp.digest());
 }
 
 StatisticsSketch::StatisticsSketch(DataType target_type,
@@ -121,7 +133,60 @@ StatisticsSketch::StatisticsSketch(DataType target_type,
   }
 }
 
+StatisticsSketch StatisticsSketch::Inferring(const ProfileOptions& options) {
+  StatisticsSketch sketch(DataType::kText, options);
+  sketch.inferring_ = true;
+  return sketch;
+}
+
+DataType StatisticsSketch::target_type() const {
+  if (!inferring_) return target_type_;
+  if (total_count_ == null_count_) return DataType::kText;
+  if (may_be_integer_) return DataType::kInteger;
+  return may_be_real_ ? DataType::kReal : DataType::kText;
+}
+
+void StatisticsSketch::CountNumber(double number) {
+  if (numeric_count_ == 0) {
+    numeric_min_ = numeric_max_ = number;
+  } else {
+    numeric_min_ = std::min(numeric_min_, number);
+    numeric_max_ = std::max(numeric_max_, number);
+  }
+  ++numeric_count_;
+}
+
+void StatisticsSketch::Infer(std::string_view text) {
+  if (!may_be_real_) return;
+  const std::optional<double> number = ParseDouble(text);
+  if (!number.has_value()) {
+    // Every integer parses as a double too, so no numeric type is left.
+    may_be_integer_ = false;
+    may_be_real_ = false;
+    DropNumbersUnlessReal();
+    return;
+  }
+  if (may_be_integer_ && !ParseInt64(text).has_value()) {
+    may_be_integer_ = false;
+  }
+  if (std::isfinite(*number)) CountNumber(*number);
+}
+
+void StatisticsSketch::DropNumbersUnlessReal() {
+  if (may_be_real_) return;
+  numeric_count_ = 0;
+  numeric_min_ = 0.0;
+  numeric_max_ = 0.0;
+}
+
 Status StatisticsSketch::Absorb(const Value& value) {
+  if (inferring_ && !value.is_null()) {
+    if (value.type() != DataType::kText) {
+      return Status::InvalidArgument(
+          "an inferring sketch absorbs only text and NULL cells");
+    }
+    return AbsorbText(value.AsText());
+  }
   ++total_count_;
   if (value.is_null()) {
     ++null_count_;
@@ -129,15 +194,7 @@ Status StatisticsSketch::Absorb(const Value& value) {
   }
   if (!value.CanCastTo(target_type_)) ++uncastable_count_;
   if (IsNumericTarget(target_type_)) {
-    if (std::optional<double> num = NumericOf(value)) {
-      if (numeric_count_ == 0) {
-        numeric_min_ = numeric_max_ = *num;
-      } else {
-        numeric_min_ = std::min(numeric_min_, *num);
-        numeric_max_ = std::max(numeric_max_, *num);
-      }
-      ++numeric_count_;
-    }
+    if (std::optional<double> num = NumericOf(value)) CountNumber(*num);
   }
   // Only a budget can raise the level and drop values, and Merge refuses
   // sketches with different budgets, so without one the hash is never
@@ -157,6 +214,32 @@ Status StatisticsSketch::Absorb(const Value& value) {
   return Status::OK();
 }
 
+Status StatisticsSketch::AbsorbText(std::string_view text) {
+  ++total_count_;
+  if (inferring_) {
+    Infer(text);
+  } else {
+    if (!Value::TextCastsTo(text, target_type_)) ++uncastable_count_;
+    if (IsNumericTarget(target_type_)) {
+      const std::optional<double> number = ParseDouble(text);
+      if (number.has_value() && std::isfinite(*number)) CountNumber(*number);
+    }
+  }
+  uint64_t hash = 0;
+  if (cap_bytes_ != 0) {
+    hash = SketchTextHash(text);
+    if (!Tracks(hash)) return Status::OK();
+  }
+  if (auto it = tracked_.find(text); it != tracked_.end()) {
+    ++it->second.first;
+    return Status::OK();
+  }
+  tracked_.emplace(Value::Text(std::string(text)),
+                   std::pair<uint64_t, uint64_t>(1, hash));
+  tracked_bytes_ += kEntryBytes + text.size();
+  return EnforceBudget();
+}
+
 Status StatisticsSketch::AbsorbRange(const std::vector<Value>& column,
                                      size_t begin, size_t end) {
   end = std::min(end, column.size());
@@ -167,7 +250,8 @@ Status StatisticsSketch::AbsorbRange(const std::vector<Value>& column,
 }
 
 Status StatisticsSketch::Merge(const StatisticsSketch& other) {
-  if (other.target_type_ != target_type_ || other.mode_ != mode_ ||
+  if (other.target_type_ != target_type_ ||
+      other.inferring_ != inferring_ || other.mode_ != mode_ ||
       other.cap_bytes_ != cap_bytes_) {
     return Status::InvalidArgument(
         "cannot merge statistic sketches with different target types or "
@@ -186,6 +270,9 @@ Status StatisticsSketch::Merge(const StatisticsSketch& other) {
     }
     numeric_count_ += other.numeric_count_;
   }
+  may_be_integer_ = may_be_integer_ && other.may_be_integer_;
+  may_be_real_ = may_be_real_ && other.may_be_real_;
+  DropNumbersUnlessReal();
   if (other.level_ > level_) {
     // Adopt the coarser threshold, dropping our now-untracked values.
     level_ = other.level_;
@@ -245,7 +332,8 @@ ApproximationMode StatisticsSketch::effective_mode() const {
 
 AttributeStatistics StatisticsSketch::Finalize() const {
   AttributeStatistics stats;
-  stats.evaluated_against = target_type_;
+  const DataType target = target_type();
+  stats.evaluated_against = target;
 
   // --- Fill status: exact counters in every mode. -------------------------
   stats.fill_status.total_count = static_cast<size_t>(total_count_);
@@ -328,7 +416,7 @@ AttributeStatistics StatisticsSketch::Finalize() const {
 
   // --- String-directed statistics (ratio estimates over the sample;
   // exact at level 0 where the sample is the whole column). ----------------
-  if (target_type_ == DataType::kText) {
+  if (target == DataType::kText) {
     std::map<std::string, uint64_t> pattern_counts;
     // Flat 256-slot histogram instead of a tree map in the hot loop:
     // branch-free, cache-resident, and iterated over *distinct* values
@@ -392,7 +480,7 @@ AttributeStatistics StatisticsSketch::Finalize() const {
 
   // --- Numeric statistics: exact min/max scalars; moments and buckets
   // from the (exact-at-level-0) sample. ------------------------------------
-  if (IsNumericTarget(target_type_) && numeric_count_ > 0) {
+  if (IsNumericTarget(target) && numeric_count_ > 0) {
     std::vector<std::pair<double, uint64_t>> numbers;
     numbers.reserve(tracked_.size());
     uint64_t sample_numeric = 0;

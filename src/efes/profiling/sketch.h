@@ -28,6 +28,25 @@
 //     order over values, and copies only its winners.
 // So two sketches with equal state render bit-identical statistics.
 //
+// Type inference as mergeable state: StatisticsSketch::Inferring()
+// starts without a target type and infers one from the text cells it
+// absorbs — INTEGER when every non-null cell parses as a 64-bit integer,
+// else REAL when every one parses as a double, else TEXT (also when no
+// cell is non-null). The state is two flags, "may be integer" and "may
+// be real", that only ever clear, and Merge ANDs them; the numeric
+// min/max/count are kept only while the column may be real and are
+// zeroed when it cannot be. So the inference is a pure function of the
+// multiset too, and an inferring sketch finalizes exactly as a sketch
+// typed with the inferred type up front would, over the same cells:
+// every cell casts to that type, so uncastable stays 0. This is how
+// `efes profile` types and profiles a CSV column in one pass.
+//
+// Text views: AbsorbText(text) is Absorb(Value::Text(text)) without the
+// value. The tracked map looks the view up through a transparent hash
+// and equality (ValueHash/ValueEqual, relational/value.h), the sample
+// hash is computed from the view, and a Value is built only for a new
+// tracked entry.
+//
 // Non-finite numbers: a numeric reading counts only when it is finite.
 // NaN and ±inf cells (REAL columns may hold them) still count in fill
 // status, constancy and top-k, but never reach the range, the moments
@@ -112,9 +131,17 @@ class StatisticsSketch {
 
   StatisticsSketch(DataType target_type, const ProfileOptions& options);
 
+  /// A sketch that infers its target type from the text cells it
+  /// absorbs (see the file comment). It absorbs only NULL and text;
+  /// Absorb fails with kInvalidArgument on any other value.
+  static StatisticsSketch Inferring(const ProfileOptions& options);
+
   /// Absorbs one value. Fails with kResourceExhausted only in kExact
   /// mode with a --max-memory budget the frequency map outgrew.
   [[nodiscard]] Status Absorb(const Value& value);
+
+  /// Absorb(Value::Text(std::string(text))), bit for bit.
+  [[nodiscard]] Status AbsorbText(std::string_view text);
 
   /// Absorbs column[begin, end) — one streaming chunk.
   [[nodiscard]] Status AbsorbRange(const std::vector<Value>& column,
@@ -131,7 +158,9 @@ class StatisticsSketch {
   /// --max-memory budget is compared against.
   size_t MemoryBytes() const;
 
-  DataType target_type() const { return target_type_; }
+  /// The type the statistics are evaluated against; for an Inferring
+  /// sketch, the type its cells so far infer.
+  DataType target_type() const;
   ApproximationMode requested_mode() const { return mode_; }
   /// kExact while every distinct value is still tracked (level 0),
   /// kSketch once coarsening dropped values — what provenance records.
@@ -144,8 +173,22 @@ class StatisticsSketch {
   bool Tracks(uint64_t hash) const {
     return level_ == 0 || (hash >> (64 - level_)) == 0;
   }
+  /// Counts a finite numeric reading into the exact scalars.
+  void CountNumber(double number);
+  /// Updates the inference flags (and scalars) of an Inferring sketch
+  /// with one non-null cell.
+  void Infer(std::string_view text);
+  /// Zeroes the scalars once an Inferring sketch cannot be numeric.
+  void DropNumbersUnlessReal();
 
   DataType target_type_ = DataType::kText;
+  // Inferring sketches only: target_type_ is unused, and the flags say
+  // whether every non-null cell so far parses as an integer / a real
+  // (may_be_integer_ implies may_be_real_). Typed sketches keep both
+  // flags set.
+  bool inferring_ = false;
+  bool may_be_integer_ = true;
+  bool may_be_real_ = true;
   ApproximationMode mode_ = ApproximationMode::kExact;
   uint64_t cap_bytes_ = 0;  // 0 = unlimited
   uint32_t level_ = 0;
@@ -159,8 +202,10 @@ class StatisticsSketch {
   double numeric_max_ = 0.0;
   // Value -> (exact occurrence count, content hash). The content hash
   // (FNV-1a over the typed value, cache/fingerprint.h) drives tracking
-  // and is stored to make coarsening O(tracked).
-  std::unordered_map<Value, std::pair<uint64_t, uint64_t>, ValueHash>
+  // and is stored to make coarsening O(tracked). Transparent, so
+  // AbsorbText probes it with the view.
+  std::unordered_map<Value, std::pair<uint64_t, uint64_t>, ValueHash,
+                     ValueEqual>
       tracked_;
   uint64_t tracked_bytes_ = 0;
 };

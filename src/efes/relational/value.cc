@@ -82,20 +82,28 @@ bool Value::CanCastTo(DataType target) const {
       }
       return target == DataType::kText;
     case DataType::kText:
-      if (target == DataType::kInteger) {
-        return ParseInt64(AsText()).has_value();
-      }
-      if (target == DataType::kReal) {
-        return ParseDouble(AsText()).has_value();
-      }
-      if (target == DataType::kBoolean) {
-        std::string lower = ToLower(AsText());
-        return lower == "true" || lower == "false" || lower == "0" ||
-               lower == "1";
-      }
-      return false;
+      return TextCastsTo(AsText(), target);
     case DataType::kNull:
       return true;
+  }
+  return false;
+}
+
+bool Value::TextCastsTo(std::string_view text, DataType target) {
+  switch (target) {
+    case DataType::kText:
+      return true;
+    case DataType::kInteger:
+      return ParseInt64(text).has_value();
+    case DataType::kReal:
+      return ParseDouble(text).has_value();
+    case DataType::kBoolean: {
+      const std::string lower = ToLower(text);
+      return lower == "true" || lower == "false" || lower == "0" ||
+             lower == "1";
+    }
+    case DataType::kNull:
+      return false;
   }
   return false;
 }
@@ -224,7 +232,7 @@ size_t Value::Hash() const {
       // Hash numerics via their double value so 3 == 3.0 hash equal.
       return std::hash<double>()(NumericValue());
     case DataType::kText:
-      return std::hash<std::string>()(AsText());
+      return ValueHash()(std::string_view(AsText()));
   }
   return 0;
 }

@@ -72,6 +72,9 @@ class Value {
   /// - boolean casts to text and integer.
   bool CanCastTo(DataType target) const;
 
+  /// Text(text).CanCastTo(target), without building the text value.
+  static bool TextCastsTo(std::string_view text, DataType target);
+
   /// Performs the cast; fails with kTypeMismatch when CanCastTo is false.
   Result<Value> CastTo(DataType target) const;
 
@@ -88,7 +91,8 @@ class Value {
   friend bool operator==(const Value& a, const Value& b);
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
-  /// Hash consistent with operator== (numeric 3 == 3.0 hash equal).
+  /// Hash consistent with operator== (numeric 3 == 3.0 hash equal). A
+  /// text value hashes as std::hash<std::string_view> of its bytes.
   size_t Hash() const;
 
  private:
@@ -101,9 +105,28 @@ class Value {
 
 std::ostream& operator<<(std::ostream& os, const Value& value);
 
-/// std::hash adapter so Value works in unordered containers.
+/// std::hash adapter so Value works in unordered containers. With
+/// ValueEqual it is transparent: a container keyed by Value can be
+/// probed with a string_view, which stands for the text value of the
+/// same bytes, without building that value.
 struct ValueHash {
+  using is_transparent = void;
   size_t operator()(const Value& v) const { return v.Hash(); }
+  size_t operator()(std::string_view text) const {
+    return std::hash<std::string_view>()(text);
+  }
+};
+
+/// operator==, extended to a string_view standing for a text value.
+struct ValueEqual {
+  using is_transparent = void;
+  bool operator()(const Value& a, const Value& b) const { return a == b; }
+  bool operator()(const Value& a, std::string_view b) const {
+    return a.type() == DataType::kText && a.AsText() == b;
+  }
+  bool operator()(std::string_view a, const Value& b) const {
+    return b.type() == DataType::kText && b.AsText() == a;
+  }
 };
 
 }  // namespace efes

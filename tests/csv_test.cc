@@ -256,13 +256,38 @@ std::string ChunkedScratchFile(const std::string& tag, std::string_view text) {
   return path;
 }
 
+using Rows = std::vector<std::vector<std::string>>;
+
+/// The two calls that read a block: NextRows (flat) and NextChunk (one
+/// string per cell). Every chunked test reads through both.
+enum class Via { kRows, kChunk };
+constexpr Via kVias[] = {Via::kRows, Via::kChunk};
+
+std::string ViaName(Via via) {
+  return via == Via::kRows ? "NextRows" : "NextChunk";
+}
+
+/// The next block through `via`, as one string per cell.
+Result<Rows> NextBlock(ChunkedCsvReader& reader, Via via,
+                       std::vector<DataIssue>* issues = nullptr) {
+  if (via == Via::kChunk) return reader.NextChunk(issues);
+  EFES_ASSIGN_OR_RETURN(CsvRows block, reader.NextRows(issues));
+  EXPECT_EQ(block.width(), reader.header().size());
+  Rows rows(block.size());
+  for (size_t r = 0; r < block.size(); ++r) {
+    for (size_t c = 0; c < block.width(); ++c) {
+      rows[r].emplace_back(block.cell(r, c));
+    }
+  }
+  return rows;
+}
+
 /// Drains the reader and returns every delivered row, in order.
-Result<std::vector<std::vector<std::string>>> DrainChunks(
-    ChunkedCsvReader& reader, std::vector<DataIssue>* issues = nullptr) {
-  std::vector<std::vector<std::string>> rows;
+Result<Rows> DrainChunks(ChunkedCsvReader& reader, Via via,
+                         std::vector<DataIssue>* issues = nullptr) {
+  Rows rows;
   while (!reader.done()) {
-    EFES_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> chunk,
-                          reader.NextChunk(issues));
+    EFES_ASSIGN_OR_RETURN(Rows chunk, NextBlock(reader, via, issues));
     rows.insert(rows.end(), chunk.begin(), chunk.end());
   }
   return rows;
@@ -304,7 +329,7 @@ TEST(CsvGuardTest, FieldLimitIsExactInsideAndOutsideQuotes) {
     const std::string fits_path = ChunkedScratchFile("limit_fits", fits);
     auto reader = ChunkedCsvReader::Open(fits_path, options, 0);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    auto rows = DrainChunks(*reader);
+    auto rows = DrainChunks(*reader, Via::kRows);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     EXPECT_EQ(*rows, accepted->rows);
     const std::string over_path = ChunkedScratchFile("limit_over", over);
@@ -325,15 +350,19 @@ TEST(ChunkedCsvTest, DeliversAllRowsInOrderForAnyChunkSize) {
   ASSERT_TRUE(whole.ok());
   for (size_t chunk_rows : {size_t{1}, size_t{3}, size_t{7}, size_t{100},
                             size_t{1000}, size_t{0}}) {
-    SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
-    auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, chunk_rows);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_EQ(reader->header(), whole->header);
-    auto rows = DrainChunks(*reader);
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    EXPECT_EQ(*rows, whole->rows);
-    EXPECT_TRUE(reader->done());
-    EXPECT_EQ(reader->rows_delivered(), whole->rows.size());
+    for (Via via : kVias) {
+      SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) + " " +
+                   ViaName(via));
+      auto reader =
+          ChunkedCsvReader::Open(path, CsvReadOptions{}, chunk_rows);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      EXPECT_EQ(reader->header(), whole->header);
+      auto rows = DrainChunks(*reader, via);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(*rows, whole->rows);
+      EXPECT_TRUE(reader->done());
+      EXPECT_EQ(reader->rows_delivered(), whole->rows.size());
+    }
   }
 }
 
@@ -350,12 +379,16 @@ TEST(ChunkedCsvTest, QuotedNewlinesAndCrLfStraddleChunkBoundaries) {
   auto whole = ParseCsv(text);
   ASSERT_TRUE(whole.ok());
   for (size_t chunk_rows : {size_t{1}, size_t{2}}) {
-    SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
-    auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, chunk_rows);
-    ASSERT_TRUE(reader.ok());
-    auto rows = DrainChunks(*reader);
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    EXPECT_EQ(*rows, whole->rows);
+    for (Via via : kVias) {
+      SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) + " " +
+                   ViaName(via));
+      auto reader =
+          ChunkedCsvReader::Open(path, CsvReadOptions{}, chunk_rows);
+      ASSERT_TRUE(reader.ok());
+      auto rows = DrainChunks(*reader, via);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(*rows, whole->rows);
+    }
   }
 }
 
@@ -379,42 +412,60 @@ TEST(ChunkedCsvTest, EveryBlockSplitOfQuotedCrLfInputYieldsTheSameRecords) {
     ASSERT_TRUE(whole.ok()) << whole.status().ToString();
     ASSERT_EQ(whole->rows.size(), 5u);
     const std::string path = ChunkedScratchFile("split", text);
-    auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, 2);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    auto rows = DrainChunks(*reader);
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    EXPECT_EQ(*rows, whole->rows);
+    for (Via via : kVias) {
+      SCOPED_TRACE(ViaName(via));
+      auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, 2);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      auto rows = DrainChunks(*reader, via);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(*rows, whole->rows);
+    }
   }
 }
 
 TEST(ChunkedCsvTest, StrictShapeErrorIsSticky) {
   const std::string path =
       ChunkedScratchFile("sticky", "a,b\n1,2\n3,4\nonly-one-cell\n5,6\n");
-  auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, 1);
-  ASSERT_TRUE(reader.ok());
-  auto first = reader->NextChunk();
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(*first, (std::vector<std::vector<std::string>>{{"1", "2"}}));
-  (void)reader->NextChunk();  // {"3", "4"}
-  auto bad = reader->NextChunk();
-  ASSERT_FALSE(bad.ok());
-  // Sticky: the reader never recovers past a strict-mode failure.
-  auto again = reader->NextChunk();
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(bad.status().code(), again.status().code());
+  for (Via via : kVias) {
+    SCOPED_TRACE(ViaName(via));
+    auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, 1);
+    ASSERT_TRUE(reader.ok());
+    auto first = NextBlock(*reader, via);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(*first, (Rows{{"1", "2"}}));
+    auto second = NextBlock(*reader, via);
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(*second, (Rows{{"3", "4"}}));
+    auto bad = NextBlock(*reader, via);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().message(),
+              "CSV row 3 has 1 cells, expected 2 (" + path + ")");
+    EXPECT_EQ(reader->rows_delivered(), 2u);
+    // Sticky: the reader never recovers past a strict-mode failure.
+    auto again = NextBlock(*reader, via);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(bad.status().code(), again.status().code());
+    EXPECT_EQ(bad.status().message(), again.status().message());
+  }
 }
 
 TEST(ChunkedCsvTest, RecoverModeRepairsAcrossChunks) {
-  const std::string path =
-      ChunkedScratchFile("recover", "a,b\n1\n2,3,4\n5,6\n");
-  auto reader = ChunkedCsvReader::Open(path, RecoverOptions(), 2);
-  ASSERT_TRUE(reader.ok());
-  std::vector<DataIssue> issues;
-  auto rows = DrainChunks(*reader, &issues);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(*rows, (std::vector<std::vector<std::string>>{
-                       {"1", ""}, {"2", "3"}, {"5", "6"}}));
-  EXPECT_EQ(issues.size(), 2u);
+  const std::string text = "a,b\n1\n2,3,4\n5,6\n";
+  const std::string path = ChunkedScratchFile("recover", text);
+  std::vector<DataIssue> whole_issues;
+  auto whole = ParseCsv(text, RecoverOptions(), &whole_issues);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_EQ(whole_issues.size(), 2u);
+  for (Via via : kVias) {
+    SCOPED_TRACE(ViaName(via));
+    auto reader = ChunkedCsvReader::Open(path, RecoverOptions(), 2);
+    ASSERT_TRUE(reader.ok());
+    std::vector<DataIssue> issues;
+    auto rows = DrainChunks(*reader, via, &issues);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(*rows, (Rows{{"1", ""}, {"2", "3"}, {"5", "6"}}));
+    EXPECT_EQ(RenderDataIssues(issues), RenderDataIssues(whole_issues));
+  }
 }
 
 TEST(ChunkedCsvTest, MissingFileFailsAtOpen) {
@@ -431,13 +482,84 @@ TEST(ChunkedCsvTest, RowLimitIsEnforced) {
       ChunkedScratchFile("limit", "a\n1\n2\n3\n4\n");
   // The guard trips wherever the scanner first sees the excess row —
   // here inside Open, since the whole file fits the first block.
-  auto reader = ChunkedCsvReader::Open(path, options, 1);
-  if (reader.ok()) {
-    auto rows = DrainChunks(*reader);
-    ASSERT_FALSE(rows.ok());
-    EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
-  } else {
-    EXPECT_EQ(reader.status().code(), StatusCode::kResourceExhausted);
+  for (Via via : kVias) {
+    SCOPED_TRACE(ViaName(via));
+    auto reader = ChunkedCsvReader::Open(path, options, 1);
+    if (reader.ok()) {
+      auto rows = DrainChunks(*reader, via);
+      ASSERT_FALSE(rows.ok());
+      EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
+    } else {
+      EXPECT_EQ(reader.status().code(), StatusCode::kResourceExhausted);
+    }
+  }
+}
+
+/// A CSV of `rows` data rows, well over the reader's 64 KiB reads, whose
+/// cells hold quoted delimiters, LF and CRLF newlines and doubled
+/// quotes. With `misshapen`, every 97th row is short and every 89th
+/// long.
+std::string QuotedStressCsv(size_t rows, bool misshapen) {
+  std::string text = "id,quoted,plain,notes\r\n";
+  for (size_t i = 1; i <= rows; ++i) {
+    const std::string n = std::to_string(i);
+    text += n + ",\"a,b " + n + "\nnext\r\nline\",p" + n;
+    if (misshapen && i % 97 == 0) {
+      text += "\r\n";  // short: three cells
+      continue;
+    }
+    text += ",\"say \"\"" + n + "\"\", then ,\"";
+    if (misshapen && i % 89 == 0) text += ",extra";
+    text += i % 2 == 0 ? "\r\n" : "\n";
+  }
+  return text;
+}
+
+TEST(ChunkedCsvTest, RecordsStraddlingReadsAndBlocksMatchTheWholeParse) {
+  for (bool recover : {false, true}) {
+    const std::string text = QuotedStressCsv(3000, recover);
+    ASSERT_GT(text.size(), size_t{2} << 16);
+    CsvReadOptions options;
+    if (recover) options = RecoverOptions();
+    std::vector<DataIssue> whole_issues;
+    auto whole = ParseCsv(text, options, &whole_issues);
+    ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+    ASSERT_EQ(whole->rows.size(), 3000u);
+    EXPECT_EQ(whole_issues.empty(), !recover);
+    const std::string path = ChunkedScratchFile("stress", text);
+    for (size_t chunk_rows : {size_t{1}, size_t{7}, size_t{1000}, size_t{0}}) {
+      for (Via via : kVias) {
+        SCOPED_TRACE(std::string(recover ? "recover" : "strict") +
+                     " chunk_rows=" + std::to_string(chunk_rows) + " " +
+                     ViaName(via));
+        auto reader = ChunkedCsvReader::Open(path, options, chunk_rows);
+        ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+        EXPECT_EQ(reader->header(), whole->header);
+        std::vector<DataIssue> issues;
+        auto rows = DrainChunks(*reader, via, &issues);
+        ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+        EXPECT_EQ(*rows, whole->rows);
+        EXPECT_EQ(RenderDataIssues(issues), RenderDataIssues(whole_issues));
+      }
+    }
+  }
+  // Strict mode stops at the first misshapen row, row 89: each call
+  // delivers the same rows before it, and then the same error.
+  const std::string text = QuotedStressCsv(3000, true);
+  const std::string path = ChunkedScratchFile("stress_strict", text);
+  for (size_t chunk_rows : {size_t{1}, size_t{7}, size_t{1000}, size_t{0}}) {
+    for (Via via : kVias) {
+      SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) + " " +
+                   ViaName(via));
+      auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, chunk_rows);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      auto rows = DrainChunks(*reader, via);
+      ASSERT_FALSE(rows.ok());
+      EXPECT_EQ(rows.status().message(),
+                "CSV row 89 has 5 cells, expected 4 (" + path + ")");
+      const size_t block = chunk_rows == 0 ? 3000 : chunk_rows;
+      EXPECT_EQ(reader->rows_delivered(), 88 / block * block);
+    }
   }
 }
 

@@ -221,4 +221,26 @@ AttributeStatistics ReferenceStatistics(const std::vector<Value>& column,
   return stats;
 }
 
+DataType TwoPassType(const std::vector<Value>& cells) {
+  bool saw_value = false;
+  bool all_integer = true;
+  bool all_real = true;
+  for (const Value& cell : cells) {
+    if (cell.is_null()) continue;
+    saw_value = true;
+    if (!cell.CanCastTo(DataType::kInteger)) all_integer = false;
+    if (!cell.CanCastTo(DataType::kReal)) all_real = false;
+  }
+  if (!saw_value) return DataType::kText;
+  if (all_integer) return DataType::kInteger;
+  return all_real ? DataType::kReal : DataType::kText;
+}
+
+Result<AttributeStatistics> TwoPassStatistics(const std::vector<Value>& cells,
+                                              const ProfileOptions& options) {
+  StatisticsSketch sketch(TwoPassType(cells), options);
+  for (const Value& cell : cells) EFES_RETURN_IF_ERROR(sketch.Absorb(cell));
+  return sketch.Finalize();
+}
+
 }  // namespace efes

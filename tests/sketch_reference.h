@@ -18,6 +18,8 @@
 
 #include <vector>
 
+#include "efes/common/result.h"
+#include "efes/profiling/sketch.h"
 #include "efes/profiling/statistics.h"
 #include "efes/relational/value.h"
 
@@ -28,6 +30,19 @@ namespace efes {
 /// equal (the group's representative would then be unspecified).
 AttributeStatistics ReferenceStatistics(const std::vector<Value>& column,
                                         DataType target);
+
+// The two-pass `efes profile`, kept as the oracle of the inferring
+// sketch (StatisticsSketch::Inferring). A column is its CSV cells: text,
+// with NULL for an empty cell.
+
+/// Pass 1: INTEGER when every non-null cell casts to INTEGER, else REAL
+/// when every one casts to REAL, else TEXT, also when no cell is
+/// non-null.
+DataType TwoPassType(const std::vector<Value>& cells);
+
+/// Pass 2: every cell absorbed, in order, into one sketch typed by pass 1.
+Result<AttributeStatistics> TwoPassStatistics(const std::vector<Value>& cells,
+                                              const ProfileOptions& options);
 
 }  // namespace efes
 

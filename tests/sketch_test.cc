@@ -21,6 +21,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "efes/common/file_io.h"
@@ -216,44 +218,66 @@ void ExpectStatistics(const AttributeStatistics& actual,
 constexpr DataType kCellTypes[] = {DataType::kText, DataType::kInteger,
                                    DataType::kReal, DataType::kBoolean};
 
+/// The cells as a CSV holds them: each non-null value's text.
+std::vector<Value> AsCsvCells(const std::vector<Value>& column) {
+  std::vector<Value> cells;
+  cells.reserve(column.size());
+  for (const Value& value : column) {
+    cells.push_back(value.is_null() ? Value::Null()
+                                    : Value::Text(value.ToString()));
+  }
+  return cells;
+}
+
 TEST(SketchMergeProperty, AnyChunkingAndMergeOrderFinalizesIdentically) {
   // The canonical-merge contract, stated adversarially: split the column
   // anywhere, build per-chunk partials, fold them in a *random* order —
   // Finalize() must still equal the single-pass absorb bit for bit,
-  // exact mode and budget-degraded sketch mode alike.
+  // exact mode and budget-degraded sketch mode alike. Each typed column
+  // also goes, as CSV text, through an inferring sketch, whose type
+  // flags merge like the rest of the state.
   const ProfileOptions kModes[] = {ProfileOptions{}, SketchOptions(16384)};
   for (const DataType type : kCellTypes) {
-    SCOPED_TRACE(std::string("type ") + std::string(DataTypeToString(type)));
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-      SCOPED_TRACE("seed " + std::to_string(seed));
-      Random data_rng(seed);
-      const std::vector<Value> column =
-          RandomColumn(data_rng, type, 5000, 1500);
-      for (const ProfileOptions& options : kModes) {
-        SCOPED_TRACE(std::string("mode ") +
-                     std::string(ApproximationModeToString(options.mode)));
-        StatisticsSketch reference(type, options);
-        ASSERT_TRUE(reference.AbsorbRange(column, 0, column.size()).ok());
-        const AttributeStatistics expected = reference.Finalize();
+    for (const bool inferring : {false, true}) {
+      SCOPED_TRACE(std::string("type ") +
+                   std::string(DataTypeToString(type)) +
+                   (inferring ? " as text, inferring" : ""));
+      for (uint64_t seed = 1; seed <= 5; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Random data_rng(seed);
+        std::vector<Value> column = RandomColumn(data_rng, type, 5000, 1500);
+        if (inferring) column = AsCsvCells(column);
+        for (const ProfileOptions& options : kModes) {
+          SCOPED_TRACE(std::string("mode ") +
+                       std::string(ApproximationModeToString(options.mode)));
+          const auto make = [&] {
+            return inferring ? StatisticsSketch::Inferring(options)
+                             : StatisticsSketch(type, options);
+          };
+          StatisticsSketch reference = make();
+          ASSERT_TRUE(reference.AbsorbRange(column, 0, column.size()).ok());
+          const AttributeStatistics expected = reference.Finalize();
 
-        Random shape_rng(seed * 1000 + 7);
-        for (int round = 0; round < 8; ++round) {
-          SCOPED_TRACE("round " + std::to_string(round));
-          auto chunks = RandomChunking(shape_rng, column.size());
-          std::vector<StatisticsSketch> partials;
-          for (const auto& [lo, hi] : chunks) {
-            StatisticsSketch partial(type, options);
-            ASSERT_TRUE(partial.AbsorbRange(column, lo, hi).ok());
-            partials.push_back(std::move(partial));
+          Random shape_rng(seed * 1000 + 7);
+          for (int round = 0; round < 8; ++round) {
+            SCOPED_TRACE("round " + std::to_string(round));
+            auto chunks = RandomChunking(shape_rng, column.size());
+            std::vector<StatisticsSketch> partials;
+            for (const auto& [lo, hi] : chunks) {
+              StatisticsSketch partial = make();
+              ASSERT_TRUE(partial.AbsorbRange(column, lo, hi).ok());
+              partials.push_back(std::move(partial));
+            }
+            std::vector<size_t> order(partials.size());
+            std::iota(order.begin(), order.end(), size_t{0});
+            shape_rng.Shuffle(order);
+            StatisticsSketch merged = make();
+            for (size_t index : order) {
+              ASSERT_TRUE(merged.Merge(partials[index]).ok());
+            }
+            EXPECT_EQ(merged.target_type(), reference.target_type());
+            ExpectStatistics(merged.Finalize(), expected);
           }
-          std::vector<size_t> order(partials.size());
-          std::iota(order.begin(), order.end(), size_t{0});
-          shape_rng.Shuffle(order);
-          StatisticsSketch merged(type, options);
-          for (size_t index : order) {
-            ASSERT_TRUE(merged.Merge(partials[index]).ok());
-          }
-          ExpectStatistics(merged.Finalize(), expected);
         }
       }
     }
@@ -502,6 +526,207 @@ TEST(SketchDifferential, MatchesSortedReferenceOnFuzzCorpusColumns) {
     ++seeds;
   }
   EXPECT_GE(seeds, 50u);
+}
+
+// --- Type inference against the two-pass profile ---------------------------
+
+/// Absorbs CSV cells the way `efes profile` does: NULL for an empty
+/// cell, the text view otherwise.
+Status AbsorbCells(StatisticsSketch& sketch, const std::vector<Value>& cells,
+                   size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    EFES_RETURN_IF_ERROR(cells[i].is_null()
+                             ? sketch.Absorb(cells[i])
+                             : sketch.AbsorbText(cells[i].AsText()));
+  }
+  return Status::OK();
+}
+
+/// A named column of CSV cells and the type the two-pass rule gives it.
+struct InferenceCase {
+  std::string name;
+  std::vector<Value> cells;
+  DataType type;
+};
+
+std::vector<InferenceCase> InferenceCases() {
+  std::vector<InferenceCase> cases;
+  Random rng(2024);
+  cases.push_back({"integers",
+                   AsCsvCells(RandomColumn(rng, DataType::kInteger, 3000, 900)),
+                   DataType::kInteger});
+  cases.push_back({"reals",
+                   AsCsvCells(RandomColumn(rng, DataType::kReal, 3000, 900)),
+                   DataType::kReal});
+  cases.push_back({"words",
+                   AsCsvCells(RandomColumn(rng, DataType::kText, 3000, 900)),
+                   DataType::kText});
+  std::vector<Value> mixed;
+  for (uint64_t id = 0; id < 3000; ++id) {
+    mixed.push_back(id % 13 == 5 ? Value::Null()
+                                 : NumericTextCell(rng.UniformUint64(700)));
+  }
+  cases.push_back({"mixed text", std::move(mixed), DataType::kText});
+  // One edge cell among integers, placed first, in the middle, and last,
+  // so it lands in every position of a chunking.
+  const std::pair<const char*, DataType> kEdges[] = {
+      {"-0", DataType::kInteger},
+      {"+4", DataType::kInteger},
+      {" 5 ", DataType::kInteger},
+      {"1e3", DataType::kReal},
+      {"0x10", DataType::kReal},
+      {"nan", DataType::kReal},
+      {"inf", DataType::kReal},
+      {"1e999", DataType::kText},  // ERANGE: not a double
+      {"9223372036854775808", DataType::kReal},  // not an int64
+  };
+  for (const auto& [edge, type] : kEdges) {
+    std::vector<Value> cells;
+    for (int i = 0; i < 40; ++i) {
+      if (i == 0 || i == 20 || i == 39) {
+        cells.push_back(Value::Text(edge));
+      } else if (i % 9 == 4) {
+        cells.push_back(Value::Null());
+      } else {
+        cells.push_back(Value::Text(std::to_string(i * 7 - 100)));
+      }
+    }
+    cases.push_back({std::string("edge '") + edge + "'", std::move(cells),
+                     type});
+  }
+  cases.push_back({"all null", std::vector<Value>(50, Value::Null()),
+                   DataType::kText});
+  cases.push_back({"empty", {}, DataType::kText});
+  std::vector<Value> late_text =
+      AsCsvCells(RandomColumn(rng, DataType::kReal, 2000, 500));
+  late_text.push_back(Value::Text("n/a"));
+  cases.push_back({"numbers, one text cell last", std::move(late_text),
+                   DataType::kText});
+  return cases;
+}
+
+TEST(SketchInference, MatchesTheTwoPassProfile) {
+  // The inferring sketch must type each column as pass 1 of the old
+  // two-pass `efes profile` did, and finalize bit for bit as pass 2's
+  // typed sketch, at any chunking and merge order, with and without a
+  // budget tight enough to coarsen.
+  for (const InferenceCase& c : InferenceCases()) {
+    SCOPED_TRACE(c.name);
+    ASSERT_EQ(TwoPassType(c.cells), c.type);
+    for (const ProfileOptions& options :
+         {ProfileOptions{}, SketchOptions(2048)}) {
+      SCOPED_TRACE(std::string("mode ") +
+                   std::string(ApproximationModeToString(options.mode)));
+      auto expected = TwoPassStatistics(c.cells, options);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      for (size_t chunk_rows : {size_t{0}, size_t{1}, size_t{7},
+                                size_t{1000}}) {
+        const size_t step = chunk_rows == 0
+                                ? std::max<size_t>(c.cells.size(), 1)
+                                : chunk_rows;
+        std::vector<StatisticsSketch> partials;
+        for (size_t lo = 0; lo < c.cells.size(); lo += step) {
+          StatisticsSketch partial = StatisticsSketch::Inferring(options);
+          ASSERT_TRUE(AbsorbCells(partial, c.cells, lo,
+                                  std::min(lo + step, c.cells.size()))
+                          .ok());
+          partials.push_back(std::move(partial));
+        }
+        for (bool reverse : {false, true}) {
+          SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) +
+                       (reverse ? " backwards" : " forwards"));
+          if (reverse) std::reverse(partials.begin(), partials.end());
+          StatisticsSketch merged = StatisticsSketch::Inferring(options);
+          for (const StatisticsSketch& partial : partials) {
+            ASSERT_TRUE(merged.Merge(partial).ok());
+          }
+          EXPECT_EQ(merged.target_type(), c.type);
+          ExpectStatistics(merged.Finalize(), *expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(SketchInference, AbsorbsOnlyTextAndNull) {
+  StatisticsSketch sketch = StatisticsSketch::Inferring(ProfileOptions{});
+  EXPECT_EQ(sketch.Absorb(Value::Integer(3)).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(sketch.Absorb(Value::Null()).ok());
+  ASSERT_TRUE(sketch.Absorb(Value::Text("3")).ok());
+  EXPECT_EQ(sketch.target_type(), DataType::kInteger);
+  StatisticsSketch typed(DataType::kInteger, ProfileOptions{});
+  EXPECT_EQ(sketch.Merge(typed).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(typed.Merge(sketch).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SketchInference, AbsorbTextEqualsAbsorbingTheTextValue) {
+  // AbsorbText(s) is Absorb(Value::Text(s)) on a typed sketch of every
+  // target: the same casts, numbers, tracked entries, sample hashes and
+  // budget arithmetic, so the same Finalize and the same overflow.
+  for (const std::string& s : {std::string("abc"), std::string(""),
+                               std::string(40, 'x')}) {
+    EXPECT_EQ(ValueHash()(std::string_view(s)), Value::Text(s).Hash());
+    EXPECT_TRUE(ValueEqual()(Value::Text(s), std::string_view(s)));
+  }
+  EXPECT_FALSE(ValueEqual()(Value::Integer(3), std::string_view("3")));
+
+  std::vector<Value> cells;
+  Random rng(31);
+  const char* kSpecial[] = {"true", "FALSE", "0", "1", "-0", " 5 ", "1e3",
+                            "nan", "inf", "1e999", "", "x y"};
+  for (int i = 0; i < 6000; ++i) {
+    switch (i % 4) {
+      case 0:
+        cells.push_back(NumericTextCell(rng.UniformUint64(2000)));
+        break;
+      case 1:
+        cells.push_back(Value::Text(kSpecial[rng.UniformUint64(12)]));
+        break;
+      case 2:
+        cells.push_back(rng.Bernoulli(0.2) ? Value::Null()
+                                           : Value::Text(rng.Word(1, 9)));
+        break;
+      default:
+        cells.push_back(Value::Text("id-" + std::to_string(i)));
+        break;
+    }
+  }
+  ProfileOptions auto_budget = SketchOptions(4096);
+  auto_budget.mode = ApproximationMode::kAuto;
+  for (const DataType target : kCellTypes) {
+    for (const ProfileOptions& options :
+         {ProfileOptions{}, SketchOptions(2048), auto_budget}) {
+      SCOPED_TRACE(std::string(DataTypeToString(target)) + " " +
+                   std::string(ApproximationModeToString(options.mode)));
+      StatisticsSketch by_value(target, options);
+      StatisticsSketch by_view(target, options);
+      ASSERT_TRUE(by_value.AbsorbRange(cells, 0, cells.size()).ok());
+      ASSERT_TRUE(AbsorbCells(by_view, cells, 0, cells.size()).ok());
+      EXPECT_EQ(by_view.level(), by_value.level());
+      EXPECT_EQ(by_view.tracked_count(), by_value.tracked_count());
+      EXPECT_EQ(by_view.MemoryBytes(), by_value.MemoryBytes());
+      ExpectStatistics(by_view.Finalize(), by_value.Finalize());
+    }
+    // An exact budget overflows on the same cell with the same message.
+    ProfileOptions exact;
+    exact.max_memory_bytes = 8192;
+    StatisticsSketch by_value(target, exact);
+    StatisticsSketch by_view(target, exact);
+    Status value_status;
+    Status view_status;
+    size_t value_at = 0;
+    size_t view_at = 0;
+    for (; value_at < cells.size() && value_status.ok(); ++value_at) {
+      value_status = by_value.Absorb(cells[value_at]);
+    }
+    for (; view_at < cells.size() && view_status.ok(); ++view_at) {
+      view_status = AbsorbCells(by_view, cells, view_at, view_at + 1);
+    }
+    ASSERT_EQ(value_status.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(view_at, value_at);
+    EXPECT_EQ(view_status.message(), value_status.message());
+  }
 }
 
 TEST(SketchAccuracy, DistinctEstimateIsWithinRelativeBound) {

@@ -42,7 +42,10 @@
 # whole-column path cannot satisfy: the sketch report must be
 # byte-identical across --threads=1/4/8 and --chunk-rows=4096/16384/0,
 # --approx=auto must match it byte-for-byte, and --approx=exact must
-# refuse the budget with a nonzero exit.
+# refuse the budget with a nonzero exit and the same message (the bytes
+# at the first overflow) across --threads=1/4/8 and
+# --chunk-rows=256/4096/16384/0, also on a small file where a later
+# column overflows first.
 # Exits nonzero on the first failure. Usage:
 #
 #   tools/check_build.sh [build-dir]                    # default: build-werror
@@ -388,7 +391,37 @@ elif [[ "$MODE" == "scale" ]]; then
     exit 1
   fi
   grep -q 'approx=sketch' "$WORK/exact.err"
-  echo "check_build: OK (profile scale: 200k rows byte-identical across threads/chunking, exact refused budget)"
+  # The refusal counts the bytes at the first overflow, so it too must
+  # not depend on how the stream was cut or scheduled.
+  for threads in 1 4 8; do
+    for chunk in 256 4096 16384 0; do
+      if profile exact "$chunk" "$threads" > /dev/null 2> "$WORK/refusal.err"; then
+        echo "check_build: exact mode unexpectedly fit the memory budget" >&2
+        exit 1
+      fi
+      diff "$WORK/exact.err" "$WORK/refusal.err"
+    done
+  done
+  # Column `early` overflows rows before column `late` does, but the
+  # refusal must name the lowest-numbered column that overflows at all,
+  # however the stream is cut.
+  awk 'BEGIN {
+      print "late,early"
+      for (i = 1; i <= 400; i++) print (i <= 200 ? "x" : "late-" i) ",e" i
+    }' > "$WORK/two.csv"
+  refuse_two() {  # $1 = chunk-rows, $2 = threads
+    ! "$BUILD_DIR/tools/efes" profile "$WORK/two.csv" --approx=exact \
+      --max-memory=3000 --chunk-rows="$1" --threads="$2" > /dev/null
+  }
+  refuse_two 0 1 2> "$WORK/two.err"
+  grep -q 'approx=sketch' "$WORK/two.err"
+  for threads in 1 4; do
+    for chunk in 1 7 64; do
+      refuse_two "$chunk" "$threads" 2> "$WORK/two_other.err"
+      diff "$WORK/two.err" "$WORK/two_other.err"
+    done
+  done
+  echo "check_build: OK (profile scale: 200k rows byte-identical across threads/chunking, exact refused budget identically)"
 else
   BUILD_DIR="${1:-build-werror}"
   cmake -B "$BUILD_DIR" -S . -DEFES_WERROR=ON

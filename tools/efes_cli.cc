@@ -49,6 +49,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -583,13 +584,18 @@ int RunStudy() {
   return 0;
 }
 
-// Streams one CSV file through the sketch profiler: pass 1 infers each
-// column's target type, pass 2 absorbs fixed-size row chunks into
-// per-column sketches (profiling/sketch.h) under the global
-// --approx / --chunk-rows / --max-memory policy. The file is never
-// materialized whole, so this handles sources far beyond what the
-// scenario loader would hold in memory; output is byte-identical for
-// any --threads and any --chunk-rows (the canonical-merge contract).
+// Streams one CSV file through the sketch profiler in a single pass:
+// each block of rows is absorbed, one column per task, straight into
+// that column's inferring sketch (profiling/sketch.h), which types the
+// column as it goes, under the global --approx / --chunk-rows /
+// --max-memory policy. The file is never materialized whole, so this
+// handles sources far beyond what the scenario loader would hold in
+// memory; output is byte-identical for any --threads and any
+// --chunk-rows (the canonical-merge contract). So are the errors: a
+// read error wins wherever it is, and otherwise an exact --max-memory
+// refusal names the lowest-numbered column that overflows anywhere in
+// the file, at its first overflow. The pass therefore reads on after a
+// refusal, absorbing only the columns before the refused one.
 int RunProfile(const std::string& path, std::vector<std::string> options) {
   efes::FlagSet flags;
   int code = ParseSubcommandFlags(flags, &options);
@@ -598,83 +604,55 @@ int RunProfile(const std::string& path, std::vector<std::string> options) {
   if (g_flags.lenient) {
     csv_options.mode = efes::CsvReadOptions::Mode::kRecover;
   }
-  const size_t chunk_rows = g_flags.profile.chunk_rows;
-
-  // Pass 1: streaming type inference. A column where every non-empty
-  // cell parses as an integer profiles as integer, likewise real; mixed
-  // or non-numeric columns profile as text.
-  auto reader = efes::ChunkedCsvReader::Open(path, csv_options, chunk_rows);
+  auto reader = efes::ChunkedCsvReader::Open(path, csv_options,
+                                             g_flags.profile.chunk_rows);
   if (!reader.ok()) return Fail(reader.status());
-  const std::vector<std::string> header = reader->header();
-  std::vector<char> all_integer(header.size(), 1);
-  std::vector<char> all_real(header.size(), 1);
-  std::vector<char> saw_value(header.size(), 0);
-  size_t row_count = 0;
+  const std::vector<std::string>& header = reader->header();
+  std::vector<efes::StatisticsSketch> columns(
+      header.size(), efes::StatisticsSketch::Inferring(g_flags.profile));
+  std::vector<efes::Status> refusals(header.size());
+  size_t first_refused = header.size();
   while (!reader->done()) {
-    auto chunk = reader->NextChunk();
-    if (!chunk.ok()) return Fail(chunk.status());
-    row_count += chunk->size();
-    for (const std::vector<std::string>& row : *chunk) {
-      for (size_t c = 0; c < row.size(); ++c) {
-        const std::string& cell = row[c];
-        if (cell.empty()) continue;
-        saw_value[c] = 1;
-        if (!all_integer[c] && !all_real[c]) continue;
-        efes::Value value = efes::Value::Text(cell);
-        if (all_integer[c] &&
-            !value.CanCastTo(efes::DataType::kInteger)) {
-          all_integer[c] = 0;
-        }
-        if (all_real[c] && !value.CanCastTo(efes::DataType::kReal)) {
-          all_real[c] = 0;
-        }
+    std::optional<efes::Result<efes::CsvRows>> rows;
+    {
+      efes::TraceSpan span("csv.chunk");
+      rows.emplace(reader->NextRows());
+    }
+    if (!rows->ok()) return Fail(rows->status());
+    const efes::CsvRows& block = **rows;
+    // Only task c touches columns[c] and refusals[c], and blocks are
+    // absorbed in order.
+    efes::TraceSpan span("profiling.absorb");
+    efes::Status absorbed =
+        efes::ParallelFor(first_refused, [&](size_t c) -> efes::Status {
+          for (size_t r = 0; r < block.size(); ++r) {
+            const std::string_view cell = block.cell(r, c);
+            efes::Status status = cell.empty()
+                                      ? columns[c].Absorb(efes::Value::Null())
+                                      : columns[c].AbsorbText(cell);
+            if (!status.ok()) {
+              refusals[c] = std::move(status);
+              break;
+            }
+          }
+          return efes::Status::OK();
+        });
+    if (!absorbed.ok()) return Fail(absorbed);
+    for (size_t c = 0; c < first_refused; ++c) {
+      if (!refusals[c].ok()) {
+        first_refused = c;
+        break;
       }
     }
   }
-  std::vector<efes::DataType> types(header.size(), efes::DataType::kText);
-  for (size_t c = 0; c < header.size(); ++c) {
-    if (!saw_value[c]) continue;
-    if (all_integer[c]) {
-      types[c] = efes::DataType::kInteger;
-    } else if (all_real[c]) {
-      types[c] = efes::DataType::kReal;
-    }
-  }
-
-  // Pass 2: chunked profiling. Each chunk is absorbed column-parallel
-  // into a fresh partial sketch and folded into the column accumulator;
-  // per-column state evolves identically at any thread count.
-  auto again = efes::ChunkedCsvReader::Open(path, csv_options, chunk_rows);
-  if (!again.ok()) return Fail(again.status());
-  std::vector<efes::StatisticsSketch> columns;
-  columns.reserve(header.size());
-  for (size_t c = 0; c < header.size(); ++c) {
-    columns.emplace_back(types[c], g_flags.profile);
-  }
-  while (!again->done()) {
-    auto chunk = again->NextChunk();
-    if (!chunk.ok()) return Fail(chunk.status());
-    if (chunk->empty()) break;
-    efes::Status absorbed =
-        efes::ParallelFor(header.size(), [&](size_t c) -> efes::Status {
-          efes::StatisticsSketch chunk_sketch(types[c], g_flags.profile);
-          for (const std::vector<std::string>& row : *chunk) {
-            const std::string& cell = row[c];
-            EFES_RETURN_IF_ERROR(chunk_sketch.Absorb(
-                cell.empty() ? efes::Value::Null()
-                             : efes::Value::Text(cell)));
-          }
-          return columns[c].Merge(chunk_sketch);
-        });
-    if (!absorbed.ok()) return Fail(absorbed);
-  }
-  std::printf("# %s: %zu rows, %zu columns\n", path.c_str(), row_count,
-              header.size());
+  if (first_refused < header.size()) return Fail(refusals[first_refused]);
+  std::printf("# %s: %zu rows, %zu columns\n", path.c_str(),
+              reader->rows_delivered(), header.size());
   for (size_t c = 0; c < header.size(); ++c) {
     efes::AttributeStatistics stats = columns[c].Finalize();
     std::printf(
         "=== column %s (%s%s) ===\n%s\n", header[c].c_str(),
-        std::string(efes::DataTypeToString(types[c])).c_str(),
+        std::string(efes::DataTypeToString(columns[c].target_type())).c_str(),
         columns[c].effective_mode() == efes::ApproximationMode::kSketch
             ? ", sketch"
             : "",
