@@ -22,7 +22,7 @@ size_t CountHeterogeneities(
   efes::ValueModule module(options);
   size_t total = 0;
   for (const efes::IntegrationScenario& scenario : scenarios) {
-    auto report = module.AssessComplexity(scenario);
+    auto report = module.AssessComplexity(scenario, efes::RunContext{});
     if (report.ok()) total += (*report)->ProblemCount();
   }
   return total;

@@ -27,7 +27,7 @@ void BM_DedupAssessment(benchmark::State& state) {
   FuzzedScenario fuzzed = ScaledFuzz(state.range(0));
   DedupModule module;
   for (auto _ : state) {
-    auto report = module.AssessComplexity(fuzzed.scenario);
+    auto report = module.AssessComplexity(fuzzed.scenario, RunContext{});
     benchmark::DoNotOptimize(report->get());
   }
   int64_t tuples = 0;

@@ -373,9 +373,8 @@ void AssessModule(benchmark::State& state, const EstimationModule& module) {
   const IntegrationScenario& scenario = LoadedScenario();
   const size_t configured = ConfiguredThreadCount();
   SetThreadCountOverride(static_cast<size_t>(state.range(0)));
-  ScopedProfileCache uncached(nullptr);
   for (auto _ : state) {
-    auto report = module.AssessComplexity(scenario);
+    auto report = module.AssessComplexity(scenario, RunContext{});
     if (!report.ok()) {
       state.SkipWithError(report.status().ToString().c_str());
       break;
@@ -448,7 +447,8 @@ void JsonLineWorkload() {
     requests.push_back(ProfileRequest{
         &columns[i], i % 2 == 0 ? DataType::kText : DataType::kInteger});
   }
-  auto batch = ProfileColumns(requests);
+  // Through the cache BenchMain installs, so the warm run hits.
+  auto batch = ProfileColumns(requests, {}, ProfileCache::Active());
   benchmark::DoNotOptimize(batch);
   if (batch.ok() && batch->size() >= 4) {
     benchmark::DoNotOptimize(OverallFit((*batch)[0], (*batch)[2]));

@@ -15,7 +15,7 @@ int main() {
     return 1;
   }
   efes::StructureModule module;
-  auto report = module.AssessComplexity(*scenario);
+  auto report = module.AssessComplexity(*scenario, efes::RunContext{});
   if (!report.ok()) {
     std::fprintf(stderr, "detector: %s\n",
                  report.status().ToString().c_str());

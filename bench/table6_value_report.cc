@@ -14,7 +14,7 @@ int main() {
     return 1;
   }
   efes::ValueModule module;
-  auto report = module.AssessComplexity(*scenario);
+  auto report = module.AssessComplexity(*scenario, efes::RunContext{});
   if (!report.ok()) {
     std::fprintf(stderr, "detector: %s\n",
                  report.status().ToString().c_str());

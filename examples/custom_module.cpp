@@ -64,8 +64,11 @@ class DuplicationModule : public efes::EstimationModule {
  public:
   std::string name() const override { return "duplicates"; }
 
+  // The detector profiles no statistics and records no provenance, so
+  // it needs nothing from the run's context.
   efes::Result<std::unique_ptr<efes::ComplexityReport>> AssessComplexity(
-      const efes::IntegrationScenario& scenario) const override {
+      const efes::IntegrationScenario& scenario,
+      const efes::RunContext&) const override {
     std::vector<DuplicationReport::Entry> entries;
     for (const efes::SourceBinding& source : scenario.sources) {
       for (const efes::Correspondence& corr :

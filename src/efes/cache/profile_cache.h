@@ -93,10 +93,11 @@ class ProfileCache {
   /// Conventional snapshot file inside a --cache-dir directory.
   static std::string FilePathInDirectory(const std::string& directory);
 
-  /// The process-wide active cache consulted by the profiling paths
-  /// (ProfileColumn, DiscoverConstraints), or nullptr (compute
-  /// everything). Installed via ScopedProfileCache, typically by
-  /// EfesEngine::Run from RunOptions::cache.
+  /// The process default cache, or nullptr. A main function installs
+  /// it (ScopedProfileCache) for the runs that name no cache of their
+  /// own: EfesEngine::Run and AssessComplexity fall back to it when
+  /// RunOptions::cache is null, and SimulateMeasuredEffort's detectors
+  /// use it. Profiling itself only ever uses the cache it is passed.
   static ProfileCache* Active();
 
  private:
@@ -112,7 +113,9 @@ class ProfileCache {
 
 /// RAII activation: installs `cache` as ProfileCache::Active() for the
 /// current scope and restores the previous handle on destruction.
-/// Installing nullptr disables caching for the scope.
+/// Installing nullptr disables the default for the scope. Scopes must
+/// nest, so only main functions (the CLI, the bench harness, the
+/// benchmark probe) and tests install one; the library never does.
 class ScopedProfileCache {
  public:
   explicit ScopedProfileCache(ProfileCache* cache);

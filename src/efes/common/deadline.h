@@ -11,11 +11,13 @@
 // whole or completes byte-identically to an uncancelled run; it is never
 // torn.
 //
-// The active token is installed per thread with ScopedCancelToken, the
-// same ambient-RAII shape as ScopedProfileCache/ProvenanceRecorder. Pool
-// worker threads deliberately have no active token: cancellation is
-// observed only at batch boundaries on the driver thread, so which items
-// a batch completed before unwinding never leaks into results.
+// The active token is installed per thread with ScopedCancelToken. It
+// stays thread-local rather than joining the run's explicit RunContext
+// (core/module.h), because only the installing driver thread checks it
+// (DESIGN.md §14, "Per-run state"). Pool worker threads deliberately
+// have no active token: cancellation is observed only at batch
+// boundaries on the driver thread, so which items a batch completed
+// before unwinding never leaks into results.
 //
 // Deadlines are measured against a telemetry Clock so tests can trip
 // them with a FakeClock instead of sleeping. A deadline of 0 ms is

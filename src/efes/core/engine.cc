@@ -9,7 +9,6 @@
 #include "efes/common/parallel.h"
 #include "efes/common/string_util.h"
 #include "efes/common/text_table.h"
-#include "efes/profiling/profiler.h"
 #include "efes/provenance/provenance.h"
 #include "efes/telemetry/log.h"
 #include "efes/common/metrics.h"
@@ -79,17 +78,26 @@ void EfesEngine::AddModule(std::unique_ptr<EstimationModule> module) {
 
 namespace {
 
+/// The phase-1 context every module of a run sees: the caller's cache,
+/// or the process default when none is given.
+RunContext ContextFor(const RunOptions& options) {
+  return RunContext{
+      options.cache != nullptr ? options.cache : ProfileCache::Active(),
+      options.profile, options.recorder};
+}
+
 /// Runs phase 1 of one module under a `<module>.assess` span, feeding the
 /// shared assessment-latency histogram. Fault point: `engine.assess`.
 Result<std::unique_ptr<ComplexityReport>> AssessModule(
-    const EstimationModule& module, const IntegrationScenario& scenario) {
+    const EstimationModule& module, const IntegrationScenario& scenario,
+    const RunContext& context) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   static Histogram& assess_ms = metrics.GetHistogram("engine.assess.ms");
   metrics.GetCounter("engine.assess.calls").Increment();
   TraceSpan span(module.name() + ".assess", nullptr, &assess_ms);
   EFES_RETURN_IF_ERROR(CheckFaultPoint("engine.assess"));
   Result<std::unique_ptr<ComplexityReport>> report =
-      module.AssessComplexity(scenario);
+      module.AssessComplexity(scenario, context);
   if (report.ok() && *report != nullptr) {
     // Cross-link the trace: the span that produced this assessment
     // carries the report's provenance node id in the Chrome export.
@@ -105,10 +113,11 @@ Result<std::unique_ptr<ComplexityReport>> AssessModule(
 /// `engine.plan`.
 Status RunModule(const EstimationModule& module,
                  const IntegrationScenario& scenario,
-                 ExpectedQuality quality, const ExecutionSettings& settings,
-                 ModuleRun* run, std::vector<Task>* tasks) try {
+                 const RunContext& context, ExpectedQuality quality,
+                 const ExecutionSettings& settings, ModuleRun* run,
+                 std::vector<Task>* tasks) try {
   MetricsRegistry& metrics = MetricsRegistry::Global();
-  EFES_ASSIGN_OR_RETURN(run->report, AssessModule(module, scenario));
+  EFES_ASSIGN_OR_RETURN(run->report, AssessModule(module, scenario, context));
   static Histogram& plan_ms = metrics.GetHistogram("engine.plan.ms");
   TraceSpan plan_span(module.name() + ".plan", nullptr, &plan_ms);
   EFES_RETURN_IF_ERROR(CheckFaultPoint("engine.plan"));
@@ -125,6 +134,11 @@ Status RunModule(const EstimationModule& module,
 
 }  // namespace
 
+Result<std::unique_ptr<ComplexityReport>> EstimationModule::AssessComplexity(
+    const IntegrationScenario& scenario) const {
+  return AssessComplexity(scenario, ContextFor(RunOptions{}));
+}
+
 Status EfesEngine::set_effort_model(EffortModel model) {
   const double scale = model.global_scale();
   if (!std::isfinite(scale) || scale <= 0.0) {
@@ -140,12 +154,7 @@ Result<EstimationResult> EfesEngine::Run(const IntegrationScenario& scenario,
                                          const RunOptions& options) const {
   const ExpectedQuality& quality = options.quality;
   const ExecutionSettings& settings = options.settings;
-  // Install the caller's cache for the run; leave an ambient one alone.
-  ScopedProfileCache scoped_cache(
-      options.cache != nullptr ? options.cache : ProfileCache::Active());
-  // Every ProfileColumn call under this run streams with the caller's
-  // chunking / budget / approximation policy.
-  ScopedProfileOptions scoped_profile(options.profile);
+  const RunContext context = ContextFor(options);
   MetricsRegistry& metrics = MetricsRegistry::Global();
   static Histogram& run_ms = metrics.GetHistogram("engine.run.ms");
   TraceSpan run_span("engine.run", nullptr, &run_ms);
@@ -158,7 +167,7 @@ Result<EstimationResult> EfesEngine::Run(const IntegrationScenario& scenario,
   EFES_RETURN_IF_ERROR(scenario.Validate());
   // When someone is listening, record the run-wide pricing factors once;
   // every task-effort node links back to them.
-  ProvenanceRecorder* prov = ProvenanceRecorder::Active();
+  ProvenanceRecorder* prov = options.recorder;
   uint64_t multiplier_node = 0;
   uint64_t scale_node = 0;
   uint64_t profile_mode_node = 0;
@@ -190,8 +199,8 @@ Result<EstimationResult> EfesEngine::Run(const IntegrationScenario& scenario,
     ModuleRun run;
     run.module = module->name();
     std::vector<Task> tasks;
-    run.status =
-        RunModule(*module, scenario, quality, settings, &run, &tasks);
+    run.status = RunModule(*module, scenario, context, quality, settings,
+                           &run, &tasks);
     if (!run.status.ok()) {
       // Cancellation is *not* contained: degrading a cancelled run would
       // hand back a torn partial estimate, the one thing the deadline
@@ -275,12 +284,8 @@ Result<EstimationResult> EfesEngine::Run(const IntegrationScenario& scenario,
 Result<std::vector<std::unique_ptr<ComplexityReport>>>
 EfesEngine::AssessComplexity(const IntegrationScenario& scenario,
                              const RunOptions& options) const {
-  ScopedProfileCache scoped_cache(
-      options.cache != nullptr ? options.cache : ProfileCache::Active());
-  ScopedProfileOptions scoped_profile(options.profile);
-  static Histogram& run_ms =
-      MetricsRegistry::Global().GetHistogram("engine.run.ms");
-  TraceSpan run_span("engine.assess", nullptr, &run_ms);
+  const RunContext context = ContextFor(options);
+  TraceSpan run_span("engine.assess");
   MetricsRegistry::Global().GetCounter("engine.assess.runs").Increment();
   MetricsRegistry::Global()
       .GetGauge("engine.run.threads")
@@ -290,7 +295,7 @@ EfesEngine::AssessComplexity(const IntegrationScenario& scenario,
   for (const auto& module : modules_) {
     EFES_RETURN_IF_ERROR(CheckCancellation());
     EFES_ASSIGN_OR_RETURN(std::unique_ptr<ComplexityReport> report,
-                          AssessModule(*module, scenario));
+                          AssessModule(*module, scenario, context));
     reports.push_back(std::move(report));
   }
   return reports;

@@ -19,8 +19,6 @@
 
 namespace efes {
 
-class ProfileCache;
-
 /// Everything that parameterizes one estimation run, with usable
 /// defaults. Callers set only what they care about:
 ///
@@ -36,18 +34,18 @@ struct RunOptions {
   ExpectedQuality quality = ExpectedQuality::kHighQuality;
   /// Execution-context multipliers (practitioner skill, familiarity, ...).
   ExecutionSettings settings;
-  /// Optional profile cache consulted by phase-1 profiling. When set, the
-  /// engine installs it for the duration of the run (ScopedProfileCache),
-  /// so repeated runs over unchanged sources skip recomputation. When
-  /// null, an already-active ambient cache (e.g. installed by a bench
-  /// harness or the CLI) is left in place.
+  /// Optional profile cache consulted by phase-1 profiling, so repeated
+  /// runs over unchanged sources skip recomputation. When null, the run
+  /// uses the process default, ProfileCache::Active() (installed by the
+  /// CLI's or a bench harness's main), which is null unless one is.
   ProfileCache* cache = nullptr;
   /// Profiling execution knobs (chunk size, memory budget, approximation
-  /// mode — profiling/sketch.h). Installed for the duration of the run
-  /// (ScopedProfileOptions) so every ProfileColumn call under the engine
-  /// streams under the same policy. The default is the legacy exact,
-  /// unbudgeted behavior.
+  /// mode — profiling/sketch.h) for every profile the run computes. The
+  /// default is the exact, unbudgeted behavior.
   ProfileOptions profile;
+  /// When set, the run records its provenance DAG here (DESIGN.md §12);
+  /// null, the default, records nothing.
+  ProvenanceRecorder* recorder = nullptr;
 };
 
 /// One planned task with its estimated effort.
@@ -119,8 +117,9 @@ class EfesEngine {
                                const RunOptions& options = {}) const;
 
   /// Runs phase 1 only — the pure complexity assessment, useful for
-  /// source selection and data visualization (Section 3.3). Only
-  /// RunOptions::cache is consulted; quality/settings drive phase 2.
+  /// source selection and data visualization (Section 3.3). Reads the
+  /// phase-1 fields of `options` (cache, profile, recorder);
+  /// quality/settings drive phase 2 and are ignored.
   Result<std::vector<std::unique_ptr<ComplexityReport>>> AssessComplexity(
       const IntegrationScenario& scenario,
       const RunOptions& options = {}) const;

@@ -18,8 +18,28 @@
 #include "efes/core/effort_model.h"
 #include "efes/core/integration_scenario.h"
 #include "efes/core/task.h"
+#include "efes/profiling/sketch.h"
 
 namespace efes {
+
+class ProfileCache;
+class ProvenanceRecorder;
+
+/// The phase-1 state of one run, handed to every module's
+/// AssessComplexity. Each run builds its own, so two runs in one process
+/// (concurrent server requests, say) never see each other's cache,
+/// profiling policy or recorder. Quality and execution settings are not
+/// here: they belong to phase 2, which a phase-1 detector must not read.
+struct RunContext {
+  /// Profile cache consulted and filled by the run's profiling; null
+  /// computes everything.
+  ProfileCache* cache = nullptr;
+  /// Chunking, memory budget and approximation mode of every profile the
+  /// run computes (profiling/sketch.h).
+  ProfileOptions profile;
+  /// Receives the run's provenance nodes; null records nothing.
+  ProvenanceRecorder* recorder = nullptr;
+};
 
 /// Base class of all data complexity reports. "There is no formal
 /// definition for such a report; rather, it can be tailored to the
@@ -57,9 +77,19 @@ class EstimationModule {
 
   /// Phase 1 — complexity assessment: analyze schemas and instances and
   /// report objective integration problems. Independent of external
-  /// parameters by design.
+  /// parameters by design; `context` only says how to profile and where
+  /// to record.
   virtual Result<std::unique_ptr<ComplexityReport>> AssessComplexity(
-      const IntegrationScenario& scenario) const = 0;
+      const IntegrationScenario& scenario,
+      const RunContext& context) const = 0;
+
+  /// AssessComplexity under the process default cache
+  /// (ProfileCache::Active()), default profile options and no recorder.
+  /// Its only caller is the benchmark probe (efesbench/probe/probe.cc);
+  /// ROADMAP item 1 moves the probe onto the two-argument form and then
+  /// deletes this. Derived classes do not re-export it.
+  Result<std::unique_ptr<ComplexityReport>> AssessComplexity(
+      const IntegrationScenario& scenario) const;
 
   /// Phase 2 — task planning: turn the module's own report into concrete
   /// tasks for the requested result quality. The report must have been

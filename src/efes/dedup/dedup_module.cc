@@ -93,7 +93,7 @@ double Uniqueness(const AttributeStatistics& stats) {
 }  // namespace
 
 Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
-    const IntegrationScenario& scenario) const {
+    const IntegrationScenario& scenario, const RunContext& context) const {
   EFES_RETURN_IF_ERROR(CheckFaultPoint("dedup.detect"));
   EFES_RETURN_IF_ERROR(options_.Validate());
 
@@ -176,7 +176,7 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
   }
 
   // Provenance: thresholds once, up front, on the sequential path.
-  ProvenanceRecorder* prov = ProvenanceRecorder::Active();
+  ProvenanceRecorder* prov = context.recorder;
   uint64_t fill_node = 0;
   uint64_t uniqueness_node = 0;
   uint64_t similarity_node = 0;
@@ -214,8 +214,9 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
       }
     }
   }
-  EFES_ASSIGN_OR_RETURN(std::vector<AttributeStatistics> stats,
-                        ProfileColumns(requests));
+  EFES_ASSIGN_OR_RETURN(
+      std::vector<AttributeStatistics> stats,
+      ProfileColumns(requests, context.profile, context.cache));
 
   // Pass 2 (parallel): per target relation — select the blocking key,
   // block on the normalized key, and check the cross-feed support

@@ -113,7 +113,8 @@ class DedupModule : public EstimationModule {
   /// Fault point: `dedup.detect`. Invalid options are rejected here with
   /// kInvalidArgument (contained by the engine as a module failure).
   Result<std::unique_ptr<ComplexityReport>> AssessComplexity(
-      const IntegrationScenario& scenario) const override;
+      const IntegrationScenario& scenario,
+      const RunContext& context) const override;
 
   Result<std::vector<Task>> PlanTasks(
       const ComplexityReport& report, ExpectedQuality quality,

@@ -8,12 +8,10 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "efes/cache/profile_cache.h"
 #include "efes/common/fault.h"
 #include "efes/common/string_util.h"
 #include "efes/csg/builder.h"
 #include "efes/csg/path_search.h"
-#include "efes/provenance/provenance.h"
 #include "efes/telemetry/log.h"
 #include "efes/common/metrics.h"
 #include "efes/telemetry/trace.h"
@@ -131,8 +129,6 @@ std::vector<std::string> TopologicalTargetOrder(
 
 Result<Database> IntegrationExecutor::Execute(
     const IntegrationScenario& scenario, ExecutionReport* report) const {
-  ScopedProfileCache scoped_cache(
-      options_.cache != nullptr ? options_.cache : ProfileCache::Active());
   static Histogram& execute_ms =
       MetricsRegistry::Global().GetHistogram("execute.run.ms");
   TraceSpan span("execute.run", nullptr, &execute_ms);
@@ -658,29 +654,6 @@ Result<Database> IntegrationExecutor::Execute(
       .Increment(counters.values_converted);
   metrics.GetCounter("execute.run.dangling_repaired")
       .Increment(counters.dangling_repaired);
-  if (ProvenanceRecorder* prov = ProvenanceRecorder::Active();
-      prov != nullptr) {
-    std::vector<uint64_t> counter_nodes = {
-        prov->RecordValue(ProvenanceKind::kStatistic,
-                          "statistic execute.tuples_integrated", "",
-                          static_cast<double>(counters.tuples_integrated)),
-        prov->RecordValue(ProvenanceKind::kStatistic,
-                          "statistic execute.tuples_rejected", "",
-                          static_cast<double>(counters.tuples_rejected)),
-        prov->RecordValue(ProvenanceKind::kStatistic,
-                          "statistic execute.values_merged", "",
-                          static_cast<double>(counters.values_merged)),
-        prov->RecordValue(ProvenanceKind::kStatistic,
-                          "statistic execute.values_converted", "",
-                          static_cast<double>(counters.values_converted)),
-        prov->RecordValue(ProvenanceKind::kStatistic,
-                          "statistic execute.dangling_repaired", "",
-                          static_cast<double>(counters.dangling_repaired)),
-    };
-    span.set_provenance(prov->Record(ProvenanceKind::kFinding,
-                                     "execution report", scenario.name,
-                                     std::move(counter_nodes)));
-  }
   EFES_LOG(LogLevel::kInfo, "execute: " + counters.ToString());
   return result;
 }

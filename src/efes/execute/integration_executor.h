@@ -32,8 +32,6 @@
 
 namespace efes {
 
-class ProfileCache;
-
 /// Work actually performed during an execution — the executor-side
 /// analogue of the planner's task repetition counts.
 struct ExecutionReport {
@@ -74,10 +72,6 @@ class IntegrationExecutor {
     std::string missing_text = "(researched)";
     /// Safety cap on the residual-repair fixpoint loop.
     size_t max_repair_rounds = 8;
-    /// Optional profile cache installed for the duration of Execute
-    /// (mirrors RunOptions::cache on the estimation side); null leaves
-    /// any ambient cache in place.
-    ProfileCache* cache = nullptr;
   };
 
   IntegrationExecutor() = default;

@@ -99,8 +99,8 @@ std::string MappingComplexityReport::ToText() const {
 }
 
 Result<std::unique_ptr<ComplexityReport>> MappingModule::AssessComplexity(
-    const IntegrationScenario& scenario) const {
-  ProvenanceRecorder* prov = ProvenanceRecorder::Active();
+    const IntegrationScenario& scenario, const RunContext& context) const {
+  ProvenanceRecorder* prov = context.recorder;
   std::vector<MappingConnection> connections;
   for (const SourceBinding& source : scenario.sources) {
     // Source databases can be numerous and each connection walk touches

@@ -64,7 +64,8 @@ class MappingModule : public EstimationModule {
   std::string name() const override { return "mapping"; }
 
   Result<std::unique_ptr<ComplexityReport>> AssessComplexity(
-      const IntegrationScenario& scenario) const override;
+      const IntegrationScenario& scenario,
+      const RunContext& context) const override;
 
   Result<std::vector<Task>> PlanTasks(
       const ComplexityReport& report, ExpectedQuality quality,

@@ -8,7 +8,6 @@
 #include "efes/common/string_util.h"
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/statistics.h"
-#include "efes/provenance/provenance.h"
 #include "efes/common/metrics.h"
 
 namespace efes {
@@ -17,21 +16,22 @@ namespace {
 
 /// Instance evidence in [0, 1]: castability of source values to the
 /// target type blended with the statistics fit of Section 5.1. Returns
-/// -1 when either side lacks data; fails only when the ambient
-/// ProfileOptions demand an exact profile under an unsatisfiable
-/// --max-memory budget.
+/// -1 when either side lacks data; fails only when `profile` demands an
+/// exact profile under an unsatisfiable --max-memory budget.
 Result<double> InstanceScore(const Table& source_table, size_t source_column,
                              const Table& target_table, size_t target_column,
-                             DataType target_type) {
+                             DataType target_type,
+                             const ProfileOptions& profile,
+                             ProfileCache* cache) {
   if (source_table.row_count() == 0 || target_table.row_count() == 0) {
     return -1.0;
   }
-  EFES_ASSIGN_OR_RETURN(
-      AttributeStatistics source_stats,
-      ProfileColumn(source_table.column(source_column), target_type));
-  EFES_ASSIGN_OR_RETURN(
-      AttributeStatistics target_stats,
-      ProfileColumn(target_table.column(target_column), target_type));
+  EFES_ASSIGN_OR_RETURN(AttributeStatistics source_stats,
+                        ProfileColumn(source_table.column(source_column),
+                                      target_type, profile, cache));
+  EFES_ASSIGN_OR_RETURN(AttributeStatistics target_stats,
+                        ProfileColumn(target_table.column(target_column),
+                                      target_type, profile, cache));
   double castable = source_stats.fill_status.CastableFraction();
   double fit = OverallFit(source_stats, target_stats);
   return 0.5 * castable + 0.5 * fit;
@@ -42,8 +42,8 @@ Result<double> InstanceScore(const Table& source_table, size_t source_column,
 Result<double> SchemaMatcher::ScoreAttributePair(
     const Database& source, const std::string& source_relation,
     const AttributeDef& source_attribute, const Database& target,
-    const std::string& target_relation,
-    const AttributeDef& target_attribute) const {
+    const std::string& target_relation, const AttributeDef& target_attribute,
+    const ProfileOptions& profile, ProfileCache* cache) const {
   static Counter& pairs_scored =
       MetricsRegistry::Global().GetCounter("matching.score.pairs");
   static Counter& instance_pairs =
@@ -67,7 +67,8 @@ Result<double> SchemaMatcher::ScoreAttributePair(
         EFES_ASSIGN_OR_RETURN(
             instance,
             InstanceScore(**source_table, *source_index, **target_table,
-                          *target_index, target_attribute.type));
+                          *target_index, target_attribute.type, profile,
+                          cache));
       }
     }
   }
@@ -93,7 +94,8 @@ Result<double> SchemaMatcher::ScoreAttributePair(
 }
 
 Result<std::vector<MatchCandidate>> SchemaMatcher::ScoreRelations(
-    const Database& source, const Database& target) const {
+    const Database& source, const Database& target,
+    const ProfileOptions& profile, ProfileCache* cache) const {
   // All (source relation, target relation) pairs in canonical schema
   // order; each pair's score is independent (dominated by the per-pair
   // instance statistics), so scoring fans out over the shared pool and
@@ -123,7 +125,8 @@ Result<std::vector<MatchCandidate>> SchemaMatcher::ScoreRelations(
         EFES_ASSIGN_OR_RETURN(
             double score,
             ScoreAttributePair(source, source_rel.name(), source_attr,
-                               target, target_rel.name(), target_attr));
+                               target, target_rel.name(), target_attr,
+                               profile, cache));
         best = std::max(best, score);
       }
       attribute_sum += best;
@@ -152,26 +155,14 @@ Result<std::vector<MatchCandidate>> SchemaMatcher::ScoreRelations(
 }
 
 Result<CorrespondenceSet> SchemaMatcher::Match(const Database& source,
-                                               const Database& target) const {
+                                               const Database& target,
+                                               const ProfileOptions& profile,
+                                               ProfileCache* cache) const {
   CorrespondenceSet correspondences;
-
-  // Scoring fans out over the pool; recording stays on this sequential
-  // acceptance path, so node ids are independent of the thread count.
-  ProvenanceRecorder* prov = ProvenanceRecorder::Active();
-  uint64_t relation_threshold_node = 0;
-  uint64_t attribute_threshold_node = 0;
-  if (prov != nullptr) {
-    relation_threshold_node = prov->RecordValue(
-        ProvenanceKind::kThreshold, "threshold min_relation_confidence", "",
-        options_.min_relation_confidence);
-    attribute_threshold_node = prov->RecordValue(
-        ProvenanceKind::kThreshold, "threshold min_attribute_confidence", "",
-        options_.min_attribute_confidence);
-  }
 
   // Greedy 1:1 relation matching by descending score.
   EFES_ASSIGN_OR_RETURN(std::vector<MatchCandidate> relation_candidates,
-                        ScoreRelations(source, target));
+                        ScoreRelations(source, target, profile, cache));
   std::set<std::string> used_source;
   std::set<std::string> used_target;
   std::vector<std::pair<std::string, std::string>> relation_pairs;
@@ -187,13 +178,6 @@ Result<CorrespondenceSet> SchemaMatcher::Match(const Database& source,
     corr.source_relation = candidate.source_relation;
     corr.target_relation = candidate.target_relation;
     corr.confidence = candidate.score;
-    if (prov != nullptr) {
-      prov->RecordValue(ProvenanceKind::kCorrespondence,
-                        "relation correspondence",
-                        candidate.source_relation + " -> " +
-                            candidate.target_relation,
-                        candidate.score, {relation_threshold_node});
-    }
     correspondences.Add(std::move(corr));
     relation_pairs.emplace_back(candidate.source_relation,
                                 candidate.target_relation);
@@ -219,8 +203,8 @@ Result<CorrespondenceSet> SchemaMatcher::Match(const Database& source,
               scores[i],
               ScoreAttributePair(source, source_relation,
                                  *attribute_pairs[i].first, target,
-                                 target_relation,
-                                 *attribute_pairs[i].second));
+                                 target_relation, *attribute_pairs[i].second,
+                                 profile, cache));
           return Status::OK();
         }));
     std::vector<MatchCandidate> attribute_candidates;
@@ -258,15 +242,6 @@ Result<CorrespondenceSet> SchemaMatcher::Match(const Database& source,
       corr.target_relation = candidate.target_relation;
       corr.target_attribute = candidate.target_attribute;
       corr.confidence = candidate.score;
-      if (prov != nullptr) {
-        prov->RecordValue(ProvenanceKind::kCorrespondence,
-                          "attribute correspondence",
-                          candidate.source_relation + "." +
-                              candidate.source_attribute + " -> " +
-                              candidate.target_relation + "." +
-                              candidate.target_attribute,
-                          candidate.score, {attribute_threshold_node});
-      }
       correspondences.Add(std::move(corr));
     }
   }

@@ -14,10 +14,13 @@
 #include <vector>
 
 #include "efes/common/result.h"
+#include "efes/profiling/sketch.h"
 #include "efes/relational/correspondence.h"
 #include "efes/relational/database.h"
 
 namespace efes {
+
+class ProfileCache;
 
 struct MatcherOptions {
   /// Minimum blended score for an attribute correspondence.
@@ -48,28 +51,33 @@ class SchemaMatcher {
   explicit SchemaMatcher(MatcherOptions options) : options_(options) {}
 
   /// Scores a single attribute pair in [0, 1]. Instance evidence runs
-  /// through the chunked profiler (profiling/profiler.h) under the
-  /// ambient ProfileOptions; an exact profile that cannot satisfy a
-  /// --max-memory budget surfaces as kResourceExhausted rather than
-  /// silently degrading the score.
+  /// through the chunked profiler (profiling/profiler.h) under `profile`,
+  /// through `cache` when it is non-null; an exact profile that cannot
+  /// satisfy a --max-memory budget surfaces as kResourceExhausted rather
+  /// than silently degrading the score.
   Result<double> ScoreAttributePair(const Database& source,
                                     const std::string& source_relation,
                                     const AttributeDef& source_attribute,
                                     const Database& target,
                                     const std::string& target_relation,
-                                    const AttributeDef& target_attribute) const;
+                                    const AttributeDef& target_attribute,
+                                    const ProfileOptions& profile = {},
+                                    ProfileCache* cache = nullptr) const;
 
   /// Produces relation- and attribute-level correspondences from source
   /// into target. Relations are matched greedily 1:1 by the average of
   /// their best attribute scores blended with relation-name similarity;
   /// attributes are then matched greedily 1:1 within matched relation
-  /// pairs.
+  /// pairs. `profile` and `cache` are as for ScoreAttributePair.
   Result<CorrespondenceSet> Match(const Database& source,
-                                  const Database& target) const;
+                                  const Database& target,
+                                  const ProfileOptions& profile = {},
+                                  ProfileCache* cache = nullptr) const;
 
   /// All scored relation-level candidates, descending (diagnostics).
   Result<std::vector<MatchCandidate>> ScoreRelations(
-      const Database& source, const Database& target) const;
+      const Database& source, const Database& target,
+      const ProfileOptions& profile = {}, ProfileCache* cache = nullptr) const;
 
  private:
   MatcherOptions options_;

@@ -96,7 +96,7 @@ std::string DiscoveredConstraint::ToString() const {
 namespace {
 
 /// The full (uncached) mining pass; DiscoverConstraints below fronts it
-/// with the active profile cache.
+/// with the caller's profile cache.
 std::vector<DiscoveredConstraint> DiscoverConstraintsUncached(
     const Database& database, const DiscoveryOptions& options) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
@@ -288,8 +288,8 @@ uint64_t FingerprintDiscovery(const Database& database,
 }  // namespace
 
 std::vector<DiscoveredConstraint> DiscoverConstraints(
-    const Database& database, const DiscoveryOptions& options) {
-  ProfileCache* cache = ProfileCache::Active();
+    const Database& database, const DiscoveryOptions& options,
+    ProfileCache* cache) {
   if (cache == nullptr) return DiscoverConstraintsUncached(database, options);
   const uint64_t key = FingerprintDiscovery(database, options);
   if (std::optional<std::vector<DiscoveredConstraint>> hit =
@@ -303,19 +303,22 @@ std::vector<DiscoveredConstraint> DiscoverConstraints(
 }
 
 Schema SchemaWithDiscoveredConstraints(const Database& database,
-                                       const DiscoveryOptions& options) {
+                                       const DiscoveryOptions& options,
+                                       ProfileCache* cache) {
   Schema schema = database.schema();
-  for (DiscoveredConstraint& d : DiscoverConstraints(database, options)) {
+  for (DiscoveredConstraint& d :
+       DiscoverConstraints(database, options, cache)) {
     schema.AddConstraint(std::move(d.constraint));
   }
   return schema;
 }
 
 Result<Database> DatabaseWithDiscoveredConstraints(
-    const Database& database, const DiscoveryOptions& options) {
-  EFES_ASSIGN_OR_RETURN(
-      Database completed,
-      Database::Create(SchemaWithDiscoveredConstraints(database, options)));
+    const Database& database, const DiscoveryOptions& options,
+    ProfileCache* cache) {
+  EFES_ASSIGN_OR_RETURN(Database completed,
+                        Database::Create(SchemaWithDiscoveredConstraints(
+                            database, options, cache)));
   for (const Table& table : database.tables()) {
     EFES_ASSIGN_OR_RETURN(Table * destination,
                           completed.mutable_table(table.name()));

@@ -18,6 +18,8 @@
 
 namespace efes {
 
+class ProfileCache;
+
 struct DiscoveryOptions {
   /// Do not propose constraints over tables with fewer rows than this —
   /// tiny samples make every column look unique and non-null.
@@ -53,15 +55,18 @@ struct DiscoveredConstraint {
 
 /// Profiles `database` and returns constraints that hold exactly on the
 /// instance but are not declared in the schema. The result is
-/// deterministic (relation/attribute order of the schema).
+/// deterministic (relation/attribute order of the schema). When `cache`
+/// is non-null, the result is looked up there first and stored on a miss.
 std::vector<DiscoveredConstraint> DiscoverConstraints(
-    const Database& database, const DiscoveryOptions& options = {});
+    const Database& database, const DiscoveryOptions& options = {},
+    ProfileCache* cache = nullptr);
 
 /// Convenience: returns a copy of the database's schema with all
 /// discovered constraints added. Used to "complete" a source before
 /// running the detectors.
 Schema SchemaWithDiscoveredConstraints(const Database& database,
-                                       const DiscoveryOptions& options = {});
+                                       const DiscoveryOptions& options = {},
+                                       ProfileCache* cache = nullptr);
 
 /// Rebuilds the database under the completed schema (same data, plus the
 /// discovered constraints). Because discovery mines exact constraints,
@@ -72,7 +77,8 @@ Schema SchemaWithDiscoveredConstraints(const Database& database,
 /// declared constraints let the detectors short-circuit instance scans
 /// and tighten the CSG inference.
 Result<Database> DatabaseWithDiscoveredConstraints(
-    const Database& database, const DiscoveryOptions& options = {});
+    const Database& database, const DiscoveryOptions& options = {},
+    ProfileCache* cache = nullptr);
 
 }  // namespace efes
 

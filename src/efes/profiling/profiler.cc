@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <utility>
 
 #include "efes/cache/fingerprint.h"
@@ -10,20 +9,11 @@
 #include "efes/common/clock.h"
 #include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
-#include "efes/common/thread_annotations.h"
 #include "efes/telemetry/trace.h"
 
 namespace efes {
 
 namespace {
-
-// Ambient options: every live ScopedProfileOptions in installation
-// order. Concurrent runs (efes_serve) open and close scopes in any order,
-// so each scope removes exactly its own entry instead of restoring a
-// predecessor that may already be gone.
-std::mutex g_options_mutex;
-std::vector<const ScopedProfileOptions*> g_live_options
-    EFES_GUARDED_BY(g_options_mutex);
 
 /// True when the options can change the finalized statistics: any
 /// capped mode makes the result a function of the budget too, so cache
@@ -66,27 +56,10 @@ const std::vector<Value>* SampleColumn(
   return &it->second;
 }
 
-ProfileOptions ActiveProfileOptions() {
-  std::lock_guard<std::mutex> lock(g_options_mutex);
-  return g_live_options.empty() ? ProfileOptions{}
-                                : g_live_options.back()->options_;
-}
-
-ScopedProfileOptions::ScopedProfileOptions(const ProfileOptions& options)
-    : options_(options) {
-  std::lock_guard<std::mutex> lock(g_options_mutex);
-  g_live_options.push_back(this);
-}
-
-ScopedProfileOptions::~ScopedProfileOptions() {
-  std::lock_guard<std::mutex> lock(g_options_mutex);
-  g_live_options.erase(
-      std::find(g_live_options.begin(), g_live_options.end(), this));
-}
-
 Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
                                           DataType target_type,
-                                          const ProfileOptions& options) {
+                                          const ProfileOptions& options,
+                                          ProfileCache* cache) {
   static Counter& columns_profiled =
       MetricsRegistry::Global().GetCounter("profiling.statistics.columns");
   static Counter& cells_scanned =
@@ -98,7 +71,6 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
   static Histogram& compute_ms =
       MetricsRegistry::Global().GetHistogram("profiling.statistics.ms");
 
-  ProfileCache* cache = ProfileCache::Active();
   uint64_t key = 0;
   if (cache != nullptr) {
     key = StatisticsKey(column, target_type, options);
@@ -154,14 +126,9 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
   return stats;
 }
 
-Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
-                                          DataType target_type) {
-  return ProfileColumn(column, target_type, ActiveProfileOptions());
-}
-
 Result<std::vector<AttributeStatistics>> ProfileColumns(
     const std::vector<ProfileRequest>& requests,
-    const ProfileOptions& options) {
+    const ProfileOptions& options, ProfileCache* cache) {
   // The first request of every distinct (column, target type) pair, in
   // request order, and each request's index into that list. Distinct
   // requests keep their relative order, so ParallelFor's lowest failing
@@ -182,7 +149,7 @@ Result<std::vector<AttributeStatistics>> ProfileColumns(
     const ProfileRequest& request = requests[distinct[d]];
     EFES_ASSIGN_OR_RETURN(
         profiled[d],
-        ProfileColumn(*request.column, request.target_type, options));
+        ProfileColumn(*request.column, request.target_type, options, cache));
     return Status::OK();
   }));
 
@@ -192,11 +159,6 @@ Result<std::vector<AttributeStatistics>> ProfileColumns(
     results.push_back(profiled[slot[i]]);
   }
   return results;
-}
-
-Result<std::vector<AttributeStatistics>> ProfileColumns(
-    const std::vector<ProfileRequest>& requests) {
-  return ProfileColumns(requests, ActiveProfileOptions());
 }
 
 }  // namespace efes

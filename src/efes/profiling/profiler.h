@@ -8,14 +8,13 @@
 // (sketch.h explains why), while peak profiling memory is bounded by
 // (threads + 1) sketches instead of one map over the whole column.
 //
-// When a ProfileCache is active, the finalized statistics of a column
-// are looked up and stored under a key that mixes in the approximation
-// mode and budget whenever they can influence the result.
+// When a call is given a ProfileCache, the finalized statistics of a
+// column are looked up and stored under a key that mixes in the
+// approximation mode and budget whenever they can influence the result.
 //
-// Options are threaded the PR-5 way: explicitly per call, or ambient
-// via ScopedProfileOptions (installed by EfesEngine::Run from
-// RunOptions::profile, and by the CLI from --chunk-rows / --max-memory
-// / --approx).
+// Options and cache are arguments of every call, defaulting to the exact,
+// unbudgeted profile and no cache. Estimation modules pass their run's
+// (RunContext, core/module.h); nothing is read from process-wide state.
 
 #ifndef EFES_PROFILING_PROFILER_H_
 #define EFES_PROFILING_PROFILER_H_
@@ -29,6 +28,8 @@
 #include "efes/relational/value.h"
 
 namespace efes {
+
+class ProfileCache;
 
 /// One column to profile in a batch. The referenced column must outlive
 /// the ProfileColumns call.
@@ -48,38 +49,14 @@ const std::vector<Value>* SampleColumn(
     const std::vector<Value>& column, size_t limit,
     std::map<const std::vector<Value>*, std::vector<Value>>* samples);
 
-/// The ambient options consulted by the single-argument overloads: those
-/// of the most recently installed live ScopedProfileOptions, or defaults
-/// when none is installed.
-ProfileOptions ActiveProfileOptions();
-
-/// RAII activation of ambient profile options: installs a copy for the
-/// scope's lifetime. Nested scopes shadow outer ones. Overlapping scopes
-/// of concurrent runs may end in any order; each removes only its own
-/// copy, so no scope ever leaves the ambient options pointing at a
-/// destroyed one.
-class ScopedProfileOptions {
- public:
-  explicit ScopedProfileOptions(const ProfileOptions& options);
-  ~ScopedProfileOptions();
-
-  ScopedProfileOptions(const ScopedProfileOptions&) = delete;
-  ScopedProfileOptions& operator=(const ScopedProfileOptions&) = delete;
-
- private:
-  friend ProfileOptions ActiveProfileOptions();
-
-  ProfileOptions options_;
-};
-
-/// Profiles one column against `target_type`. Fails only on a
-/// --max-memory budget an exact profile cannot satisfy
-/// (kResourceExhausted; kSketch/kAuto degrade instead).
+/// Profiles one column against `target_type` under `options`, through
+/// `cache` when it is non-null. Fails only on a --max-memory budget an
+/// exact profile cannot satisfy (kResourceExhausted; kSketch/kAuto
+/// degrade instead).
 Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
                                           DataType target_type,
-                                          const ProfileOptions& options);
-Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
-                                          DataType target_type);
+                                          const ProfileOptions& options = {},
+                                          ProfileCache* cache = nullptr);
 
 /// Profiles many columns through the shared pool, one dynamically
 /// balanced task per distinct request; results come back in request
@@ -93,9 +70,7 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
 /// is the error a sequential loop over the requests would hit first.
 Result<std::vector<AttributeStatistics>> ProfileColumns(
     const std::vector<ProfileRequest>& requests,
-    const ProfileOptions& options);
-Result<std::vector<AttributeStatistics>> ProfileColumns(
-    const std::vector<ProfileRequest>& requests);
+    const ProfileOptions& options = {}, ProfileCache* cache = nullptr);
 
 }  // namespace efes
 

@@ -1,6 +1,5 @@
 #include "efes/provenance/provenance.h"
 
-#include <atomic>
 #include <utility>
 
 #include "efes/common/fault.h"
@@ -8,15 +7,6 @@
 namespace efes {
 
 namespace {
-
-/// The ambient recorder. Process-global rather than thread-local because
-/// one run's parallel workers must all see the recorder installed by the
-/// driver thread; workers only buffer into fragments, so the shared
-/// pointer never serializes them. Atomic so unrelated server requests
-/// reading a null recorder never race an explain request installing one
-/// (the server additionally runs explain requests exclusively — recording
-/// itself is still single-run-at-a-time).
-std::atomic<ProvenanceRecorder*> g_active_recorder{nullptr};
 
 void DropZeroIds(std::vector<uint64_t>* ids) {
   std::erase(*ids, static_cast<uint64_t>(0));
@@ -149,19 +139,6 @@ ProvenanceSnapshot ProvenanceRecorder::Snapshot() const {
   snapshot.nodes = nodes_;
   snapshot.degraded = degraded_;
   return snapshot;
-}
-
-ProvenanceRecorder* ProvenanceRecorder::Active() {
-  return g_active_recorder.load(std::memory_order_acquire);
-}
-
-ScopedProvenanceRecorder::ScopedProvenanceRecorder(
-    ProvenanceRecorder* recorder)
-    : previous_(g_active_recorder.exchange(recorder,
-                                           std::memory_order_acq_rel)) {}
-
-ScopedProvenanceRecorder::~ScopedProvenanceRecorder() {
-  g_active_recorder.store(previous_, std::memory_order_release);
 }
 
 }  // namespace efes

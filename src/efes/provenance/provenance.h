@@ -1,15 +1,15 @@
 // Estimate provenance: a typed DAG that links every number the engine
 // reports — planned tasks, per-module effort, the total — back to the
 // inputs that produced it: §5.1 statistic values with their source and
-// column ids, discovered constraints, matcher correspondence scores,
+// column ids, discovered constraints, correspondence confidences,
 // decision thresholds (e.g. the 0.9 fit cutoff), and effort-model
 // parameters.
 //
-// Recording is ambient and off by default, mirroring ScopedProfileCache:
-// a ProvenanceRecorder only observes runs while a ScopedProvenanceRecorder
-// is on the stack, so clean runs stay byte-identical to an uninstrumented
-// build. Pipeline code records through ProvenanceRecorder::Active() and
-// treats a null recorder (or a returned id of 0) as "not recording".
+// Recording is off by default: a ProvenanceRecorder observes exactly the
+// runs it is passed to (RunOptions::recorder, handed to each module in
+// its RunContext), so clean runs stay byte-identical to an
+// uninstrumented build. Pipeline code treats a null recorder (or a
+// returned id of 0) as "not recording".
 //
 // Determinism contract: node ids are assigned in recording order, and all
 // recording happens either on the sequential pipeline path or through
@@ -130,31 +130,12 @@ class ProvenanceRecorder {
   bool degraded() const;
   ProvenanceSnapshot Snapshot() const;
 
-  /// The recorder installed by the innermost ScopedProvenanceRecorder, or
-  /// nullptr when no one is recording (the default).
-  static ProvenanceRecorder* Active();
-
  private:
   uint64_t RecordLocked(ProvenanceNode node);
 
   mutable std::mutex mutex_;
   std::vector<ProvenanceNode> nodes_ EFES_GUARDED_BY(mutex_);
   bool degraded_ EFES_GUARDED_BY(mutex_) = false;
-};
-
-/// Installs a recorder as the ambient ProvenanceRecorder::Active() for the
-/// current scope and restores the previous one on destruction.
-class ScopedProvenanceRecorder {
- public:
-  explicit ScopedProvenanceRecorder(ProvenanceRecorder* recorder);
-  ~ScopedProvenanceRecorder();
-
-  ScopedProvenanceRecorder(const ScopedProvenanceRecorder&) = delete;
-  ScopedProvenanceRecorder& operator=(const ScopedProvenanceRecorder&) =
-      delete;
-
- private:
-  ProvenanceRecorder* previous_ = nullptr;
 };
 
 }  // namespace efes

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "efes/cache/profile_cache.h"
 #include "efes/common/random.h"
 #include "efes/dedup/dedup_module.h"
 #include "efes/mapping/mapping_module.h"
@@ -39,12 +40,17 @@ Result<MeasuredEffort> SimulateMeasuredEffort(
   Random rng(mixed_seed);
   MeasuredEffort measured;
   bool high = quality == ExpectedQuality::kHighQuality;
+  // The detectors profile through the process default cache, with
+  // default options and no recorder.
+  RunContext context;
+  context.cache = ProfileCache::Active();
 
   // --- Mapping: the practitioner writes one INSERT..SELECT per connection
   // and first explores the source schemas.
   {
     MappingModule detector;
-    EFES_ASSIGN_OR_RETURN(auto report, detector.AssessComplexity(scenario));
+    EFES_ASSIGN_OR_RETURN(auto report,
+                          detector.AssessComplexity(scenario, context));
     const auto& mapping_report =
         static_cast<const MappingComplexityReport&>(*report);
     double minutes = model.scenario_setup;
@@ -73,7 +79,8 @@ Result<MeasuredEffort> SimulateMeasuredEffort(
   // --- Structure cleaning: the true violations in the data.
   {
     StructureModule detector;
-    EFES_ASSIGN_OR_RETURN(auto report, detector.AssessComplexity(scenario));
+    EFES_ASSIGN_OR_RETURN(auto report,
+                          detector.AssessComplexity(scenario, context));
     const auto& structure_report =
         static_cast<const StructureComplexityReport&>(*report);
     double minutes = 0.0;
@@ -115,7 +122,8 @@ Result<MeasuredEffort> SimulateMeasuredEffort(
   // --- Value cleaning: conversions actually required.
   {
     ValueModule detector;
-    EFES_ASSIGN_OR_RETURN(auto report, detector.AssessComplexity(scenario));
+    EFES_ASSIGN_OR_RETURN(auto report,
+                          detector.AssessComplexity(scenario, context));
     const auto& value_report =
         static_cast<const ValueComplexityReport&>(*report);
     double minutes = 0.0;
@@ -168,7 +176,8 @@ Result<MeasuredEffort> SimulateMeasuredEffort(
   // blocking actually surfaces and merges the confirmed clusters.
   {
     DedupModule detector;
-    EFES_ASSIGN_OR_RETURN(auto report, detector.AssessComplexity(scenario));
+    EFES_ASSIGN_OR_RETURN(auto report,
+                          detector.AssessComplexity(scenario, context));
     const auto& dedup_report =
         static_cast<const DedupComplexityReport&>(*report);
     double minutes = 0.0;

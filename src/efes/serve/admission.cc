@@ -19,8 +19,7 @@ AdmissionController::AdmissionController(AdmissionOptions options)
 
 AdmissionController::~AdmissionController() { AwaitDrain(); }
 
-Status AdmissionController::Admit(std::string strand, bool exclusive,
-                                  Task task) {
+Status AdmissionController::Admit(std::string strand, Task task) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -37,7 +36,7 @@ Status AdmissionController::Admit(std::string strand, bool exclusive,
     }
     ++queued_count_;
     ++outstanding_;
-    Queued item{std::move(task), std::move(strand), exclusive};
+    Queued item{std::move(task), std::move(strand)};
     if (!item.strand.empty() && strand_active_.count(item.strand) > 0) {
       strand_waiting_[item.strand].push_back(std::move(item));
     } else {
@@ -58,27 +57,9 @@ void AdmissionController::WorkerLoop() {
     Queued item = std::move(ready_.front());
     ready_.pop_front();
     --queued_count_;
-    // The exclusivity gate. An exclusive task starts only when nothing
-    // runs; while one waits or runs, non-exclusive tasks hold at the
-    // gate. Waiters do not count as running, so this cannot deadlock on
-    // a fully parked pool.
-    if (item.exclusive) {
-      ++exclusive_waiting_;
-      gate_cv_.wait(lock,
-                    [this] { return running_ == 0 && !exclusive_active_; });
-      --exclusive_waiting_;
-      exclusive_active_ = true;
-    } else {
-      gate_cv_.wait(lock, [this] {
-        return !exclusive_active_ && exclusive_waiting_ == 0;
-      });
-    }
-    ++running_;
     lock.unlock();
     item.task();
     lock.lock();
-    --running_;
-    if (item.exclusive) exclusive_active_ = false;
     --outstanding_;
     // Strand handoff: release the next same-session task, preserving
     // admission order.
@@ -94,7 +75,6 @@ void AdmissionController::WorkerLoop() {
         strand_active_.erase(item.strand);
       }
     }
-    gate_cv_.notify_all();
     idle_cv_.notify_all();
   }
 }

@@ -1,6 +1,5 @@
 // Admission control for efes_serve (DESIGN.md §14): a bounded queue in
-// front of a fixed worker pool, with per-session FIFO strands and an
-// exclusivity gate.
+// front of a fixed worker pool, with per-session FIFO strands.
 //
 // Overload is shed at the door: once `max_queue` admitted-but-unstarted
 // tasks pile up, Admit refuses with kResourceExhausted and the caller
@@ -11,13 +10,9 @@
 // `estimate` admitted after its session's `open` runs after that open
 // finished, even with idle workers), which is what makes concurrent
 // mixed workloads deterministic per request id. Requests on different
-// strands run concurrently.
-//
-// The exclusivity gate exists for `explain` requests: provenance
-// recording installs a process-global recorder, so an exclusive task
-// waits until nothing else is executing and blocks new tasks from
-// starting while it runs. Throughput cost, correctness win; explain is
-// a debugging op.
+// strands run concurrently, `explain` estimates included: each run
+// carries its own recorder and profiling state (RunContext,
+// core/module.h), so no request needs the server to itself.
 //
 // Drain is two-phase: BeginDrain() makes every further Admit fail with
 // kUnavailable (the "refuse new work" half of graceful shutdown);
@@ -67,11 +62,10 @@ class AdmissionController {
   AdmissionController& operator=(const AdmissionController&) = delete;
 
   /// Admits `task` for asynchronous execution. Tasks sharing a non-empty
-  /// `strand` run one at a time in admission order; `exclusive` tasks
-  /// run with nothing else executing. Fails with kUnavailable after
-  /// BeginDrain() and kResourceExhausted on overload — the task is then
-  /// NOT executed.
-  Status Admit(std::string strand, bool exclusive, Task task);
+  /// `strand` run one at a time in admission order. Fails with
+  /// kUnavailable after BeginDrain() and kResourceExhausted on overload —
+  /// the task is then NOT executed.
+  Status Admit(std::string strand, Task task);
 
   /// Stops admitting (kUnavailable from here on). Idempotent, cheap,
   /// safe from any thread — including a poll loop reacting to SIGTERM.
@@ -92,7 +86,6 @@ class AdmissionController {
   struct Queued {
     Task task;
     std::string strand;
-    bool exclusive = false;
   };
 
   void WorkerLoop();
@@ -103,20 +96,15 @@ class AdmissionController {
   std::condition_variable work_cv_;  // workers: ready_ nonempty or stop_
   // AwaitDrain: outstanding_ == 0.
   std::condition_variable idle_cv_ EFES_GUARDED_BY(mutex_);
-  // Exclusivity gate transitions.
-  std::condition_variable gate_cv_ EFES_GUARDED_BY(mutex_);
   std::deque<Queued> ready_ EFES_GUARDED_BY(mutex_);
   /// Tasks waiting behind their strand's currently queued/running task.
   std::map<std::string, std::deque<Queued>> strand_waiting_
       EFES_GUARDED_BY(mutex_);
   /// Strands with a task in ready_ or executing.
   std::set<std::string> strand_active_ EFES_GUARDED_BY(mutex_);
-  // Admitted-not-started / admitted-not-finished / executing counts.
+  // Admitted-not-started / admitted-not-finished counts.
   size_t queued_count_ EFES_GUARDED_BY(mutex_) = 0;
   size_t outstanding_ EFES_GUARDED_BY(mutex_) = 0;
-  size_t running_ EFES_GUARDED_BY(mutex_) = 0;
-  size_t exclusive_waiting_ EFES_GUARDED_BY(mutex_) = 0;
-  bool exclusive_active_ EFES_GUARDED_BY(mutex_) = false;
   bool draining_ EFES_GUARDED_BY(mutex_) = false;
   bool stop_ EFES_GUARDED_BY(mutex_) = false;
   bool joined_ EFES_GUARDED_BY(mutex_) = false;

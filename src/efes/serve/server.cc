@@ -45,11 +45,6 @@ EfesServer::EfesServer(ServeOptions options) : options_(std::move(options)),
                                                    options_.workers,
                                                    options_.max_queue,
                                                    options_.retry_after_ms}) {
-  // Install the server-lifetime cache as ambient so every worker (and the
-  // warm pass in HandleOpen) shares it. A null cache is installed too:
-  // the server's behavior should not depend on whatever ambient cache the
-  // embedding process happened to have.
-  scoped_cache_.emplace(options_.cache);
   watchdog_ = std::thread([this] { WatchdogLoop(); });
 }
 
@@ -254,10 +249,8 @@ bool EfesServer::HandleLine(const std::string& line,
         static_cast<int64_t>(options_.watchdog_grace_ms) * 1000000;
     RegisterWithWatchdog(pending, write_line);
   }
-  bool exclusive = request.explain && request.op == "estimate";
   Status admitted = admission_.Admit(
-      "session:" + request.session, exclusive,
-      [this, pending, request, write_line] {
+      "session:" + request.session, [this, pending, request, write_line] {
         RunRequest(pending, request, write_line);
       });
   if (!admitted.ok()) {
@@ -410,14 +403,9 @@ ServeResponse EfesServer::HandleEstimate(const ServeRequest& request) {
   RunOptions run_options;
   run_options.quality = QualityFromRequest(request);
   run_options.cache = options_.cache;
-  // `explain` records provenance through the process-global recorder;
-  // the admission controller ran this request exclusively, so the scoped
-  // install below cannot race another request's run.
   ProvenanceRecorder recorder;
-  std::optional<ScopedProvenanceRecorder> scoped_recorder;
-  if (request.explain) scoped_recorder.emplace(&recorder);
+  if (request.explain) run_options.recorder = &recorder;
   Result<EstimationResult> result = engine->Run(**scenario, run_options);
-  scoped_recorder.reset();
   if (!result.ok()) {
     response.status = result.status();
     return response;

@@ -2,9 +2,9 @@
 // deadlines + per-request fault containment behind the line protocol of
 // protocol.h.
 //
-// One EfesServer owns the session table, the admission controller, a
-// watchdog thread, and (optionally) the process-wide ProfileCache it
-// installs as ambient for its lifetime. Frontends feed it request lines:
+// One EfesServer owns the session table, the admission controller and a
+// watchdog thread, and passes its (optional) ProfileCache to every run
+// it makes. Frontends feed it request lines:
 //
 //   * ServeLines(istream, ostream) — synchronous pipe mode for tests and
 //     `efes_serve --pipe` fed by a shell. Reads to EOF (or a `shutdown`
@@ -41,7 +41,6 @@
 #include <istream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -71,8 +70,9 @@ struct ServeOptions {
   uint64_t watchdog_grace_ms = 200;
   /// Retry-After hint on overload rejections.
   int64_t retry_after_ms = 50;
-  /// Server-lifetime profile cache, installed as ambient. May be null
-  /// (no caching).
+  /// Server-lifetime profile cache, shared by every session's runs. May
+  /// be null (then runs use the process default, ProfileCache::Active(),
+  /// which is null unless the embedding main installed one).
   ProfileCache* cache = nullptr;
   /// When nonempty, the cache snapshot is flushed here (atomically, via
   /// WriteFileAtomic) as part of every drain.
@@ -145,9 +145,6 @@ class EfesServer {
                             const WriteLineFn& write_line);
 
   const ServeOptions options_;
-  /// Ambient cache for the server's lifetime; declared before the
-  /// admission controller so it outlives every worker.
-  std::optional<ScopedProfileCache> scoped_cache_;
   SessionManager sessions_;
   AdmissionController admission_;
 

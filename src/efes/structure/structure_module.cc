@@ -48,7 +48,7 @@ size_t StructureComplexityReport::ProblemCount() const {
 }
 
 Result<std::unique_ptr<ComplexityReport>> StructureModule::AssessComplexity(
-    const IntegrationScenario& scenario) const {
+    const IntegrationScenario& scenario, const RunContext& context) const {
   CsgGraph target_graph;
   // Conflict detection walks every source CSG against the target; make
   // sure a cancelled deadline stops the assessment before that work.
@@ -57,8 +57,7 @@ Result<std::unique_ptr<ComplexityReport>> StructureModule::AssessComplexity(
       std::vector<SourceStructureAssessment> assessments,
       DetectStructureConflicts(scenario, &target_graph,
                                options_.detector));
-  if (ProvenanceRecorder* prov = ProvenanceRecorder::Active();
-      prov != nullptr) {
+  if (ProvenanceRecorder* prov = context.recorder; prov != nullptr) {
     // One constraint node per (source, target constraint), shared by the
     // excess/deficit conflict pair it usually splits into.
     std::map<std::string, uint64_t> constraint_nodes;

@@ -53,7 +53,8 @@ class StructureModule : public EstimationModule {
   std::string name() const override { return "structure"; }
 
   Result<std::unique_ptr<ComplexityReport>> AssessComplexity(
-      const IntegrationScenario& scenario) const override;
+      const IntegrationScenario& scenario,
+      const RunContext& context) const override;
 
   Result<std::vector<Task>> PlanTasks(
       const ComplexityReport& report, ExpectedQuality quality,

@@ -115,7 +115,7 @@ std::vector<ValueHeterogeneityType> DetectValueHeterogeneities(
 }
 
 Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
-    const IntegrationScenario& scenario) const {
+    const IntegrationScenario& scenario, const RunContext& context) const {
   std::vector<ValueHeterogeneity> heterogeneities;
 
   // Correspondences into target foreign-key attributes are key
@@ -187,7 +187,7 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
   // path; the per-item statistics and findings are buffered into
   // fragments inside the parallel loop and absorbed in item order below —
   // ids stay canonical for any thread count.
-  ProvenanceRecorder* prov = ProvenanceRecorder::Active();
+  ProvenanceRecorder* prov = context.recorder;
   uint64_t fit_threshold_node = 0;
   uint64_t fewer_gap_node = 0;
   uint64_t incompatible_node = 0;
@@ -209,8 +209,9 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
   // (target). The batch runs after the thresholds are recorded, so a
   // module that fails here (an exact --max-memory overflow) leaves the
   // run's later provenance ids where they were.
-  EFES_ASSIGN_OR_RETURN(std::vector<AttributeStatistics> stats,
-                        ProfileColumns(requests));
+  EFES_ASSIGN_OR_RETURN(
+      std::vector<AttributeStatistics> stats,
+      ProfileColumns(requests, context.profile, context.cache));
 
   // Pass 2 (parallel): detection, the source pattern count and the
   // provenance fragment fan out per item and merge back in item order,

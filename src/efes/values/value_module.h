@@ -131,7 +131,8 @@ class ValueModule : public EstimationModule {
   std::string name() const override { return "values"; }
 
   Result<std::unique_ptr<ComplexityReport>> AssessComplexity(
-      const IntegrationScenario& scenario) const override;
+      const IntegrationScenario& scenario,
+      const RunContext& context) const override;
 
   Result<std::vector<Task>> PlanTasks(
       const ComplexityReport& report, ExpectedQuality quality,

@@ -64,7 +64,7 @@ TEST(SamplingTest, SampledDetectorFindsTheSameHeterogeneity) {
   ValueFitOptions options;
   options.sample_limit = 200;  // instead of 3000 song rows
   ValueModule sampled(options);
-  auto report = sampled.AssessComplexity(*scenario);
+  auto report = sampled.AssessComplexity(*scenario, RunContext{});
   ASSERT_TRUE(report.ok());
   const auto& value_report =
       static_cast<const ValueComplexityReport&>(**report);
@@ -80,7 +80,7 @@ TEST(SamplingTest, ZeroLimitMeansFullScan) {
   auto scenario = MakePaperExample();
   ASSERT_TRUE(scenario.ok());
   ValueModule full{ValueFitOptions{}};
-  auto report = full.AssessComplexity(*scenario);
+  auto report = full.AssessComplexity(*scenario, RunContext{});
   ASSERT_TRUE(report.ok());
   const auto& value_report =
       static_cast<const ValueComplexityReport&>(**report);

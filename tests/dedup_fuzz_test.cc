@@ -184,10 +184,10 @@ FuzzRunOutput RunSeedWithProvenance(uint64_t seed, ProfileCache* cache) {
   ProvenanceRecorder recorder;
   EstimationResult result;
   {
-    ScopedProvenanceRecorder scoped(&recorder);
     EfesEngine engine = MakeDefaultEngine();
     RunOptions options;
     options.cache = cache;
+    options.recorder = &recorder;
     auto run = engine.Run(fuzzed->scenario, options);
     EXPECT_TRUE(run.ok()) << run.status();
     result = std::move(*run);

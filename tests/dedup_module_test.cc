@@ -105,7 +105,7 @@ TEST(NormalizeEntityKeyTest, LowercasesTrimsAndCollapsesWhitespace) {
 TEST(DedupModuleTest, DetectsCrossSourceClustersViaTheNaturalKey) {
   IntegrationScenario scenario = MakeTwoSourceScenario();
   DedupModule module;
-  auto report = module.AssessComplexity(scenario);
+  auto report = module.AssessComplexity(scenario, RunContext{});
   ASSERT_TRUE(report.ok()) << report.status();
   const DedupComplexityReport& dedup = AsDedupReport(**report);
   ASSERT_EQ(dedup.findings().size(), 1u);
@@ -141,7 +141,7 @@ TEST(DedupModuleTest, SingleSourceScenarioHasNoFindings) {
               Value::Text("london")});
   scenario.AddSource(std::move(s1), PersonCorrespondences("people_a"));
   DedupModule module;
-  auto report = module.AssessComplexity(scenario);
+  auto report = module.AssessComplexity(scenario, RunContext{});
   ASSERT_TRUE(report.ok()) << report.status();
   // Duplicates within one feed are that source's own UNIQUE problem, not
   // cross-source deduplication work.
@@ -154,7 +154,7 @@ TEST(DedupModuleTest, OversizeBlocksAreSkippedNotPriced) {
   DedupOptions options;
   options.max_block_size = 1;  // every cross-feed block (size 2) is over
   DedupModule module(options);
-  auto report = module.AssessComplexity(scenario);
+  auto report = module.AssessComplexity(scenario, RunContext{});
   ASSERT_TRUE(report.ok()) << report.status();
   // All candidate blocks oversize -> no clusters -> no finding at all.
   EXPECT_EQ(AsDedupReport(**report).findings().size(), 0u);
@@ -164,19 +164,20 @@ TEST(DedupModuleTest, InvalidOptionsAreRejectedNotClamped) {
   IntegrationScenario scenario = MakeTwoSourceScenario();
   DedupOptions negative_cost;
   negative_cost.pair_review_minutes = -0.5;
-  auto rejected = DedupModule(negative_cost).AssessComplexity(scenario);
+  auto rejected =
+      DedupModule(negative_cost).AssessComplexity(scenario, RunContext{});
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 
   DedupOptions zero_block;
   zero_block.max_block_size = 0;
-  rejected = DedupModule(zero_block).AssessComplexity(scenario);
+  rejected = DedupModule(zero_block).AssessComplexity(scenario, RunContext{});
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 
   DedupOptions bad_fraction;
   bad_fraction.min_key_fill = 1.5;
-  rejected = DedupModule(bad_fraction).AssessComplexity(scenario);
+  rejected = DedupModule(bad_fraction).AssessComplexity(scenario, RunContext{});
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
@@ -184,7 +185,7 @@ TEST(DedupModuleTest, InvalidOptionsAreRejectedNotClamped) {
 TEST(DedupModuleTest, HighQualityPlansResolutionPricedPerClusterAndPair) {
   IntegrationScenario scenario = MakeTwoSourceScenario();
   DedupModule module;
-  auto report = module.AssessComplexity(scenario);
+  auto report = module.AssessComplexity(scenario, RunContext{});
   ASSERT_TRUE(report.ok()) << report.status();
   auto tasks = module.PlanTasks(**report, ExpectedQuality::kHighQuality,
                                 ExecutionSettings{});
@@ -205,7 +206,7 @@ TEST(DedupModuleTest, HighQualityPlansResolutionPricedPerClusterAndPair) {
 TEST(DedupModuleTest, LowEffortPlansOneDropScript) {
   IntegrationScenario scenario = MakeTwoSourceScenario();
   DedupModule module;
-  auto report = module.AssessComplexity(scenario);
+  auto report = module.AssessComplexity(scenario, RunContext{});
   ASSERT_TRUE(report.ok()) << report.status();
   auto tasks = module.PlanTasks(**report, ExpectedQuality::kLowEffort,
                                 ExecutionSettings{});
@@ -282,8 +283,8 @@ TEST(DedupModuleTest, SampledStatisticsStillBlockEveryRow) {
   constexpr size_t kLimit = 40;
   DedupOptions sampling;
   sampling.sample_limit = kLimit;
-  auto full = DedupModule().AssessComplexity(scenario);
-  auto sampled = DedupModule(sampling).AssessComplexity(scenario);
+  auto full = DedupModule().AssessComplexity(scenario, RunContext{});
+  auto sampled = DedupModule(sampling).AssessComplexity(scenario, RunContext{});
   ASSERT_TRUE(full.ok()) << full.status();
   ASSERT_TRUE(sampled.ok()) << sampled.status();
   const auto& expected = AsDedupReport(**full).findings();
@@ -350,10 +351,9 @@ TEST(DedupModuleTest, FailedBatchFollowsTheThresholdNodes) {
   ProfileOptions exact;
   exact.mode = ApproximationMode::kExact;
   exact.max_memory_bytes = 1;
-  ScopedProfileOptions scoped_options(exact);
   ProvenanceRecorder recorder;
-  ScopedProvenanceRecorder scoped_recorder(&recorder);
-  auto report = DedupModule().AssessComplexity(scenario);
+  auto report = DedupModule().AssessComplexity(
+      scenario, RunContext{.profile = exact, .recorder = &recorder});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
   const ProvenanceSnapshot snapshot = recorder.Snapshot();
@@ -366,9 +366,10 @@ TEST(DedupModuleTest, FailedBatchFollowsTheThresholdNodes) {
 TEST(DedupModuleTest, AssessmentRecordsFindingProvenance) {
   IntegrationScenario scenario = MakeTwoSourceScenario();
   ProvenanceRecorder recorder;
-  ScopedProvenanceRecorder scoped(&recorder);
+  RunContext context;
+  context.recorder = &recorder;
   DedupModule module;
-  auto report = module.AssessComplexity(scenario);
+  auto report = module.AssessComplexity(scenario, context);
   ASSERT_TRUE(report.ok()) << report.status();
   const DedupComplexityReport& dedup = AsDedupReport(**report);
   EXPECT_NE((*report)->provenance_node(), 0u);

@@ -5,8 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <thread>
+
+#include "efes/common/parallel.h"
+#include "efes/experiment/default_pipeline.h"
+#include "efes/experiment/json_export.h"
+#include "efes/provenance/provenance.h"
+#include "efes/scenario/paper_example.h"
 
 namespace efes {
 namespace {
@@ -54,7 +63,7 @@ class FakeModule : public EstimationModule {
   std::string name() const override { return "fake"; }
 
   Result<std::unique_ptr<ComplexityReport>> AssessComplexity(
-      const IntegrationScenario&) const override {
+      const IntegrationScenario&, const RunContext&) const override {
     return std::unique_ptr<ComplexityReport>(
         std::make_unique<FakeReport>(problems_));
   }
@@ -163,7 +172,7 @@ class BrokenAssessModule : public EstimationModule {
  public:
   std::string name() const override { return "broken-assess"; }
   Result<std::unique_ptr<ComplexityReport>> AssessComplexity(
-      const IntegrationScenario&) const override {
+      const IntegrationScenario&, const RunContext&) const override {
     return Status::Internal("detector blew up");
   }
   Result<std::vector<Task>> PlanTasks(const ComplexityReport&,
@@ -299,6 +308,78 @@ TEST(SetEffortModelTest, InstalledModelPricesTasks) {
   ASSERT_TRUE(result.ok());
   // 3 reject-tuples tasks at 5 min each, doubled by the global scale.
   EXPECT_DOUBLE_EQ(result->estimate.TotalMinutes(), 30.0);
+}
+
+// ------------------------------------------------------------ concurrency
+
+/// The rendered output of one run of `engine`: the JSON export, with the
+/// provenance section when `record` gives the run a recorder.
+std::string RenderedRun(const EfesEngine& engine,
+                        const IntegrationScenario& scenario,
+                        RunOptions options, bool record) {
+  ProvenanceRecorder recorder;
+  if (record) options.recorder = &recorder;
+  auto result = engine.Run(scenario, options);
+  if (!result.ok()) return result.status().ToString();
+  const ProvenanceSnapshot snapshot = recorder.Snapshot();
+  return EstimationResultToJson(*result, nullptr,
+                                record ? &snapshot : nullptr);
+}
+
+/// Runs A and B kRuns times each, on two threads at once, and expects
+/// every output to equal the same run done alone.
+void ExpectConcurrentRunsMatchSolo(const RunOptions& a, bool a_records,
+                                   const RunOptions& b, bool b_records) {
+  constexpr int kRuns = 20;
+  auto scenario = MakePaperExample();
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  const EfesEngine engine = MakeDefaultEngine();
+  const std::string solo_a = RenderedRun(engine, *scenario, a, a_records);
+  const std::string solo_b = RenderedRun(engine, *scenario, b, b_records);
+  ASSERT_NE(solo_a, solo_b);
+  auto repeat = [&](const RunOptions& options, bool record,
+                    const std::string& solo, int* differing) {
+    for (int run = 0; run < kRuns; ++run) {
+      if (RenderedRun(engine, *scenario, options, record) != solo) {
+        ++*differing;
+      }
+    }
+  };
+  int a_differing = 0;
+  int b_differing = 0;
+  // One thread per run, so each run executes wholly on its own thread.
+  SetThreadCountOverride(1);
+  std::thread thread_a(repeat, std::cref(a), a_records, std::cref(solo_a),
+                       &a_differing);
+  std::thread thread_b(repeat, std::cref(b), b_records, std::cref(solo_b),
+                       &b_differing);
+  thread_a.join();
+  thread_b.join();
+  SetThreadCountOverride(0);
+  EXPECT_EQ(a_differing, 0) << "of " << kRuns << " runs of A";
+  EXPECT_EQ(b_differing, 0) << "of " << kRuns << " runs of B";
+}
+
+TEST(EngineTest, ConcurrentRunsKeepTheirOwnOptionsAndRecorder) {
+  // Each run's profile options and recorder travel in its own RunOptions,
+  // so a run's output does not depend on what another run in the same
+  // process does at the same time.
+  RunOptions exact;
+  exact.profile.mode = ApproximationMode::kExact;
+  exact.profile.max_memory_bytes = 4000;  // degrades the values module
+  RunOptions sketch;
+  sketch.profile.mode = ApproximationMode::kSketch;
+  sketch.profile.max_memory_bytes = 4000;
+  {
+    SCOPED_TRACE("A: exact and recorded, B: sketch");
+    ExpectConcurrentRunsMatchSolo(exact, /*a_records=*/true, sketch,
+                                  /*b_records=*/false);
+  }
+  {
+    SCOPED_TRACE("equal default options, only A records");
+    ExpectConcurrentRunsMatchSolo(RunOptions{}, /*a_records=*/true,
+                                  RunOptions{}, /*b_records=*/false);
+  }
 }
 
 }  // namespace

@@ -228,7 +228,7 @@ TEST(CrossSourceTest, FullModulePlansCombinedRepair) {
   StructureModule::Options options;
   options.detector.detect_cross_source_conflicts = true;
   StructureModule module(options);
-  auto report = module.AssessComplexity(scenario);
+  auto report = module.AssessComplexity(scenario, RunContext{});
   ASSERT_TRUE(report.ok());
   auto tasks =
       module.PlanTasks(**report, ExpectedQuality::kHighQuality, {});

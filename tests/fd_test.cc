@@ -303,7 +303,7 @@ TEST(FdDetectorTest, DeterminantKeysAreLengthPrefixed) {
 TEST(FdPlannerTest, PlansMergeValuesForFdConflicts) {
   IntegrationScenario scenario = MakeFdScenario(3);
   StructureModule module;
-  auto report = module.AssessComplexity(scenario);
+  auto report = module.AssessComplexity(scenario, RunContext{});
   ASSERT_TRUE(report.ok());
   auto tasks =
       module.PlanTasks(**report, ExpectedQuality::kHighQuality, {});

@@ -24,7 +24,7 @@ class MappingModuleTest : public ::testing::Test {
     auto scenario = MakePaperExample();
     ASSERT_TRUE(scenario.ok());
     scenario_ = std::make_unique<IntegrationScenario>(std::move(*scenario));
-    auto report = module_.AssessComplexity(*scenario_);
+    auto report = module_.AssessComplexity(*scenario_, RunContext{});
     ASSERT_TRUE(report.ok());
     report_ = std::move(*report);
   }
@@ -125,7 +125,7 @@ TEST(MappingModuleStandaloneTest, NoCorrespondencesNoConnections) {
   scenario.AddSource(std::move(*Database::Create(std::move(source_schema))),
                      CorrespondenceSet());
   MappingModule module;
-  auto report = module.AssessComplexity(scenario);
+  auto report = module.AssessComplexity(scenario, RunContext{});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ((*report)->ProblemCount(), 0u);
 }

@@ -33,8 +33,9 @@ namespace {
 
 /// Cache tests drive the production chunked profiler; under default
 /// options ProfileColumn cannot fail, so the helper unwraps in place.
-AttributeStatistics Stats(const std::vector<Value>& column, DataType type) {
-  auto profiled = ProfileColumn(column, type);
+AttributeStatistics Stats(const std::vector<Value>& column, DataType type,
+                          ProfileCache* cache = nullptr) {
+  auto profiled = ProfileColumn(column, type, {}, cache);
   EXPECT_TRUE(profiled.ok()) << profiled.status().ToString();
   return profiled.ok() ? *std::move(profiled) : AttributeStatistics{};
 }
@@ -257,23 +258,22 @@ TEST(CacheSerializationTest, MalformedLinesAreParseErrors) {
 
 TEST(ProfileCacheTest, ProfilingHitsTheActiveCache) {
   ProfileCache cache;
-  ScopedProfileCache scoped(&cache);
-  AttributeStatistics cold = Stats(MixedColumn(), DataType::kText);
+  AttributeStatistics cold = Stats(MixedColumn(), DataType::kText, &cache);
   EXPECT_EQ(cache.entry_count(), 1u);
-  AttributeStatistics warm = Stats(MixedColumn(), DataType::kText);
+  AttributeStatistics warm = Stats(MixedColumn(), DataType::kText, &cache);
   ExpectStatisticsEqual(cold, warm);
 }
 
 TEST(ProfileCacheTest, NoActiveCacheMeansNoCaching) {
+  // Profiling uses only the cache it is passed: not the process default,
+  // even when one is installed.
   ProfileCache cache;
-  {
-    ScopedProfileCache scoped(&cache);
-    (void)Stats(MixedColumn(), DataType::kText);
-  }
-  EXPECT_EQ(ProfileCache::Active(), nullptr);
+  (void)Stats(MixedColumn(), DataType::kText, &cache);
   EXPECT_EQ(cache.entry_count(), 1u);
+  ScopedProfileCache scoped(&cache);
   (void)Stats(NumericColumn(), DataType::kReal);
-  EXPECT_EQ(cache.entry_count(), 1u);  // unchanged: cache no longer active
+  (void)DiscoverConstraints(MakeTinyDatabase());
+  EXPECT_EQ(cache.entry_count(), 1u);  // unchanged: no cache was passed
 }
 
 TEST(ProfileCacheTest, ScopedActivationNestsAndRestores) {
@@ -296,10 +296,11 @@ TEST(ProfileCacheTest, DiscoverConstraintsUsesTheCache) {
   const Database database = MakeTinyDatabase();
   std::vector<DiscoveredConstraint> uncached = DiscoverConstraints(database);
   ProfileCache cache;
-  ScopedProfileCache scoped(&cache);
-  std::vector<DiscoveredConstraint> cold = DiscoverConstraints(database);
+  std::vector<DiscoveredConstraint> cold =
+      DiscoverConstraints(database, {}, &cache);
   EXPECT_EQ(cache.entry_count(), 1u);
-  std::vector<DiscoveredConstraint> warm = DiscoverConstraints(database);
+  std::vector<DiscoveredConstraint> warm =
+      DiscoverConstraints(database, {}, &cache);
   ASSERT_EQ(cold.size(), uncached.size());
   ASSERT_EQ(warm.size(), uncached.size());
   for (size_t i = 0; i < uncached.size(); ++i) {
@@ -312,11 +313,10 @@ TEST(ProfileCacheTest, DiscoverConstraintsUsesTheCache) {
 TEST(ProfileCacheTest, DiscoveryOptionsArePartOfTheKey) {
   const Database database = MakeTinyDatabase();
   ProfileCache cache;
-  ScopedProfileCache scoped(&cache);
-  (void)DiscoverConstraints(database);
+  (void)DiscoverConstraints(database, {}, &cache);
   DiscoveryOptions no_fds;
   no_fds.discover_functional_dependencies = false;
-  (void)DiscoverConstraints(database, no_fds);
+  (void)DiscoverConstraints(database, no_fds, &cache);
   EXPECT_EQ(cache.entry_count(), 2u);  // distinct keys, no false sharing
 }
 
@@ -389,12 +389,9 @@ TEST(CachePersistenceTest, SaveLoadRoundtripServesIdenticalEntries) {
   const std::string path =
       testing::TempDir() + "/efes_cache_nested/profile_cache.efes";
   ProfileCache cache;
-  {
-    ScopedProfileCache scoped(&cache);
-    (void)Stats(MixedColumn(), DataType::kText);
-    (void)Stats(NumericColumn(), DataType::kReal);
-    (void)DiscoverConstraints(MakeTinyDatabase());
-  }
+  (void)Stats(MixedColumn(), DataType::kText, &cache);
+  (void)Stats(NumericColumn(), DataType::kReal, &cache);
+  (void)DiscoverConstraints(MakeTinyDatabase(), {}, &cache);
   ASSERT_TRUE(cache.SaveToFile(path).ok());
 
   ProfileCache reloaded;
@@ -529,12 +526,9 @@ std::string Corrupt(std::string text, Random& rng) {
 
 TEST(CachePersistenceTest, CorruptSnapshotsDegradeToRecomputationNotError) {
   ProfileCache cache;
-  {
-    ScopedProfileCache scoped(&cache);
-    (void)Stats(MixedColumn(), DataType::kText);
-    (void)Stats(NumericColumn(), DataType::kReal);
-    (void)DiscoverConstraints(MakeTinyDatabase());
-  }
+  (void)Stats(MixedColumn(), DataType::kText, &cache);
+  (void)Stats(NumericColumn(), DataType::kReal, &cache);
+  (void)DiscoverConstraints(MakeTinyDatabase(), {}, &cache);
   const std::string path = TempCachePath("corrupt");
   ASSERT_TRUE(cache.SaveToFile(path).ok());
   auto pristine = ReadFileToString(path);
@@ -549,8 +543,7 @@ TEST(CachePersistenceTest, CorruptSnapshotsDegradeToRecomputationNotError) {
     // The contract: corruption is a miss, never an error or a crash.
     EXPECT_TRUE(recovered.LoadFromFile(path).ok());
     // Whatever survived, profiling through the cache still works.
-    ScopedProfileCache scoped(&recovered);
-    AttributeStatistics stats = Stats(column, DataType::kReal);
+    AttributeStatistics stats = Stats(column, DataType::kReal, &recovered);
     EXPECT_EQ(stats.fill_status.total_count, column.size());
   }
 }
@@ -564,10 +557,7 @@ class CacheFaultTest : public testing::Test {
 TEST_F(CacheFaultTest, LoadAndSaveFaultPointsAreInjectable) {
   const std::string path = TempCachePath("faults");
   ProfileCache cache;
-  {
-    ScopedProfileCache scoped(&cache);
-    (void)Stats(MixedColumn(), DataType::kText);
-  }
+  (void)Stats(MixedColumn(), DataType::kText, &cache);
   ASSERT_TRUE(cache.SaveToFile(path).ok());
 
   ASSERT_TRUE(FaultRegistry::Global().ArmFromString("cache.load").ok());

@@ -1,5 +1,5 @@
 // Tests for the estimate-provenance layer: recorder/fragment id
-// assignment, the ambient ScopedProvenanceRecorder, byte-identical
+// assignment, per-run recording through RunOptions::recorder, byte-identical
 // --explain output across thread counts and cache states, the property
 // that every reported effort number resolves to at least one provenance
 // node, and graceful degradation at the `provenance.record` /
@@ -95,22 +95,6 @@ TEST_F(ProvenanceTest, AbsorbRemapsLocalInputsToGlobalIds) {
             (std::vector<uint64_t>{threshold, ids[stat]}));
 }
 
-TEST_F(ProvenanceTest, ActiveIsNullUnlessScopedRecorderInstalled) {
-  EXPECT_EQ(ProvenanceRecorder::Active(), nullptr);
-  ProvenanceRecorder outer;
-  {
-    ScopedProvenanceRecorder scoped_outer(&outer);
-    EXPECT_EQ(ProvenanceRecorder::Active(), &outer);
-    ProvenanceRecorder inner;
-    {
-      ScopedProvenanceRecorder scoped_inner(&inner);
-      EXPECT_EQ(ProvenanceRecorder::Active(), &inner);
-    }
-    EXPECT_EQ(ProvenanceRecorder::Active(), &outer);
-  }
-  EXPECT_EQ(ProvenanceRecorder::Active(), nullptr);
-}
-
 // ------------------------------------------------ end-to-end determinism
 
 IntegrationScenario MakeScenario() {
@@ -124,7 +108,32 @@ IntegrationScenario MakeScenario() {
   return std::move(*scenario);
 }
 
-/// One recorded run: installs a recorder, runs the default engine, and
+TEST_F(ProvenanceTest, ActiveIsNullUnlessScopedRecorderInstalled) {
+  // Recording is per run: a run given no recorder records nothing, and a
+  // run given one records into it alone, whatever other recorders exist.
+  const IntegrationScenario scenario = MakeScenario();
+  const EfesEngine engine = MakeDefaultEngine();
+  ProvenanceRecorder bystander;
+  auto unrecorded = engine.Run(scenario);
+  ASSERT_TRUE(unrecorded.ok()) << unrecorded.status();
+  for (const ModuleRun& run : unrecorded->module_runs) {
+    ASSERT_NE(run.report, nullptr) << run.module;
+    EXPECT_EQ(run.report->provenance_node(), 0u) << run.module;
+  }
+  ProvenanceRecorder recorder;
+  RunOptions options;
+  options.recorder = &recorder;
+  auto recorded = engine.Run(scenario, options);
+  ASSERT_TRUE(recorded.ok()) << recorded.status();
+  for (const ModuleRun& run : recorded->module_runs) {
+    ASSERT_NE(run.report, nullptr) << run.module;
+    EXPECT_NE(run.report->provenance_node(), 0u) << run.module;
+  }
+  EXPECT_FALSE(recorder.Snapshot().nodes.empty());
+  EXPECT_TRUE(bystander.Snapshot().nodes.empty());
+}
+
+/// One recorded run: gives a recorder to a run of the default engine, and
 /// returns {explain tree, provenance JSON, estimation result}.
 struct RecordedRun {
   std::string tree;
@@ -138,10 +147,10 @@ RecordedRun RunWithProvenance(const IntegrationScenario& scenario,
   ProvenanceRecorder recorder;
   EstimationResult result;
   {
-    ScopedProvenanceRecorder scoped(&recorder);
     EfesEngine engine = MakeDefaultEngine();
     RunOptions options;
     options.cache = cache;
+    options.recorder = &recorder;
     auto run = engine.Run(scenario, options);
     EXPECT_TRUE(run.ok()) << run.status();
     result = std::move(*run);

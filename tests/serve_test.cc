@@ -7,12 +7,16 @@
 #include "efes/serve/server.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "efes/common/fault.h"
@@ -285,6 +289,73 @@ TEST_F(ServeTest, WatchdogForceFailsAStalledRequest) {
             R"({"id":"stuck","ok":false,"code":"deadline exceeded",)"
             R"("error":"deadline expired mid-module; the watchdog discarded )"
             R"(the result","degraded":false})");
+}
+
+// ------------------------------------------------------------ concurrency
+
+TEST_F(ServeTest, ExplainDoesNotHoldOtherSessions) {
+  // Each run records into its own recorder, so an `explain` estimate
+  // needs no server to itself: one stalled on session s1 (parked until
+  // the watchdog fails it, past its deadline) must not hold an `explain`
+  // estimate on s2. Requests go through pipes, so the stalled one is
+  // running before the other is sent. The deadline leaves sanitizer
+  // builds ample time to answer the free request first.
+  int to_server[2];
+  int from_server[2];
+  ASSERT_EQ(::pipe(to_server), 0);
+  ASSERT_EQ(::pipe(from_server), 0);
+  ServeOptions options;
+  options.workers = 2;
+  options.watchdog_grace_ms = 20;
+  std::thread serving([&] {
+    EfesServer server(options);
+    EXPECT_TRUE(server.ServeFd(to_server[0], from_server[1]).ok());
+    ::close(from_server[1]);
+  });
+  auto send = [&](const std::string& line) {
+    const std::string buffer = line + "\n";
+    EXPECT_EQ(::write(to_server[1], buffer.data(), buffer.size()),
+              static_cast<ssize_t>(buffer.size()));
+  };
+  FILE* responses = ::fdopen(from_server[0], "r");
+  auto next_response = [&]() -> std::string {
+    char* data = nullptr;
+    size_t capacity = 0;
+    const ssize_t length = ::getline(&data, &capacity, responses);
+    std::string line = length > 0 ? std::string(data, length) : "";
+    std::free(data);
+    return line;
+  };
+
+  send(OpenLine("o1", "s1"));
+  send(OpenLine("o2", "s2"));
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_NE(next_response().find("\"ok\":true"), std::string::npos);
+  }
+  send(R"({"id":"stalled","op":"estimate","session":"s1","explain":true,)"
+       R"("faults":"serve.stall:once","deadline_ms":1000})");
+  // `stats` is answered inline. Once it counts no admitted-but-unstarted
+  // request, the stalled one is running.
+  bool started = false;
+  for (int poll = 0; poll < 100000 && !started; ++poll) {
+    send(R"({"id":"stats","op":"stats"})");
+    started = next_response().find("\"queued\":0") != std::string::npos;
+  }
+  EXPECT_TRUE(started);
+  send(R"({"id":"free","op":"estimate","session":"s2","explain":true})");
+  const std::string first = next_response();
+  const std::string second = next_response();
+  ::close(to_server[1]);
+  serving.join();
+  std::fclose(responses);
+  ::close(to_server[0]);
+
+  EXPECT_EQ(ParseResponseId(first), "free");
+  EXPECT_NE(first.find("\"ok\":true"), std::string::npos);
+  EXPECT_NE(first.find("\"provenance\""), std::string::npos);
+  EXPECT_EQ(ParseResponseId(second), "stalled");
+  EXPECT_NE(second.find("\"code\":\"deadline exceeded\""),
+            std::string::npos);
 }
 
 // ------------------------------------------------- overload + graceful drain

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <latch>
 #include <limits>
 #include <map>
 #include <memory>
@@ -22,6 +23,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -828,28 +830,38 @@ TEST(SketchBudget, ExactModeFailsWhereSketchAndAutoDegrade) {
 }
 
 TEST(SketchBudget, OverlappingOptionScopesMayEndInAnyOrder) {
-  // Two concurrent server runs: A installs, B installs, A ends, B ends.
-  // The ambient options must never point at A's destroyed copy.
-  ProfileOptions a;
-  a.max_memory_bytes = 111;
-  ProfileOptions b;
-  b.max_memory_bytes = 222;
-  auto first = std::make_unique<ScopedProfileOptions>(a);
-  auto second = std::make_unique<ScopedProfileOptions>(b);
-  EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 222u);
-  first.reset();
-  EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 222u);
-  second.reset();
-  EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 0u);
-  {
-    ScopedProfileOptions outer(a);
-    {
-      ScopedProfileOptions inner(b);
-      EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 222u);
+  // Two concurrent runs profile under their own budgets, their calls
+  // overlapping in any order. Each call takes its options as an
+  // argument, so every refusal names its own run's budget.
+  Random rng(11);
+  const std::vector<Value> column =
+      RandomColumn(rng, DataType::kText, 2000, 1000);
+  std::latch start(2);
+  auto profile_under = [&](size_t budget, std::string* mismatch) {
+    ProfileOptions options;
+    options.mode = ApproximationMode::kExact;
+    options.max_memory_bytes = budget;
+    const std::string expected =
+        "budget is " + std::to_string(budget) + " bytes";
+    start.arrive_and_wait();
+    for (int call = 0; call < 2000; ++call) {
+      auto profiled = ProfileColumn(column, DataType::kText, options);
+      if (profiled.ok() ||
+          profiled.status().message().find(expected) == std::string::npos) {
+        *mismatch = profiled.ok() ? "profiled within the budget"
+                                  : profiled.status().ToString();
+        return;
+      }
     }
-    EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 111u);
-  }
-  EXPECT_EQ(ActiveProfileOptions().max_memory_bytes, 0u);
+  };
+  std::string first_mismatch;
+  std::string second_mismatch;
+  std::thread first(profile_under, 111, &first_mismatch);
+  std::thread second(profile_under, 222, &second_mismatch);
+  first.join();
+  second.join();
+  EXPECT_EQ(first_mismatch, "");
+  EXPECT_EQ(second_mismatch, "");
 }
 
 TEST(ValueBloomTest, SubsetPruningIsSound) {

@@ -11,9 +11,12 @@
 #include <vector>
 
 #include "efes/common/json_writer.h"
+#include "efes/core/engine.h"
+#include "efes/experiment/default_pipeline.h"
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/statistics.h"
 #include "efes/relational/value.h"
+#include "efes/scenario/paper_example.h"
 #include "efes/common/clock.h"
 #include "efes/telemetry/log.h"
 #include "efes/common/metrics.h"
@@ -475,6 +478,25 @@ TEST(InstrumentationTest, ProfilingBumpsStatisticsCounters) {
             before.CounterValue("profiling.statistics.columns") + 1);
   EXPECT_EQ(after.CounterValue("profiling.statistics.cells"),
             before.CounterValue("profiling.statistics.cells") + 3);
+}
+
+TEST(InstrumentationTest, AssessPassesAreNotTimedAsRuns) {
+  // engine.run.ms is the wall time of end-to-end runs. A phase-1-only
+  // AssessComplexity pass is counted in engine.assess.runs instead.
+  auto scenario = MakePaperExample();
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  const EfesEngine engine = MakeDefaultEngine();
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const Histogram& run_ms = registry.GetHistogram("engine.run.ms");
+  const uint64_t timed_runs = run_ms.TotalCount();
+  const uint64_t assess_runs =
+      registry.Snapshot().CounterValue("engine.assess.runs");
+  ASSERT_TRUE(engine.AssessComplexity(*scenario).ok());
+  EXPECT_EQ(run_ms.TotalCount(), timed_runs);
+  EXPECT_EQ(registry.Snapshot().CounterValue("engine.assess.runs"),
+            assess_runs + 1);
+  ASSERT_TRUE(engine.Run(*scenario).ok());
+  EXPECT_EQ(run_ms.TotalCount(), timed_runs + 1);
 }
 
 }  // namespace

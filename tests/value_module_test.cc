@@ -179,7 +179,7 @@ class PaperExampleValueTest : public ::testing::Test {
     auto scenario = MakePaperExample();
     ASSERT_TRUE(scenario.ok());
     scenario_ = std::make_unique<IntegrationScenario>(std::move(*scenario));
-    auto report = module_.AssessComplexity(*scenario_);
+    auto report = module_.AssessComplexity(*scenario_, RunContext{});
     ASSERT_TRUE(report.ok());
     report_ = std::move(*report);
   }
@@ -295,10 +295,9 @@ TEST(ValueModuleTest, ProfilesEachDistinctColumnOnce) {
   // Every target column is read once per source.
   ASSERT_LT(distinct.size(), requests);
 
-  ASSERT_EQ(ProfileCache::Active(), nullptr);
   const uint64_t before = ColumnsProfiled();
   ValueModule module;
-  auto report = module.AssessComplexity(scenario);
+  auto report = module.AssessComplexity(scenario, RunContext{});
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(ColumnsProfiled() - before, distinct.size());
 }
@@ -348,10 +347,9 @@ TEST(ValueModuleTest, FailedBatchFollowsTheThresholdNodes) {
   ProfileOptions exact;
   exact.mode = ApproximationMode::kExact;
   exact.max_memory_bytes = 300;
-  ScopedProfileOptions scoped_options(exact);
   ProvenanceRecorder recorder;
-  ScopedProvenanceRecorder scoped_recorder(&recorder);
-  auto report = ValueModule().AssessComplexity(scenario);
+  auto report = ValueModule().AssessComplexity(
+      scenario, RunContext{.profile = exact, .recorder = &recorder});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
   const ProvenanceSnapshot snapshot = recorder.Snapshot();

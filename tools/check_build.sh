@@ -31,11 +31,12 @@
 # disabled profile-cache states; all five reports must byte-diff equal
 # and the aggregate recall line must be present.
 # `--serve-soak` builds efes_serve + the CLI and soaks the server with
-# three interleaved deterministic client streams mixing good, bad,
-# fault-injected, and deadline-expired requests; gates on byte-identical
-# responses across --threads=1/4/8, zero cross-request contamination
-# (good responses unchanged by the hostile mix), file_io.retries staying
-# 0 on a clean run, and a clean SIGTERM drain (exit 0).
+# three interleaved deterministic client streams mixing good, explain,
+# bad, fault-injected, and deadline-expired requests; gates on
+# byte-identical responses across --threads=1/4/8, zero cross-request
+# contamination (good and explain responses unchanged by the hostile
+# mix), file_io.retries staying 0 on a clean run, and a clean SIGTERM
+# drain (exit 0).
 # `--profile-scale` builds the CLI + efes_fuzz, amplifies a fuzz-
 # generated source to 200k rows with a prepended high-distinct uid
 # column, and profiles it under a --max-memory budget the exact
@@ -230,9 +231,11 @@ elif [[ "$MODE" == "serve" ]]; then
   # on separate admission strands, so their requests execute concurrently
   # inside the server). `full` mode salts the stream with hostile
   # requests: unknown sessions, a broken open, per-request injected
-  # faults, an already-expired deadline, and a malformed line. Good
-  # request ids all start with "g" so the contamination gate can compare
-  # them across runs.
+  # faults, an already-expired deadline, and a malformed line. Both
+  # modes carry one `explain` estimate per session per round, which run
+  # concurrently with each other and everything else. Good request ids
+  # (explain included) all start with "g" so the contamination gate can
+  # compare them across runs.
   emit_requests() {  # $1 = full|good
     local mode="$1" c round
     for c in 1 2 3; do
@@ -241,6 +244,7 @@ elif [[ "$MODE" == "serve" ]]; then
     for round in 1 2 3; do
       for c in 1 2 3; do
         echo "{\"id\":\"g$c-est$round\",\"op\":\"estimate\",\"session\":\"s$c\",\"quality\":\"low\",\"format\":\"json\"}"
+        echo "{\"id\":\"g$c-explain$round\",\"op\":\"estimate\",\"session\":\"s$c\",\"explain\":true,\"format\":\"json\"}"
         if [[ "$mode" == "full" ]]; then
           echo "{\"id\":\"f$c-est$round\",\"op\":\"estimate\",\"session\":\"s$c\",\"faults\":\"engine.assess:once\"}"
           echo "{\"id\":\"d$c-est$round\",\"op\":\"estimate\",\"session\":\"s$c\",\"deadline_ms\":0}"

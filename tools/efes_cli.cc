@@ -70,7 +70,6 @@
 #include "efes/common/csv.h"
 #include "efes/matching/schema_matcher.h"
 #include "efes/profiling/constraint_discovery.h"
-#include "efes/profiling/profiler.h"
 #include "efes/profiling/sketch.h"
 #include "efes/provenance/provenance.h"
 #include "efes/relational/value.h"
@@ -113,8 +112,8 @@ struct CliFlags {
 
 CliFlags g_flags;
 
-/// The profile cache of this invocation (null with --no-cache); threaded
-/// into every RunOptions and installed as the ambient cache in main().
+/// The profile cache of this invocation (null with --no-cache); passed
+/// into every RunOptions and installed as the process default in main().
 efes::ProfileCache* g_cache = nullptr;
 
 /// Parses a base-10 size_t where zero is a legal value (AddUint rejects
@@ -354,9 +353,9 @@ int RunExportExample(const std::string& directory) {
 // constraints on its schema before assessing.
 efes::Status DiscoverSourceConstraints(efes::IntegrationScenario* scenario) {
   for (efes::SourceBinding& source : scenario->sources) {
-    EFES_ASSIGN_OR_RETURN(
-        efes::Database completed,
-        efes::DatabaseWithDiscoveredConstraints(source.database));
+    EFES_ASSIGN_OR_RETURN(efes::Database completed,
+                          efes::DatabaseWithDiscoveredConstraints(
+                              source.database, {}, g_cache));
     std::printf("# %s: %zu constraints after profiling (was %zu)\n",
                 source.database.name().c_str(),
                 completed.schema().constraints().size(),
@@ -433,15 +432,13 @@ int RunEstimate(const std::string& directory,
       modules, std::move(config.model), config.dedup);
   if (!engine_result.ok()) return Fail(engine_result.status());
   efes::EfesEngine engine = std::move(*engine_result);
-  // Recording is scoped to the engine run: off (the default) leaves the
+  // Recording covers the engine run only: off (the default) leaves the
   // pipeline byte-identical to an unexplained run.
   efes::ProvenanceRecorder recorder;
-  std::optional<efes::ScopedProvenanceRecorder> scoped;
-  if (explain) scoped.emplace(&recorder);
-  auto result = engine.Run(
-      *scenario,
-      MakeRunOptions(QualityFromString(quality), config.settings));
-  scoped.reset();
+  efes::RunOptions run_options =
+      MakeRunOptions(QualityFromString(quality), config.settings);
+  if (explain) run_options.recorder = &recorder;
+  auto result = engine.Run(*scenario, run_options);
   if (!result.ok()) return Fail(result.status());
   efes::ProvenanceSnapshot provenance;
   if (explain) provenance = recorder.Snapshot();
@@ -494,7 +491,8 @@ int RunMatch(const std::string& directory) {
   efes::SchemaMatcher matcher;
   for (const efes::SourceBinding& source : scenario->sources) {
     std::printf("# %s -> target\n", source.database.name().c_str());
-    auto discovered = matcher.Match(source.database, scenario->target);
+    auto discovered = matcher.Match(source.database, scenario->target,
+                                    g_flags.profile, g_cache);
     if (!discovered.ok()) return Fail(discovered.status());
     std::printf("%s",
                 efes::WriteCorrespondences(*discovered).c_str());
@@ -513,7 +511,6 @@ int RunExecute(const std::string& directory,
   if (code >= 0) return code;
   efes::IntegrationExecutor::Options executor_options;
   executor_options.quality = QualityFromString(quality);
-  executor_options.cache = g_cache;
   auto scenario = LoadScenarioCli(directory);
   if (!scenario.ok()) return Fail(scenario.status());
   efes::IntegrationExecutor executor(executor_options);
@@ -749,11 +746,11 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // The invocation's cache is also the process default, so runs that
+  // name no cache (`study`'s RunOptions{}) reuse its profiles too. Calls
+  // that take the cache or the --approx/--chunk-rows/--max-memory policy
+  // get both passed (MakeRunOptions, `match`, `--discover`).
   efes::ScopedProfileCache scoped_cache(g_cache);
-  // The streaming-profiling policy (--approx/--chunk-rows/--max-memory)
-  // is ambient for the whole invocation, like the cache above; engine
-  // runs re-install it from RunOptions::profile.
-  efes::ScopedProfileOptions scoped_profile(g_flags.profile);
 
   // --timeout-ms: install a deadline-carrying cancel token for the whole
   // invocation. The engine and the parallel loops check it at batch
