@@ -1,7 +1,13 @@
 // Performance of the dedup module's blocking scan and of full fuzzed
 // estimation runs, scaled over the fuzzer's entity count. The dedup
 // detector reads full key columns (not samples) to block records, so
-// this suite bounds the cost of that scan as sources grow.
+// this suite bounds the cost of that scan as sources grow. Blocking runs
+// as two flat pool batches (normalize 4,096-row ranges into hash
+// partitions, then group each partition), so one large relation uses
+// every pool thread. BM_DedupAssessment calls the module alone, with a context
+// that has no run memo, so it also profiles every column it reads;
+// inside an engine run (BM_FuzzedFullEstimation) those profiles come
+// from the value module's batch.
 
 #include <benchmark/benchmark.h>
 

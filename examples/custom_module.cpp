@@ -65,7 +65,10 @@ class DuplicationModule : public efes::EstimationModule {
   std::string name() const override { return "duplicates"; }
 
   // The detector profiles no statistics and records no provenance, so
-  // it needs nothing from the run's context.
+  // it needs nothing from the run's context. One that profiles passes
+  // context.profile, context.cache and context.memo to ProfileColumns,
+  // and so reuses every column profile an earlier module of the run
+  // computed.
   efes::Result<std::unique_ptr<efes::ComplexityReport>> AssessComplexity(
       const efes::IntegrationScenario& scenario,
       const efes::RunContext&) const override {

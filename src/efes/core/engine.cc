@@ -9,6 +9,7 @@
 #include "efes/common/parallel.h"
 #include "efes/common/string_util.h"
 #include "efes/common/text_table.h"
+#include "efes/profiling/profiler.h"
 #include "efes/provenance/provenance.h"
 #include "efes/telemetry/log.h"
 #include "efes/common/metrics.h"
@@ -79,11 +80,11 @@ void EfesEngine::AddModule(std::unique_ptr<EstimationModule> module) {
 namespace {
 
 /// The phase-1 context every module of a run sees: the caller's cache,
-/// or the process default when none is given.
-RunContext ContextFor(const RunOptions& options) {
+/// or the process default when none is given, and the run's memo.
+RunContext ContextFor(const RunOptions& options, ProfileMemo* memo) {
   return RunContext{
       options.cache != nullptr ? options.cache : ProfileCache::Active(),
-      options.profile, options.recorder};
+      options.profile, options.recorder, memo};
 }
 
 /// Runs phase 1 of one module under a `<module>.assess` span, feeding the
@@ -136,7 +137,7 @@ Status RunModule(const EstimationModule& module,
 
 Result<std::unique_ptr<ComplexityReport>> EstimationModule::AssessComplexity(
     const IntegrationScenario& scenario) const {
-  return AssessComplexity(scenario, ContextFor(RunOptions{}));
+  return AssessComplexity(scenario, ContextFor(RunOptions{}, nullptr));
 }
 
 Status EfesEngine::set_effort_model(EffortModel model) {
@@ -154,7 +155,8 @@ Result<EstimationResult> EfesEngine::Run(const IntegrationScenario& scenario,
                                          const RunOptions& options) const {
   const ExpectedQuality& quality = options.quality;
   const ExecutionSettings& settings = options.settings;
-  const RunContext context = ContextFor(options);
+  ProfileMemo memo;
+  const RunContext context = ContextFor(options, &memo);
   MetricsRegistry& metrics = MetricsRegistry::Global();
   static Histogram& run_ms = metrics.GetHistogram("engine.run.ms");
   TraceSpan run_span("engine.run", nullptr, &run_ms);
@@ -284,7 +286,8 @@ Result<EstimationResult> EfesEngine::Run(const IntegrationScenario& scenario,
 Result<std::vector<std::unique_ptr<ComplexityReport>>>
 EfesEngine::AssessComplexity(const IntegrationScenario& scenario,
                              const RunOptions& options) const {
-  const RunContext context = ContextFor(options);
+  ProfileMemo memo;
+  const RunContext context = ContextFor(options, &memo);
   TraceSpan run_span("engine.assess");
   MetricsRegistry::Global().GetCounter("engine.assess.runs").Increment();
   MetricsRegistry::Global()

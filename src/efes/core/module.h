@@ -23,6 +23,7 @@
 namespace efes {
 
 class ProfileCache;
+class ProfileMemo;
 class ProvenanceRecorder;
 
 /// The phase-1 state of one run, handed to every module's
@@ -39,6 +40,11 @@ struct RunContext {
   ProfileOptions profile;
   /// Receives the run's provenance nodes; null records nothing.
   ProvenanceRecorder* recorder = nullptr;
+  /// The profiles the run has computed so far (profiling/profiler.h),
+  /// consulted before `cache`, so a column one module profiled is not
+  /// profiled again by the next. Owned by the engine for one run; null
+  /// shares nothing between modules.
+  ProfileMemo* memo = nullptr;
 };
 
 /// Base class of all data complexity reports. "There is no formal
@@ -84,7 +90,8 @@ class EstimationModule {
       const RunContext& context) const = 0;
 
   /// AssessComplexity under the process default cache
-  /// (ProfileCache::Active()), default profile options and no recorder.
+  /// (ProfileCache::Active()), default profile options, no recorder and
+  /// no memo.
   /// Its only caller is the benchmark probe (efesbench/probe/probe.cc);
   /// ROADMAP item 1 moves the probe onto the two-argument form and then
   /// deletes this. Derived classes do not re-export it.

@@ -1,7 +1,8 @@
 #include "efes/dedup/dedup_module.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -15,28 +16,45 @@
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/statistics.h"
 #include "efes/provenance/provenance.h"
+#include "efes/telemetry/trace.h"
 
 namespace efes {
 
-std::string NormalizeEntityKey(std::string_view text) {
-  std::string normalized;
-  normalized.reserve(text.size());
+namespace {
+
+/// Appends the normalized form of `text` to `out` (NormalizeEntityKey).
+/// Space and case are ASCII: nothing sets a locale, and in the C locale
+/// isspace is exactly space and \t \n \v \f \r, and tolower maps only
+/// A-Z.
+void AppendNormalizedEntityKey(std::string_view text, std::string* out) {
+  const size_t start = out->size();
+  // A normalized key is never longer than its text.
+  out->resize(start + text.size());
+  char* const begin = out->data() + start;
+  char* end = begin;
   bool pending_space = false;
   for (char c : text) {
-    unsigned char uc = static_cast<unsigned char>(c);
-    if (std::isspace(uc)) {
+    if (c == ' ' || (c >= '\t' && c <= '\r')) {
       // Collapse whitespace runs; drop them entirely at the start.
-      if (!normalized.empty()) pending_space = true;
+      if (end != begin) pending_space = true;
       continue;
     }
     if (pending_space) {
-      normalized.push_back(' ');
+      *end++ = ' ';
       pending_space = false;
     }
-    normalized.push_back(
-        static_cast<char>(std::tolower(uc)));
+    *end++ = c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
   }
-  return normalized;  // trailing whitespace never got flushed: trimmed
+  // Trailing whitespace never got flushed: trimmed.
+  out->resize(static_cast<size_t>(end - out->data()));
+}
+
+}  // namespace
+
+std::string NormalizeEntityKey(std::string_view text) {
+  std::string normalized;
+  AppendNormalizedEntityKey(text, &normalized);
+  return normalized;
 }
 
 std::string DedupComplexityReport::ToText() const {
@@ -88,6 +106,152 @@ double Uniqueness(const AttributeStatistics& stats) {
   if (stats.constancy.non_null_count == 0) return 0.0;
   return static_cast<double>(stats.constancy.distinct_count) /
          static_cast<double>(stats.constancy.non_null_count);
+}
+
+/// The blocking key and the support similarity pass 2 chose for one
+/// relation.
+struct KeyChoice {
+  /// False when no shared attribute clears the key floors.
+  bool keyed = false;
+  size_t key_index = 0;
+  double key_uniqueness = 0.0;
+  double key_fill = 0.0;
+  double support_similarity = 1.0;
+};
+
+// Blocking runs as two flat pool batches over fixed-size pieces, so one
+// large relation spreads over every worker. Both sizes are constants:
+// the findings do not depend on them, and the batch sizes must not
+// depend on the thread count.
+
+/// Rows of one feed's key column that one task normalizes.
+constexpr size_t kBlockingUnitRows = 4096;
+/// Hash partitions of the normalized keys; one task groups one
+/// partition of one relation.
+constexpr size_t kBlockingPartitions = 64;
+
+/// One non-empty normalized key: its hash and its bytes in the arena of
+/// the unit that holds it.
+struct KeyCell {
+  size_t hash = 0;
+  size_t offset = 0;
+  size_t length = 0;
+};
+
+/// A row range of one feed's key column and its normalized keys.
+struct BlockingUnit {
+  const std::vector<Value>* column = nullptr;
+  size_t feed = 0;
+  size_t begin = 0;
+  size_t end = 0;
+  /// The normalized keys of the range, back to back.
+  std::string arena;
+  /// The keys, grouped by partition: partition p holds
+  /// cells[partition_begin[p], partition_begin[p + 1]), in row order.
+  std::vector<KeyCell> cells;
+  std::array<size_t, kBlockingPartitions + 1> partition_begin{};
+};
+
+size_t PartitionOf(const KeyCell& cell) {
+  return cell.hash % kBlockingPartitions;
+}
+
+/// Normalizes every cell of `unit`'s range into its arena and sorts the
+/// non-empty keys into partitions. Text cells are read in place; other
+/// cells normalize their rendering.
+void NormalizeUnit(BlockingUnit* unit) {
+  std::vector<KeyCell> by_row;
+  by_row.reserve(unit->end - unit->begin);
+  std::array<size_t, kBlockingPartitions> counts{};
+  for (size_t row = unit->begin; row < unit->end; ++row) {
+    const Value& value = (*unit->column)[row];
+    if (value.is_null()) continue;
+    KeyCell cell;
+    cell.offset = unit->arena.size();
+    if (value.type() == DataType::kText) {
+      AppendNormalizedEntityKey(value.AsText(), &unit->arena);
+    } else {
+      AppendNormalizedEntityKey(value.ToString(), &unit->arena);
+    }
+    cell.length = unit->arena.size() - cell.offset;
+    if (cell.length == 0) continue;  // nothing left to block on
+    cell.hash = std::hash<std::string_view>()(
+        std::string_view(unit->arena).substr(cell.offset, cell.length));
+    ++counts[PartitionOf(cell)];
+    by_row.push_back(cell);
+  }
+  // A counting sort by partition; stable, so each partition keeps row
+  // order.
+  std::array<size_t, kBlockingPartitions> next{};
+  for (size_t p = 0; p < kBlockingPartitions; ++p) {
+    next[p] = unit->partition_begin[p];
+    unit->partition_begin[p + 1] = unit->partition_begin[p] + counts[p];
+  }
+  unit->cells.resize(by_row.size());
+  for (const KeyCell& cell : by_row) {
+    unit->cells[next[PartitionOf(cell)]++] = cell;
+  }
+}
+
+/// A normalized key seen in at least two feeds, with its record count
+/// over all feeds.
+struct CrossFeedBlock {
+  std::string_view key;
+  size_t total = 0;
+};
+
+/// A normalized key in a unit's arena, hashed once by NormalizeUnit.
+struct HashedKey {
+  std::string_view text;
+  size_t hash = 0;
+  bool operator==(const HashedKey& other) const { return text == other.text; }
+};
+
+struct HashedKeyHash {
+  size_t operator()(const HashedKey& key) const { return key.hash; }
+};
+
+/// Groups partition `partition` of one relation's units, given in
+/// (feed, row) order, into blocks, and returns the blocks seen in at
+/// least two feeds, in no particular order.
+std::vector<CrossFeedBlock> GroupPartition(const BlockingUnit* units,
+                                           size_t unit_count,
+                                           size_t partition) {
+  struct Block {
+    size_t total = 0;
+    size_t feeds_present = 0;
+    size_t last_feed = 0;
+  };
+  size_t cell_count = 0;
+  for (size_t u = 0; u < unit_count; ++u) {
+    cell_count += units[u].partition_begin[partition + 1] -
+                  units[u].partition_begin[partition];
+  }
+  std::unordered_map<HashedKey, Block, HashedKeyHash> blocks;
+  blocks.reserve(cell_count);
+  for (size_t u = 0; u < unit_count; ++u) {
+    const BlockingUnit& unit = units[u];
+    const std::string_view arena(unit.arena);
+    for (size_t c = unit.partition_begin[partition];
+         c < unit.partition_begin[partition + 1]; ++c) {
+      const KeyCell& cell = unit.cells[c];
+      Block& block =
+          blocks[HashedKey{arena.substr(cell.offset, cell.length), cell.hash}];
+      // Units arrive in feed order, so this counts each feed once.
+      if (block.total == 0 || block.last_feed != unit.feed) {
+        ++block.feeds_present;
+        block.last_feed = unit.feed;
+      }
+      ++block.total;
+    }
+  }
+  std::vector<CrossFeedBlock> cross_feed;
+  for (const auto& [key, block] : blocks) {
+    if (block.feeds_present >= 2) {
+      cross_feed.push_back(CrossFeedBlock{key.text, block.total});
+    }
+  }
+  return cross_feed;
 }
 
 }  // namespace
@@ -201,37 +365,35 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
   // relation's columns spread over every worker. The statistics may come
   // from a sample; blocking below always scans every row. As in the
   // value module, the batch runs after the thresholds are recorded.
+  // Every such column is also a values source, so within an engine run
+  // the run's memo already holds its profile unless the two sample
+  // limits differ.
   std::vector<ProfileRequest> requests;
-  std::map<const std::vector<Value>*, std::vector<Value>> samples;
+  ProfileMemo call_local;
+  ProfileMemo& memo = context.memo != nullptr ? *context.memo : call_local;
   for (RelationWork& work : items) {
     work.first_stat = requests.size();
     for (const AttributeDef& attribute : work.shared_attributes) {
       for (const Feed& feed : work.feeds) {
         requests.push_back(ProfileRequest{
-            SampleColumn(*feed.columns.at(attribute.name),
-                         options_.sample_limit, &samples),
+            memo.Sample(*feed.columns.at(attribute.name),
+                        options_.sample_limit),
             attribute.type});
       }
     }
   }
   EFES_ASSIGN_OR_RETURN(
       std::vector<AttributeStatistics> stats,
-      ProfileColumns(requests, context.profile, context.cache));
+      ProfileColumns(requests, context.profile, context.cache, &memo));
 
-  // Pass 2 (parallel): per target relation — select the blocking key,
-  // block on the normalized key, and check the cross-feed support
-  // similarity. Provenance is buffered into fragments.
-  struct ItemResult {
-    bool has_finding = false;
-    DuplicateClusterFinding finding;
-    ProvenanceFragment fragment;
-    size_t finding_local = 0;
-  };
-  std::vector<ItemResult> results(items.size());
+  // Pass 2 (parallel): per target relation, select the blocking key and
+  // check the cross-feed support similarity. Both read only the batch's
+  // statistics.
+  std::vector<KeyChoice> choices(items.size());
   EFES_RETURN_IF_ERROR(
       ParallelFor(items.size(), [&](size_t index) -> Status {
         const RelationWork& work = items[index];
-        ItemResult& computed = results[index];
+        KeyChoice& choice = choices[index];
         const size_t feed_count = work.feeds.size();
         // The statistics of shared attribute `ai` in feed `fi`.
         auto feed_stats = [&](size_t ai, size_t fi) -> const auto& {
@@ -241,10 +403,7 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
         // Blocking-key selection: the shared attribute that looks most
         // entity-identifying in *every* feed — score = worst-feed
         // uniqueness x worst-feed fill, gated by the configured floors.
-        size_t key_index = work.shared_attributes.size();
         double key_score = 0.0;
-        double key_uniqueness = 0.0;
-        double key_fill = 0.0;
         for (size_t ai = 0; ai < work.shared_attributes.size(); ++ai) {
           double min_fill = 1.0;
           double min_uniqueness = 1.0;
@@ -258,158 +417,172 @@ Result<std::unique_ptr<ComplexityReport>> DedupModule::AssessComplexity(
           double score = min_fill * min_uniqueness;
           // Strictly-greater keeps the first (target-schema-order)
           // attribute on ties — canonical for any thread count.
-          if (key_index == work.shared_attributes.size() ||
-              score > key_score) {
-            key_index = ai;
+          if (!choice.keyed || score > key_score) {
+            choice.keyed = true;
+            choice.key_index = ai;
+            choice.key_uniqueness = min_uniqueness;
+            choice.key_fill = min_fill;
             key_score = score;
-            key_uniqueness = min_uniqueness;
-            key_fill = min_fill;
           }
         }
-        if (key_index == work.shared_attributes.size()) {
-          return Status::OK();
-        }
-        const std::string& key_attribute =
-            work.shared_attributes[key_index].name;
+        if (!choice.keyed) return Status::OK();
 
         // Support similarity: mean pairwise statistics fit over the
         // *other* shared attributes. Feeds that merely reuse a key word
         // but describe unrelated entities fail this gate.
-        double support_similarity = 1.0;
-        {
-          double fit_sum = 0.0;
-          size_t fit_count = 0;
-          for (size_t ai = 0; ai < work.shared_attributes.size(); ++ai) {
-            if (ai == key_index) continue;
-            for (size_t a = 0; a < feed_count; ++a) {
-              for (size_t b = a + 1; b < feed_count; ++b) {
-                fit_sum += OverallFit(feed_stats(ai, a), feed_stats(ai, b));
-                ++fit_count;
-              }
+        double fit_sum = 0.0;
+        size_t fit_count = 0;
+        for (size_t ai = 0; ai < work.shared_attributes.size(); ++ai) {
+          if (ai == choice.key_index) continue;
+          for (size_t a = 0; a < feed_count; ++a) {
+            for (size_t b = a + 1; b < feed_count; ++b) {
+              fit_sum += OverallFit(feed_stats(ai, a), feed_stats(ai, b));
+              ++fit_count;
             }
           }
-          if (fit_count > 0) {
-            support_similarity = fit_sum / static_cast<double>(fit_count);
-          }
         }
-
-        // Blocking: normalized key value -> per-feed record counts. The
-        // blocking pass always scans every row — sampling only applies to
-        // the statistics above.
-        struct Block {
-          size_t total = 0;
-          size_t feeds_present = 0;
-          size_t last_feed = 0;
-        };
-        size_t key_cells = 0;
-        for (const Feed& feed : work.feeds) {
-          key_cells += feed.columns.at(key_attribute)->size();
+        if (fit_count > 0) {
+          choice.support_similarity = fit_sum / static_cast<double>(fit_count);
         }
-        std::unordered_map<std::string, Block> blocks;
-        blocks.reserve(key_cells);
-        for (size_t fi = 0; fi < feed_count; ++fi) {
-          for (const Value& value : *work.feeds[fi].columns.at(key_attribute)) {
-            if (value.is_null()) continue;
-            std::string key = value.type() == DataType::kText
-                                  ? NormalizeEntityKey(value.AsText())
-                                  : NormalizeEntityKey(value.ToString());
-            if (key.empty()) continue;
-            Block& block = blocks[std::move(key)];
-            if (block.total == 0 || block.last_feed != fi) {
-              ++block.feeds_present;
-              block.last_feed = fi;
-            }
-            ++block.total;
-          }
-        }
-        // Only blocks seen in >= 2 feeds can become clusters; sorting just
-        // those by key gives the canonical cluster order.
-        std::vector<const std::pair<const std::string, Block>*> cross_feed;
-        for (const auto& entry : blocks) {
-          if (entry.second.feeds_present >= 2) cross_feed.push_back(&entry);
-        }
-        std::sort(cross_feed.begin(), cross_feed.end(),
-                  [](const auto* a, const auto* b) {
-                    return a->first < b->first;
-                  });
-
-        DuplicateClusterFinding finding;
-        finding.target_relation = work.target_relation;
-        finding.blocking_key = key_attribute;
-        for (const Feed& feed : work.feeds) {
-          finding.feeds.push_back(feed.label);
-        }
-        finding.key_uniqueness = key_uniqueness;
-        finding.key_fill = key_fill;
-        finding.support_similarity = support_similarity;
-        for (const auto* entry : cross_feed) {
-          const auto& [key, block] = *entry;
-          if (block.total > options_.max_block_size) {
-            // Non-discriminative key value ("unknown", "n/a"): resolving
-            // it is hopeless, report it skipped instead of pricing a
-            // quadratic pair review.
-            ++finding.oversize_blocks;
-            continue;
-          }
-          DuplicateCluster cluster;
-          cluster.key = key;
-          cluster.size = block.total;
-          cluster.pair_count = block.total * (block.total - 1) / 2;
-          finding.duplicate_records += block.total - 1;
-          finding.verification_pairs += cluster.pair_count;
-          finding.max_cluster_size =
-              std::max(finding.max_cluster_size, block.total);
-          finding.clusters.push_back(std::move(cluster));
-        }
-        finding.cluster_count = finding.clusters.size();
-        if (finding.cluster_count == 0 ||
-            support_similarity < options_.min_support_similarity) {
-          return Status::OK();
-        }
-
-        if (prov != nullptr) {
-          ProvenanceFragment& frag = computed.fragment;
-          const std::string& subject = finding.target_relation;
-          size_t uniq_local = frag.AddValue(
-              ProvenanceKind::kStatistic, "statistic key.uniqueness",
-              subject + "." + key_attribute, finding.key_uniqueness);
-          size_t fill_local = frag.AddValue(
-              ProvenanceKind::kStatistic, "statistic key.fill",
-              subject + "." + key_attribute, finding.key_fill);
-          size_t fit_local = frag.AddValue(
-              ProvenanceKind::kStatistic, "statistic support.similarity",
-              subject, finding.support_similarity);
-          size_t clusters_local = frag.AddValue(
-              ProvenanceKind::kStatistic, "statistic cluster.count", subject,
-              static_cast<double>(finding.cluster_count));
-          size_t pairs_local = frag.AddValue(
-              ProvenanceKind::kStatistic, "statistic verification.pairs",
-              subject, static_cast<double>(finding.verification_pairs));
-          computed.finding_local = frag.Add(
-              ProvenanceKind::kFinding,
-              "duplicate clusters: " + subject + " via " + key_attribute,
-              subject,
-              {fill_node, uniqueness_node, similarity_node, block_size_node},
-              {uniq_local, fill_local, fit_local, clusters_local,
-               pairs_local});
-        }
-        computed.has_finding = true;
-        computed.finding = std::move(finding);
         return Status::OK();
       }));
 
-  // Pass 3 (sequential): absorb fragments and assemble findings in
-  // relation order — ids and report stay canonical for any thread count.
-  std::vector<DuplicateClusterFinding> findings;
-  for (ItemResult& result : results) {
-    if (!result.has_finding) continue;
-    if (prov != nullptr) {
-      std::vector<uint64_t> global_ids = prov->Absorb(result.fragment);
-      if (result.finding_local < global_ids.size()) {
-        result.finding.provenance = global_ids[result.finding_local];
+  // Blocking, over every row: sampling only applies to the statistics
+  // above. A relation whose support similarity fails the gate yields no
+  // finding whatever its clusters, so only the others are blocked. Their
+  // key columns are cut into units of kBlockingUnitRows rows, in
+  // (relation, feed, row) order.
+  std::vector<size_t> blocked;  // relation indices, ascending
+  std::vector<BlockingUnit> units;
+  std::vector<size_t> first_unit;  // per blocked relation, plus an end
+  for (size_t index = 0; index < items.size(); ++index) {
+    const KeyChoice& choice = choices[index];
+    if (!choice.keyed ||
+        choice.support_similarity < options_.min_support_similarity) {
+      continue;
+    }
+    const RelationWork& work = items[index];
+    const std::string& key_attribute =
+        work.shared_attributes[choice.key_index].name;
+    blocked.push_back(index);
+    first_unit.push_back(units.size());
+    for (size_t fi = 0; fi < work.feeds.size(); ++fi) {
+      const std::vector<Value>* column = work.feeds[fi].columns.at(key_attribute);
+      for (size_t begin = 0; begin < column->size();
+           begin += kBlockingUnitRows) {
+        BlockingUnit unit;
+        unit.column = column;
+        unit.feed = fi;
+        unit.begin = begin;
+        unit.end = std::min(begin + kBlockingUnitRows, column->size());
+        units.push_back(std::move(unit));
       }
     }
-    findings.push_back(std::move(result.finding));
+  }
+  first_unit.push_back(units.size());
+
+  // Step 1: normalize every unit into hash partitions.
+  {
+    TraceSpan span("dedup.normalize");
+    EFES_RETURN_IF_ERROR(ParallelFor(units.size(), [&](size_t u) -> Status {
+      NormalizeUnit(&units[u]);
+      return Status::OK();
+    }));
+  }
+  // Step 2: group each (relation, partition). A key lands in exactly one
+  // partition, and its total and feed count depend only on the multiset
+  // of its (key, feed) cells, so the blocks are those one map over the
+  // whole relation would hold.
+  std::vector<std::vector<CrossFeedBlock>> partitions(blocked.size() *
+                                                      kBlockingPartitions);
+  {
+    TraceSpan span("dedup.group");
+    EFES_RETURN_IF_ERROR(
+        ParallelFor(partitions.size(), [&](size_t slot) -> Status {
+          const size_t b = slot / kBlockingPartitions;
+          partitions[slot] =
+              GroupPartition(&units[first_unit[b]],
+                             first_unit[b + 1] - first_unit[b],
+                             slot % kBlockingPartitions);
+          return Status::OK();
+        }));
+  }
+
+  // Pass 3 (sequential): per blocked relation, in relation order, turn
+  // the cross-feed blocks into clusters and record the finding, so ids
+  // and report stay canonical for any thread count.
+  std::vector<DuplicateClusterFinding> findings;
+  for (size_t b = 0; b < blocked.size(); ++b) {
+    const RelationWork& work = items[blocked[b]];
+    const KeyChoice& choice = choices[blocked[b]];
+    const std::string& key_attribute =
+        work.shared_attributes[choice.key_index].name;
+    // Sorting by key gives the canonical cluster order.
+    std::vector<CrossFeedBlock> cross_feed;
+    for (size_t p = 0; p < kBlockingPartitions; ++p) {
+      const std::vector<CrossFeedBlock>& part =
+          partitions[b * kBlockingPartitions + p];
+      cross_feed.insert(cross_feed.end(), part.begin(), part.end());
+    }
+    std::sort(cross_feed.begin(), cross_feed.end(),
+              [](const CrossFeedBlock& x, const CrossFeedBlock& y) {
+                return x.key < y.key;
+              });
+
+    DuplicateClusterFinding finding;
+    finding.target_relation = work.target_relation;
+    finding.blocking_key = key_attribute;
+    for (const Feed& feed : work.feeds) {
+      finding.feeds.push_back(feed.label);
+    }
+    finding.key_uniqueness = choice.key_uniqueness;
+    finding.key_fill = choice.key_fill;
+    finding.support_similarity = choice.support_similarity;
+    for (const CrossFeedBlock& block : cross_feed) {
+      if (block.total > options_.max_block_size) {
+        // Non-discriminative key value ("unknown", "n/a"): resolving
+        // it is hopeless, report it skipped instead of pricing a
+        // quadratic pair review.
+        ++finding.oversize_blocks;
+        continue;
+      }
+      DuplicateCluster cluster;
+      cluster.key = std::string(block.key);
+      cluster.size = block.total;
+      cluster.pair_count = block.total * (block.total - 1) / 2;
+      finding.duplicate_records += block.total - 1;
+      finding.verification_pairs += cluster.pair_count;
+      finding.max_cluster_size =
+          std::max(finding.max_cluster_size, block.total);
+      finding.clusters.push_back(std::move(cluster));
+    }
+    finding.cluster_count = finding.clusters.size();
+    if (finding.cluster_count == 0) continue;
+
+    if (prov != nullptr) {
+      const std::string& subject = finding.target_relation;
+      const uint64_t uniq_node = prov->RecordValue(
+          ProvenanceKind::kStatistic, "statistic key.uniqueness",
+          subject + "." + key_attribute, finding.key_uniqueness);
+      const uint64_t fill_stat_node = prov->RecordValue(
+          ProvenanceKind::kStatistic, "statistic key.fill",
+          subject + "." + key_attribute, finding.key_fill);
+      const uint64_t fit_node = prov->RecordValue(
+          ProvenanceKind::kStatistic, "statistic support.similarity",
+          subject, finding.support_similarity);
+      const uint64_t clusters_node = prov->RecordValue(
+          ProvenanceKind::kStatistic, "statistic cluster.count", subject,
+          static_cast<double>(finding.cluster_count));
+      const uint64_t pairs_node = prov->RecordValue(
+          ProvenanceKind::kStatistic, "statistic verification.pairs",
+          subject, static_cast<double>(finding.verification_pairs));
+      finding.provenance = prov->Record(
+          ProvenanceKind::kFinding,
+          "duplicate clusters: " + subject + " via " + key_attribute, subject,
+          {fill_node, uniqueness_node, similarity_node, block_size_node,
+           uniq_node, fill_stat_node, fit_node, clusters_node, pairs_node});
+    }
+    findings.push_back(std::move(finding));
   }
 
   auto report = std::make_unique<DedupComplexityReport>(std::move(findings));

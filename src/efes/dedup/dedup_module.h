@@ -13,7 +13,9 @@
 //   2. It blocks every feed's key column on the normalized key value;
 //      blocks that collide across feeds become candidate duplicate
 //      clusters. Oversized blocks (non-discriminative values such as
-//      "unknown") are skipped, not resolved.
+//      "unknown") are skipped, not resolved. Blocking is two flat pool
+//      batches over all relations: row ranges are normalized into hash
+//      partitions, then each (relation, partition) is grouped.
 //   3. A cheap per-block plausibility check compares the feeds' value
 //      statistics (histograms/patterns via OverallFit) over the shared
 //      non-key attributes; relations whose feeds look statistically

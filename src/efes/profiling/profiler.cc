@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "efes/cache/fingerprint.h"
@@ -39,11 +40,10 @@ uint64_t StatisticsKey(const std::vector<Value>& column, DataType target_type,
 
 }  // namespace
 
-const std::vector<Value>* SampleColumn(
-    const std::vector<Value>& column, size_t limit,
-    std::map<const std::vector<Value>*, std::vector<Value>>* samples) {
+const std::vector<Value>* ProfileMemo::Sample(const std::vector<Value>& column,
+                                              size_t limit) {
   if (limit == 0 || column.size() <= limit) return &column;
-  auto [it, inserted] = samples->try_emplace(&column);
+  auto [it, inserted] = samples_.try_emplace(std::make_pair(&column, limit));
   if (inserted) {
     std::vector<Value>& sample = it->second;
     sample.reserve(limit);
@@ -128,35 +128,43 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
 
 Result<std::vector<AttributeStatistics>> ProfileColumns(
     const std::vector<ProfileRequest>& requests,
-    const ProfileOptions& options, ProfileCache* cache) {
-  // The first request of every distinct (column, target type) pair, in
-  // request order, and each request's index into that list. Distinct
-  // requests keep their relative order, so ParallelFor's lowest failing
-  // index is the lowest failing request.
-  std::vector<size_t> distinct;
-  std::vector<size_t> slot(requests.size());
-  std::map<std::pair<const std::vector<Value>*, DataType>, size_t> seen;
+    const ProfileOptions& options, ProfileCache* cache, ProfileMemo* memo) {
+  ProfileMemo call_local;
+  std::map<ProfileMemo::Key, AttributeStatistics>& known =
+      (memo != nullptr ? memo : &call_local)->profiles_;
+  auto key_of = [&](size_t i) {
+    return ProfileMemo::Key(requests[i].column, requests[i].target_type);
+  };
+
+  // The first request of every (column, target type) pair the memo does
+  // not hold, in request order. Missing requests keep their relative
+  // order, so ParallelFor's lowest failing index is the lowest failing
+  // request.
+  std::vector<size_t> missing;
+  std::set<ProfileMemo::Key> pending;
   for (size_t i = 0; i < requests.size(); ++i) {
-    auto [it, inserted] = seen.emplace(
-        std::make_pair(requests[i].column, requests[i].target_type),
-        distinct.size());
-    if (inserted) distinct.push_back(i);
-    slot[i] = it->second;
+    const ProfileMemo::Key key = key_of(i);
+    if (known.count(key) == 0 && pending.insert(key).second) {
+      missing.push_back(i);
+    }
   }
 
-  std::vector<AttributeStatistics> profiled(distinct.size());
-  EFES_RETURN_IF_ERROR(ParallelFor(distinct.size(), [&](size_t d) -> Status {
-    const ProfileRequest& request = requests[distinct[d]];
+  std::vector<AttributeStatistics> profiled(missing.size());
+  EFES_RETURN_IF_ERROR(ParallelFor(missing.size(), [&](size_t m) -> Status {
+    const ProfileRequest& request = requests[missing[m]];
     EFES_ASSIGN_OR_RETURN(
-        profiled[d],
+        profiled[m],
         ProfileColumn(*request.column, request.target_type, options, cache));
     return Status::OK();
   }));
+  for (size_t m = 0; m < missing.size(); ++m) {
+    known.emplace(key_of(missing[m]), std::move(profiled[m]));
+  }
 
   std::vector<AttributeStatistics> results;
   results.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    results.push_back(profiled[slot[i]]);
+    results.push_back(known.at(key_of(i)));
   }
   return results;
 }

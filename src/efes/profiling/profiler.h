@@ -15,11 +15,15 @@
 // Options and cache are arguments of every call, defaulting to the exact,
 // unbudgeted profile and no cache. Estimation modules pass their run's
 // (RunContext, core/module.h); nothing is read from process-wide state.
+// A run also passes its ProfileMemo, so each (column, target type) pair
+// is profiled once per run however many modules ask for it.
 
 #ifndef EFES_PROFILING_PROFILER_H_
 #define EFES_PROFILING_PROFILER_H_
 
+#include <cstddef>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "efes/common/result.h"
@@ -38,16 +42,7 @@ struct ProfileRequest {
   DataType target_type = DataType::kText;
 };
 
-/// The values a profile capped at `limit` rows reads (0 = no cap):
-/// `column` itself when the cap does not cut it, otherwise a
-/// deterministic strided sample of `limit` values. A sample is copied
-/// once per column into `samples`, which owns it, so repeated requests
-/// for one column share one address and ProfileColumns profiles them
-/// once. Use one `samples` map per limit and keep it alive for the
-/// ProfileColumns call.
-const std::vector<Value>* SampleColumn(
-    const std::vector<Value>& column, size_t limit,
-    std::map<const std::vector<Value>*, std::vector<Value>>* samples);
+class ProfileMemo;
 
 /// Profiles one column against `target_type` under `options`, through
 /// `cache` when it is non-null. Fails only on a --max-memory budget an
@@ -59,18 +54,61 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
                                           ProfileCache* cache = nullptr);
 
 /// Profiles many columns through the shared pool, one dynamically
-/// balanced task per distinct request; results come back in request
-/// order, bit-identical to one ProfileColumn per request.
+/// balanced task per distinct request the memo does not hold yet;
+/// results come back in request order, bit-identical to one
+/// ProfileColumn per request.
 ///
 /// Requests with the same column address and target type are profiled
-/// once: each distinct request makes one cache lookup and at most one
-/// store, and every repeat receives a copy of its first occurrence's
-/// result. On failure the status is that of the lowest failing request
-/// index. A repeat fails exactly when its first occurrence does, so this
-/// is the error a sequential loop over the requests would hit first.
+/// once: a request is answered from `memo` first, then from `cache`,
+/// and computed only when both miss. Each distinct request the memo
+/// misses makes one cache lookup and at most one store, and every
+/// repeat receives a copy of the same result. A null `memo` stands for
+/// an empty one that lives for this call. The memo is filled only when
+/// the whole batch succeeds; on failure the status is that of the
+/// lowest failing request index. A repeat fails exactly when its first
+/// occurrence does, so this is the error a sequential loop over the
+/// requests would hit first.
 Result<std::vector<AttributeStatistics>> ProfileColumns(
     const std::vector<ProfileRequest>& requests,
-    const ProfileOptions& options = {}, ProfileCache* cache = nullptr);
+    const ProfileOptions& options = {}, ProfileCache* cache = nullptr,
+    ProfileMemo* memo = nullptr);
+
+/// The profiles one run has computed or read from its cache, shared by
+/// the run's modules through RunContext, and the column samples those
+/// profiles were taken of. The engine keeps one on the stack of each run,
+/// so nothing outlives the run: --no-cache keeps its meaning, and
+/// concurrent runs share only the ProfileCache they are given.
+///
+/// Profiles are keyed by (column address, target type); the run's
+/// ProfileOptions are fixed, so they are not part of the key. A key must
+/// stay valid as long as the memo: name only columns of the run's
+/// scenario, or samples the memo itself owns. One run's modules profile
+/// one after another on the run's thread, so the memo has no lock.
+class ProfileMemo {
+ public:
+  ProfileMemo() = default;
+  ProfileMemo(const ProfileMemo&) = delete;
+  ProfileMemo& operator=(const ProfileMemo&) = delete;
+
+  /// The values a profile capped at `limit` rows reads (0 = no cap):
+  /// `column` itself when the cap does not cut it, otherwise a
+  /// deterministic strided sample of `limit` values. The sample is copied
+  /// once per (column, limit) and lives as long as the memo, so every
+  /// module that samples a column at one limit gets one address, and no
+  /// sample address is freed and reused within a run.
+  const std::vector<Value>* Sample(const std::vector<Value>& column,
+                                   size_t limit);
+
+ private:
+  friend Result<std::vector<AttributeStatistics>> ProfileColumns(
+      const std::vector<ProfileRequest>& requests,
+      const ProfileOptions& options, ProfileCache* cache, ProfileMemo* memo);
+
+  using Key = std::pair<const std::vector<Value>*, DataType>;
+  std::map<Key, AttributeStatistics> profiles_;
+  std::map<std::pair<const std::vector<Value>*, size_t>, std::vector<Value>>
+      samples_;
+};
 
 }  // namespace efes
 

@@ -16,6 +16,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 #include "efes/common/result.h"
@@ -41,10 +42,14 @@ class Value {
   Value() : data_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Boolean(bool v) { return Value(Payload(v)); }
-  static Value Integer(int64_t v) { return Value(Payload(v)); }
-  static Value Real(double v) { return Value(Payload(v)); }
-  static Value Text(std::string v) { return Value(Payload(std::move(v))); }
+  static Value Boolean(bool v) { return Value(std::in_place_type<bool>, v); }
+  static Value Integer(int64_t v) {
+    return Value(std::in_place_type<int64_t>, v);
+  }
+  static Value Real(double v) { return Value(std::in_place_type<double>, v); }
+  static Value Text(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
 
   Value(const Value&) = default;
   Value& operator=(const Value&) = default;
@@ -98,7 +103,12 @@ class Value {
  private:
   using Payload =
       std::variant<std::monostate, bool, int64_t, double, std::string>;
-  explicit Value(Payload data) : data_(std::move(data)) {}
+  /// Builds the payload in place. Moving a temporary variant into data_
+  /// instead makes GCC 12 report its string alternative as maybe
+  /// uninitialized under -fsanitize=address.
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> type, Arg&& arg)
+      : data_(type, std::forward<Arg>(arg)) {}
 
   Payload data_;
 };

@@ -6,6 +6,7 @@
 #include "efes/common/random.h"
 #include "efes/dedup/dedup_module.h"
 #include "efes/mapping/mapping_module.h"
+#include "efes/profiling/profiler.h"
 #include "efes/structure/structure_module.h"
 #include "efes/values/value_module.h"
 
@@ -41,9 +42,12 @@ Result<MeasuredEffort> SimulateMeasuredEffort(
   MeasuredEffort measured;
   bool high = quality == ExpectedQuality::kHighQuality;
   // The detectors profile through the process default cache, with
-  // default options and no recorder.
+  // default options and no recorder, and share one memo, as the modules
+  // of an engine run do.
+  ProfileMemo memo;
   RunContext context;
   context.cache = ProfileCache::Active();
+  context.memo = &memo;
 
   // --- Mapping: the practitioner writes one INSERT..SELECT per connection
   // and first explores the source schemas.

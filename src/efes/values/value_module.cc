@@ -1,6 +1,5 @@
 #include "efes/values/value_module.h"
 
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -144,7 +143,8 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
   };
   std::vector<WorkItem> items;
   std::vector<ProfileRequest> requests;
-  std::map<const std::vector<Value>*, std::vector<Value>> samples;
+  ProfileMemo call_local;
+  ProfileMemo& memo = context.memo != nullptr ? *context.memo : call_local;
   for (const SourceBinding& source : scenario.sources) {
     for (const Correspondence& corr : source.correspondences.all()) {
       if (!corr.is_attribute_level()) continue;
@@ -170,12 +170,11 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
       WorkItem item;
       item.corr = &corr;
       item.source_database = source.database.name();
-      item.source_sample =
-          SampleColumn(*source_column, options_.sample_limit, &samples);
+      item.source_sample = memo.Sample(*source_column, options_.sample_limit);
       requests.push_back(
           ProfileRequest{item.source_sample, target_attribute.type});
       requests.push_back(ProfileRequest{
-          SampleColumn(*target_column, options_.sample_limit, &samples),
+          memo.Sample(*target_column, options_.sample_limit),
           target_attribute.type});
       item.target_attribute = std::move(target_attribute);
       item.has_target_data = !target_column->empty();
@@ -204,14 +203,15 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
   }
 
   // One batch profiles every distinct column of every item: a target
-  // column shared by several sources' correspondences is profiled once.
-  // Item i's statistics are stats[2 * i] (source) and stats[2 * i + 1]
-  // (target). The batch runs after the thresholds are recorded, so a
-  // module that fails here (an exact --max-memory overflow) leaves the
-  // run's later provenance ids where they were.
+  // column shared by several sources' correspondences is profiled once,
+  // and the run's memo keeps every profile for the modules after this
+  // one. Item i's statistics are stats[2 * i] (source) and
+  // stats[2 * i + 1] (target). The batch runs after the thresholds are
+  // recorded, so a module that fails here (an exact --max-memory
+  // overflow) leaves the run's later provenance ids where they were.
   EFES_ASSIGN_OR_RETURN(
       std::vector<AttributeStatistics> stats,
-      ProfileColumns(requests, context.profile, context.cache));
+      ProfileColumns(requests, context.profile, context.cache, &memo));
 
   // Pass 2 (parallel): detection, the source pattern count and the
   // provenance fragment fan out per item and merge back in item order,

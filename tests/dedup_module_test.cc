@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "efes/profiling/profiler.h"
 #include "efes/provenance/provenance.h"
 #include "efes/scenario/fuzzer.h"
+#include "efes/telemetry/trace.h"
 
 namespace efes {
 namespace {
@@ -311,7 +311,7 @@ TEST(DedupModuleTest, SampledStatisticsStillBlockEveryRow) {
     ASSERT_TRUE(target_table.ok());
     auto attribute = (*target_table)->def().Attribute(f.blocking_key);
     ASSERT_TRUE(attribute.ok());
-    std::map<const std::vector<Value>*, std::vector<Value>> samples;
+    ProfileMemo samples;
     double min_fill = 1.0;
     double min_uniqueness = 1.0;
     size_t feeds = 0;
@@ -327,8 +327,8 @@ TEST(DedupModuleTest, SampledStatisticsStillBlockEveryRow) {
         auto column = (*table)->ColumnByName(corr.source_attribute);
         ASSERT_TRUE(column.ok());
         ASSERT_GT((*column)->size(), kLimit);
-        auto stats = ProfileColumn(*SampleColumn(**column, kLimit, &samples),
-                                   attribute->type);
+        auto stats =
+            ProfileColumn(*samples.Sample(**column, kLimit), attribute->type);
         ASSERT_TRUE(stats.ok());
         min_fill = std::min(min_fill, stats->fill_status.NonNullFraction());
         min_uniqueness = std::min(
@@ -381,6 +381,25 @@ TEST(DedupModuleTest, AssessmentRecordsFindingProvenance) {
   ASSERT_EQ(tasks->size(), 1u);
   ASSERT_EQ((*tasks)[0].provenance.size(), 1u);
   EXPECT_EQ((*tasks)[0].provenance[0], dedup.findings()[0].provenance);
+}
+
+TEST(DedupModuleTest, BlockingBatchesAreTraced) {
+  // One span per blocking batch, so --trace shows where dedup's time goes.
+  IntegrationScenario scenario = MakeTwoSourceScenario();
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  recorder.set_enabled(true);
+  auto report = DedupModule().AssessComplexity(scenario, RunContext{});
+  recorder.set_enabled(false);
+  ASSERT_TRUE(report.ok()) << report.status();
+  std::vector<std::string> spans;
+  for (const TraceEvent& event : recorder.events()) {
+    if (event.name.rfind("dedup.", 0) == 0) spans.push_back(event.name);
+  }
+  recorder.Clear();
+  std::sort(spans.begin(), spans.end());
+  EXPECT_EQ(spans, (std::vector<std::string>{"dedup.group",
+                                             "dedup.normalize"}));
 }
 
 TEST(DedupModuleTest, DetectFaultIsContainedByTheEngine) {

@@ -7,15 +7,22 @@
 
 #include <functional>
 #include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
+#include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
+#include "efes/dedup/dedup_module.h"
 #include "efes/experiment/default_pipeline.h"
 #include "efes/experiment/json_export.h"
 #include "efes/provenance/provenance.h"
+#include "efes/scenario/fuzzer.h"
 #include "efes/scenario/paper_example.h"
+#include "efes/values/value_module.h"
 
 namespace efes {
 namespace {
@@ -326,29 +333,41 @@ std::string RenderedRun(const EfesEngine& engine,
                                 record ? &snapshot : nullptr);
 }
 
+uint64_t ColumnsProfiled() {
+  return MetricsRegistry::Global().Snapshot().CounterValue(
+      "profiling.statistics.columns");
+}
+
 /// Runs A and B kRuns times each, on two threads at once, and expects
-/// every output to equal the same run done alone.
-void ExpectConcurrentRunsMatchSolo(const RunOptions& a, bool a_records,
+/// every output to equal the same run done alone, and every run to
+/// compute as many profiles as it does alone: no run reads a profile
+/// another run computed.
+void ExpectConcurrentRunsMatchSolo(const IntegrationScenario& scenario,
+                                   const RunOptions& a, bool a_records,
                                    const RunOptions& b, bool b_records) {
   constexpr int kRuns = 20;
-  auto scenario = MakePaperExample();
-  ASSERT_TRUE(scenario.ok()) << scenario.status();
   const EfesEngine engine = MakeDefaultEngine();
-  const std::string solo_a = RenderedRun(engine, *scenario, a, a_records);
-  const std::string solo_b = RenderedRun(engine, *scenario, b, b_records);
+  // One thread per run, so each run executes wholly on its own thread.
+  SetThreadCountOverride(1);
+  uint64_t before = ColumnsProfiled();
+  const std::string solo_a = RenderedRun(engine, scenario, a, a_records);
+  const uint64_t a_columns = ColumnsProfiled() - before;
+  before = ColumnsProfiled();
+  const std::string solo_b = RenderedRun(engine, scenario, b, b_records);
+  const uint64_t b_columns = ColumnsProfiled() - before;
   ASSERT_NE(solo_a, solo_b);
+  ASSERT_GT(a_columns, 0u);
   auto repeat = [&](const RunOptions& options, bool record,
                     const std::string& solo, int* differing) {
     for (int run = 0; run < kRuns; ++run) {
-      if (RenderedRun(engine, *scenario, options, record) != solo) {
+      if (RenderedRun(engine, scenario, options, record) != solo) {
         ++*differing;
       }
     }
   };
   int a_differing = 0;
   int b_differing = 0;
-  // One thread per run, so each run executes wholly on its own thread.
-  SetThreadCountOverride(1);
+  before = ColumnsProfiled();
   std::thread thread_a(repeat, std::cref(a), a_records, std::cref(solo_a),
                        &a_differing);
   std::thread thread_b(repeat, std::cref(b), b_records, std::cref(solo_b),
@@ -358,6 +377,7 @@ void ExpectConcurrentRunsMatchSolo(const RunOptions& a, bool a_records,
   SetThreadCountOverride(0);
   EXPECT_EQ(a_differing, 0) << "of " << kRuns << " runs of A";
   EXPECT_EQ(b_differing, 0) << "of " << kRuns << " runs of B";
+  EXPECT_EQ(ColumnsProfiled() - before, kRuns * (a_columns + b_columns));
 }
 
 TEST(EngineTest, ConcurrentRunsKeepTheirOwnOptionsAndRecorder) {
@@ -370,15 +390,260 @@ TEST(EngineTest, ConcurrentRunsKeepTheirOwnOptionsAndRecorder) {
   RunOptions sketch;
   sketch.profile.mode = ApproximationMode::kSketch;
   sketch.profile.max_memory_bytes = 4000;
+  auto scenario = MakePaperExample();
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
   {
     SCOPED_TRACE("A: exact and recorded, B: sketch");
-    ExpectConcurrentRunsMatchSolo(exact, /*a_records=*/true, sketch,
-                                  /*b_records=*/false);
+    ExpectConcurrentRunsMatchSolo(*scenario, exact, /*a_records=*/true,
+                                  sketch, /*b_records=*/false);
   }
   {
     SCOPED_TRACE("equal default options, only A records");
-    ExpectConcurrentRunsMatchSolo(RunOptions{}, /*a_records=*/true,
+    ExpectConcurrentRunsMatchSolo(*scenario, RunOptions{}, /*a_records=*/true,
                                   RunOptions{}, /*b_records=*/false);
+  }
+}
+
+// ------------------------------------------------- run-scoped profiles
+
+/// Three sources correspond into the same populated target columns, the
+/// shape of the benchmark's estimate workloads: the dedup module blocks
+/// the entity relation, whose columns the value module profiles too.
+IntegrationScenario MakeThreeSourceScenario() {
+  FuzzOptions options;
+  options.min_sources = options.max_sources = 3;
+  options.min_entities = options.max_entities = 300;
+  options.target_data_rate = 1.0;
+  auto fuzzed = FuzzScenario(1, options);
+  EXPECT_TRUE(fuzzed.ok()) << fuzzed.status();
+  return std::move(fuzzed->scenario);
+}
+
+using ColumnKey = std::pair<const std::vector<Value>*, DataType>;
+
+/// The target attributes of `scenario`'s constraints of the given kinds,
+/// as "relation.attribute".
+std::set<std::string> ConstrainedAttributes(
+    const IntegrationScenario& scenario, std::set<ConstraintKind> kinds) {
+  std::set<std::string> attributes;
+  for (const Constraint& c : scenario.target.schema().constraints()) {
+    if (kinds.count(c.kind) == 0) continue;
+    for (const std::string& attribute : c.attributes) {
+      attributes.insert(c.relation + "." + attribute);
+    }
+  }
+  return attributes;
+}
+
+/// What the value module profiles: the source and the target column of
+/// every correspondence outside the target's foreign keys, each against
+/// the target attribute's type.
+std::set<ColumnKey> ValueColumns(const IntegrationScenario& scenario) {
+  const std::set<std::string> skipped =
+      ConstrainedAttributes(scenario, {ConstraintKind::kForeignKey});
+  std::set<ColumnKey> columns;
+  for (const SourceBinding& source : scenario.sources) {
+    for (const Correspondence& corr : source.correspondences.all()) {
+      if (!corr.is_attribute_level() ||
+          skipped.count(corr.target_relation + "." + corr.target_attribute)) {
+        continue;
+      }
+      const Table* source_table = *source.database.table(corr.source_relation);
+      const Table* target_table = *scenario.target.table(corr.target_relation);
+      const DataType type =
+          target_table->def().Attribute(corr.target_attribute)->type;
+      columns.emplace(*source_table->ColumnByName(corr.source_attribute), type);
+      columns.emplace(*target_table->ColumnByName(corr.target_attribute), type);
+    }
+  }
+  return columns;
+}
+
+/// What the dedup module profiles: for each target relation fed by two or
+/// more source relations, every feed's column of each attribute all
+/// feeds correspond outside the target's keys.
+std::set<ColumnKey> DedupColumns(const IntegrationScenario& scenario) {
+  const std::set<std::string> skipped = ConstrainedAttributes(
+      scenario, {ConstraintKind::kPrimaryKey, ConstraintKind::kForeignKey});
+  // relation -> feed -> target attribute -> column.
+  std::map<std::string, std::map<std::string, std::map<std::string, ColumnKey>>>
+      feeds;
+  for (const SourceBinding& source : scenario.sources) {
+    for (const Correspondence& corr : source.correspondences.all()) {
+      if (!corr.is_attribute_level() ||
+          skipped.count(corr.target_relation + "." + corr.target_attribute)) {
+        continue;
+      }
+      const Table* source_table = *source.database.table(corr.source_relation);
+      const Table* target_table = *scenario.target.table(corr.target_relation);
+      feeds[corr.target_relation]
+           [source.database.name() + ":" + corr.source_relation]
+           [corr.target_attribute] = ColumnKey(
+               *source_table->ColumnByName(corr.source_attribute),
+               target_table->def().Attribute(corr.target_attribute)->type);
+    }
+  }
+  std::set<ColumnKey> columns;
+  for (const auto& [relation, by_feed] : feeds) {
+    if (by_feed.size() < 2) continue;
+    for (const auto& [attribute, unused] : by_feed.begin()->second) {
+      bool shared = true;
+      for (const auto& [feed, by_attribute] : by_feed) {
+        shared = shared && by_attribute.count(attribute) > 0;
+      }
+      if (!shared) continue;
+      for (const auto& [feed, by_attribute] : by_feed) {
+        columns.insert(by_attribute.at(attribute));
+      }
+    }
+  }
+  return columns;
+}
+
+/// Forwards to a module with the memo taken out of its context: the
+/// module profiles as if it ran alone.
+class Unshared : public EstimationModule {
+ public:
+  explicit Unshared(std::unique_ptr<EstimationModule> module)
+      : module_(std::move(module)) {}
+  std::string name() const override { return module_->name(); }
+  Result<std::unique_ptr<ComplexityReport>> AssessComplexity(
+      const IntegrationScenario& scenario,
+      const RunContext& context) const override {
+    RunContext alone = context;
+    alone.memo = nullptr;
+    return module_->AssessComplexity(scenario, alone);
+  }
+  Result<std::vector<Task>> PlanTasks(
+      const ComplexityReport& report, ExpectedQuality quality,
+      const ExecutionSettings& settings) const override {
+    return module_->PlanTasks(report, quality, settings);
+  }
+
+ private:
+  std::unique_ptr<EstimationModule> module_;
+};
+
+/// An engine of the value and the dedup module, sharing the run's
+/// profiles or (`unshared`) each profiling on its own.
+EfesEngine ValueAndDedupEngine(const ValueFitOptions& values,
+                               const DedupOptions& dedup, bool unshared) {
+  EfesEngine engine;
+  std::unique_ptr<EstimationModule> value_module =
+      std::make_unique<ValueModule>(values);
+  std::unique_ptr<EstimationModule> dedup_module =
+      std::make_unique<DedupModule>(dedup);
+  if (unshared) {
+    value_module = std::make_unique<Unshared>(std::move(value_module));
+    dedup_module = std::make_unique<Unshared>(std::move(dedup_module));
+  }
+  engine.AddModule(std::move(value_module));
+  engine.AddModule(std::move(dedup_module));
+  return engine;
+}
+
+TEST(EngineTest, RunProfilesEachColumnOnceAcrossModules) {
+  const IntegrationScenario scenario = MakeThreeSourceScenario();
+  const std::set<ColumnKey> values = ValueColumns(scenario);
+  const std::set<ColumnKey> dedup = DedupColumns(scenario);
+  ASSERT_FALSE(dedup.empty());
+  std::set<ColumnKey> distinct = values;
+  distinct.insert(dedup.begin(), dedup.end());
+
+  const EfesEngine engine = MakeDefaultEngine();
+  uint64_t before = ColumnsProfiled();
+  auto result = engine.Run(scenario, RunOptions{});
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_FALSE(result->degraded);
+  EXPECT_EQ(ColumnsProfiled() - before, distinct.size());
+
+  before = ColumnsProfiled();
+  auto reports = engine.AssessComplexity(scenario, RunOptions{});
+  ASSERT_TRUE(reports.ok()) << reports.status();
+  EXPECT_EQ(ColumnsProfiled() - before, distinct.size());
+
+  // Each module on its own profiles all of its columns again.
+  before = ColumnsProfiled();
+  ASSERT_TRUE(ValueModule().AssessComplexity(scenario, RunContext{}).ok());
+  ASSERT_TRUE(DedupModule().AssessComplexity(scenario, RunContext{}).ok());
+  EXPECT_EQ(ColumnsProfiled() - before, values.size() + dedup.size());
+}
+
+TEST(EngineTest, ConcurrentRunsKeepTheirOwnProfiles) {
+  // Both runs profile the same columns under different options, so a
+  // profile one run handed the other would change its output.
+  const IntegrationScenario scenario = MakeThreeSourceScenario();
+  RunOptions sketch;
+  sketch.profile.mode = ApproximationMode::kSketch;
+  sketch.profile.max_memory_bytes = 4000;
+  ExpectConcurrentRunsMatchSolo(scenario, RunOptions{}, /*a_records=*/true,
+                                sketch, /*b_records=*/false);
+}
+
+TEST(EngineTest, SampleLimitsOfEachModuleKeepTheirOwnSamples) {
+  // A values sample and a dedup sample of one column at different limits
+  // are different columns; at one limit they are the same one. Either
+  // way the run reports exactly what the modules report alone.
+  const IntegrationScenario scenario = MakeThreeSourceScenario();
+  for (const auto& [values_limit, dedup_limit] :
+       std::vector<std::pair<size_t, size_t>>{
+           {100, 150}, {150, 100}, {100, 100}, {0, 120}, {120, 0}}) {
+    SCOPED_TRACE("values " + std::to_string(values_limit) + ", dedup " +
+                 std::to_string(dedup_limit));
+    ValueFitOptions values;
+    values.sample_limit = values_limit;
+    DedupOptions dedup;
+    dedup.sample_limit = dedup_limit;
+    const EfesEngine shared = ValueAndDedupEngine(values, dedup, false);
+    const EfesEngine unshared = ValueAndDedupEngine(values, dedup, true);
+    uint64_t before = ColumnsProfiled();
+    const std::string alone =
+        RenderedRun(unshared, scenario, RunOptions{}, /*record=*/true);
+    const uint64_t alone_columns = ColumnsProfiled() - before;
+    before = ColumnsProfiled();
+    EXPECT_EQ(RenderedRun(shared, scenario, RunOptions{}, /*record=*/true),
+              alone);
+    const uint64_t shared_columns = ColumnsProfiled() - before;
+    EXPECT_NE(alone.find("\"dedup\""), std::string::npos);
+    if (values_limit == dedup_limit) {
+      EXPECT_LT(shared_columns, alone_columns);
+    } else if (values_limit != 0 && dedup_limit != 0) {
+      // Every column is longer than both limits: nothing is shared.
+      EXPECT_EQ(shared_columns, alone_columns);
+    }
+  }
+}
+
+TEST(EngineTest, FailedBatchesLeaveTheNextModuleItsOwnError) {
+  // An exact budget no column fits fails the values batch; nothing of it
+  // is kept for the run, so the dedup batch fails as it does alone, with
+  // the same error and provenance ids.
+  const IntegrationScenario scenario = MakeThreeSourceScenario();
+  RunOptions options;
+  options.profile.mode = ApproximationMode::kExact;
+  options.profile.max_memory_bytes = 300;
+  const EfesEngine shared =
+      ValueAndDedupEngine(ValueFitOptions{}, DedupOptions{}, false);
+  const EfesEngine unshared =
+      ValueAndDedupEngine(ValueFitOptions{}, DedupOptions{}, true);
+  EXPECT_EQ(RenderedRun(shared, scenario, options, /*record=*/true),
+            RenderedRun(unshared, scenario, options, /*record=*/true));
+
+  ProvenanceRecorder recorder;
+  options.recorder = &recorder;
+  auto result = shared.Run(scenario, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->module_runs.size(), 2u);
+  for (const ModuleRun& run : result->module_runs) {
+    EXPECT_EQ(run.status.code(), StatusCode::kResourceExhausted) << run.module;
+  }
+  // Three run-wide parameters, the value module's three thresholds, the
+  // dedup module's four, then the total.
+  const ProvenanceSnapshot snapshot = recorder.Snapshot();
+  ASSERT_EQ(snapshot.nodes.size(), 11u);
+  for (size_t i = 3; i < 10; ++i) {
+    EXPECT_EQ(snapshot.nodes[i].kind, ProvenanceKind::kThreshold)
+        << snapshot.nodes[i].label;
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "efes/cache/profile_cache.h"
 #include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
 #include "efes/profiling/profiler.h"
@@ -360,6 +361,64 @@ TEST(StatisticsTest, BatchProfilesDuplicateRequestsOnce) {
     ASSERT_FALSE(batch.ok());
     EXPECT_EQ(batch.status().code(), sequential.code());
     EXPECT_EQ(batch.status().message(), sequential.message());
+
+    // A failed batch leaves nothing in the memo: a later batch of the
+    // same run fails the same way, and profiles again what the failed
+    // one finished.
+    ProfileMemo memo;
+    ASSERT_FALSE(ProfileColumns(failing, exact, nullptr, &memo).ok());
+    auto again = ProfileColumns(failing, exact, nullptr, &memo);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().message(), sequential.message());
+    const uint64_t before = ColumnsProfiled();
+    ASSERT_TRUE(
+        ProfileColumns({failing[0]}, exact, nullptr, &memo).ok());
+    EXPECT_EQ(ColumnsProfiled() - before, 1u);
+  }
+  SetThreadCountOverride(0);
+}
+
+uint64_t CacheLookups() {
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  return snapshot.CounterValue("cache.hits") +
+         snapshot.CounterValue("cache.misses");
+}
+
+TEST(StatisticsTest, BatchAnswersFromTheMemoBeforeTheCache) {
+  std::vector<std::vector<Value>> columns = {
+      Texts({"4:43", "6:55", "1:02", "4:43"}),
+      Integers({1, 2, 3, 4, 5, 6, 7, 8}),
+  };
+  const std::vector<ProfileRequest> first = {
+      {&columns[0], DataType::kText}, {&columns[1], DataType::kInteger}};
+  const std::vector<ProfileRequest> second = {
+      {&columns[1], DataType::kInteger},
+      {&columns[0], DataType::kText},
+      {&columns[0], DataType::kInteger}};
+  for (size_t threads : {1u, 4u}) {
+    SetThreadCountOverride(threads);
+    ProfileCache cache;
+    ProfileMemo memo;
+    uint64_t profiled = ColumnsProfiled();
+    uint64_t lookups = CacheLookups();
+    ASSERT_TRUE(ProfileColumns(first, {}, &cache, &memo).ok());
+    EXPECT_EQ(ColumnsProfiled() - profiled, 2u);
+    EXPECT_EQ(CacheLookups() - lookups, 2u);
+
+    // Only the request the memo misses reaches the cache, and the batch
+    // still returns one result per request, in request order.
+    profiled = ColumnsProfiled();
+    lookups = CacheLookups();
+    auto batch = ProfileColumns(second, {}, &cache, &memo);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ(ColumnsProfiled() - profiled, 1u);
+    EXPECT_EQ(CacheLookups() - lookups, 1u);
+    ASSERT_EQ(batch->size(), second.size());
+    for (size_t i = 0; i < second.size(); ++i) {
+      EXPECT_EQ((*batch)[i].ToString(),
+                Stats(*second[i].column, second[i].target_type).ToString())
+          << i;
+    }
   }
   SetThreadCountOverride(0);
 }

@@ -7,8 +7,10 @@
 # suite under the sanitizer, so every threaded path is covered without a
 # list of suites to keep current.
 # `--asan` configures with -DEFES_ASAN=ON (-fsanitize=address,undefined)
-# and runs the full suite — the corruption and fault-injection tests are
-# most valuable here, where a parser walking off a buffer actually traps.
+# and -DEFES_WERROR=ON, and runs the full suite — the corruption and
+# fault-injection tests are most valuable here, where a parser walking off
+# a buffer actually traps. The sanitized build is warning-free, so a new
+# warning there fails the gate instead of hiding in the log.
 # `--ubsan` configures with -DEFES_UBSAN=ON (undefined + integer checks,
 # -fno-sanitize-recover) and runs the full suite; any UB aborts the test.
 # `--lint` builds only the efes_lint tool and runs it over src/, tools/,
@@ -105,10 +107,10 @@ if [[ "$MODE" == "tsan" ]]; then
   echo "check_build: OK (EFES_TSAN=ON, all tests passed)"
 elif [[ "$MODE" == "asan" ]]; then
   BUILD_DIR="${1:-build-asan}"
-  cmake -B "$BUILD_DIR" -S . -DEFES_ASAN=ON
+  cmake -B "$BUILD_DIR" -S . -DEFES_ASAN=ON -DEFES_WERROR=ON
   cmake --build "$BUILD_DIR" -j
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j
-  echo "check_build: OK (EFES_ASAN=ON, all tests passed)"
+  echo "check_build: OK (EFES_ASAN=ON, EFES_WERROR=ON, all tests passed)"
 elif [[ "$MODE" == "ubsan" ]]; then
   BUILD_DIR="${1:-build-ubsan}"
   cmake -B "$BUILD_DIR" -S . -DEFES_UBSAN=ON
