@@ -1,8 +1,9 @@
 // Shared main()-harness for the perf_* benches: runs the registered
 // google-benchmark suites as before, then runs one representative
-// workload twice — cold (fresh profile cache) and warm (same cache) —
-// against a zeroed telemetry registry and prints one machine-readable
-// line per run on stdout:
+// workload twice — cold (fresh profile cache) and warm (same cache),
+// the cache handed to the workload as its argument — against a zeroed
+// telemetry registry and prints one machine-readable line per run on
+// stdout:
 //
 //   {"bench": <name>, "wall_ms": ..., "threads": ..., "cache": "cold",
 //    "counters": {...}}
@@ -47,17 +48,21 @@ inline void ApplyThreadsFlag(int* argc, char** argv) {
   if (threads > 0) SetThreadCountOverride(threads);
 }
 
-/// Times one `workload()` call against a zeroed registry.
-inline double TimeWorkloadMs(const std::function<void()>& workload) {
+/// A bench's representative workload. It profiles through the cache it
+/// is handed; a workload that profiles nothing ignores it.
+using Workload = std::function<void(ProfileCache* cache)>;
+
+/// Times one `workload(cache)` call against a zeroed registry.
+inline double TimeWorkloadMs(const Workload& workload, ProfileCache* cache) {
   MetricsRegistry::Global().Reset();
   const Clock& clock = *Clock::Default();
   const int64_t start_nanos = clock.NowNanos();
-  workload();
+  workload(cache);
   return static_cast<double>(clock.NowNanos() - start_nanos) / 1e6;
 }
 
 inline int BenchMain(int argc, char** argv, std::string_view name,
-                     const std::function<void()>& workload) {
+                     const Workload& workload) {
   ApplyThreadsFlag(&argc, argv);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -68,16 +73,15 @@ inline int BenchMain(int argc, char** argv, std::string_view name,
   // the warm run replays the same deterministic workload against it. The
   // ratio is the bench's incremental re-estimation speedup.
   ProfileCache cache;
-  ScopedProfileCache scoped(&cache);
 
-  const double cold_ms = TimeWorkloadMs(workload);
+  const double cold_ms = TimeWorkloadMs(workload, &cache);
   std::printf("%s\n",
               BenchJsonLine(name, cold_ms, ConfiguredThreadCount(),
                             {BenchJsonField::Text("cache", "cold")},
                             MetricsRegistry::Global().Snapshot())
                   .c_str());
 
-  const double warm_ms = TimeWorkloadMs(workload);
+  const double warm_ms = TimeWorkloadMs(workload, &cache);
   const MetricsSnapshot warm = MetricsRegistry::Global().Snapshot();
   uint64_t hits = 0;
   uint64_t misses = 0;

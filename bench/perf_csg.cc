@@ -107,7 +107,8 @@ BENCHMARK(BM_PathViolationCounting)->Arg(500)->Arg(2000)->Arg(8000);
 
 /// CSG build + path search + violation counting. BuildCsg records its
 /// own `csg.build.ms` histogram; the workload adds size and count gauges.
-void JsonLineWorkload() {
+/// Nothing here profiles, so the cache goes unused.
+void JsonLineWorkload(ProfileCache* /*cache*/) {
   Database db = ScaledSource(2000);
   MetricsRegistry& metrics = MetricsRegistry::Global();
   Csg csg = BuildCsg(db);

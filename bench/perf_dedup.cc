@@ -67,12 +67,14 @@ void BM_FuzzScenarioGeneration(benchmark::State& state) {
 BENCHMARK(BM_FuzzScenarioGeneration)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
-/// One dedup assessment over a mid-size fuzz; the emitted counters cover
-/// profiling and the dedup detector.
-void JsonLineWorkload() {
+/// One estimation run over a mid-size fuzz, through `cache`; the emitted
+/// counters cover profiling and the dedup detector.
+void JsonLineWorkload(ProfileCache* cache) {
   FuzzedScenario fuzzed = ScaledFuzz(400);
   EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(fuzzed.scenario);
+  RunOptions options;
+  options.cache = cache;
+  auto result = engine.Run(fuzzed.scenario, options);
   benchmark::DoNotOptimize(result->estimate.TotalMinutes());
 }
 

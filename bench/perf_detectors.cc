@@ -49,12 +49,14 @@ void BM_ComplexityAssessmentOnly(benchmark::State& state) {
 BENCHMARK(BM_ComplexityAssessmentOnly)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-/// One full estimation run; the emitted counters cover the engine,
-/// profiling, and per-module task planning.
-void JsonLineWorkload() {
+/// One full estimation run through `cache`; the emitted counters cover
+/// the engine, profiling, and per-module task planning.
+void JsonLineWorkload(ProfileCache* cache) {
   IntegrationScenario scenario = ScaledScenario(2000);
   EfesEngine engine = MakeDefaultEngine();
-  auto result = engine.Run(scenario);
+  RunOptions options;
+  options.cache = cache;
+  auto result = engine.Run(scenario, options);
   benchmark::DoNotOptimize(result->estimate.TotalMinutes());
 }
 

@@ -51,8 +51,9 @@ void BM_ExecuteLowEffort(benchmark::State& state) {
 BENCHMARK(BM_ExecuteLowEffort)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 /// One high-quality integration; the emitted counters are the
-/// execute.run.* work counts.
-void JsonLineWorkload() {
+/// execute.run.* work counts. Nothing here profiles, so the cache goes
+/// unused.
+void JsonLineWorkload(ProfileCache* /*cache*/) {
   IntegrationScenario scenario = ScaledScenario(2000);
   IntegrationExecutor executor;
   ExecutionReport report;

@@ -1,5 +1,5 @@
 // Performance benchmarks for the Section 5.1 statistics through the
-// chunked, budgeted profiler (profiling/profiler.h), for the scenario
+// budgeted profiler (profiling/profiler.h), for the scenario
 // load that turns CSV bytes into the typed columns they profile
 // (BM_LoadScenario), for the value and dedup assessments that
 // profile those columns in one batch each (BM_AssessValues,
@@ -77,7 +77,6 @@ std::vector<Value> RandomNumericColumn(size_t n, uint64_t seed = 77) {
 /// MiB of distinct values at the --rows scales below.
 ProfileOptions SketchBudgetOptions() {
   ProfileOptions options;
-  options.chunk_rows = 65536;
   options.max_memory_bytes = 1 << 20;
   options.mode = ApproximationMode::kSketch;
   return options;
@@ -438,17 +437,16 @@ const std::vector<std::vector<Value>>& WorkloadColumns() {
 }
 
 /// Representative workload for the telemetry JSON line: a 32-column
-/// batch profile (wide enough that --threads scaling shows up in
-/// wall_ms) plus one pairwise fit comparison.
-void JsonLineWorkload() {
+/// batch profile through `cache` (wide enough that --threads scaling
+/// shows up in wall_ms) plus one pairwise fit comparison.
+void JsonLineWorkload(ProfileCache* cache) {
   const std::vector<std::vector<Value>>& columns = WorkloadColumns();
   std::vector<ProfileRequest> requests;
   for (size_t i = 0; i < columns.size(); ++i) {
     requests.push_back(ProfileRequest{
         &columns[i], i % 2 == 0 ? DataType::kText : DataType::kInteger});
   }
-  // Through the cache BenchMain installs, so the warm run hits.
-  auto batch = ProfileColumns(requests, {}, ProfileCache::Active());
+  auto batch = ProfileColumns(requests, {}, cache);
   benchmark::DoNotOptimize(batch);
   if (batch.ok() && batch->size() >= 4) {
     benchmark::DoNotOptimize(OverallFit((*batch)[0], (*batch)[2]));
@@ -495,8 +493,6 @@ void ScaledWorkload(size_t rows) {
       MetricsRegistry::Global().GetCounter("profiling.statistics.columns");
   static Counter& cells_scanned =
       MetricsRegistry::Global().GetCounter("profiling.statistics.cells");
-  static Counter& chunks_absorbed =
-      MetricsRegistry::Global().GetCounter("profiling.statistics.chunks");
   static Histogram& compute_ms =
       MetricsRegistry::Global().GetHistogram("profiling.statistics.ms");
 
@@ -520,7 +516,6 @@ void ScaledWorkload(size_t rows) {
                          status.ToString().c_str());
             std::abort();
           }
-          chunks_absorbed.Increment();
           absorbed += count;
         }
         AttributeStatistics stats = sketch.Finalize();
@@ -571,8 +566,9 @@ int main(int argc, char** argv) {
   if (rows > 0) {
     const std::string name =
         "perf_profiling_rows" + efes::RowsLabel(rows);
-    return efes::bench::BenchMain(argc, argv, name,
-                                  [] { efes::ScaledWorkload(rows); });
+    return efes::bench::BenchMain(
+        argc, argv, name,
+        [](efes::ProfileCache*) { efes::ScaledWorkload(rows); });
   }
   // Generate the workload input before anything is timed, so the
   // cold/warm delta measures profiling work only.

@@ -95,12 +95,18 @@ class TokenWriter {
       case DataType::kBoolean:
         Raw(v.AsBoolean() ? "b1" : "b0");
         return;
-      case DataType::kInteger:
-        Raw("i" + std::to_string(v.AsInteger()));
+      case DataType::kInteger: {
+        std::string token = "i";
+        token += std::to_string(v.AsInteger());
+        Raw(token);
         return;
-      case DataType::kReal:
-        Raw("r" + DoubleToken(v.AsReal()));
+      }
+      case DataType::kReal: {
+        std::string token = "r";
+        token += DoubleToken(v.AsReal());
+        Raw(token);
         return;
+      }
       case DataType::kText: {
         std::string token = "t";
         AppendEscapedBody(&token, v.AsText());

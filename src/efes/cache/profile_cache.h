@@ -93,11 +93,11 @@ class ProfileCache {
   /// Conventional snapshot file inside a --cache-dir directory.
   static std::string FilePathInDirectory(const std::string& directory);
 
-  /// The process default cache, or nullptr. A main function installs
-  /// it (ScopedProfileCache) for the runs that name no cache of their
-  /// own: EfesEngine::Run and AssessComplexity fall back to it when
-  /// RunOptions::cache is null, and SimulateMeasuredEffort's detectors
-  /// use it. Profiling itself only ever uses the cache it is passed.
+  /// The process default cache, or nullptr, as the last
+  /// ScopedProfileCache installed it. It has one reader: the
+  /// one-argument EstimationModule::AssessComplexity(scenario) forward
+  /// (core/module.h), which the benchmark probe calls. Every other
+  /// caller, the engine included, uses only the cache it is passed.
   static ProfileCache* Active();
 
  private:
@@ -114,8 +114,7 @@ class ProfileCache {
 /// RAII activation: installs `cache` as ProfileCache::Active() for the
 /// current scope and restores the previous handle on destruction.
 /// Installing nullptr disables the default for the scope. Scopes must
-/// nest, so only main functions (the CLI, the bench harness, the
-/// benchmark probe) and tests install one; the library never does.
+/// nest, so only the benchmark probe and tests install one.
 class ScopedProfileCache {
  public:
   explicit ScopedProfileCache(ProfileCache* cache);

@@ -80,11 +80,9 @@ void EfesEngine::AddModule(std::unique_ptr<EstimationModule> module) {
 namespace {
 
 /// The phase-1 context every module of a run sees: the caller's cache,
-/// or the process default when none is given, and the run's memo.
+/// profile options and recorder, and the run's memo.
 RunContext ContextFor(const RunOptions& options, ProfileMemo* memo) {
-  return RunContext{
-      options.cache != nullptr ? options.cache : ProfileCache::Active(),
-      options.profile, options.recorder, memo};
+  return RunContext{options.cache, options.profile, options.recorder, memo};
 }
 
 /// Runs phase 1 of one module under a `<module>.assess` span, feeding the
@@ -137,7 +135,9 @@ Status RunModule(const EstimationModule& module,
 
 Result<std::unique_ptr<ComplexityReport>> EstimationModule::AssessComplexity(
     const IntegrationScenario& scenario) const {
-  return AssessComplexity(scenario, ContextFor(RunOptions{}, nullptr));
+  RunContext context;
+  context.cache = ProfileCache::Active();
+  return AssessComplexity(scenario, context);
 }
 
 Status EfesEngine::set_effort_model(EffortModel model) {
@@ -227,7 +227,8 @@ Result<EstimationResult> EfesEngine::Run(const IntegrationScenario& scenario,
     for (Task& task : tasks) {
       EffortExplanation explained = effort_model_.Explain(task, settings);
       if (prov != nullptr) {
-        const std::string ref = "t" + std::to_string(task_counter);
+        std::string ref = "t";
+        ref += std::to_string(task_counter);
         uint64_t task_node = prov->Record(
             ProvenanceKind::kTask,
             "task " + ref + ": " + std::string(TaskTypeToString(task.type)),

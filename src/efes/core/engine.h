@@ -34,14 +34,14 @@ struct RunOptions {
   ExpectedQuality quality = ExpectedQuality::kHighQuality;
   /// Execution-context multipliers (practitioner skill, familiarity, ...).
   ExecutionSettings settings;
-  /// Optional profile cache consulted by phase-1 profiling, so repeated
-  /// runs over unchanged sources skip recomputation. When null, the run
-  /// uses the process default, ProfileCache::Active() (installed by the
-  /// CLI's or a bench harness's main), which is null unless one is.
+  /// Optional profile cache consulted and filled by phase-1 profiling,
+  /// so repeated runs over unchanged sources skip recomputation. Null,
+  /// the default, computes everything: a run uses no cache it is not
+  /// given.
   ProfileCache* cache = nullptr;
-  /// Profiling execution knobs (chunk size, memory budget, approximation
-  /// mode — profiling/sketch.h) for every profile the run computes. The
-  /// default is the exact, unbudgeted behavior.
+  /// Profiling knobs (memory budget, approximation mode —
+  /// profiling/sketch.h) for every profile the run computes. The default
+  /// is the exact, unbudgeted behavior.
   ProfileOptions profile;
   /// When set, the run records its provenance DAG here (DESIGN.md §12);
   /// null, the default, records nothing.

@@ -35,8 +35,8 @@ struct RunContext {
   /// Profile cache consulted and filled by the run's profiling; null
   /// computes everything.
   ProfileCache* cache = nullptr;
-  /// Chunking, memory budget and approximation mode of every profile the
-  /// run computes (profiling/sketch.h).
+  /// Memory budget and approximation mode of every profile the run
+  /// computes (profiling/sketch.h); its chunk_rows is not read.
   ProfileOptions profile;
   /// Receives the run's provenance nodes; null records nothing.
   ProvenanceRecorder* recorder = nullptr;
@@ -89,9 +89,9 @@ class EstimationModule {
       const IntegrationScenario& scenario,
       const RunContext& context) const = 0;
 
-  /// AssessComplexity under the process default cache
-  /// (ProfileCache::Active()), default profile options, no recorder and
-  /// no memo.
+  /// AssessComplexity with a RunContext built from the process default
+  /// cache (ProfileCache::Active(), the only reader of that default),
+  /// default profile options, no recorder and no memo.
   /// Its only caller is the benchmark probe (efesbench/probe/probe.cc);
   /// ROADMAP item 1 moves the probe onto the two-argument form and then
   /// deletes this. Derived classes do not re-export it.

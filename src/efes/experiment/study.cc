@@ -101,7 +101,7 @@ std::string StudyResult::ToBarChart(size_t width) const {
 Result<StudyResult> RunStudy(
     const std::string& domain,
     const std::vector<IntegrationScenario>& scenarios,
-    const StudyOptions& options) {
+    const StudyOptions& options, ProfileCache* cache) {
   EffortModel model = EffortModel::PaperDefault();
   if (options.efes_scale > 0.0) {
     model.set_global_scale(options.efes_scale);
@@ -109,6 +109,7 @@ Result<StudyResult> RunStudy(
   EfesEngine engine = MakeDefaultEngine(std::move(model));
   CountingEstimator counting(options.counting_minutes_per_attribute);
   RunOptions run_options;
+  run_options.cache = cache;
 
   StudyResult result;
   result.domain = domain;
@@ -136,7 +137,7 @@ Result<StudyResult> RunStudy(
       EFES_ASSIGN_OR_RETURN(
           MeasuredEffort measured,
           SimulateMeasuredEffort(scenario, quality,
-                                 options.ground_truth_seed));
+                                 options.ground_truth_seed, {}, cache));
       outcome.measured_total = measured.total();
       outcome.measured_mapping = measured.mapping_minutes;
       outcome.measured_structure = measured.structure_minutes;
@@ -180,14 +181,17 @@ struct TrainingData {
 };
 
 Result<TrainingData> CollectTrainingData(
-    const std::vector<IntegrationScenario>& scenarios, uint64_t seed) {
+    const std::vector<IntegrationScenario>& scenarios, uint64_t seed,
+    ProfileCache* cache) {
   EfesEngine engine = MakeDefaultEngine();
   RunOptions run_options;
+  run_options.cache = cache;
   TrainingData data;
   for (const IntegrationScenario& scenario : scenarios) {
     for (ExpectedQuality quality : kQualities) {
-      EFES_ASSIGN_OR_RETURN(MeasuredEffort measured,
-                            SimulateMeasuredEffort(scenario, quality, seed));
+      EFES_ASSIGN_OR_RETURN(
+          MeasuredEffort measured,
+          SimulateMeasuredEffort(scenario, quality, seed, {}, cache));
       run_options.quality = quality;
       EFES_ASSIGN_OR_RETURN(EstimationResult estimation,
                             engine.Run(scenario, run_options));
@@ -217,16 +221,16 @@ Calibration Train(const TrainingData& data) {
 }  // namespace
 
 Result<CrossValidatedStudies> RunCrossValidatedStudies(
-    uint64_t ground_truth_seed) {
+    uint64_t ground_truth_seed, ProfileCache* cache) {
   EFES_ASSIGN_OR_RETURN(std::vector<IntegrationScenario> biblio,
                         MakeAllBiblioScenarios());
   EFES_ASSIGN_OR_RETURN(std::vector<IntegrationScenario> music,
                         MakeAllMusicScenarios());
 
   EFES_ASSIGN_OR_RETURN(TrainingData biblio_data,
-                        CollectTrainingData(biblio, ground_truth_seed));
+                        CollectTrainingData(biblio, ground_truth_seed, cache));
   EFES_ASSIGN_OR_RETURN(TrainingData music_data,
-                        CollectTrainingData(music, ground_truth_seed));
+                        CollectTrainingData(music, ground_truth_seed, cache));
 
   // Cross validation: music is evaluated with parameters trained on the
   // bibliographic measurements, and vice versa.
@@ -246,10 +250,11 @@ Result<CrossValidatedStudies> RunCrossValidatedStudies(
       from_biblio.counting_minutes_per_attribute;
 
   CrossValidatedStudies studies;
-  EFES_ASSIGN_OR_RETURN(studies.bibliographic,
-                        RunStudy("Bibliographic", biblio, biblio_options));
+  EFES_ASSIGN_OR_RETURN(
+      studies.bibliographic,
+      RunStudy("Bibliographic", biblio, biblio_options, cache));
   EFES_ASSIGN_OR_RETURN(studies.music,
-                        RunStudy("Music", music, music_options));
+                        RunStudy("Music", music, music_options, cache));
 
   // Overall RMSE over all eight scenarios (Section 6.2's closing numbers).
   std::vector<double> measured;

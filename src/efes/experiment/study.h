@@ -17,6 +17,8 @@
 
 namespace efes {
 
+class ProfileCache;
+
 /// One bar triple of Figures 6/7: a scenario at one expected quality.
 struct ScenarioOutcome {
   std::string scenario;
@@ -68,10 +70,13 @@ struct StudyOptions {
   double counting_minutes_per_attribute = -1.0;
 };
 
-/// Runs one domain's scenarios under both expected qualities.
+/// Runs one domain's scenarios under both expected qualities. EFES and
+/// the simulated practitioner profile through `cache` when it is
+/// non-null; the result is the same either way.
 Result<StudyResult> RunStudy(const std::string& domain,
                              const std::vector<IntegrationScenario>& scenarios,
-                             const StudyOptions& options);
+                             const StudyOptions& options,
+                             ProfileCache* cache = nullptr);
 
 /// Full cross-validated reproduction of Section 6.2: calibrate on the
 /// bibliographic domain, evaluate on music, and vice versa.
@@ -82,8 +87,10 @@ struct CrossValidatedStudies {
   double overall_counting_rmse = 0.0;
 };
 
+/// Every run of the study, training and evaluation alike, profiles
+/// through `cache` when it is non-null.
 Result<CrossValidatedStudies> RunCrossValidatedStudies(
-    uint64_t ground_truth_seed = 1234);
+    uint64_t ground_truth_seed = 1234, ProfileCache* cache = nullptr);
 
 }  // namespace efes
 

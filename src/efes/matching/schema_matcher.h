@@ -51,7 +51,7 @@ class SchemaMatcher {
   explicit SchemaMatcher(MatcherOptions options) : options_(options) {}
 
   /// Scores a single attribute pair in [0, 1]. Instance evidence runs
-  /// through the chunked profiler (profiling/profiler.h) under `profile`,
+  /// through the profiler (profiling/profiler.h) under `profile`,
   /// through `cache` when it is non-null; an exact profile that cannot
   /// satisfy a --max-memory budget surfaces as kResourceExhausted rather
   /// than silently degrading the score.

@@ -1,6 +1,5 @@
 #include "efes/profiling/profiler.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
@@ -64,8 +63,6 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
       MetricsRegistry::Global().GetCounter("profiling.statistics.columns");
   static Counter& cells_scanned =
       MetricsRegistry::Global().GetCounter("profiling.statistics.cells");
-  static Counter& chunks_absorbed =
-      MetricsRegistry::Global().GetCounter("profiling.statistics.chunks");
   static Counter& sketch_degrades =
       MetricsRegistry::Global().GetCounter("profiling.statistics.degraded");
   static Histogram& compute_ms =
@@ -85,41 +82,13 @@ Result<AttributeStatistics> ProfileColumn(const std::vector<Value>& column,
   cells_scanned.Increment(column.size());
   const int64_t start_nanos = Clock::Default()->NowNanos();
 
-  const size_t chunk_rows =
-      options.chunk_rows == 0 ? column.size() : options.chunk_rows;
-  StatisticsSketch accumulator(target_type, options);
-  if (column.size() <= chunk_rows) {
-    chunks_absorbed.Increment();
-    EFES_RETURN_IF_ERROR(accumulator.AbsorbRange(column, 0, column.size()));
-  } else {
-    const size_t chunk_count = (column.size() + chunk_rows - 1) / chunk_rows;
-    chunks_absorbed.Increment(chunk_count);
-    // Waves of one chunk per configured thread: ParallelFor builds the
-    // wave's partial sketches concurrently, then the wave folds into the
-    // accumulator in canonical chunk order and is released — peak memory
-    // stays at (threads + 1) sketches however long the column is.
-    const size_t wave = std::max<size_t>(size_t{1}, ConfiguredThreadCount());
-    for (size_t base = 0; base < chunk_count; base += wave) {
-      const size_t batch = std::min(wave, chunk_count - base);
-      std::vector<StatisticsSketch> partials(batch);
-      EFES_RETURN_IF_ERROR(ParallelFor(batch, [&](size_t i) -> Status {
-        const size_t lo = (base + i) * chunk_rows;
-        const size_t hi = std::min(lo + chunk_rows, column.size());
-        StatisticsSketch sketch(target_type, options);
-        EFES_RETURN_IF_ERROR(sketch.AbsorbRange(column, lo, hi));
-        partials[i] = std::move(sketch);
-        return Status::OK();
-      }));
-      for (size_t i = 0; i < batch; ++i) {
-        EFES_RETURN_IF_ERROR(accumulator.Merge(partials[i]));
-      }
-    }
-  }
+  StatisticsSketch sketch(target_type, options);
+  EFES_RETURN_IF_ERROR(sketch.AbsorbRange(column, 0, column.size()));
 
-  if (accumulator.effective_mode() == ApproximationMode::kSketch) {
+  if (sketch.effective_mode() == ApproximationMode::kSketch) {
     sketch_degrades.Increment();
   }
-  AttributeStatistics stats = accumulator.Finalize();
+  AttributeStatistics stats = sketch.Finalize();
   compute_ms.Observe(
       static_cast<double>(Clock::Default()->NowNanos() - start_nanos) / 1e6);
   if (cache != nullptr) cache->StoreStatistics(key, stats);

@@ -1,20 +1,22 @@
-// The profiling entry points — chunked, budgeted, cache-fronted.
+// The profiling entry points — budgeted, cache-fronted.
 //
 // ProfileColumn/ProfileColumns are the only way to compute the Section
-// 5.1 statistics. A column is split into ProfileOptions::chunk_rows
-// blocks, each block is absorbed into a partial StatisticsSketch on the
-// shared pool, and the partials are folded in canonical chunk order — so
-// the result is byte-identical for any --threads=N and any chunk size
-// (sketch.h explains why), while peak profiling memory is bounded by
-// (threads + 1) sketches instead of one map over the whole column.
+// 5.1 statistics of an in-memory column. ProfileColumn absorbs the whole
+// column into one StatisticsSketch, in row order, and finalizes it, so
+// the statistics, and an exact --max-memory refusal with the bytes at
+// the column's first overflow, depend only on the column and the
+// options. ProfileColumns is where the parallelism is: one task per
+// distinct column of a batch.
 //
 // When a call is given a ProfileCache, the finalized statistics of a
 // column are looked up and stored under a key that mixes in the
 // approximation mode and budget whenever they can influence the result.
 //
 // Options and cache are arguments of every call, defaulting to the exact,
-// unbudgeted profile and no cache. Estimation modules pass their run's
-// (RunContext, core/module.h); nothing is read from process-wide state.
+// unbudgeted profile and no cache; ProfileOptions::chunk_rows is not
+// read here (it is the streaming reader's block size). Estimation
+// modules pass their run's (RunContext, core/module.h); nothing is read
+// from process-wide state.
 // A run also passes its ProfileMemo, so each (column, target type) pair
 // is profiled once per run however many modules ask for it.
 

@@ -109,10 +109,13 @@ std::string_view ApproximationModeToString(ApproximationMode mode);
 /// Parses the canonical names; anything else is kInvalidArgument.
 Result<ApproximationMode> ParseApproximationMode(std::string_view text);
 
-/// Profiling knobs threaded through RunOptions (the PR-5 pattern) and
-/// the --chunk-rows / --max-memory / --approx CLI flags.
+/// Profiling knobs threaded through RunOptions and the --max-memory /
+/// --approx CLI flags.
 struct ProfileOptions {
-  /// Rows per streaming chunk; 0 profiles each column as one chunk.
+  /// Rows per block of a streaming reader (ChunkedCsvReader, as `efes
+  /// profile --chunk-rows` sets it); 0 reads the whole file as one block.
+  /// Nothing else reads it: an in-memory column is one sketch whatever
+  /// this says.
   size_t chunk_rows = 65536;
   /// Per-sketch memory budget in bytes; 0 = unlimited (kExact) or the
   /// built-in default sample budget (kSketch/kAuto).

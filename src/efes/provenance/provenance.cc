@@ -40,31 +40,6 @@ std::string_view ProvenanceKindToString(ProvenanceKind kind) {
   return "unknown";
 }
 
-size_t ProvenanceFragment::Add(ProvenanceKind kind, std::string label,
-                               std::string subject,
-                               std::vector<uint64_t> inputs,
-                               std::vector<size_t> local_inputs) {
-  PendingNode pending;
-  pending.node.kind = kind;
-  pending.node.label = std::move(label);
-  pending.node.subject = std::move(subject);
-  pending.node.inputs = std::move(inputs);
-  pending.local_inputs = std::move(local_inputs);
-  nodes_.push_back(std::move(pending));
-  return nodes_.size() - 1;
-}
-
-size_t ProvenanceFragment::AddValue(ProvenanceKind kind, std::string label,
-                                    std::string subject, double value,
-                                    std::vector<uint64_t> inputs,
-                                    std::vector<size_t> local_inputs) {
-  size_t index = Add(kind, std::move(label), std::move(subject),
-                     std::move(inputs), std::move(local_inputs));
-  nodes_[index].node.has_value = true;
-  nodes_[index].node.value = value;
-  return index;
-}
-
 uint64_t ProvenanceRecorder::RecordLocked(ProvenanceNode node) {
   if (degraded_) return 0;
   if (!CheckFaultPoint("provenance.record").ok()) {
@@ -104,21 +79,6 @@ uint64_t ProvenanceRecorder::RecordValue(ProvenanceKind kind,
   node.inputs = std::move(inputs);
   std::lock_guard<std::mutex> lock(mutex_);
   return RecordLocked(std::move(node));
-}
-
-std::vector<uint64_t> ProvenanceRecorder::Absorb(
-    const ProvenanceFragment& fragment) {
-  std::vector<uint64_t> ids(fragment.nodes_.size(), 0);
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (size_t index = 0; index < fragment.nodes_.size(); ++index) {
-    const ProvenanceFragment::PendingNode& pending = fragment.nodes_[index];
-    ProvenanceNode node = pending.node;
-    for (size_t local : pending.local_inputs) {
-      if (local < index) node.inputs.push_back(ids[local]);
-    }
-    ids[index] = RecordLocked(std::move(node));
-  }
-  return ids;
 }
 
 void ProvenanceRecorder::SetRef(uint64_t id, std::string ref) {

@@ -12,11 +12,11 @@
 // returned id of 0) as "not recording".
 //
 // Determinism contract: node ids are assigned in recording order, and all
-// recording happens either on the sequential pipeline path or through
-// ProvenanceFragment — per-work-item buffers built inside parallel loops
-// and absorbed afterwards in canonical item order. The resulting DAG (and
-// therefore `--explain` output) is bit-identical for any --threads=N and
-// for cold/warm/uncached cache states.
+// recording happens on the sequential pipeline path — a module that
+// fans work out over the pool records each item's nodes afterwards, in
+// item order. The resulting DAG (and therefore `--explain` output) is
+// bit-identical for any --threads=N and for cold/warm/uncached cache
+// states.
 
 #ifndef EFES_PROVENANCE_PROVENANCE_H_
 #define EFES_PROVENANCE_PROVENANCE_H_
@@ -72,39 +72,9 @@ struct ProvenanceSnapshot {
   bool degraded = false;
 };
 
-/// Nodes buffered inside one parallel work item, before global ids exist.
-/// A fragment references earlier nodes either by global id (for nodes
-/// recorded before the parallel section, e.g. thresholds) or by the local
-/// index Add() returned (for nodes in the same fragment). The recorder
-/// assigns real ids when it absorbs the fragment on the sequential merge
-/// path, which is what keeps ids canonical under any thread count.
-class ProvenanceFragment {
- public:
-  /// Appends a node; returns its local index within this fragment.
-  size_t Add(ProvenanceKind kind, std::string label, std::string subject,
-             std::vector<uint64_t> inputs = {},
-             std::vector<size_t> local_inputs = {});
-  size_t AddValue(ProvenanceKind kind, std::string label, std::string subject,
-                  double value, std::vector<uint64_t> inputs = {},
-                  std::vector<size_t> local_inputs = {});
-
-  size_t size() const { return nodes_.size(); }
-  bool empty() const { return nodes_.empty(); }
-
- private:
-  friend class ProvenanceRecorder;
-
-  struct PendingNode {
-    ProvenanceNode node;  // id unassigned; node.inputs hold global ids
-    std::vector<size_t> local_inputs;
-  };
-  std::vector<PendingNode> nodes_;
-};
-
 /// Collects the provenance DAG for one estimation run. Thread-safe, but
-/// parallel phases should buffer into ProvenanceFragments and Absorb()
-/// them in canonical order — direct Record() calls from worker threads
-/// would make ids scheduling-dependent.
+/// record only from the run's own thread: Record() calls from pool
+/// workers would make ids scheduling-dependent.
 class ProvenanceRecorder {
  public:
   ProvenanceRecorder() = default;
@@ -119,10 +89,6 @@ class ProvenanceRecorder {
   uint64_t RecordValue(ProvenanceKind kind, std::string label,
                        std::string subject, double value,
                        std::vector<uint64_t> inputs = {});
-
-  /// Assigns global ids to `fragment`'s nodes in order; returns one global
-  /// id per local index (all 0 when degraded).
-  std::vector<uint64_t> Absorb(const ProvenanceFragment& fragment);
 
   /// Attaches a lookup handle (e.g. "t3") to an already-recorded node.
   void SetRef(uint64_t id, std::string ref);

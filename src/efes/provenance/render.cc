@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "efes/common/fault.h"
@@ -15,7 +16,8 @@ namespace efes {
 namespace {
 
 std::string NodeLine(const ProvenanceNode& node) {
-  std::string line = "#" + std::to_string(node.id) + " " + node.label;
+  std::string line = "#";
+  line += std::to_string(node.id) + " " + node.label;
   if (!node.subject.empty()) line += " (" + node.subject + ")";
   if (node.has_value) line += " = " + FormatDouble(node.value);
   return line;
@@ -79,8 +81,11 @@ Result<std::string> RenderProvenanceTree(const ProvenanceSnapshot& snapshot,
   } else {
     const ProvenanceNode* task = nullptr;
     for (const ProvenanceNode& node : snapshot.nodes) {
-      if (!node.ref.empty() && (node.ref == task_filter ||
-                                node.ref == "t" + std::string(task_filter))) {
+      // `3` and `t3` name the same task.
+      const std::string_view ref = node.ref;
+      if (!ref.empty() &&
+          (ref == task_filter ||
+           (ref.starts_with('t') && ref.substr(1) == task_filter))) {
         task = &node;
         break;
       }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "efes/cache/profile_cache.h"
 #include "efes/common/random.h"
 #include "efes/dedup/dedup_module.h"
 #include "efes/mapping/mapping_module.h"
@@ -33,7 +32,7 @@ double Noise(Random& rng, double sigma) {
 
 Result<MeasuredEffort> SimulateMeasuredEffort(
     const IntegrationScenario& scenario, ExpectedQuality quality,
-    uint64_t seed, const GroundTruthModel& model) {
+    uint64_t seed, const GroundTruthModel& model, ProfileCache* cache) {
   uint64_t mixed_seed = seed ^ HashString(scenario.name) ^
                         (quality == ExpectedQuality::kHighQuality
                              ? 0x9e3779b97f4a7c15ULL
@@ -41,12 +40,12 @@ Result<MeasuredEffort> SimulateMeasuredEffort(
   Random rng(mixed_seed);
   MeasuredEffort measured;
   bool high = quality == ExpectedQuality::kHighQuality;
-  // The detectors profile through the process default cache, with
-  // default options and no recorder, and share one memo, as the modules
-  // of an engine run do.
+  // The detectors profile through the caller's cache, with default
+  // options and no recorder, and share one memo, as the modules of an
+  // engine run do.
   ProfileMemo memo;
   RunContext context;
-  context.cache = ProfileCache::Active();
+  context.cache = cache;
   context.memo = &memo;
 
   // --- Mapping: the practitioner writes one INSERT..SELECT per connection

@@ -23,6 +23,8 @@
 
 namespace efes {
 
+class ProfileCache;
+
 /// The true per-work-item prices (minutes) of the simulated practitioner.
 struct GroundTruthModel {
   // --- Mapping -------------------------------------------------------------
@@ -86,10 +88,13 @@ struct MeasuredEffort {
 
 /// Simulates the integration of `scenario` at the given result quality and
 /// returns the measured effort. Deterministic for a fixed (scenario name,
-/// quality, seed) triple.
+/// quality, seed) triple. The detectors that enumerate the true work
+/// items profile through `cache` when it is non-null; the result is the
+/// same either way.
 Result<MeasuredEffort> SimulateMeasuredEffort(
     const IntegrationScenario& scenario, ExpectedQuality quality,
-    uint64_t seed, const GroundTruthModel& model = {});
+    uint64_t seed, const GroundTruthModel& model = {},
+    ProfileCache* cache = nullptr);
 
 }  // namespace efes
 

@@ -112,11 +112,12 @@ MusicPool MakePool(const MusicOptions& options) {
 }
 
 std::string IsoDate(const DiscEntity& disc) {
-  auto two = [](int n) {
-    return (n < 10 ? "0" : "") + std::to_string(n);
-  };
-  return std::to_string(disc.year) + "-" + two(disc.month) + "-" +
-         two(disc.day);
+  std::string date = std::to_string(disc.year);
+  for (int n : {disc.month, disc.day}) {
+    date += n < 10 ? "-0" : "-";
+    date += std::to_string(n);
+  }
+  return date;
 }
 
 std::string DurationText(int length_ms) {

@@ -71,8 +71,7 @@ struct ServeOptions {
   /// Retry-After hint on overload rejections.
   int64_t retry_after_ms = 50;
   /// Server-lifetime profile cache, shared by every session's runs. May
-  /// be null (then runs use the process default, ProfileCache::Active(),
-  /// which is null unless the embedding main installed one).
+  /// be null: then every run computes all of its profiles.
   ProfileCache* cache = nullptr;
   /// When nonempty, the cache snapshot is flushed here (atomically, via
   /// WriteFileAtomic) as part of every drain.

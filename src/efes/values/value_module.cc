@@ -182,10 +182,9 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
     }
   }
 
-  // Provenance: thresholds are recorded once, up front, on the sequential
-  // path; the per-item statistics and findings are buffered into
-  // fragments inside the parallel loop and absorbed in item order below —
-  // ids stay canonical for any thread count.
+  // Provenance: thresholds are recorded once, up front; each item's
+  // statistics and findings are recorded in pass 3, in item order, on
+  // this thread — ids stay canonical for any thread count.
   ProvenanceRecorder* prov = context.recorder;
   uint64_t fit_threshold_node = 0;
   uint64_t fewer_gap_node = 0;
@@ -213,26 +212,22 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
       std::vector<AttributeStatistics> stats,
       ProfileColumns(requests, context.profile, context.cache, &memo));
 
-  // Pass 2 (parallel): detection, the source pattern count and the
-  // provenance fragment fan out per item and merge back in item order,
-  // keeping the report deterministic.
+  // Pass 2 (parallel): detection and the source pattern count fan out
+  // per item and merge back in item order, keeping the report
+  // deterministic.
   struct ItemResult {
     double overall_fit = 1.0;
     std::vector<ValueHeterogeneityType> types;
     size_t source_pattern_count = 0;
-    ProvenanceFragment fragment;
-    /// Fragment-local index of the finding node for each entry of `types`.
-    std::vector<size_t> finding_locals;
   };
   std::vector<ItemResult> results(items.size());
   EFES_RETURN_IF_ERROR(
       ParallelFor(items.size(), [&](size_t index) -> Status {
         const WorkItem& item = items[index];
         ItemResult& computed = results[index];
-        const AttributeStatistics& src = stats[2 * index];
-        const AttributeStatistics& tgt = stats[2 * index + 1];
         computed.types = DetectValueHeterogeneities(
-            src, tgt, item.has_target_data, options_, &computed.overall_fit);
+            stats[2 * index], stats[2 * index + 1], item.has_target_data,
+            options_, &computed.overall_fit);
 
         // Count the distinct text patterns of the source values: the
         // number of format rules a conversion script would need.
@@ -247,92 +242,74 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
           if (source_patterns.size() > options_.max_format_rules) break;
         }
         computed.source_pattern_count = source_patterns.size();
-
-        if (prov != nullptr && !computed.types.empty()) {
-          const Correspondence& corr = *item.corr;
-          const std::string subject =
-              item.source_database + ":" + corr.source_relation + "." +
-              corr.source_attribute + " -> " + corr.target_relation + "." +
-              corr.target_attribute;
-          ProvenanceFragment& frag = computed.fragment;
-          size_t src_fill = frag.AddValue(
-              ProvenanceKind::kStatistic,
-              "statistic source.non_null_fraction", subject,
-              src.fill_status.NonNullFraction());
-          size_t tgt_fill = frag.AddValue(
-              ProvenanceKind::kStatistic,
-              "statistic target.non_null_fraction", subject,
-              tgt.fill_status.NonNullFraction());
-          size_t castable = frag.AddValue(
-              ProvenanceKind::kStatistic,
-              "statistic source.castable_fraction", subject,
-              src.fill_status.CastableFraction());
-          size_t distinct = frag.AddValue(
-              ProvenanceKind::kStatistic, "statistic source.distinct_count",
-              subject,
-              static_cast<double>(src.constancy.distinct_count));
-          size_t non_null = frag.AddValue(
-              ProvenanceKind::kStatistic, "statistic source.non_null_count",
-              subject,
-              static_cast<double>(src.constancy.non_null_count));
-          size_t fit =
-              frag.AddValue(ProvenanceKind::kStatistic,
-                            "statistic overall_fit", subject,
-                            computed.overall_fit);
-          size_t patterns = frag.AddValue(
-              ProvenanceKind::kStatistic, "statistic source.pattern_count",
-              subject,
-              static_cast<double>(computed.source_pattern_count));
-          for (ValueHeterogeneityType type : computed.types) {
-            std::vector<uint64_t> global_inputs;
-            std::vector<size_t> local_inputs;
-            switch (type) {
-              case ValueHeterogeneityType::kTooFewSourceElements:
-                global_inputs = {fewer_gap_node};
-                local_inputs = {src_fill, tgt_fill};
-                break;
-              case ValueHeterogeneityType::kDifferentRepresentationsCritical:
-                global_inputs = {incompatible_node};
-                local_inputs = {castable, non_null, patterns};
-                break;
-              case ValueHeterogeneityType::kDifferentRepresentations:
-                global_inputs = {fit_threshold_node};
-                local_inputs = {fit, patterns};
-                break;
-              case ValueHeterogeneityType::kTooCoarseGrainedSourceValues:
-              case ValueHeterogeneityType::kTooFineGrainedSourceValues:
-                local_inputs = {distinct, non_null};
-                break;
-            }
-            computed.finding_locals.push_back(frag.Add(
-                ProvenanceKind::kFinding,
-                "value heterogeneity: " +
-                    std::string(ValueHeterogeneityTypeToString(type)),
-                subject, std::move(global_inputs), std::move(local_inputs)));
-          }
-        }
         return Status::OK();
       }));
 
-  // Pass 3 (sequential): assemble the heterogeneity list in item order.
+  // Pass 3 (sequential): record each item's provenance and assemble the
+  // heterogeneity list, in item order.
   for (size_t index = 0; index < items.size(); ++index) {
     const WorkItem& item = items[index];
     const Correspondence& corr = *item.corr;
     const AttributeStatistics& source_stats = stats[2 * index];
     const AttributeStatistics& target_stats = stats[2 * index + 1];
-    double overall_fit = results[index].overall_fit;
-    // Canonical-order merge: absorbing here, in item order, assigns the
-    // fragment's nodes their global ids independent of which worker
-    // computed them.
-    std::vector<uint64_t> global_ids;
-    if (prov != nullptr) global_ids = prov->Absorb(results[index].fragment);
-    for (size_t ti = 0; ti < results[index].types.size(); ++ti) {
-      ValueHeterogeneityType type = results[index].types[ti];
-      uint64_t finding_node = 0;
-      if (ti < results[index].finding_locals.size()) {
-        size_t local = results[index].finding_locals[ti];
-        if (local < global_ids.size()) finding_node = global_ids[local];
+    const ItemResult& computed = results[index];
+    std::vector<uint64_t> item_findings(computed.types.size(), 0);
+    if (prov != nullptr && !computed.types.empty()) {
+      const std::string subject =
+          item.source_database + ":" + corr.source_relation + "." +
+          corr.source_attribute + " -> " + corr.target_relation + "." +
+          corr.target_attribute;
+      auto statistic = [&](const char* label, double value) {
+        return prov->RecordValue(ProvenanceKind::kStatistic, label, subject,
+                                 value);
+      };
+      const uint64_t src_fill =
+          statistic("statistic source.non_null_fraction",
+                    source_stats.fill_status.NonNullFraction());
+      const uint64_t tgt_fill =
+          statistic("statistic target.non_null_fraction",
+                    target_stats.fill_status.NonNullFraction());
+      const uint64_t castable =
+          statistic("statistic source.castable_fraction",
+                    source_stats.fill_status.CastableFraction());
+      const uint64_t distinct = statistic(
+          "statistic source.distinct_count",
+          static_cast<double>(source_stats.constancy.distinct_count));
+      const uint64_t non_null = statistic(
+          "statistic source.non_null_count",
+          static_cast<double>(source_stats.constancy.non_null_count));
+      const uint64_t fit =
+          statistic("statistic overall_fit", computed.overall_fit);
+      const uint64_t patterns =
+          statistic("statistic source.pattern_count",
+                    static_cast<double>(computed.source_pattern_count));
+      for (size_t ti = 0; ti < computed.types.size(); ++ti) {
+        const ValueHeterogeneityType type = computed.types[ti];
+        std::vector<uint64_t> inputs;
+        switch (type) {
+          case ValueHeterogeneityType::kTooFewSourceElements:
+            inputs = {fewer_gap_node, src_fill, tgt_fill};
+            break;
+          case ValueHeterogeneityType::kDifferentRepresentationsCritical:
+            inputs = {incompatible_node, castable, non_null, patterns};
+            break;
+          case ValueHeterogeneityType::kDifferentRepresentations:
+            inputs = {fit_threshold_node, fit, patterns};
+            break;
+          case ValueHeterogeneityType::kTooCoarseGrainedSourceValues:
+          case ValueHeterogeneityType::kTooFineGrainedSourceValues:
+            inputs = {distinct, non_null};
+            break;
+        }
+        item_findings[ti] = prov->Record(
+            ProvenanceKind::kFinding,
+            "value heterogeneity: " +
+                std::string(ValueHeterogeneityTypeToString(type)),
+            subject, std::move(inputs));
       }
+    }
+    for (size_t ti = 0; ti < computed.types.size(); ++ti) {
+      const ValueHeterogeneityType type = computed.types[ti];
       // Missing mandatory values are structural NOT NULL conflicts; the
       // structure module detects and plans them. Reporting them here
       // too would double-count the same repair.
@@ -346,12 +323,12 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
       h.source_attribute = corr.source_relation + "." + corr.source_attribute;
       h.target_attribute = corr.target_relation + "." + corr.target_attribute;
       h.type = type;
-      h.overall_fit = overall_fit;
+      h.overall_fit = computed.overall_fit;
       h.source_values = source_stats.constancy.non_null_count;
       h.source_distinct_values = source_stats.constancy.distinct_count;
-      h.source_pattern_count = results[index].source_pattern_count;
+      h.source_pattern_count = computed.source_pattern_count;
       h.systematic =
-          results[index].source_pattern_count <= options_.max_format_rules;
+          computed.source_pattern_count <= options_.max_format_rules;
       if (type == ValueHeterogeneityType::kTooFewSourceElements) {
         double gap = target_stats.fill_status.NonNullFraction() -
                      source_stats.fill_status.NonNullFraction();
@@ -361,7 +338,7 @@ Result<std::unique_ptr<ComplexityReport>> ValueModule::AssessComplexity(
                  ValueHeterogeneityType::kDifferentRepresentationsCritical) {
         h.affected_values = source_stats.fill_status.uncastable_count;
       }
-      h.provenance = finding_node;
+      h.provenance = item_findings[ti];
       heterogeneities.push_back(std::move(h));
     }
   }

@@ -182,7 +182,9 @@ TEST(DetectorEdgeCasesTest, MissingSourcePathCountsAllElements) {
   auto source_db = Database::Create(std::move(source_schema));
   Table* s = *source_db->mutable_table("s");
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(s->AppendRow({Value::Text("x" + std::to_string(i))}).ok());
+    ASSERT_TRUE(
+        s->AppendRow({Value::Text(std::string("x").append(std::to_string(i)))})
+            .ok());
   }
   Table* island = *source_db->mutable_table("island");
   ASSERT_TRUE(island->AppendRow({Value::Text("y0")}).ok());

@@ -21,7 +21,8 @@ Database MakeUndeclaredDatabase(size_t rows = 20) {
   for (size_t i = 0; i < rows; ++i) {
     EXPECT_TRUE(parent
                     ->AppendRow({Value::Integer(static_cast<int64_t>(i)),
-                                 Value::Text("n" + std::to_string(i % 7))})
+                                 Value::Text(std::string("n").append(
+                                     std::to_string(i % 7)))})
                     .ok());
   }
   Table* child = *db->mutable_table("child");

@@ -287,7 +287,8 @@ Database DirtyDatabase(uint64_t seed) {
     const double id = static_cast<double>(rng.UniformUint64(parents));
     Value name = rng.Bernoulli(0.2)
                      ? Value::Null()
-                     : Value::Text("p" + std::to_string(rng.UniformUint64(6)));
+                     : Value::Text(std::string("p").append(
+                           std::to_string(rng.UniformUint64(6))));
     EXPECT_TRUE(parent->AppendRow({Value::Real(id), std::move(name)}).ok());
   }
   Table* child = *db->mutable_table("child");

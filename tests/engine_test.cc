@@ -8,19 +8,23 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "efes/cache/profile_cache.h"
 #include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
 #include "efes/dedup/dedup_module.h"
 #include "efes/experiment/default_pipeline.h"
 #include "efes/experiment/json_export.h"
+#include "efes/profiling/profiler.h"
 #include "efes/provenance/provenance.h"
 #include "efes/scenario/fuzzer.h"
+#include "efes/scenario/ground_truth.h"
 #include "efes/scenario/paper_example.h"
 #include "efes/values/value_module.h"
 
@@ -644,6 +648,105 @@ TEST(EngineTest, FailedBatchesLeaveTheNextModuleItsOwnError) {
   for (size_t i = 3; i < 10; ++i) {
     EXPECT_EQ(snapshot.nodes[i].kind, ProvenanceKind::kThreshold)
         << snapshot.nodes[i].label;
+  }
+}
+
+// ------------------------------------------------ phase 1's only inputs
+
+TEST(EngineTest, ExactRefusalIsTheSameAtEveryChunkSizeAndThreadCount) {
+  // An in-memory column is one sketch, absorbed in row order, so an exact
+  // budget is refused at the column's first overflow, with the same bytes
+  // in the message, whatever the streaming block size and thread count.
+  auto scenario = MakePaperExample();
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  const EfesEngine engine = MakeDefaultEngine();
+  for (size_t budget : {size_t{3000}, size_t{12000}, size_t{20000}}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    std::optional<std::string> expected;
+    for (size_t chunk_rows : {size_t{0}, size_t{7}, size_t{100}}) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) +
+                     " threads=" + std::to_string(threads));
+        RunOptions options;
+        options.profile.mode = ApproximationMode::kExact;
+        options.profile.max_memory_bytes = budget;
+        options.profile.chunk_rows = chunk_rows;
+        SetThreadCountOverride(threads);
+        // Every refusal: each source column's own, then each module's.
+        std::string refusals;
+        for (const SourceBinding& source : scenario->sources) {
+          for (const Table& table : source.database.tables()) {
+            for (size_t c = 0; c < table.column_count(); ++c) {
+              auto profiled =
+                  ProfileColumn(table.column(c),
+                                table.def().attributes()[c].type,
+                                options.profile);
+              if (!profiled.ok()) {
+                refusals += table.name() + "." +
+                            table.def().attributes()[c].name + ": " +
+                            profiled.status().ToString() + "\n";
+              }
+            }
+          }
+        }
+        auto result = engine.Run(*scenario, options);
+        SetThreadCountOverride(0);
+        ASSERT_TRUE(result.ok()) << result.status();
+        for (const ModuleRun& run : result->module_runs) {
+          if (!run.ok()) {
+            refusals += run.module + ": " + run.status.ToString() + "\n";
+          }
+        }
+        if (!expected.has_value()) {
+          EXPECT_NE(refusals.find("needs "), std::string::npos) << refusals;
+          expected = refusals;
+        } else {
+          EXPECT_EQ(refusals, *expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineTest, RunsUseOnlyTheCacheTheyAreGiven) {
+  // The process default cache is installed, and a phase-1 run given no
+  // cache still leaves it empty; a cache passed explicitly fills.
+  auto scenario = MakePaperExample();
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  const EfesEngine engine = MakeDefaultEngine();
+  ProfileCache process_default;
+  ScopedProfileCache scoped(&process_default);
+  const std::vector<std::pair<
+      std::string, std::function<Status(ProfileCache*)>>>
+      calls = {
+          {"Run",
+           [&](ProfileCache* cache) {
+             RunOptions options;
+             options.cache = cache;
+             return engine.Run(*scenario, options).status();
+           }},
+          {"AssessComplexity",
+           [&](ProfileCache* cache) {
+             RunOptions options;
+             options.cache = cache;
+             return engine.AssessComplexity(*scenario, options).status();
+           }},
+          {"SimulateMeasuredEffort",
+           [&](ProfileCache* cache) {
+             return SimulateMeasuredEffort(*scenario,
+                                           ExpectedQuality::kHighQuality, 1,
+                                           {}, cache)
+                 .status();
+           }},
+      };
+  for (const auto& [name, call] : calls) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(call(nullptr).ok());
+    EXPECT_EQ(process_default.entry_count(), 0u);
+    ProfileCache given;
+    ASSERT_TRUE(call(&given).ok());
+    EXPECT_GT(given.entry_count(), 0u);
+    EXPECT_EQ(process_default.entry_count(), 0u);
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 #include <memory>
 
+#include "efes/cache/profile_cache.h"
+#include "efes/common/metrics.h"
 #include "efes/common/string_util.h"
 #include "efes/experiment/default_pipeline.h"
 #include "efes/experiment/metrics.h"
@@ -180,6 +182,33 @@ TEST_F(CrossValidationTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(again->overall_efes_rmse, studies_->overall_efes_rmse);
   EXPECT_DOUBLE_EQ(again->overall_counting_rmse,
                    studies_->overall_counting_rmse);
+}
+
+/// What `efes study` prints for `studies`.
+std::string Rendered(const CrossValidatedStudies& studies) {
+  return studies.bibliographic.ToText() + studies.music.ToText() +
+         FormatDouble(studies.overall_efes_rmse, 6) + " " +
+         FormatDouble(studies.overall_counting_rmse, 6);
+}
+
+TEST_F(CrossValidationTest, CachedStudyRendersAsUncached) {
+  // Every run of the study profiles through the cache it is handed: the
+  // cached study renders what the uncached one does, and a second study
+  // through the same cache computes no profile at all.
+  ProfileCache cache;
+  auto cold = RunCrossValidatedStudies(1234, &cache);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(Rendered(*cold), Rendered(*studies_));
+  EXPECT_GT(cache.entry_count(), 0u);
+  const auto columns = [] {
+    return MetricsRegistry::Global().Snapshot().CounterValue(
+        "profiling.statistics.columns");
+  };
+  const uint64_t before = columns();
+  auto warm = RunCrossValidatedStudies(1234, &cache);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ(columns(), before);
+  EXPECT_EQ(Rendered(*warm), Rendered(*studies_));
 }
 
 }  // namespace

@@ -30,7 +30,8 @@ IntegrationScenario MakeCompositeScenario(size_t duplicate_pairs) {
   for (size_t i = 0; i < 20; ++i) {
     EXPECT_TRUE(bookings
                     ->AppendRow({Value::Integer(static_cast<int64_t>(i)),
-                                 Value::Text("r" + std::to_string(i % 7)),
+                                 Value::Text(std::string("r").append(
+                                     std::to_string(i % 7))),
                                  Value::Text("n")})
                     .ok());
   }
@@ -38,7 +39,8 @@ IntegrationScenario MakeCompositeScenario(size_t duplicate_pairs) {
   for (size_t i = 0; i < duplicate_pairs; ++i) {
     EXPECT_TRUE(bookings
                     ->AppendRow({Value::Integer(static_cast<int64_t>(i)),
-                                 Value::Text("r" + std::to_string(i % 7)),
+                                 Value::Text(std::string("r").append(
+                                     std::to_string(i % 7))),
                                  Value::Text("dup")})
                     .ok());
   }

@@ -177,7 +177,7 @@ IntegrationScenario MakeFdScenario(size_t conflicting_groups) {
   auto source = Database::Create(std::move(source_schema));
   Table* contacts = *source->mutable_table("contacts");
   for (size_t i = 0; i < 30; ++i) {
-    std::string zip = "Z" + std::to_string(i % 10);
+    std::string zip = std::string("Z").append(std::to_string(i % 10));
     // The first `conflicting_groups` zips get inconsistent town spellings.
     std::string town = (i % 10) < conflicting_groups && i >= 10
                            ? "Town" + std::to_string(i % 10) + "-variant"

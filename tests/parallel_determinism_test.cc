@@ -115,9 +115,9 @@ TEST(ParallelDeterminismTest, SchemaMatchingIsThreadCountInvariant) {
 TEST(ParallelDeterminismTest, FuzzedScenarioIsThreadAndCacheInvariant) {
   // A fuzzed scenario exercises the dedup module's blocking scan, the
   // heaviest new parallel section; the JSON must not depend on the
-  // thread count, on how each column is cut into chunks inside the
-  // modules' profiling batches, or on whether profiling statistics come
-  // from a cache.
+  // thread count, on the streaming block size (which in-memory profiling
+  // does not read), or on whether profiling statistics come from a
+  // cache.
   auto fuzzed = FuzzScenario(42);
   ASSERT_TRUE(fuzzed.ok()) << fuzzed.status();
   std::vector<std::string> reports;
@@ -152,21 +152,30 @@ TEST(ParallelDeterminismTest, FuzzedScenarioIsThreadAndCacheInvariant) {
 }
 
 TEST(ParallelDeterminismTest, ParallelItemCountersMatchAcrossThreadCounts) {
+  // parallel.batches and parallel.items count work, not its scheduling:
+  // the same at every thread count, also with a streaming block size far
+  // below the columns' length.
   IntegrationScenario scenario = MakeScenario();
   std::vector<std::pair<uint64_t, uint64_t>> batch_items;
-  for (size_t threads : kThreadCounts) {
-    SetThreadCountOverride(threads);
-    MetricsRegistry::Global().Reset();
-    EfesEngine engine = MakeDefaultEngine();
-    auto reports = engine.AssessComplexity(scenario);
-    ASSERT_TRUE(reports.ok()) << reports.status();
-    MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-    batch_items.emplace_back(snapshot.CounterValue("parallel.batches"),
-                             snapshot.CounterValue("parallel.items"));
+  for (size_t chunk_rows : {ProfileOptions().chunk_rows, size_t{7}}) {
+    for (size_t threads : kThreadCounts) {
+      SetThreadCountOverride(threads);
+      MetricsRegistry::Global().Reset();
+      EfesEngine engine = MakeDefaultEngine();
+      RunOptions options;
+      options.profile.chunk_rows = chunk_rows;
+      auto reports = engine.AssessComplexity(scenario, options);
+      ASSERT_TRUE(reports.ok()) << reports.status();
+      MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+      batch_items.emplace_back(snapshot.CounterValue("parallel.batches"),
+                               snapshot.CounterValue("parallel.items"));
+    }
   }
   SetThreadCountOverride(0);
-  EXPECT_EQ(batch_items[0], batch_items[1]);
-  EXPECT_EQ(batch_items[0], batch_items[2]);
+  ASSERT_EQ(batch_items.size(), 6u);
+  for (size_t i = 1; i < batch_items.size(); ++i) {
+    EXPECT_EQ(batch_items[0], batch_items[i]) << "run " << i;
+  }
 }
 
 TEST(ParallelDeterminismTest, StructureConflictsAreThreadCountInvariant) {

@@ -135,8 +135,8 @@ TEST(PathSearchTest, CandidateCapRespected) {
   std::vector<NodeId> left(kRungs);
   std::vector<NodeId> right(kRungs);
   for (int i = 0; i < kRungs; ++i) {
-    left[i] = graph.AddTableNode("l" + std::to_string(i));
-    right[i] = graph.AddTableNode("r" + std::to_string(i));
+    left[i] = graph.AddTableNode(std::string("l").append(std::to_string(i)));
+    right[i] = graph.AddTableNode(std::string("r").append(std::to_string(i)));
     if (i > 0) {
       graph.AddRelationshipPair(left[i - 1], left[i],
                                 CsgEdgeKind::kAttribute, Cardinality::Any(),

@@ -31,7 +31,7 @@
 namespace efes {
 namespace {
 
-/// Cache tests drive the production chunked profiler; under default
+/// Cache tests drive the production profiler; under default
 /// options ProfileColumn cannot fail, so the helper unwraps in place.
 AttributeStatistics Stats(const std::vector<Value>& column, DataType type,
                           ProfileCache* cache = nullptr) {

@@ -224,8 +224,8 @@ TEST_P(PlannerPropertyTest, RandomConflictSetsAlwaysConvergeOrFailCleanly) {
     size_t attribute_count = 2 + rng.UniformUint64(5);
     std::vector<RelationshipId> forwards;
     for (size_t a = 0; a < attribute_count; ++a) {
-      NodeId attr = graph.AddAttributeNode("t", "a" + std::to_string(a),
-                                           DataType::kText);
+      NodeId attr = graph.AddAttributeNode(
+          "t", std::string("a").append(std::to_string(a)), DataType::kText);
       Cardinality forward = rng.Bernoulli(0.5) ? Cardinality::Exactly(1)
                                                : Cardinality::Optional();
       Cardinality backward = rng.Bernoulli(0.3)

@@ -1,5 +1,6 @@
-// Tests for the estimate-provenance layer: recorder/fragment id
-// assignment, per-run recording through RunOptions::recorder, byte-identical
+// Tests for the estimate-provenance layer: recorder id assignment, the
+// value module's per-item recording after its parallel pass, per-run
+// recording through RunOptions::recorder, byte-identical
 // --explain output across thread counts and cache states, the property
 // that every reported effort number resolves to at least one provenance
 // node, and graceful degradation at the `provenance.record` /
@@ -24,6 +25,7 @@
 #include "efes/provenance/render.h"
 #include "efes/scenario/bibliographic.h"
 #include "efes/scenario/fuzzer.h"
+#include "efes/values/value_module.h"
 
 namespace efes {
 namespace {
@@ -71,30 +73,6 @@ TEST_F(ProvenanceTest, SetRefAttachesLookupHandle) {
   EXPECT_EQ(snapshot.nodes[0].ref, "t7");
 }
 
-TEST_F(ProvenanceTest, AbsorbRemapsLocalInputsToGlobalIds) {
-  ProvenanceRecorder recorder;
-  uint64_t threshold = recorder.RecordValue(ProvenanceKind::kThreshold,
-                                            "threshold", "", 0.9);
-  ProvenanceFragment fragment;
-  size_t stat = fragment.AddValue(ProvenanceKind::kStatistic, "statistic",
-                                  "col", 0.25);
-  size_t finding = fragment.Add(ProvenanceKind::kFinding, "finding", "col",
-                                /*inputs=*/{threshold},
-                                /*local_inputs=*/{stat});
-  EXPECT_EQ(fragment.size(), 2u);
-
-  std::vector<uint64_t> ids = recorder.Absorb(fragment);
-  ASSERT_EQ(ids.size(), 2u);
-  EXPECT_EQ(ids[stat], 2u);
-  EXPECT_EQ(ids[finding], 3u);
-
-  ProvenanceSnapshot snapshot = recorder.Snapshot();
-  ASSERT_EQ(snapshot.nodes.size(), 3u);
-  // Global input (the threshold) first, then the remapped local input.
-  EXPECT_EQ(snapshot.nodes[2].inputs,
-            (std::vector<uint64_t>{threshold, ids[stat]}));
-}
-
 // ------------------------------------------------ end-to-end determinism
 
 IntegrationScenario MakeScenario() {
@@ -106,6 +84,67 @@ IntegrationScenario MakeScenario() {
       MakeBiblioScenario(BiblioSchemaId::kS1, BiblioSchemaId::kS2, options);
   EXPECT_TRUE(scenario.ok());
   return std::move(*scenario);
+}
+
+TEST_F(ProvenanceTest, AbsorbRemapsLocalInputsToGlobalIds) {
+  // A module that fans its items out over the pool records each item's
+  // nodes afterwards, on the run's thread, in item order: the item's
+  // statistics, then its findings, each finding naming a threshold
+  // recorded before the fan-out and then its own item's statistics.
+  ProvenanceRecorder recorder;
+  uint64_t threshold = recorder.RecordValue(ProvenanceKind::kThreshold,
+                                            "threshold", "", 0.9);
+  uint64_t stat = recorder.RecordValue(ProvenanceKind::kStatistic,
+                                       "statistic", "col", 0.25);
+  uint64_t finding = recorder.Record(ProvenanceKind::kFinding, "finding",
+                                     "col", {threshold, stat});
+  EXPECT_EQ(stat, 2u);
+  EXPECT_EQ(finding, 3u);
+  ProvenanceSnapshot snapshot = recorder.Snapshot();
+  ASSERT_EQ(snapshot.nodes.size(), 3u);
+  EXPECT_EQ(snapshot.nodes[2].inputs,
+            (std::vector<uint64_t>{threshold, stat}));
+
+  // The value module's findings, at any thread count: every input was
+  // recorded before the finding, a threshold first and then statistics
+  // about the finding's own correspondence, recorded after every
+  // threshold.
+  const IntegrationScenario scenario = MakeScenario();
+  std::vector<ProvenanceSnapshot> runs;
+  for (size_t threads : {1, 8}) {
+    SetThreadCountOverride(threads);
+    ProvenanceRecorder module_recorder;
+    RunContext context;
+    context.recorder = &module_recorder;
+    auto report = ValueModule().AssessComplexity(scenario, context);
+    ASSERT_TRUE(report.ok()) << report.status();
+    runs.push_back(module_recorder.Snapshot());
+  }
+  SetThreadCountOverride(0);
+  const std::vector<ProvenanceNode>& nodes = runs[0].nodes;
+  size_t findings = 0;
+  for (const ProvenanceNode& node : nodes) {
+    if (node.label.rfind("value heterogeneity: ", 0) != 0) continue;
+    ++findings;
+    SCOPED_TRACE(node.label + " (" + node.subject + ")");
+    ASSERT_GE(node.inputs.size(), 2u);
+    for (size_t i = 0; i < node.inputs.size(); ++i) {
+      const uint64_t input = node.inputs[i];
+      ASSERT_LT(input, node.id);
+      const ProvenanceNode& from = nodes[input - 1];
+      if (i == 0 && from.kind == ProvenanceKind::kThreshold) continue;
+      EXPECT_EQ(from.kind, ProvenanceKind::kStatistic) << from.label;
+      EXPECT_EQ(from.subject, node.subject) << from.label;
+      EXPECT_GT(input, 3u) << "recorded after the three thresholds";
+    }
+  }
+  EXPECT_GT(findings, 0u);
+  ASSERT_EQ(runs[1].nodes.size(), nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(runs[1].nodes[i].label, nodes[i].label) << i;
+    EXPECT_EQ(runs[1].nodes[i].subject, nodes[i].subject) << i;
+    EXPECT_EQ(runs[1].nodes[i].inputs, nodes[i].inputs) << i;
+  }
 }
 
 TEST_F(ProvenanceTest, ActiveIsNullUnlessScopedRecorderInstalled) {
@@ -317,12 +356,13 @@ TEST_F(ProvenanceTest, RecordFaultLatchesDegradedAndReturnsZeroIds) {
   // Degradation latches: later records also return the sentinel even
   // though the fault fired only once.
   EXPECT_EQ(recorder.Record(ProvenanceKind::kStatistic, "s2", ""), 0u);
-  ProvenanceFragment fragment;
-  fragment.Add(ProvenanceKind::kFinding, "f", "");
-  std::vector<uint64_t> ids = recorder.Absorb(fragment);
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(ids[0], 0u);
+  // A finding recorded directly after its statistics: their ids are 0,
+  // and so is its own.
+  EXPECT_EQ(recorder.RecordValue(ProvenanceKind::kFinding, "f", "", 1.0,
+                                 {0, 0}),
+            0u);
   EXPECT_TRUE(recorder.degraded());
+  EXPECT_TRUE(recorder.Snapshot().nodes.empty());
 
   ProvenanceSnapshot snapshot = recorder.Snapshot();
   EXPECT_TRUE(snapshot.degraded);

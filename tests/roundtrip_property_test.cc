@@ -151,7 +151,8 @@ TEST_P(ScenarioRoundTripTest, RandomDatabaseSurvivesSaveLoad) {
   size_t attribute_count = 1 + rng.UniformUint64(5);
   for (size_t a = 0; a < attribute_count; ++a) {
     attributes.push_back(
-        AttributeDef{"c" + std::to_string(a), RandomType(rng)});
+        AttributeDef{std::string("c").append(std::to_string(a)),
+                     RandomType(rng)});
   }
   (void)source_schema.AddRelation(RelationDef("facts", attributes));
   auto source = Database::Create(std::move(source_schema));

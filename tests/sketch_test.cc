@@ -85,6 +85,29 @@ std::vector<std::pair<size_t, size_t>> RandomChunking(Random& rng, size_t n) {
   return chunks;
 }
 
+/// The statistics of `column` as a streaming caller builds them: partial
+/// sketches of `chunk_rows` rows each, absorbed on the shared pool and
+/// merged in chunk order. `chunk_rows` 0 is ProfileColumn itself, which
+/// absorbs the whole column into one sketch.
+Result<AttributeStatistics> ChunkedProfile(const std::vector<Value>& column,
+                                           DataType type,
+                                           const ProfileOptions& options,
+                                           size_t chunk_rows) {
+  if (chunk_rows == 0) return ProfileColumn(column, type, options);
+  const size_t chunks = (column.size() + chunk_rows - 1) / chunk_rows;
+  std::vector<StatisticsSketch> partials(chunks,
+                                         StatisticsSketch(type, options));
+  EFES_RETURN_IF_ERROR(ParallelFor(chunks, [&](size_t i) {
+    return partials[i].AbsorbRange(
+        column, i * chunk_rows, std::min(column.size(), (i + 1) * chunk_rows));
+  }));
+  StatisticsSketch merged(type, options);
+  for (const StatisticsSketch& partial : partials) {
+    EFES_RETURN_IF_ERROR(merged.Merge(partial));
+  }
+  return merged.Finalize();
+}
+
 ProfileOptions SketchOptions(size_t budget) {
   ProfileOptions options;
   options.mode = ApproximationMode::kSketch;
@@ -287,6 +310,8 @@ TEST(SketchMergeProperty, AnyChunkingAndMergeOrderFinalizesIdentically) {
 }
 
 TEST(SketchMergeProperty, ProfileColumnIsChunkAndThreadInvariant) {
+  // ProfileColumn's one sketch, and partial sketches of every chunk size
+  // built on 1, 2 and 8 threads and merged, finalize identically.
   for (const DataType type : kCellTypes) {
     SCOPED_TRACE(std::string("type ") + std::string(DataTypeToString(type)));
     Random rng(42);
@@ -302,9 +327,7 @@ TEST(SketchMergeProperty, ProfileColumnIsChunkAndThreadInvariant) {
           SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) +
                        " threads=" + std::to_string(threads));
           SetThreadCountOverride(threads);
-          ProfileOptions options = base;
-          options.chunk_rows = chunk_rows;
-          auto profiled = ProfileColumn(column, type, options);
+          auto profiled = ChunkedProfile(column, type, base, chunk_rows);
           SetThreadCountOverride(0);
           ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
           if (!expected.has_value()) {
@@ -376,10 +399,9 @@ TEST(SketchMergeProperty, NonFiniteCellsStayOutOfRangeMomentsAndBuckets) {
       ExpectStatistics(merged.Finalize(), expected);
     }
   }
-  for (size_t chunk_rows = 1; chunk_rows <= n; ++chunk_rows) {
-    ProfileOptions options;
-    options.chunk_rows = chunk_rows;
-    auto profiled = ProfileColumn(column, DataType::kReal, options);
+  for (size_t chunk_rows = 0; chunk_rows <= n; ++chunk_rows) {
+    auto profiled =
+        ChunkedProfile(column, DataType::kReal, ProfileOptions{}, chunk_rows);
     ASSERT_TRUE(profiled.ok());
     SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
     ExpectStatistics(*profiled, expected);
@@ -439,8 +461,8 @@ std::vector<Value> ShapedColumn(DataType type, Shape shape, size_t n,
   return column;
 }
 
-/// Profiles `column` against `target` through ProfileColumn, whole and
-/// in chunks, and checks both against the reference: exact for counts,
+/// Profiles `column` against `target` through ProfileColumn and as merged
+/// chunks, and checks both against the reference: exact for counts,
 /// top-k, patterns, characters and range; bit-exact moments and buckets
 /// when every value is a number; constancy and length moments within
 /// 1e-12, and exactly 0 constancy for an all-distinct column.
@@ -460,9 +482,8 @@ void ExpectMatchesReference(const std::vector<Value>& column,
   tolerances.numeric = numbers_only ? 0.0 : 1e-12;
   for (size_t chunk_rows : {size_t{0}, size_t{1000}}) {
     SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
-    ProfileOptions options;
-    options.chunk_rows = chunk_rows;
-    auto profiled = ProfileColumn(column, target, options);
+    auto profiled =
+        ChunkedProfile(column, target, ProfileOptions{}, chunk_rows);
     ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
     ExpectStatistics(*profiled, expected, tolerances);
     const ConstancyStats& constancy = profiled->constancy;

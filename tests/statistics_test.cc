@@ -27,7 +27,7 @@ std::vector<Value> Integers(const std::vector<int64_t>& numbers) {
   return values;
 }
 
-/// Content tests profile through the production chunked API.
+/// Content tests profile through the production API.
 /// ProfileColumn fails only under an unsatisfiable exact --max-memory
 /// budget, which no test here configures.
 AttributeStatistics Stats(const std::vector<Value>& column, DataType type) {

@@ -45,9 +45,10 @@ TEST(Algorithm1Test, Rule1TooFewSourceElements) {
   std::vector<Value> sparse;
   std::vector<Value> dense;
   for (int i = 0; i < 100; ++i) {
-    sparse.push_back(i < 40 ? Value::Text("v" + std::to_string(i))
+    sparse.push_back(i < 40 ? Value::Text(
+                                  std::string("v").append(std::to_string(i)))
                             : Value::Null());
-    dense.push_back(Value::Text("w" + std::to_string(i)));
+    dense.push_back(Value::Text(std::string("w").append(std::to_string(i))));
   }
   ValueFitOptions options;
   auto detected = DetectValueHeterogeneities(
@@ -165,7 +166,7 @@ TEST(IsDomainRestrictedTest, ByDistinctCountAndConstancy) {
   EXPECT_TRUE(IsDomainRestricted(StatsOf(few, DataType::kText), options));
   std::vector<Value> many;
   for (int i = 0; i < 200; ++i) {
-    many.push_back(Value::Text("v" + std::to_string(i)));
+    many.push_back(Value::Text(std::string("v").append(std::to_string(i))));
   }
   EXPECT_FALSE(IsDomainRestricted(StatsOf(many, DataType::kText), options));
   EXPECT_FALSE(IsDomainRestricted(StatsOf({}, DataType::kText), options));

@@ -26,8 +26,9 @@
 # the --explain provenance tree (and the JSON provenance section) of the
 # same two scenarios to be byte-identical across --threads=1/4/8 and
 # cold/warm/uncached profile-cache states.
-# `--bench-smoke` runs the perf_* benches via tools/run_benches.sh into a
-# scratch file and checks each emitted a valid cold and warm JSON record.
+# `--bench-smoke` configures a Release tree with -DEFES_WERROR=ON, runs
+# the perf_* benches via tools/run_benches.sh into a scratch file and
+# checks each emitted a valid cold and warm JSON record.
 # `--fuzz-corpus` builds only efes_fuzz and replays the checked-in
 # data/fuzz_corpus.txt manifest across --threads=1/8 and cold/warm/
 # disabled profile-cache states; all five reports must byte-diff equal
@@ -328,6 +329,10 @@ elif [[ "$MODE" == "serve" ]]; then
   echo "check_build: OK (serve soak: byte-identical across --threads=1/4/8, no contamination, clean drain)"
 elif [[ "$MODE" == "bench" ]]; then
   BUILD_DIR="${1:-build-bench}"
+  # The benches build as Release with warnings as errors, so a warning
+  # that only optimized builds print (GCC's -Wrestrict, say) fails here;
+  # run_benches.sh keeps the tree's configuration.
+  cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DEFES_WERROR=ON
   WORK="$(mktemp -d)"
   trap 'rm -rf "$WORK"' EXIT
   BENCH_OUT="$WORK/BENCH_perf.json" tools/run_benches.sh "$BUILD_DIR"

@@ -26,6 +26,8 @@
 //   efes profile <csv>             stream one CSV file through the sketch
 //                                  profiler (chunked ingest; the file is
 //                                  never materialized whole)
+//       --chunk-rows=<n>           rows per streamed block (0 = the whole
+//                                  file; default 65536)
 //   efes visualize <dir> [out.dot] Graphviz problem heatmap
 //   efes study                     run the Figure 6/7 cross-validated study
 //
@@ -35,12 +37,11 @@
 // Highlights: --metrics, --trace=<file>, --log-level=<level>,
 // --threads=<n>, --lenient, --inject-fault=<point>[:spec], the
 // profile cache pair --cache-dir=<dir> / --no-cache (cache/README in
-// DESIGN.md §11), and the streaming-profiling policy
-// --approx=exact|sketch|auto / --chunk-rows=<n> / --max-memory=<bytes>
-// (DESIGN.md §16): profiling results are cached in memory per run by
-// default; --cache-dir persists them across runs, --no-cache disables
-// caching entirely. Cached and uncached runs print byte-identical
-// output, at any thread count and any chunk size.
+// DESIGN.md §11), and the profiling policy --approx=exact|sketch|auto /
+// --max-memory=<bytes> (DESIGN.md §16): profiling results are cached in
+// memory per run by default; --cache-dir persists them across runs,
+// --no-cache disables caching entirely. Cached and uncached runs print
+// byte-identical output, at any thread count.
 //
 // Exit codes: 0 success, 1 runtime error, 2 usage error, 64 unknown flag.
 // Scenario directories follow the layout of scenario/scenario_io.h.
@@ -105,19 +106,19 @@ struct CliFlags {
   bool no_cache = false;
   /// --timeout-ms: deadline for the whole invocation (0 = none).
   size_t timeout_ms = 0;
-  /// --approx / --chunk-rows / --max-memory: the streaming-profiling
-  /// policy installed for the whole invocation (profiling/sketch.h).
+  /// --approx / --max-memory: the profiling policy of the whole
+  /// invocation (profiling/sketch.h).
   efes::ProfileOptions profile;
 };
 
 CliFlags g_flags;
 
-/// The profile cache of this invocation (null with --no-cache); passed
-/// into every RunOptions and installed as the process default in main().
+/// The profile cache of this invocation (null with --no-cache), passed
+/// to every call that profiles.
 efes::ProfileCache* g_cache = nullptr;
 
 /// Parses a base-10 size_t where zero is a legal value (AddUint rejects
-/// it), for flags whose zero means "whole column" or "unlimited".
+/// it), for flags whose zero means "whole file" or "unlimited".
 efes::Status ParseNonNegative(std::string_view value, size_t* target) {
   std::string buffer(value);
   char* end = nullptr;
@@ -213,15 +214,8 @@ efes::FlagSet& GlobalFlags() {
                        efes::ParseApproximationMode(value));
                    return efes::Status::OK();
                  });
-    // Unlike AddUint targets, zero is a meaningful value for both of
-    // these (whole column / unlimited), so they parse via AddAction.
-    f->AddAction("chunk-rows", "<n>",
-                 "rows per streaming profiling chunk (0 = whole column; "
-                 "results are byte-identical for any chunk size)",
-                 [](std::string_view value) {
-                   return ParseNonNegative(value,
-                                           &g_flags.profile.chunk_rows);
-                 });
+    // Unlike an AddUint target, zero is a meaningful value here
+    // (unlimited), so it parses via AddAction.
     f->AddAction("max-memory", "<bytes>",
                  "per-column profiling memory budget; exact mode fails when "
                  "it would overflow, sketch/auto coarsen deterministically",
@@ -244,7 +238,7 @@ int Usage(int exit_code = kExitUsage) {
       "                     [--modules=<list>] [--format=text|json]\n"
       "                     [--out=<file>] [--explain[=<task-id>]]\n"
       "  efes match <dir>\n"
-      "  efes profile <csv-file>\n"
+      "  efes profile <csv-file> [--chunk-rows=<n>]\n"
       "  efes execute <dir> <out-dir> [--quality=high|low]\n"
       "  efes plan <dir> [--quality=high|low]\n"
       "  efes visualize <dir> [<out.dot>]\n"
@@ -572,7 +566,8 @@ int RunVisualize(const std::string& directory,
 }
 
 int RunStudy() {
-  auto studies = efes::RunCrossValidatedStudies();
+  auto studies = efes::RunCrossValidatedStudies(
+      efes::StudyOptions().ground_truth_seed, g_cache);
   if (!studies.ok()) return Fail(studies.status());
   std::printf("%s\n%s\noverall rmse: Efes %.3f vs Counting %.3f\n",
               studies->bibliographic.ToText().c_str(),
@@ -582,27 +577,41 @@ int RunStudy() {
 }
 
 // Streams one CSV file through the sketch profiler in a single pass:
-// each block of rows is absorbed, one column per task, straight into
-// that column's inferring sketch (profiling/sketch.h), which types the
-// column as it goes, under the global --approx / --chunk-rows /
+// each block of --chunk-rows rows is absorbed, one column per task,
+// straight into that column's inferring sketch (profiling/sketch.h),
+// which types the column as it goes, under the global --approx /
 // --max-memory policy. The file is never materialized whole, so this
 // handles sources far beyond what the scenario loader would hold in
 // memory; output is byte-identical for any --threads and any
-// --chunk-rows (the canonical-merge contract). So are the errors: a
-// read error wins wherever it is, and otherwise an exact --max-memory
-// refusal names the lowest-numbered column that overflows anywhere in
-// the file, at its first overflow. The pass therefore reads on after a
-// refusal, absorbing only the columns before the refused one.
-int RunProfile(const std::string& path, std::vector<std::string> options) {
+// --chunk-rows. So are the errors: a read error wins wherever it is,
+// and otherwise an exact --max-memory refusal names the lowest-numbered
+// column that overflows anywhere in the file, at its first overflow.
+// The pass therefore reads on after a refusal, absorbing only the
+// columns before the refused one. `args` is everything after the
+// subcommand; like a global flag, --chunk-rows may precede the path.
+int RunProfile(std::vector<std::string> args) {
+  size_t chunk_rows = efes::ProfileOptions().chunk_rows;
   efes::FlagSet flags;
-  int code = ParseSubcommandFlags(flags, &options);
+  // Zero is a meaningful value (the whole file), so it parses via
+  // AddAction rather than AddUint.
+  flags.AddAction("chunk-rows", "<n>",
+                  "rows per streamed block (0 = the whole file)",
+                  [&chunk_rows](std::string_view value) {
+                    return ParseNonNegative(value, &chunk_rows);
+                  });
+  efes::Status parsed =
+      flags.Parse(&args, efes::FlagSet::UnknownFlags::kKeep);
+  if (!parsed.ok()) return FlagError(parsed);
+  if (args.empty()) return Usage();
+  const std::string path = args[0];
+  args.erase(args.begin());
+  int code = ParseSubcommandFlags(efes::FlagSet(), &args);
   if (code >= 0) return code;
   efes::CsvReadOptions csv_options;
   if (g_flags.lenient) {
     csv_options.mode = efes::CsvReadOptions::Mode::kRecover;
   }
-  auto reader = efes::ChunkedCsvReader::Open(path, csv_options,
-                                             g_flags.profile.chunk_rows);
+  auto reader = efes::ChunkedCsvReader::Open(path, csv_options, chunk_rows);
   if (!reader.ok()) return Fail(reader.status());
   const std::vector<std::string>& header = reader->header();
   std::vector<efes::StatisticsSketch> columns(
@@ -659,13 +668,18 @@ int RunProfile(const std::string& path, std::vector<std::string> options) {
 }
 
 int Dispatch(const std::string& command, std::vector<std::string> rest) {
-  if (command == "study") {
+  // Subcommands without flags of their own: any flag left after the
+  // global ones is unknown.
+  if (command == "study" || command == "export-example" ||
+      command == "match" || command == "visualize") {
     for (const std::string& option : rest) {
       if (efes::StartsWith(option, "--")) {
         std::fprintf(stderr, "unknown flag: %s\n", option.c_str());
         return Usage(kExitUnknownFlag);
       }
     }
+  }
+  if (command == "study") {
     if (!rest.empty()) return Usage();
     return RunStudy();
   }
@@ -706,12 +720,7 @@ int Dispatch(const std::string& command, std::vector<std::string> rest) {
     rest.erase(rest.begin());
     return RunEstimate(directory, std::move(rest));
   }
-  if (command == "profile") {
-    if (rest.empty()) return Usage();
-    std::string path = rest[0];
-    rest.erase(rest.begin());
-    return RunProfile(path, std::move(rest));
-  }
+  if (command == "profile") return RunProfile(std::move(rest));
   return Usage();
 }
 
@@ -746,11 +755,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // The invocation's cache is also the process default, so runs that
-  // name no cache (`study`'s RunOptions{}) reuse its profiles too. Calls
-  // that take the cache or the --approx/--chunk-rows/--max-memory policy
-  // get both passed (MakeRunOptions, `match`, `--discover`).
-  efes::ScopedProfileCache scoped_cache(g_cache);
 
   // --timeout-ms: install a deadline-carrying cancel token for the whole
   // invocation. The engine and the parallel loops check it at batch
