@@ -46,11 +46,16 @@ int main() {
   // 2. Also demonstrate profiling-based constraint discovery on the
   //    source — the Completeness ingredient of Section 3.1.
   auto mined = efes::DiscoverConstraints(curated->sources[0].database);
-  std::printf("\nConstraints mined from the source instance (top 8):\n");
-  for (size_t i = 0; i < mined.size() && i < 8; ++i) {
-    std::printf("  %s\n", mined[i].ToString().c_str());
+  if (!mined.ok()) {
+    std::fprintf(stderr, "discovery: %s\n",
+                 mined.status().ToString().c_str());
+    return 1;
   }
-  std::printf("  (%zu total)\n", mined.size());
+  std::printf("\nConstraints mined from the source instance (top 8):\n");
+  for (size_t i = 0; i < mined->size() && i < 8; ++i) {
+    std::printf("  %s\n", (*mined)[i].ToString().c_str());
+  }
+  std::printf("  (%zu total)\n", mined->size());
 
   // 3. Score the proposal against the curated (intended) correspondences
   //    with Melnik et al.'s accuracy measure, the paper's suggested tool

@@ -13,11 +13,14 @@
 //
 // The active token is installed per thread with ScopedCancelToken. It
 // stays thread-local rather than joining the run's explicit RunContext
-// (core/module.h), because only the installing driver thread checks it
-// (DESIGN.md §14, "Per-run state"). Pool worker threads deliberately
-// have no active token: cancellation is observed only at batch
-// boundaries on the driver thread, so which items a batch completed
-// before unwinding never leaks into results.
+// (core/module.h), because it is read only at checkpoints, never by the
+// estimation itself (DESIGN.md §14, "Per-run state"). ParallelFor
+// (common/parallel.h) hands it on: every runner of a batch, pool threads
+// included, installs the token the caller had at batch entry, so a
+// checkpoint inside a task answers to the caller's deadline. A failed
+// checkpoint fails its task, and a batch runs every index and returns
+// the lowest failing index's error, so which items completed never
+// leaks into results.
 //
 // Deadlines are measured against a telemetry Clock so tests can trip
 // them with a FakeClock instead of sleeping. A deadline of 0 ms is

@@ -127,13 +127,12 @@ FaultRegistry* ActiveRequestFaults();
 /// registry, so a server can arm faults for one request without them
 /// leaking into sibling requests running on other worker threads.
 ///
-/// Thread-local by design: only checkpoints executed on the installing
-/// thread see the request's faults. Checkpoints reached on pool worker
-/// threads (e.g. `parallel.task`) keep answering to the global registry
-/// only — request-scoped arming targets the request-thread points
-/// (`engine.assess`, `engine.plan`, `serve.cancel`, `scenario.load`, the
-/// io.* points), which is what keeps per-request injection deterministic
-/// under any thread count.
+/// Thread-local by design: checkpoints see the registry installed on
+/// their thread. ParallelFor (common/parallel.h) hands it on: every
+/// runner of a batch, pool threads included, installs the registry the
+/// caller had at batch entry, so the request's own tasks hit its points
+/// (`parallel.task` too) and no sibling request's tasks do. A batch runs
+/// every index, so the hits it counts do not depend on the thread count.
 class ScopedRequestFaults {
  public:
   explicit ScopedRequestFaults(FaultRegistry* registry);

@@ -170,20 +170,17 @@ Status ParallelFor(size_t count,
   telemetry.threads.Set(static_cast<double>(threads));
   if (count == 0) return Status::OK();
 
-  // Legacy path: one thread, a single item, or a nested region. Runs the
-  // indices in order on the calling thread and stops at the first error —
-  // exactly the sequential loop this layer replaced. (Sequential
-  // execution visits indices in order, so "first error" and the parallel
-  // path's "lowest failing index" coincide.)
-  if (threads <= 1 || count == 1 || tls_in_parallel_region) {
-    for (size_t i = 0; i < count; ++i) {
-      EFES_RETURN_IF_ERROR(RunOne(task, i));
-    }
-    return Status::OK();
-  }
-
-  std::shared_ptr<ThreadPool> pool = AcquireSharedPool(threads - 1);
-  const size_t runners = std::min(threads, count);
+  // One runner per thread, at most one per index. A nested region gets
+  // one runner, the calling thread, which already runs a share of an
+  // outer batch. A batch with one runner (one thread, one index, or
+  // nested) takes the same loop, without the pool.
+  const size_t runners =
+      tls_in_parallel_region ? 1 : std::min(threads, count);
+  // Every runner works under the cancel token and request faults the
+  // caller had at batch entry, so a task sees the same request context
+  // on whichever thread runs it.
+  CancelToken* const token = ActiveCancelToken();
+  FaultRegistry* const request_faults = ActiveRequestFaults();
   const Clock& clock = *Clock::Default();
   const int64_t batch_start_nanos = clock.NowNanos();
 
@@ -195,12 +192,15 @@ Status ParallelFor(size_t count,
   std::atomic<size_t> next_index{0};
 
   // Failures are rare; every index always runs so the reported error (the
-  // lowest failing index) does not depend on scheduling order.
+  // lowest failing index), the work done and the fault points hit do not
+  // depend on the thread count or scheduling order.
   std::mutex error_mutex;
   size_t first_error_index = std::numeric_limits<size_t>::max();
   Status first_error = Status::OK();
 
   auto run_batch_share = [&](size_t runner) {
+    ScopedCancelToken scoped_token(token);
+    ScopedRequestFaults scoped_faults(request_faults);
     const bool was_in_region = tls_in_parallel_region;
     tls_in_parallel_region = true;
     const int64_t start_nanos = clock.NowNanos();
@@ -227,6 +227,8 @@ Status ParallelFor(size_t count,
   std::mutex done_mutex;
   std::condition_variable done_cv;
   size_t done_runners = 0;
+  std::shared_ptr<ThreadPool> pool;
+  if (runners > 1) pool = AcquireSharedPool(threads - 1);
   for (size_t runner = 1; runner < runners; ++runner) {
     pool->Submit([&, runner] {
       run_batch_share(runner);

@@ -8,12 +8,18 @@
 //     region is therefore bit-identical for any thread count, including 1.
 //   * Thread count. Resolved as: SetThreadCountOverride() (the CLI's
 //     --threads=N) > the EFES_THREADS environment variable > hardware
-//     concurrency. A count of 1 bypasses the pool entirely and runs the
-//     exact legacy sequential path on the calling thread.
+//     concurrency. It decides how many runners share a batch, nothing
+//     else: a count of 1 runs the same loop on the calling thread alone,
+//     without the pool.
 //   * Errors. Tasks report failures as Status; exceptions escaping a task
-//     are captured and converted to StatusCode::kInternal. ParallelFor
-//     returns the error of the *lowest* failing index, so failures are as
-//     deterministic as successes.
+//     are captured and converted to StatusCode::kInternal. Every index
+//     runs, also after a failure, and ParallelFor returns the error of
+//     the *lowest* failing index, so failures are as deterministic as
+//     successes.
+//   * Request context. Every runner installs the cancel token and the
+//     request fault registry that were active on the calling thread at
+//     batch entry (common/deadline.h, common/fault.h), so a task sees its
+//     caller's on whichever thread it runs.
 //   * Nesting. A ParallelFor issued from inside a pool task runs inline
 //     on the current thread, so nested parallel regions cannot deadlock
 //     the fixed-size pool.
@@ -85,10 +91,11 @@ class ThreadPool {
 
 /// Runs `task(i)` for every i in [0, count), distributing indices over
 /// ConfiguredThreadCount() threads (dynamic load balancing; the calling
-/// thread participates). Returns OK when every task succeeded, otherwise
-/// the Status of the lowest failing index. With one thread (or from
-/// inside a parallel region) the indices run sequentially in order on the
-/// calling thread, stopping at the first error.
+/// thread participates) under the caller's cancel token and request
+/// faults. Every index runs, whatever fails. Returns OK when every task
+/// succeeded, otherwise the Status of the lowest failing index. With one
+/// thread, one index, or from inside a parallel region, the indices run
+/// in order on the calling thread.
 Status ParallelFor(size_t count, const std::function<Status(size_t)>& task);
 
 /// Maps [0, count) through `fn`, returning the results in index order.

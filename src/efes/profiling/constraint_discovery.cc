@@ -96,8 +96,9 @@ std::string DiscoveredConstraint::ToString() const {
 namespace {
 
 /// The full (uncached) mining pass; DiscoverConstraints below fronts it
-/// with the caller's profile cache.
-std::vector<DiscoveredConstraint> DiscoverConstraintsUncached(
+/// with the caller's profile cache. A failed parallel region (a
+/// cancellation, an injected fault, a task exception) fails the pass.
+Result<std::vector<DiscoveredConstraint>> DiscoverConstraintsUncached(
     const Database& database, const DiscoveryOptions& options) {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   static Histogram& discover_ms =
@@ -134,16 +135,17 @@ std::vector<DiscoveredConstraint> DiscoverConstraintsUncached(
       column_index.emplace_back(t, c);
     }
   }
-  auto profiled = ParallelMap(column_index.size(), [&](size_t i) {
-    auto [t, c] = column_index[i];
-    return ProfileDiscoveryColumn(*tables[t], c);
-  });
-  if (!profiled.ok()) return discovered;  // only possible via task throw
+  EFES_ASSIGN_OR_RETURN(
+      std::vector<DiscoveryColumnProfile> profiled,
+      ParallelMap(column_index.size(), [&](size_t i) {
+        auto [t, c] = column_index[i];
+        return ProfileDiscoveryColumn(*tables[t], c);
+      }));
   std::vector<std::vector<DiscoveryColumnProfile>> profiles(tables.size());
   for (size_t i = 0; i < column_index.size(); ++i) {
     auto [t, c] = column_index[i];
     (void)c;  // columns arrive in order per table
-    profiles[t].push_back(std::move((*profiled)[i]));
+    profiles[t].push_back(std::move(profiled[i]));
   }
 
   // --- NOT NULL and single-column UNIQUE ----------------------------------
@@ -186,20 +188,20 @@ std::vector<DiscoveredConstraint> DiscoverConstraintsUncached(
     }
     // `char` (not bool): vector<bool> packs bits, and concurrent writes
     // to neighbouring slots would race.
-    auto fd_holds = ParallelMap(fd_candidates.size(), [&](size_t i) -> char {
+    EFES_ASSIGN_OR_RETURN(
+        std::vector<char> fd_holds,
+        ParallelMap(fd_candidates.size(), [&](size_t i) -> char {
+          auto [t, lhs, rhs] = fd_candidates[i];
+          return FdHolds(*tables[t], lhs, rhs) ? 1 : 0;
+        }));
+    for (size_t i = 0; i < fd_candidates.size(); ++i) {
+      if (!fd_holds[i]) continue;
       auto [t, lhs, rhs] = fd_candidates[i];
-      return FdHolds(*tables[t], lhs, rhs) ? 1 : 0;
-    });
-    if (fd_holds.ok()) {
-      for (size_t i = 0; i < fd_candidates.size(); ++i) {
-        if (!(*fd_holds)[i]) continue;
-        auto [t, lhs, rhs] = fd_candidates[i];
-        const Table& table = *tables[t];
-        propose(Constraint::FunctionalDependency(
-                    table.name(), {table.def().attributes()[lhs].name},
-                    {table.def().attributes()[rhs].name}),
-                table.row_count());
-      }
+      const Table& table = *tables[t];
+      propose(Constraint::FunctionalDependency(
+                  table.name(), {table.def().attributes()[lhs].name},
+                  {table.def().attributes()[rhs].name}),
+              table.row_count());
     }
   }
 
@@ -242,29 +244,30 @@ std::vector<DiscoveredConstraint> DiscoverConstraintsUncached(
       }
     }
   }
-  auto included = ParallelMap(ind_candidates.size(), [&](size_t i) -> char {
+  EFES_ASSIGN_OR_RETURN(
+      std::vector<char> included,
+      ParallelMap(ind_candidates.size(), [&](size_t i) -> char {
+        auto [ct, cc, pt, pc] = ind_candidates[i];
+        const std::unordered_set<Value, ValueHash>& child_values =
+            profiles[ct][cc].values;
+        const std::unordered_set<Value, ValueHash>& parent_values =
+            profiles[pt][pc].values;
+        return std::all_of(child_values.begin(), child_values.end(),
+                           [&](const Value& v) {
+                             return parent_values.count(v) > 0;
+                           })
+                   ? 1
+                   : 0;
+      }));
+  for (size_t i = 0; i < ind_candidates.size(); ++i) {
+    if (!included[i]) continue;
     auto [ct, cc, pt, pc] = ind_candidates[i];
-    const std::unordered_set<Value, ValueHash>& child_values =
-        profiles[ct][cc].values;
-    const std::unordered_set<Value, ValueHash>& parent_values =
-        profiles[pt][pc].values;
-    return std::all_of(
-               child_values.begin(), child_values.end(),
-               [&](const Value& v) { return parent_values.count(v) > 0; })
-               ? 1
-               : 0;
-  });
-  if (included.ok()) {
-    for (size_t i = 0; i < ind_candidates.size(); ++i) {
-      if (!(*included)[i]) continue;
-      auto [ct, cc, pt, pc] = ind_candidates[i];
-      const Table& child = *tables[ct];
-      const Table& parent = *tables[pt];
-      propose(Constraint::ForeignKey(
-                  child.name(), {child.def().attributes()[cc].name},
-                  parent.name(), {parent.def().attributes()[pc].name}),
-              child.row_count());
-    }
+    const Table& child = *tables[ct];
+    const Table& parent = *tables[pt];
+    propose(Constraint::ForeignKey(
+                child.name(), {child.def().attributes()[cc].name},
+                parent.name(), {parent.def().attributes()[pc].name}),
+            child.row_count());
   }
 
   return discovered;
@@ -287,7 +290,7 @@ uint64_t FingerprintDiscovery(const Database& database,
 
 }  // namespace
 
-std::vector<DiscoveredConstraint> DiscoverConstraints(
+Result<std::vector<DiscoveredConstraint>> DiscoverConstraints(
     const Database& database, const DiscoveryOptions& options,
     ProfileCache* cache) {
   if (cache == nullptr) return DiscoverConstraintsUncached(database, options);
@@ -296,18 +299,19 @@ std::vector<DiscoveredConstraint> DiscoverConstraints(
           cache->LookupConstraints(key)) {
     return *std::move(hit);
   }
-  std::vector<DiscoveredConstraint> discovered =
-      DiscoverConstraintsUncached(database, options);
+  EFES_ASSIGN_OR_RETURN(std::vector<DiscoveredConstraint> discovered,
+                        DiscoverConstraintsUncached(database, options));
   cache->StoreConstraints(key, discovered);
   return discovered;
 }
 
-Schema SchemaWithDiscoveredConstraints(const Database& database,
-                                       const DiscoveryOptions& options,
-                                       ProfileCache* cache) {
+Result<Schema> SchemaWithDiscoveredConstraints(
+    const Database& database, const DiscoveryOptions& options,
+    ProfileCache* cache) {
+  EFES_ASSIGN_OR_RETURN(std::vector<DiscoveredConstraint> discovered,
+                        DiscoverConstraints(database, options, cache));
   Schema schema = database.schema();
-  for (DiscoveredConstraint& d :
-       DiscoverConstraints(database, options, cache)) {
+  for (DiscoveredConstraint& d : discovered) {
     schema.AddConstraint(std::move(d.constraint));
   }
   return schema;
@@ -316,9 +320,11 @@ Schema SchemaWithDiscoveredConstraints(const Database& database,
 Result<Database> DatabaseWithDiscoveredConstraints(
     const Database& database, const DiscoveryOptions& options,
     ProfileCache* cache) {
+  EFES_ASSIGN_OR_RETURN(
+      Schema schema,
+      SchemaWithDiscoveredConstraints(database, options, cache));
   EFES_ASSIGN_OR_RETURN(Database completed,
-                        Database::Create(SchemaWithDiscoveredConstraints(
-                            database, options, cache)));
+                        Database::Create(std::move(schema)));
   for (const Table& table : database.tables()) {
     EFES_ASSIGN_OR_RETURN(Table * destination,
                           completed.mutable_table(table.name()));

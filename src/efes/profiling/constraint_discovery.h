@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "efes/common/result.h"
 #include "efes/relational/database.h"
 #include "efes/relational/schema.h"
 
@@ -57,16 +58,19 @@ struct DiscoveredConstraint {
 /// instance but are not declared in the schema. The result is
 /// deterministic (relation/attribute order of the schema). When `cache`
 /// is non-null, the result is looked up there first and stored on a miss.
-std::vector<DiscoveredConstraint> DiscoverConstraints(
+/// Fails when one of its parallel regions fails (a cancellation, an
+/// injected `parallel.task` fault, a task exception); then nothing is
+/// stored.
+Result<std::vector<DiscoveredConstraint>> DiscoverConstraints(
     const Database& database, const DiscoveryOptions& options = {},
     ProfileCache* cache = nullptr);
 
 /// Convenience: returns a copy of the database's schema with all
 /// discovered constraints added. Used to "complete" a source before
 /// running the detectors.
-Schema SchemaWithDiscoveredConstraints(const Database& database,
-                                       const DiscoveryOptions& options = {},
-                                       ProfileCache* cache = nullptr);
+Result<Schema> SchemaWithDiscoveredConstraints(
+    const Database& database, const DiscoveryOptions& options = {},
+    ProfileCache* cache = nullptr);
 
 /// Rebuilds the database under the completed schema (same data, plus the
 /// discovered constraints). Because discovery mines exact constraints,

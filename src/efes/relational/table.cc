@@ -130,37 +130,12 @@ size_t Table::NullCount(size_t column) const {
   return nulls;
 }
 
-size_t Table::DistinctCount(size_t column) const {
-  std::unordered_set<Value, ValueHash> distinct;
-  for (const Value& value : columns_[column]) {
-    if (!value.is_null()) distinct.insert(value);
-  }
-  return distinct.size();
-}
-
 std::vector<Value> Table::DistinctValues(size_t column) const {
   std::unordered_set<Value, ValueHash> distinct;
   for (const Value& value : columns_[column]) {
     if (!value.is_null()) distinct.insert(value);
   }
   return std::vector<Value>(distinct.begin(), distinct.end());
-}
-
-size_t Table::CountCastableTo(size_t column, DataType target) const {
-  size_t castable = 0;
-  for (const Value& value : columns_[column]) {
-    if (!value.is_null() && value.CanCastTo(target)) ++castable;
-  }
-  return castable;
-}
-
-std::unordered_map<Value, size_t, ValueHash> Table::ValueFrequencies(
-    size_t column) const {
-  std::unordered_map<Value, size_t, ValueHash> frequencies;
-  for (const Value& value : columns_[column]) {
-    if (!value.is_null()) ++frequencies[value];
-  }
-  return frequencies;
 }
 
 size_t Table::CountDuplicateProjections(

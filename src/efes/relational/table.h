@@ -12,7 +12,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "efes/common/result.h"
@@ -74,20 +73,8 @@ class Table {
   /// Number of NULLs in the column.
   size_t NullCount(size_t column) const;
 
-  /// Number of distinct non-null values in the column.
-  size_t DistinctCount(size_t column) const;
-
   /// The distinct non-null values of the column (unspecified order).
   std::vector<Value> DistinctValues(size_t column) const;
-
-  /// Number of non-null values castable to `target`.
-  size_t CountCastableTo(size_t column, DataType target) const;
-
-  /// For every distinct non-null value of `column`: how many rows carry
-  /// it. This is the "actual cardinality" primitive of the CSG instance
-  /// analysis (how many tuples does each attribute value link to?).
-  std::unordered_map<Value, size_t, ValueHash> ValueFrequencies(
-      size_t column) const;
 
   /// Number of rows whose projection onto `columns` (ignoring rows with
   /// any NULL among them) occurs more than once — i.e. uniqueness

@@ -413,13 +413,7 @@ Result<IntegrationScenario> LoadScenario(const std::string& directory,
       .Increment(files.size());
   MetricsRegistry::Global().GetCounter("scenario.load.bytes").Increment(bytes);
   const CsvReadOptions csv_options = CsvOptionsFor(options);
-  // Pool threads carry no cancel token or request faults of their own,
-  // so every task runs under the caller's.
-  CancelToken* token = ActiveCancelToken();
-  FaultRegistry* request_faults = ActiveRequestFaults();
   EFES_RETURN_IF_ERROR(ParallelFor(files.size(), [&](size_t i) -> Status {
-    ScopedCancelToken scoped_token(token);
-    ScopedRequestFaults scoped_faults(request_faults);
     EFES_RETURN_IF_ERROR(CheckCancellation());
     LoadCsvFile(*files[i], csv_options);
     return Status::OK();

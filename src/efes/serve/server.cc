@@ -58,34 +58,6 @@ EfesServer::~EfesServer() {
   if (watchdog_.joinable()) watchdog_.join();
 }
 
-Status EfesServer::ServeLines(std::istream& in, std::ostream& out) {
-  WriteLineFn write_line = [this, &out](const std::string& line) {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    out << line << '\n';
-    out.flush();
-  };
-  std::string line;
-  bool shutting_down = false;
-  while (std::getline(in, line)) {
-    if (Trim(line).empty()) continue;
-    if (shutting_down ||
-        shutdown_requested_.load(std::memory_order_relaxed)) {
-      // Refuse, but keep reading: every submitted line gets an answer.
-      admission_.BeginDrain();
-      ServeResponse refusal;
-      refusal.id = RecoverRequestId(line);
-      refusal.status = Status::Unavailable(kDrainRefusal);
-      ServeCounter("serve.requests.refused_draining").Increment();
-      write_line(SerializeServeResponse(refusal));
-      shutting_down = true;
-      continue;
-    }
-    if (HandleLine(line, write_line)) shutting_down = true;
-  }
-  DrainAndFlush();
-  return Status::OK();
-}
-
 Status EfesServer::ServeFd(int in_fd, int out_fd) {
   WriteLineFn write_line = [this, out_fd](const std::string& line) {
     std::lock_guard<std::mutex> lock(write_mutex_);

@@ -4,14 +4,10 @@
 //
 // One EfesServer owns the session table, the admission controller and a
 // watchdog thread, and passes its (optional) ProfileCache to every run
-// it makes. Frontends feed it request lines:
-//
-//   * ServeLines(istream, ostream) — synchronous pipe mode for tests and
-//     `efes_serve --pipe` fed by a shell. Reads to EOF (or a `shutdown`
-//     request), then drains and flushes the cache snapshot.
-//   * ServeFd(in_fd, out_fd) — the daemon frontend: poll()-driven, so a
-//     SIGTERM handler calling RequestShutdown() is noticed within one
-//     poll interval even while idle.
+// it makes. Its frontend, ServeFd(in_fd, out_fd), feeds it request
+// lines: poll()-driven, so a SIGTERM handler calling RequestShutdown()
+// is noticed within one poll interval even while idle. It reads to EOF
+// (or a `shutdown` request), then drains and flushes the cache snapshot.
 //
 // Robustness contract per request:
 //   * containment — a malformed line, a bad scenario, an injected fault,
@@ -38,10 +34,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,14 +79,10 @@ class EfesServer {
   EfesServer(const EfesServer&) = delete;
   EfesServer& operator=(const EfesServer&) = delete;
 
-  /// Pipe mode over C++ streams. Returns after EOF or `shutdown`, once
-  /// every in-flight request drained and the cache snapshot (if
-  /// configured) flushed.
-  Status ServeLines(std::istream& in, std::ostream& out);
-
   /// Pipe mode over file descriptors with a poll() loop; the frontend
-  /// for the daemon. Honors RequestShutdown() (SIGTERM) within one poll
-  /// interval.
+  /// for the daemon. Returns after EOF, `shutdown` or RequestShutdown()
+  /// (SIGTERM, noticed within one poll interval), once every in-flight
+  /// request drained and the cache snapshot (if configured) flushed.
   Status ServeFd(int in_fd, int out_fd);
 
   /// Signals the serve loop to stop reading, drain, and return.

@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "efes/common/deadline.h"
-#include "efes/common/fault.h"
 #include "efes/common/parallel.h"
 #include "efes/telemetry/trace.h"
 
@@ -543,15 +542,9 @@ Result<std::vector<SourceStructureAssessment>> DetectStructureConflicts(
 
   // Sources are independent, so each is assessed by its own task, which
   // writes only its own slot; the slots are then read in source order.
-  // Pool threads carry no cancel token or request faults of their own,
-  // so every task runs under the caller's.
   std::vector<SourceStructureAssessment> assessments(scenario.sources.size());
-  CancelToken* token = ActiveCancelToken();
-  FaultRegistry* request_faults = ActiveRequestFaults();
   EFES_RETURN_IF_ERROR(
       ParallelFor(scenario.sources.size(), [&](size_t i) -> Status {
-        ScopedCancelToken scoped_token(token);
-        ScopedRequestFaults scoped_faults(request_faults);
         EFES_RETURN_IF_ERROR(CheckCancellation());
         EFES_ASSIGN_OR_RETURN(
             assessments[i],

@@ -52,32 +52,35 @@ bool Contains(const std::vector<DiscoveredConstraint>& discovered,
 TEST(ConstraintDiscoveryTest, FindsNotNullColumns) {
   Database db = MakeUndeclaredDatabase();
   auto discovered = DiscoverConstraints(db);
+  ASSERT_TRUE(discovered.ok()) << discovered.status();
   EXPECT_TRUE(
-      Contains(discovered, ConstraintKind::kNotNull, "parent", "id"));
+      Contains(*discovered, ConstraintKind::kNotNull, "parent", "id"));
   EXPECT_TRUE(
-      Contains(discovered, ConstraintKind::kNotNull, "parent", "name"));
+      Contains(*discovered, ConstraintKind::kNotNull, "parent", "name"));
   // child.note has nulls.
   EXPECT_FALSE(
-      Contains(discovered, ConstraintKind::kNotNull, "child", "note"));
+      Contains(*discovered, ConstraintKind::kNotNull, "child", "note"));
 }
 
 TEST(ConstraintDiscoveryTest, FindsUniqueColumns) {
   Database db = MakeUndeclaredDatabase();
   auto discovered = DiscoverConstraints(db);
-  EXPECT_TRUE(Contains(discovered, ConstraintKind::kUnique, "parent", "id"));
+  ASSERT_TRUE(discovered.ok()) << discovered.status();
+  EXPECT_TRUE(Contains(*discovered, ConstraintKind::kUnique, "parent", "id"));
   // parent.name repeats (i % 7).
   EXPECT_FALSE(
-      Contains(discovered, ConstraintKind::kUnique, "parent", "name"));
+      Contains(*discovered, ConstraintKind::kUnique, "parent", "name"));
   // child.pid repeats (i % 10).
   EXPECT_FALSE(
-      Contains(discovered, ConstraintKind::kUnique, "child", "pid"));
+      Contains(*discovered, ConstraintKind::kUnique, "child", "pid"));
 }
 
 TEST(ConstraintDiscoveryTest, FindsInclusionDependency) {
   Database db = MakeUndeclaredDatabase();
   auto discovered = DiscoverConstraints(db);
+  ASSERT_TRUE(discovered.ok()) << discovered.status();
   bool found_fk = false;
-  for (const DiscoveredConstraint& d : discovered) {
+  for (const DiscoveredConstraint& d : *discovered) {
     if (d.constraint.kind == ConstraintKind::kForeignKey &&
         d.constraint.relation == "child" &&
         d.constraint.attributes[0] == "pid" &&
@@ -93,7 +96,9 @@ TEST(ConstraintDiscoveryTest, SkipsTinyTables) {
   Database db = MakeUndeclaredDatabase(/*rows=*/3);
   DiscoveryOptions options;
   options.min_row_count = 10;
-  EXPECT_TRUE(DiscoverConstraints(db, options).empty());
+  auto discovered = DiscoverConstraints(db, options);
+  ASSERT_TRUE(discovered.ok()) << discovered.status();
+  EXPECT_TRUE(discovered->empty());
 }
 
 TEST(ConstraintDiscoveryTest, SkipsDeclaredConstraints) {
@@ -107,7 +112,8 @@ TEST(ConstraintDiscoveryTest, SkipsDeclaredConstraints) {
   }
   // NOT NULL and UNIQUE on r.id are subsumed by the declared PK.
   auto discovered = DiscoverConstraints(*db);
-  EXPECT_TRUE(discovered.empty());
+  ASSERT_TRUE(discovered.ok()) << discovered.status();
+  EXPECT_TRUE(discovered->empty());
 }
 
 TEST(ConstraintDiscoveryTest, ReportsDeclaredWhenAsked) {
@@ -121,7 +127,9 @@ TEST(ConstraintDiscoveryTest, ReportsDeclaredWhenAsked) {
   }
   DiscoveryOptions options;
   options.skip_declared = false;
-  EXPECT_FALSE(DiscoverConstraints(*db, options).empty());
+  auto discovered = DiscoverConstraints(*db, options);
+  ASSERT_TRUE(discovered.ok()) << discovered.status();
+  EXPECT_FALSE(discovered->empty());
 }
 
 TEST(ConstraintDiscoveryTest, IndRequiresUniqueReferencedByDefault) {
@@ -137,8 +145,9 @@ TEST(ConstraintDiscoveryTest, IndRequiresUniqueReferencedByDefault) {
     ASSERT_TRUE(b->AppendRow({Value::Integer(i % 10)}).ok());
   }
   auto strict = DiscoverConstraints(*db);
+  ASSERT_TRUE(strict.ok()) << strict.status();
   bool fk_found = false;
-  for (const DiscoveredConstraint& d : strict) {
+  for (const DiscoveredConstraint& d : *strict) {
     if (d.constraint.kind == ConstraintKind::kForeignKey) fk_found = true;
   }
   EXPECT_FALSE(fk_found);
@@ -146,8 +155,9 @@ TEST(ConstraintDiscoveryTest, IndRequiresUniqueReferencedByDefault) {
   DiscoveryOptions lax;
   lax.require_unique_referenced = false;
   auto relaxed = DiscoverConstraints(*db, lax);
+  ASSERT_TRUE(relaxed.ok()) << relaxed.status();
   fk_found = false;
-  for (const DiscoveredConstraint& d : relaxed) {
+  for (const DiscoveredConstraint& d : *relaxed) {
     if (d.constraint.kind == ConstraintKind::kForeignKey) fk_found = true;
   }
   EXPECT_TRUE(fk_found);
@@ -155,17 +165,20 @@ TEST(ConstraintDiscoveryTest, IndRequiresUniqueReferencedByDefault) {
 
 TEST(ConstraintDiscoveryTest, SchemaWithDiscoveredConstraints) {
   Database db = MakeUndeclaredDatabase();
-  Schema completed = SchemaWithDiscoveredConstraints(db);
-  EXPECT_GT(completed.constraints().size(), db.schema().constraints().size());
-  EXPECT_TRUE(completed.IsNotNullable("parent", "id"));
-  EXPECT_TRUE(completed.IsUniqueAttribute("parent", "id"));
+  auto completed = SchemaWithDiscoveredConstraints(db);
+  ASSERT_TRUE(completed.ok()) << completed.status();
+  EXPECT_GT(completed->constraints().size(),
+            db.schema().constraints().size());
+  EXPECT_TRUE(completed->IsNotNullable("parent", "id"));
+  EXPECT_TRUE(completed->IsUniqueAttribute("parent", "id"));
 }
 
 TEST(ConstraintDiscoveryTest, SupportRecorded) {
   Database db = MakeUndeclaredDatabase(25);
   auto discovered = DiscoverConstraints(db);
-  ASSERT_FALSE(discovered.empty());
-  for (const DiscoveredConstraint& d : discovered) {
+  ASSERT_TRUE(discovered.ok()) << discovered.status();
+  ASSERT_FALSE(discovered->empty());
+  for (const DiscoveredConstraint& d : *discovered) {
     EXPECT_EQ(d.support, 25u);
     EXPECT_NE(d.ToString().find("support 25"), std::string::npos);
   }

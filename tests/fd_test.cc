@@ -130,9 +130,10 @@ TEST(FdDiscoveryTest, MinesExactUnaryFds) {
                     .ok());
   }
   auto discovered = DiscoverConstraints(*db);
+  ASSERT_TRUE(discovered.ok()) << discovered.status();
   bool zip_to_city = false;
   bool city_to_amount = false;
-  for (const DiscoveredConstraint& d : discovered) {
+  for (const DiscoveredConstraint& d : *discovered) {
     if (d.constraint.kind != ConstraintKind::kFunctionalDependency) {
       continue;
     }
@@ -156,7 +157,9 @@ TEST(FdDiscoveryTest, CanBeDisabled) {
   DiscoveryOptions options;
   options.min_row_count = 2;
   options.discover_functional_dependencies = false;
-  for (const DiscoveredConstraint& d : DiscoverConstraints(db, options)) {
+  auto discovered = DiscoverConstraints(db, options);
+  ASSERT_TRUE(discovered.ok()) << discovered.status();
+  for (const DiscoveredConstraint& d : *discovered) {
     EXPECT_NE(d.constraint.kind, ConstraintKind::kFunctionalDependency);
   }
 }

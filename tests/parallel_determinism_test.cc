@@ -1,16 +1,20 @@
 // End-to-end determinism of the parallel pipeline: running the same
 // estimation with 1, 2, and 8 threads must produce byte-identical JSON
-// reports and identical scheduling-independent telemetry counters.
+// reports and identical scheduling-independent telemetry counters, also
+// when a parallel batch fails.
 // Only metrics under the `parallel.pool.` prefix (and the timing
 // histograms) may differ between runs — they describe how the work was
 // distributed, not what was computed.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "efes/common/fault.h"
+#include "efes/common/file_io.h"
 #include "efes/common/parallel.h"
 #include "efes/experiment/default_pipeline.h"
 #include "efes/experiment/json_export.h"
@@ -23,6 +27,7 @@
 #include "efes/scenario/scenario_io.h"
 #include "efes/common/metrics.h"
 #include "efes/structure/conflict_detector.h"
+#include "test_paths.h"
 
 namespace efes {
 namespace {
@@ -81,9 +86,10 @@ TEST(ParallelDeterminismTest, ConstraintDiscoveryIsThreadCountInvariant) {
   std::vector<std::vector<std::string>> runs;
   for (size_t threads : kThreadCounts) {
     SetThreadCountOverride(threads);
+    auto discovered = DiscoverConstraints(database, DiscoveryOptions{});
+    ASSERT_TRUE(discovered.ok()) << discovered.status();
     std::vector<std::string> rendered;
-    for (const DiscoveredConstraint& d :
-         DiscoverConstraints(database, DiscoveryOptions{})) {
+    for (const DiscoveredConstraint& d : *discovered) {
       rendered.push_back(d.ToString());
     }
     runs.push_back(std::move(rendered));
@@ -176,6 +182,86 @@ TEST(ParallelDeterminismTest, ParallelItemCountersMatchAcrossThreadCounts) {
   for (size_t i = 1; i < batch_items.size(); ++i) {
     EXPECT_EQ(batch_items[0], batch_items[i]) << "run " << i;
   }
+}
+
+TEST(ParallelDeterminismTest, FailingBatchIsThreadCountInvariant) {
+  // An exact 20,000-byte budget fails the paper example's value
+  // profiling batch. Every index of a failing batch still runs, so the
+  // profiles computed, the work counted and the cache filled match too,
+  // not only the report.
+  auto scenario = MakePaperExample();
+  ASSERT_TRUE(scenario.ok());
+  const std::string path = TestScratchPath("efes_failing_batch_cache");
+  struct Outcome {
+    std::string json;
+    std::vector<uint64_t> counters;
+    size_t entries = 0;
+    std::string snapshot;
+  };
+  std::vector<Outcome> outcomes;
+  for (size_t threads : kThreadCounts) {
+    SetThreadCountOverride(threads);
+    ProfileCache cache;
+    RunOptions options;
+    options.cache = &cache;
+    options.profile.mode = ApproximationMode::kExact;
+    options.profile.max_memory_bytes = 20000;
+    const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+    EfesEngine engine = MakeDefaultEngine();
+    auto result = engine.Run(*scenario, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+    Outcome outcome;
+    outcome.json = EstimationResultToJson(*result);
+    for (const char* name :
+         {"profiling.statistics.columns", "profiling.statistics.cells",
+          "parallel.batches", "parallel.items"}) {
+      outcome.counters.push_back(after.CounterValue(name) -
+                                 before.CounterValue(name));
+    }
+    outcome.entries = cache.entry_count();
+    ASSERT_TRUE(cache.SaveToFile(path).ok());
+    auto saved = ReadFileToString(path);
+    ASSERT_TRUE(saved.ok()) << saved.status();
+    outcome.snapshot = *std::move(saved);
+    outcomes.push_back(std::move(outcome));
+  }
+  SetThreadCountOverride(0);
+  std::filesystem::remove(path);
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_NE(outcomes[0].json.find("\"degraded\":true"), std::string::npos);
+  for (size_t i = 1; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[0].json, outcomes[i].json) << "run " << i;
+    EXPECT_EQ(outcomes[0].counters, outcomes[i].counters) << "run " << i;
+    EXPECT_EQ(outcomes[0].entries, outcomes[i].entries) << "run " << i;
+    EXPECT_EQ(outcomes[0].snapshot, outcomes[i].snapshot) << "run " << i;
+  }
+}
+
+TEST(ParallelDeterminismTest, MultiFireTaskFaultIsThreadCountInvariant) {
+  // parallel.task:n=5,count=3 fires at the 5th, 6th and 7th task. Every
+  // index of a failing batch runs, so the same batch takes all three
+  // fires, and the same modules fail, at every thread count.
+  auto fuzzed = FuzzScenario(1);
+  ASSERT_TRUE(fuzzed.ok()) << fuzzed.status();
+  std::vector<std::string> reports;
+  for (size_t threads : kThreadCounts) {
+    SetThreadCountOverride(threads);
+    FaultRegistry::Global().DisarmAll();
+    ASSERT_TRUE(FaultRegistry::Global()
+                    .ArmFromString("parallel.task:n=5,count=3")
+                    .ok());
+    EfesEngine engine = MakeDefaultEngine();
+    auto result = engine.Run(fuzzed->scenario);
+    FaultRegistry::Global().DisarmAll();
+    ASSERT_TRUE(result.ok()) << result.status();
+    reports.push_back(EstimationResultToJson(*result));
+  }
+  SetThreadCountOverride(0);
+  ASSERT_EQ(reports.size(), 3u);
+  EXPECT_NE(reports[0].find("\"degraded\":true"), std::string::npos);
+  EXPECT_EQ(reports[0], reports[1]);
+  EXPECT_EQ(reports[0], reports[2]);
 }
 
 TEST(ParallelDeterminismTest, StructureConflictsAreThreadCountInvariant) {

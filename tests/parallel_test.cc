@@ -1,14 +1,22 @@
 // Unit tests for the parallel-execution layer (common/parallel.h):
 // thread-count resolution, edge-case ranges, ordered results, error and
-// exception semantics, nesting, and queue draining on pool destruction.
+// exception semantics (every index runs at every thread count), the
+// caller's request context on pool threads, nesting, and queue draining
+// on pool destruction.
 
 #include "efes/common/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
+
+#include "efes/common/deadline.h"
+#include "efes/common/fault.h"
 
 namespace efes {
 namespace {
@@ -90,8 +98,102 @@ TEST(ParallelForTest, SequentialPathReportsFirstError) {
   });
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
-  // Sequential execution stops at the first error.
-  EXPECT_EQ(calls, 3u);
+  // One runner still runs every index, as a pool of them does.
+  EXPECT_EQ(calls, 10u);
+}
+
+TEST(ParallelForTest, EveryIndexRunsWhenOneFails) {
+  for (size_t threads : {1, 2, 8}) {
+    ThreadOverrideGuard guard(threads);
+    std::vector<std::atomic<int>> visits(64);
+    Status status = ParallelFor(64, [&](size_t i) -> Status {
+      visits[i].fetch_add(1);
+      if (i == 5 || i == 40) {
+        return Status::NotFound("failed at " + std::to_string(i));
+      }
+      return Status::OK();
+    });
+    EXPECT_EQ(status.message(), "failed at 5") << threads << " threads";
+    for (const std::atomic<int>& v : visits) EXPECT_EQ(v.load(), 1);
+  }
+}
+
+TEST(ParallelForTest, NestedRegionRunsEveryIndexWhenOneFails) {
+  for (size_t threads : {1, 2, 8}) {
+    ThreadOverrideGuard guard(threads);
+    std::atomic<size_t> inner_calls{0};
+    Status status = ParallelFor(4, [&](size_t) -> Status {
+      return ParallelFor(8, [&](size_t j) -> Status {
+        inner_calls.fetch_add(1);
+        return j == 1 ? Status::NotFound("inner") : Status::OK();
+      });
+    });
+    EXPECT_EQ(status.code(), StatusCode::kNotFound) << threads << " threads";
+    EXPECT_EQ(inner_calls.load(), 32u) << threads << " threads";
+  }
+}
+
+/// What one task saw: its thread and the request context active there.
+struct TaskView {
+  std::thread::id thread;
+  CancelToken* token = nullptr;
+  FaultRegistry* faults = nullptr;
+};
+
+/// Runs a two-index batch on two runners whose tasks each wait (bounded)
+/// until both have started, so one of them runs on a pool thread.
+std::vector<TaskView> TwoRunnerViews() {
+  ThreadOverrideGuard guard(2);
+  std::vector<TaskView> views(2);
+  std::atomic<int> started{0};
+  Status status = ParallelFor(2, [&](size_t i) -> Status {
+    started.fetch_add(1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    views[i] = {std::this_thread::get_id(), ActiveCancelToken(),
+                ActiveRequestFaults()};
+    return Status::OK();
+  });
+  EXPECT_TRUE(status.ok());
+  return views;
+}
+
+TEST(ParallelForTest, PoolTasksSeeTheCallersRequestContext) {
+  CancelToken token;
+  FaultRegistry request_faults;
+  {
+    ScopedCancelToken scoped_token(&token);
+    ScopedRequestFaults scoped_faults(&request_faults);
+    const std::vector<TaskView> views = TwoRunnerViews();
+    EXPECT_NE(views[0].thread, views[1].thread);
+    for (const TaskView& view : views) {
+      EXPECT_EQ(view.token, &token);
+      EXPECT_EQ(view.faults, &request_faults);
+    }
+  }
+  // The pool thread gave the context back with its share of the batch.
+  for (const TaskView& view : TwoRunnerViews()) {
+    EXPECT_EQ(view.token, nullptr);
+    EXPECT_EQ(view.faults, nullptr);
+  }
+}
+
+TEST(ParallelForTest, RequestFaultsCountEveryTaskAtAnyThreadCount) {
+  for (size_t threads : {1, 2, 8}) {
+    ThreadOverrideGuard guard(threads);
+    FaultRegistry request_faults;
+    ASSERT_TRUE(request_faults.ArmFromString("parallel.task:n=3").ok());
+    ScopedRequestFaults scoped_faults(&request_faults);
+    Status status =
+        ParallelFor(64, [](size_t) -> Status { return Status::OK(); });
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable)
+        << threads << " threads";
+    EXPECT_EQ(request_faults.HitCount("parallel.task"), 64u)
+        << threads << " threads";
+  }
 }
 
 TEST(ParallelForTest, ExceptionsBecomeInternalStatus) {

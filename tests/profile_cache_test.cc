@@ -272,7 +272,7 @@ TEST(ProfileCacheTest, NoActiveCacheMeansNoCaching) {
   EXPECT_EQ(cache.entry_count(), 1u);
   ScopedProfileCache scoped(&cache);
   (void)Stats(NumericColumn(), DataType::kReal);
-  (void)DiscoverConstraints(MakeTinyDatabase());
+  ASSERT_TRUE(DiscoverConstraints(MakeTinyDatabase()).ok());
   EXPECT_EQ(cache.entry_count(), 1u);  // unchanged: no cache was passed
 }
 
@@ -294,29 +294,28 @@ TEST(ProfileCacheTest, ScopedActivationNestsAndRestores) {
 
 TEST(ProfileCacheTest, DiscoverConstraintsUsesTheCache) {
   const Database database = MakeTinyDatabase();
-  std::vector<DiscoveredConstraint> uncached = DiscoverConstraints(database);
+  auto uncached = DiscoverConstraints(database);
   ProfileCache cache;
-  std::vector<DiscoveredConstraint> cold =
-      DiscoverConstraints(database, {}, &cache);
+  auto cold = DiscoverConstraints(database, {}, &cache);
   EXPECT_EQ(cache.entry_count(), 1u);
-  std::vector<DiscoveredConstraint> warm =
-      DiscoverConstraints(database, {}, &cache);
-  ASSERT_EQ(cold.size(), uncached.size());
-  ASSERT_EQ(warm.size(), uncached.size());
-  for (size_t i = 0; i < uncached.size(); ++i) {
-    EXPECT_EQ(cold[i].constraint, uncached[i].constraint);
-    EXPECT_EQ(warm[i].constraint, uncached[i].constraint);
-    EXPECT_EQ(warm[i].support, uncached[i].support);
+  auto warm = DiscoverConstraints(database, {}, &cache);
+  ASSERT_TRUE(uncached.ok() && cold.ok() && warm.ok());
+  ASSERT_EQ(cold->size(), uncached->size());
+  ASSERT_EQ(warm->size(), uncached->size());
+  for (size_t i = 0; i < uncached->size(); ++i) {
+    EXPECT_EQ((*cold)[i].constraint, (*uncached)[i].constraint);
+    EXPECT_EQ((*warm)[i].constraint, (*uncached)[i].constraint);
+    EXPECT_EQ((*warm)[i].support, (*uncached)[i].support);
   }
 }
 
 TEST(ProfileCacheTest, DiscoveryOptionsArePartOfTheKey) {
   const Database database = MakeTinyDatabase();
   ProfileCache cache;
-  (void)DiscoverConstraints(database, {}, &cache);
+  ASSERT_TRUE(DiscoverConstraints(database, {}, &cache).ok());
   DiscoveryOptions no_fds;
   no_fds.discover_functional_dependencies = false;
-  (void)DiscoverConstraints(database, no_fds, &cache);
+  ASSERT_TRUE(DiscoverConstraints(database, no_fds, &cache).ok());
   EXPECT_EQ(cache.entry_count(), 2u);  // distinct keys, no false sharing
 }
 
@@ -391,7 +390,7 @@ TEST(CachePersistenceTest, SaveLoadRoundtripServesIdenticalEntries) {
   ProfileCache cache;
   (void)Stats(MixedColumn(), DataType::kText, &cache);
   (void)Stats(NumericColumn(), DataType::kReal, &cache);
-  (void)DiscoverConstraints(MakeTinyDatabase(), {}, &cache);
+  ASSERT_TRUE(DiscoverConstraints(MakeTinyDatabase(), {}, &cache).ok());
   ASSERT_TRUE(cache.SaveToFile(path).ok());
 
   ProfileCache reloaded;
@@ -528,7 +527,7 @@ TEST(CachePersistenceTest, CorruptSnapshotsDegradeToRecomputationNotError) {
   ProfileCache cache;
   (void)Stats(MixedColumn(), DataType::kText, &cache);
   (void)Stats(NumericColumn(), DataType::kReal, &cache);
-  (void)DiscoverConstraints(MakeTinyDatabase(), {}, &cache);
+  ASSERT_TRUE(DiscoverConstraints(MakeTinyDatabase(), {}, &cache).ok());
   const std::string path = TempCachePath("corrupt");
   ASSERT_TRUE(cache.SaveToFile(path).ok());
   auto pristine = ReadFileToString(path);
@@ -570,6 +569,32 @@ TEST_F(CacheFaultTest, LoadAndSaveFaultPointsAreInjectable) {
   EXPECT_FALSE(cache.SaveToFile(path).ok());
   FaultRegistry::Global().DisarmAll();
   EXPECT_TRUE(cache.SaveToFile(path).ok());
+}
+
+TEST_F(CacheFaultTest, FailedDiscoveryStoresNothing) {
+  // A failed parallel region fails discovery, and the cache keeps no
+  // truncated list under the normal key.
+  const Database database = MakeTinyDatabase();
+  DiscoveryOptions options;
+  options.min_row_count = 1;  // the tiny tables have two rows each
+  auto uncached = DiscoverConstraints(database, options);
+  ASSERT_TRUE(uncached.ok()) << uncached.status();
+  ASSERT_FALSE(uncached->empty());
+  ProfileCache cache;
+  ASSERT_TRUE(FaultRegistry::Global().ArmFromString("parallel.task").ok());
+  auto failed = DiscoverConstraints(database, options, &cache);
+  FaultRegistry::Global().DisarmAll();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(cache.entry_count(), 0u);
+
+  auto rerun = DiscoverConstraints(database, options, &cache);
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  EXPECT_EQ(cache.entry_count(), 1u);
+  ASSERT_EQ(rerun->size(), uncached->size());
+  for (size_t i = 0; i < uncached->size(); ++i) {
+    EXPECT_EQ((*rerun)[i].ToString(), (*uncached)[i].ToString());
+  }
 }
 
 // --- Threads × cache byte-identity ----------------------------------------

@@ -1,11 +1,13 @@
 // End-to-end tests for the efes_serve subsystem: the line protocol
-// (parse/serialize/recover), and EfesServer::ServeLines driven through
-// string streams — session lifecycle, per-request fault containment,
-// deadlines, overload shedding, graceful shutdown, and byte-determinism
-// of responses across runs.
+// (parse/serialize/recover), and EfesServer::ServeFd, the loop efes_serve
+// runs, driven over a request file and a response file — session
+// lifecycle, per-request fault containment, deadlines, overload
+// shedding, graceful shutdown, and byte-determinism of responses across
+// runs and thread counts.
 
 #include "efes/serve/server.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -20,6 +22,8 @@
 #include <vector>
 
 #include "efes/common/fault.h"
+#include "efes/common/file_io.h"
+#include "efes/common/parallel.h"
 #include "efes/scenario/paper_example.h"
 #include "efes/scenario/scenario_io.h"
 #include "efes/serve/protocol.h"
@@ -102,22 +106,37 @@ class ServeTest : public ::testing::Test {
 
   void TearDown() override {
     FaultRegistry::Global().DisarmAll();
+    SetThreadCountOverride(0);
     std::filesystem::remove_all(directory_);
   }
 
-  /// Feeds `requests` to a fresh server and returns the response lines
-  /// indexed by request id.
+  /// Feeds `requests` to a fresh server's ServeFd through a request file
+  /// and returns the lines of its response file, indexed by request id.
   std::map<std::string, std::string> Run(
       const std::vector<std::string>& requests, ServeOptions options = {}) {
-    std::stringstream in;
-    for (const std::string& request : requests) in << request << "\n";
-    std::stringstream out;
+    const std::string requests_path = (directory_ / "requests").string();
+    const std::string responses_path = (directory_ / "responses").string();
+    std::string request_text;
+    for (const std::string& request : requests) {
+      request_text += request + "\n";
+    }
+    EXPECT_TRUE(WriteFileAtomic(requests_path, request_text).ok());
+    EXPECT_TRUE(WriteFileAtomic(responses_path, "").ok());
+    const int in_fd = ::open(requests_path.c_str(), O_RDONLY);
+    const int out_fd = ::open(responses_path.c_str(), O_WRONLY);
+    EXPECT_GE(in_fd, 0);
+    EXPECT_GE(out_fd, 0);
     {
       EfesServer server(std::move(options));
-      Status served = server.ServeLines(in, out);
+      Status served = server.ServeFd(in_fd, out_fd);
       EXPECT_TRUE(served.ok()) << served.ToString();
     }
+    ::close(in_fd);
+    ::close(out_fd);
+    auto responses = ReadFileToString(responses_path);
+    EXPECT_TRUE(responses.ok()) << responses.status();
     std::map<std::string, std::string> by_id;
+    std::istringstream out(responses.ok() ? *responses : "");
     std::string line;
     while (std::getline(out, line)) {
       if (line.empty()) continue;
@@ -224,6 +243,25 @@ TEST_F(ServeTest, RequestFaultIsContainedToItsRequest) {
   EXPECT_NE(with_fault["good"].find("\"degraded\":false"),
             std::string::npos);
   EXPECT_EQ(with_fault["good"], clean["good"]);
+}
+
+TEST_F(ServeTest, RequestTaskFaultIsThreadCountInvariant) {
+  // A request's faults reach the pool threads that run its tasks, so a
+  // `parallel.task` fault fires on the same task, and degrades the same
+  // modules, at every thread count.
+  std::vector<std::string> answers;
+  for (size_t threads : {1, 2, 8}) {
+    SetThreadCountOverride(threads);
+    auto responses = Run({
+        OpenLine("o", "movies"),
+        R"({"id":"f","op":"estimate","session":"movies","format":"json",)"
+        R"("faults":"parallel.task:n=3"})",
+    });
+    answers.push_back(responses["f"]);
+  }
+  EXPECT_NE(answers[0].find("\"degraded\":true"), std::string::npos);
+  EXPECT_EQ(answers[0], answers[1]);
+  EXPECT_EQ(answers[0], answers[2]);
 }
 
 TEST_F(ServeTest, BadFaultSpecIsAnErrorNotACrash) {

@@ -91,33 +91,10 @@ TEST(TableTest, NullCount) {
   EXPECT_EQ(table.NullCount(2), 1u);
 }
 
-TEST(TableTest, DistinctCountIgnoresNulls) {
-  Table table = MakeSongsTable();
-  EXPECT_EQ(table.DistinctCount(0), 2u);  // 1, 2
-  EXPECT_EQ(table.DistinctCount(1), 3u);  // a, b, c
-  EXPECT_EQ(table.DistinctCount(2), 2u);  // 100, 200
-}
-
 TEST(TableTest, DistinctValues) {
   Table table = MakeSongsTable();
   std::vector<Value> distinct = table.DistinctValues(1);
   EXPECT_EQ(distinct.size(), 3u);
-}
-
-TEST(TableTest, CountCastableTo) {
-  Table table(RelationDef("r", {{"t", DataType::kText}}));
-  ASSERT_TRUE(table.AppendRow({Value::Text("42")}).ok());
-  ASSERT_TRUE(table.AppendRow({Value::Text("4:43")}).ok());
-  ASSERT_TRUE(table.AppendRow({Value::Null()}).ok());
-  EXPECT_EQ(table.CountCastableTo(0, DataType::kInteger), 1u);
-  EXPECT_EQ(table.CountCastableTo(0, DataType::kText), 2u);
-}
-
-TEST(TableTest, ValueFrequencies) {
-  Table table = MakeSongsTable();
-  auto frequencies = table.ValueFrequencies(1);
-  EXPECT_EQ(frequencies[Value::Text("a")], 2u);
-  EXPECT_EQ(frequencies[Value::Text("b")], 1u);
 }
 
 TEST(TableTest, DuplicateProjectionsSingleColumn) {

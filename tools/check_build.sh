@@ -234,7 +234,9 @@ elif [[ "$MODE" == "serve" ]]; then
   # on separate admission strands, so their requests execute concurrently
   # inside the server). `full` mode salts the stream with hostile
   # requests: unknown sessions, a broken open, per-request injected
-  # faults, an already-expired deadline, and a malformed line. Both
+  # faults (one at a module boundary on the request's thread, one at
+  # `parallel.task`, which the request's tasks hit on pool threads too),
+  # an already-expired deadline, and a malformed line. Both
   # modes carry one `explain` estimate per session per round, which run
   # concurrently with each other and everything else. Good request ids
   # (explain included) all start with "g" so the contamination gate can
@@ -250,6 +252,7 @@ elif [[ "$MODE" == "serve" ]]; then
         echo "{\"id\":\"g$c-explain$round\",\"op\":\"estimate\",\"session\":\"s$c\",\"explain\":true,\"format\":\"json\"}"
         if [[ "$mode" == "full" ]]; then
           echo "{\"id\":\"f$c-est$round\",\"op\":\"estimate\",\"session\":\"s$c\",\"faults\":\"engine.assess:once\"}"
+          echo "{\"id\":\"f$c-task$round\",\"op\":\"estimate\",\"session\":\"s$c\",\"faults\":\"parallel.task:n=3\",\"format\":\"json\"}"
           echo "{\"id\":\"d$c-est$round\",\"op\":\"estimate\",\"session\":\"s$c\",\"deadline_ms\":0}"
         fi
       done
