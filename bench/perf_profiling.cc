@@ -25,7 +25,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "bench_json.h"
 #include "efes/cache/profile_cache.h"
@@ -36,6 +38,7 @@
 #include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
 #include "efes/common/random.h"
+#include "efes/common/string_util.h"
 #include "efes/dedup/dedup_module.h"
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/sketch.h"
@@ -243,29 +246,51 @@ BENCHMARK_CAPTURE(BM_CsvBlocks, rows, CellVia::kViews)
 BENCHMARK_CAPTURE(BM_CsvBlocks, chunk, CellVia::kStrings)
     ->Unit(benchmark::kMillisecond);
 
-/// Absorbs 500k text cells into a fresh text sketch: through AbsorbText
-/// (views) or Absorb(Value::Text) (a Value per cell). `distinct` picks
-/// an all-distinct column over a 60-word one; a nonzero argument sets
-/// profile_stream's 1 MiB sketch budget.
-void BM_SketchAbsorbText(benchmark::State& state, bool distinct,
-                         CellVia via) {
+/// The cell columns of BM_SketchAbsorbText and BM_ParseNumber: 60
+/// words, all-distinct texts, 40 small integers ("0".."39") and 20
+/// halves ("0.5".."19.5"), 500k cells each, drawn at random.
+enum class CellShape { kWords, kDistinct, kSmallIntegers, kHalves };
+
+const std::vector<std::string>& ShapeCells(CellShape shape) {
   constexpr size_t kCells = 500000;
-  std::vector<std::string> cells;
-  cells.reserve(kCells);
-  Random rng(5);
-  std::vector<std::string> words;
-  for (int i = 0; i < 60; ++i) words.push_back(rng.Word(4, 10));
-  for (size_t i = 0; i < kCells; ++i) {
-    cells.push_back(distinct ? "value-" + std::to_string(i)
-                             : words[rng.UniformUint64(words.size())]);
-  }
+  static const std::vector<std::vector<std::string>> columns = [] {
+    std::vector<std::vector<std::string>> made(4);
+    Random rng(5);
+    std::vector<std::string> words;
+    for (int i = 0; i < 60; ++i) words.push_back(rng.Word(4, 10));
+    for (size_t i = 0; i < kCells; ++i) {
+      made[0].push_back(words[rng.UniformUint64(words.size())]);
+      made[1].push_back("value-" + std::to_string(i));
+      made[2].push_back(std::to_string(rng.UniformUint64(40)));
+      made[3].push_back(std::to_string(rng.UniformUint64(20)) + ".5");
+    }
+    return made;
+  }();
+  return columns[static_cast<size_t>(shape)];
+}
+
+/// Which sketch BM_SketchAbsorbText absorbs into: a typed text sketch,
+/// which parses no cell, or an inferring one, which reads every cell as
+/// a number until one is not.
+enum class SketchKind { kText, kInferring };
+
+/// Absorbs a 500k-cell column into a fresh sketch: through AbsorbText
+/// (views) or Absorb(Value::Text) (a Value per cell). A nonzero
+/// argument sets profile_stream's 1 MiB sketch budget. The same cells
+/// into a text and an inferring sketch differ only by the number
+/// parsing.
+void BM_SketchAbsorbText(benchmark::State& state, CellShape shape,
+                         SketchKind kind, CellVia via) {
+  const std::vector<std::string>& cells = ShapeCells(shape);
   ProfileOptions options;
   if (state.range(0) != 0) {
     options.mode = ApproximationMode::kSketch;
     options.max_memory_bytes = 1 << 20;
   }
   for (auto _ : state) {
-    StatisticsSketch sketch(DataType::kText, options);
+    StatisticsSketch sketch = kind == SketchKind::kInferring
+                                  ? StatisticsSketch::Inferring(options)
+                                  : StatisticsSketch(DataType::kText, options);
     Status status;
     for (const std::string& cell : cells) {
       status = via == CellVia::kViews ? sketch.AbsorbText(cell)
@@ -278,17 +303,78 @@ void BM_SketchAbsorbText(benchmark::State& state, bool distinct,
     }
     benchmark::DoNotOptimize(sketch.tracked_count());
   }
-  state.SetItemsProcessed(state.iterations() * kCells);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cells.size()));
 }
-BENCHMARK_CAPTURE(BM_SketchAbsorbText, words_view, false, CellVia::kViews)
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, words_view, CellShape::kWords,
+                  SketchKind::kText, CellVia::kViews)
     ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SketchAbsorbText, words_value, false, CellVia::kStrings)
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, words_value, CellShape::kWords,
+                  SketchKind::kText, CellVia::kStrings)
     ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SketchAbsorbText, distinct_view, true, CellVia::kViews)
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, distinct_view, CellShape::kDistinct,
+                  SketchKind::kText, CellVia::kViews)
     ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SketchAbsorbText, distinct_value, true,
-                  CellVia::kStrings)
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, distinct_value, CellShape::kDistinct,
+                  SketchKind::kText, CellVia::kStrings)
     ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, small_int_text,
+                  CellShape::kSmallIntegers, SketchKind::kText,
+                  CellVia::kViews)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, small_int_infer,
+                  CellShape::kSmallIntegers, SketchKind::kInferring,
+                  CellVia::kViews)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, half_text, CellShape::kHalves,
+                  SketchKind::kText, CellVia::kViews)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SketchAbsorbText, half_infer, CellShape::kHalves,
+                  SketchKind::kInferring, CellVia::kViews)
+    ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// How BM_ParseNumber reads a cell: ReadNumber's one scan, or
+/// ParseDouble then ParseInt64, the two calls a sketch made per cell
+/// before ReadNumber.
+enum class NumberCall { kReadNumber, kTwoParses };
+
+/// Reads every cell of a 500k-cell column as a number, with nothing
+/// else around it.
+void BM_ParseNumber(benchmark::State& state, CellShape shape,
+                    NumberCall call) {
+  const std::vector<std::string>& cells = ShapeCells(shape);
+  for (auto _ : state) {
+    size_t integers = 0;
+    double sum = 0.0;
+    for (const std::string& cell : cells) {
+      if (call == NumberCall::kReadNumber) {
+        const NumberReading reading = ReadNumber(cell);
+        integers += reading.integer ? 1 : 0;
+        sum += reading.real.value_or(0.0);
+      } else {
+        const std::optional<double> real = ParseDouble(cell);
+        integers += ParseInt64(cell).has_value() ? 1 : 0;
+        sum += real.value_or(0.0);
+      }
+    }
+    benchmark::DoNotOptimize(integers);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cells.size()));
+}
+BENCHMARK_CAPTURE(BM_ParseNumber, small_int_read, CellShape::kSmallIntegers,
+                  NumberCall::kReadNumber)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ParseNumber, small_int_two_parses,
+                  CellShape::kSmallIntegers, NumberCall::kTwoParses)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ParseNumber, half_read, CellShape::kHalves,
+                  NumberCall::kReadNumber)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ParseNumber, half_two_parses, CellShape::kHalves,
+                  NumberCall::kTwoParses)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_OverallFit(benchmark::State& state) {
   AttributeStatistics a =

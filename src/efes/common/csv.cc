@@ -1,5 +1,8 @@
 #include "efes/common/csv.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -41,19 +44,54 @@ void AddIssue(std::vector<DataIssue>* issues, std::string location,
       DataIssue{"csv", std::move(location), std::move(message)});
 }
 
+constexpr uint64_t kEveryByte = 0x0101010101010101ull;
+constexpr uint64_t kLow7Bits = 0x7f7f7f7f7f7f7f7full;
+
+// The high bit of every zero byte of `word`, and no other bit. Exact for
+// every byte: (byte & 0x7f) + 0x7f never carries into the next byte,
+// unlike the classic (word - 0x01..01) & ~word & 0x80..80, whose borrow
+// out of a zero byte also flags a 0x01 byte next to it.
+constexpr uint64_t ZeroBytes(uint64_t word) {
+  return ~(((word & kLow7Bits) + kLow7Bits) | word | kLow7Bits);
+}
+
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "the run search reads 8-byte words in memory order");
+
+// Index in memory order of the first byte ZeroBytes flagged.
+size_t FirstFlaggedByte(uint64_t flags) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return static_cast<size_t>(std::countr_zero(flags)) / 8;
+  } else {
+    return static_cast<size_t>(std::countl_zero(flags)) / 8;
+  }
+}
+
 // Incremental RFC-4180 scanner shared by ScanCsv (one Feed over the whole
 // text) and ChunkedCsvReader (repeated Feeds over file blocks). Because a
 // quote escape ("") and a \r\n sequence can straddle a block boundary, the
 // scanner defers those decisions with one-character pending flags instead
 // of looking ahead, which makes it produce the exact same records for any
-// split of the input. Each completed record goes to
-// `sink.OnRecord(std::vector<std::string_view>&)`; the views point into
-// the scanner's record buffer and are valid only during the call.
+// split of the input.
+//
+// The scanner writes each record's cell bytes, back to back, straight
+// into the buffer `sink.record_bytes()` names, so a record is copied
+// once, from the input into wherever the sink keeps it. A completed
+// record goes to `sink.OnRecord(cell_ends)`: the record's cells end at
+// those offsets of that buffer, and the first begins where the scanner
+// began writing it. After the call the scanner asks for the buffer
+// again and starts the next record at its end, so the sink may move,
+// cut or replace what it holds.
 template <typename Sink>
 class CsvScanner {
  public:
   CsvScanner(const CsvReadOptions& options, Sink& sink)
-      : options_(options), sink_(sink) {
+      : options_(options),
+        sink_(sink),
+        delimiters_(kEveryByte * static_cast<unsigned char>(options.delimiter)),
+        out_(&sink.record_bytes()),
+        cell_start_(out_->size()) {
     for (char c : {options.delimiter, '"', '\r', '\n'}) {
       breaks_run_[static_cast<unsigned char>(c)] = true;
     }
@@ -112,6 +150,10 @@ class CsvScanner {
   const Status& limit_error() const { return limit_error_; }
 
  private:
+  static constexpr uint64_t kQuotes = kEveryByte * '"';
+  static constexpr uint64_t kCarriageReturns = kEveryByte * '\r';
+  static constexpr uint64_t kLineFeeds = kEveryByte * '\n';
+
   bool FeedChar(char c) {
     if (pending_quote_) {
       pending_quote_ = false;
@@ -147,7 +189,18 @@ class CsvScanner {
     return GrowCell(std::string_view(&c, 1));
   }
 
+  // The first delimiter, quote, CR or LF in [next, end), or end: eight
+  // bytes at a time, then byte by byte for the last few.
   const char* FindRunBreak(const char* next, const char* end) const {
+    while (end - next >= 8) {
+      uint64_t word = 0;
+      std::memcpy(&word, next, sizeof(word));
+      const uint64_t breaks =
+          ZeroBytes(word ^ delimiters_) | ZeroBytes(word ^ kQuotes) |
+          ZeroBytes(word ^ kCarriageReturns) | ZeroBytes(word ^ kLineFeeds);
+      if (breaks != 0) return next + FirstFlaggedByte(breaks);
+      next += 8;
+    }
     while (next != end && !breaks_run_[static_cast<unsigned char>(*next)]) {
       ++next;
     }
@@ -160,26 +213,20 @@ class CsvScanner {
     return quote == nullptr ? end : static_cast<const char*>(quote);
   }
 
-  size_t CellSize() const { return record_.size() - cell_start_; }
+  size_t CellSize() const { return out_->size() - cell_start_; }
 
   void EndCell() {
-    cell_ends_.push_back(record_.size());
-    cell_start_ = record_.size();
+    cell_ends_.push_back(out_->size());
+    cell_start_ = out_->size();
     cell_started_ = false;
   }
 
   bool EndRecord() {
     EndCell();
-    cells_.clear();
-    size_t begin = 0;
-    for (size_t cell_end : cell_ends_) {
-      cells_.emplace_back(record_.data() + begin, cell_end - begin);
-      begin = cell_end;
-    }
-    sink_.OnRecord(cells_);
-    record_.clear();
+    sink_.OnRecord(cell_ends_);
     cell_ends_.clear();
-    cell_start_ = 0;
+    out_ = &sink_.record_bytes();
+    cell_start_ = out_->size();
     ++total_records_;
     if (total_records_ > options_.max_rows) {
       std::ostringstream oss;
@@ -201,19 +248,20 @@ class CsvScanner {
       limit_error_ = Status::ResourceExhausted(oss.str());
       return false;
     }
-    record_.append(bytes);
+    out_->append(bytes);
     return true;
   }
 
   const CsvReadOptions options_;
   Sink& sink_;
+  const uint64_t delimiters_;  // the delimiter in every byte
   bool breaks_run_[256] = {};
-  // The open record's cells back to back; cell_ends_ holds each closed
-  // cell's end offset and cell_start_ the open cell's start.
-  std::string record_;
+  // The sink's buffer the open record is written to; cell_ends_ holds
+  // each closed cell's end offset in it and cell_start_ the open cell's
+  // start.
+  std::string* out_;
   std::vector<size_t> cell_ends_;
-  size_t cell_start_ = 0;
-  std::vector<std::string_view> cells_;
+  size_t cell_start_;
   bool in_quotes_ = false;
   bool cell_started_ = false;
   bool pending_quote_ = false;
@@ -223,31 +271,29 @@ class CsvScanner {
   Status limit_error_;
 };
 
-// Conforms `record` (data row number `row_number`, 1-based) to the header
-// width: strict mode fails, recover mode pads/truncates and reports.
-template <typename Cells>
-Status NormalizeRecord(Cells& record, size_t header_size,
-                       size_t row_number, bool recover,
-                       std::vector<DataIssue>* issues) {
-  if (record.size() == header_size) return Status::OK();
+// Checks a record of `cells` cells (data row `row_number`, 1-based)
+// against the header width: strict mode fails; recover mode reports the
+// repair the caller then makes (pad with empty cells or truncate).
+Status CheckRecordShape(size_t cells, size_t header_size, size_t row_number,
+                        bool recover, std::vector<DataIssue>* issues) {
+  if (cells == header_size) return Status::OK();
   if (!recover) {
     std::ostringstream oss;
-    oss << "CSV row " << row_number << " has " << record.size()
+    oss << "CSV row " << row_number << " has " << cells
         << " cells, expected " << header_size;
     return Status::ParseError(oss.str());
   }
   std::ostringstream location;
   location << "row " << row_number;
   std::ostringstream oss;
-  if (record.size() < header_size) {
-    oss << "short row padded from " << record.size() << " to " << header_size
+  if (cells < header_size) {
+    oss << "short row padded from " << cells << " to " << header_size
         << " cells";
   } else {
-    oss << "long row truncated from " << record.size() << " to "
-        << header_size << " cells";
+    oss << "long row truncated from " << cells << " to " << header_size
+        << " cells";
   }
   AddIssue(issues, location.str(), oss.str());
-  record.resize(header_size);
   return Status::OK();
 }
 
@@ -259,18 +305,17 @@ class RowNormalizer {
   RowNormalizer(bool recover, CsvRowSink& sink)
       : recover_(recover), sink_(sink) {}
 
-  void OnRecord(std::vector<std::string_view>& cells) {
-    if (!has_header_) {
-      has_header_ = true;
-      header_size_ = cells.size();
-      sink_.OnHeader(cells);
-      return;
+  std::string& record_bytes() { return record_; }
+
+  void OnRecord(const std::vector<size_t>& cell_ends) {
+    cells_.clear();
+    size_t begin = 0;
+    for (size_t cell_end : cell_ends) {
+      cells_.emplace_back(record_.data() + begin, cell_end - begin);
+      begin = cell_end;
     }
-    ++rows_;
-    if (!shape_error_.ok()) return;
-    shape_error_ =
-        NormalizeRecord(cells, header_size_, rows_, recover_, &issues_);
-    if (shape_error_.ok()) sink_.OnRow(rows_, cells);
+    Deliver();
+    record_.clear();
   }
 
   bool has_header() const { return has_header_; }
@@ -278,8 +323,27 @@ class RowNormalizer {
   std::vector<DataIssue>& issues() { return issues_; }
 
  private:
+  void Deliver() {
+    if (!has_header_) {
+      has_header_ = true;
+      header_size_ = cells_.size();
+      sink_.OnHeader(cells_);
+      return;
+    }
+    ++rows_;
+    if (!shape_error_.ok()) return;
+    shape_error_ = CheckRecordShape(cells_.size(), header_size_, rows_,
+                                    recover_, &issues_);
+    if (!shape_error_.ok()) return;
+    cells_.resize(header_size_);
+    sink_.OnRow(rows_, cells_);
+  }
+
   const bool recover_;
   CsvRowSink& sink_;
+  // The record being scanned, then its cells as views into it.
+  std::string record_;
+  std::vector<std::string_view> cells_;
   bool has_header_ = false;
   size_t header_size_ = 0;
   size_t rows_ = 0;
@@ -382,11 +446,12 @@ Status WriteCsvFile(const CsvDocument& doc, const std::string& path,
 
 // --- ChunkedCsvReader ------------------------------------------------------
 
-void CsvRows::Append(const std::vector<std::string_view>& cells) {
-  for (std::string_view cell : cells) {
-    bytes_.append(cell);
-    offsets_.push_back(bytes_.size());
-  }
+void CsvRows::Append(const std::vector<size_t>& cell_ends) {
+  const size_t kept = std::min(cell_ends.size(), width_);
+  offsets_.insert(offsets_.end(), cell_ends.begin(),
+                  cell_ends.begin() + static_cast<std::ptrdiff_t>(kept));
+  if (kept < cell_ends.size()) bytes_.resize(offsets_.back());
+  offsets_.resize(offsets_.size() + (width_ - kept), bytes_.size());
   ++rows_;
 }
 
@@ -404,31 +469,50 @@ struct ChunkedCsvReader::Impl {
     Status error;
   };
 
-  // The scanner's sink: the first record is the header; every later one
-  // is conformed to its width straight into the block being filled, and
-  // a record past `block_rows` starts the next block.
+  // The scanner's sink. The scanner writes every record straight into
+  // the bytes of the block being filled. The first record is the
+  // header, copied out; every later one is conformed to its width in
+  // place, or cut off again once strict mode stopped storing. A block
+  // that holds `block_rows` records is queued, and the next record
+  // starts a new one.
   struct BlockQueue {
-    void OnRecord(std::vector<std::string_view>& cells) {
+    std::string& record_bytes() { return filling.rows.bytes_; }
+
+    void OnRecord(const std::vector<size_t>& cell_ends) {
+      CsvRows& rows = filling.rows;
       if (!has_header) {
         has_header = true;
-        header.assign(cells.begin(), cells.end());
+        size_t begin = 0;
+        for (size_t cell_end : cell_ends) {
+          header.emplace_back(rows.bytes_, begin, cell_end - begin);
+          begin = cell_end;
+        }
+        filling = Block(header.size());
         return;
       }
       ++records_seen;
       ++pending_records;
-      if (blocks.empty() || blocks.back().records == block_rows) {
-        blocks.emplace_back(header.size());
+      ++filling.records;
+      if (!stopped) {
+        filling.error = CheckRecordShape(cell_ends.size(), header.size(),
+                                         records_seen, recover,
+                                         &filling.issues);
+        // Strict mode delivers nothing past this record.
+        stopped = !filling.error.ok();
       }
-      Block& block = blocks.back();
-      ++block.records;
-      if (stopped) return;
-      block.error = NormalizeRecord(cells, header.size(), records_seen,
-                                    recover, &block.issues);
-      if (!block.error.ok()) {
-        stopped = true;  // strict mode delivers nothing past this record
-        return;
+      if (stopped) {
+        rows.bytes_.resize(rows.offsets_.back());
+      } else {
+        rows.Append(cell_ends);
       }
-      block.rows.Append(cells);
+      if (filling.records == block_rows) Flush();
+    }
+
+    // Queues the block being filled, if it spans any record.
+    void Flush() {
+      if (filling.records == 0) return;
+      blocks.push_back(std::move(filling));
+      filling = Block(header.size());
     }
 
     bool recover = false;
@@ -438,7 +522,8 @@ struct ChunkedCsvReader::Impl {
     size_t records_seen = 0;     // data records scanned
     size_t pending_records = 0;  // of those, not yet delivered
     bool stopped = false;
-    std::deque<Block> blocks;
+    Block filling{0};
+    std::deque<Block> blocks;  // full blocks, then the last one at the end
   };
 
   Impl(const CsvReadOptions& options, std::string path, size_t chunk_rows)
@@ -472,7 +557,9 @@ struct ChunkedCsvReader::Impl {
     }
     if (stream.eof()) {
       source_done = true;
-      if (!scanner.Finish()) return Fail(scanner.limit_error());
+      const bool finished = scanner.Finish();
+      queue.Flush();
+      if (!finished) return Fail(scanner.limit_error());
     }
     return Status::OK();
   }

@@ -106,7 +106,10 @@ Status WriteCsvFile(const CsvDocument& doc, const std::string& path,
 /// A block of data rows from ChunkedCsvReader::NextRows, each conformed
 /// to the header width. The cells' bytes sit back to back in one buffer,
 /// row-major, with their end offsets in a second, so a block holds two
-/// buffers however many cells it has, and a cell is a view into it.
+/// buffers however many cells it has, and a cell is a view into it. The
+/// reader's scanner writes each record's bytes straight into that
+/// buffer, so a cell is copied once on its way from the file (a doubled
+/// quote is stored as one; a repaired row is padded or cut in place).
 class CsvRows {
  public:
   /// Rows in the block.
@@ -125,8 +128,12 @@ class CsvRows {
  private:
   friend class ChunkedCsvReader;
   explicit CsvRows(size_t width) : width_(width) {}
-  /// Appends one record, already conformed to width().
-  void Append(const std::vector<std::string_view>& cells);
+  /// Takes the record the reader's scanner just wrote at the end of
+  /// bytes_: its cells end at `cell_ends` there, and the first begins at
+  /// the previous row's end. A short record gets empty cells and a long
+  /// one loses its extra cells and their bytes, so the row has width()
+  /// cells.
+  void Append(const std::vector<size_t>& cell_ends);
 
   size_t width_ = 0;
   size_t rows_ = 0;

@@ -1,10 +1,13 @@
 #include "efes/common/flags.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
+
+#include "efes/common/string_util.h"
 
 namespace efes {
 
@@ -57,18 +60,15 @@ FlagSet& FlagSet::AddUint(std::string name, std::string value_name,
                           std::string help, size_t* target) {
   flags_.push_back(Flag{std::move(name), std::move(value_name),
                         std::move(help), [target](std::string_view value) {
-                          std::string buffer(value);
-                          char* end = nullptr;
-                          unsigned long long v =
-                              std::strtoull(buffer.c_str(), &end, 10);
-                          if (buffer.empty() ||
-                              end != buffer.c_str() + buffer.size() ||
-                              v == 0) {
+                          const std::optional<uint64_t> v =
+                              ParseUint64(value);
+                          if (!v.has_value() || *v == 0 ||
+                              *v > std::numeric_limits<size_t>::max()) {
                             return Status::InvalidArgument(
                                 "expected a positive integer, got '" +
-                                buffer + "'");
+                                std::string(value) + "'");
                           }
-                          *target = static_cast<size_t>(v);
+                          *target = static_cast<size_t>(*v);
                           return Status::OK();
                         }});
   return *this;

@@ -6,12 +6,14 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "efes/common/deadline.h"
 #include "efes/common/fault.h"
 #include "efes/common/clock.h"
 #include "efes/common/metrics.h"
+#include "efes/common/string_util.h"
 
 namespace efes {
 
@@ -100,11 +102,10 @@ size_t ConfiguredThreadCount() {
   size_t override_count = g_thread_override.load(std::memory_order_relaxed);
   if (override_count > 0) return override_count;
   if (const char* env = std::getenv("EFES_THREADS")) {
-    char* end = nullptr;
-    unsigned long value = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0 &&
-        value <= std::numeric_limits<size_t>::max()) {
-      return static_cast<size_t>(value);
+    const std::optional<uint64_t> value = ParseUint64(env);
+    if (value.has_value() && *value > 0 &&
+        *value <= std::numeric_limits<size_t>::max()) {
+      return static_cast<size_t>(*value);
     }
   }
   return HardwareConcurrency();

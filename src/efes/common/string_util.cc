@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cfloat>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -34,17 +36,19 @@ std::string Join(const std::vector<std::string>& pieces,
   return out;
 }
 
+namespace {
+
+// std::isspace in the "C" locale, the only one EFES runs in, without
+// the library call: space, \t, \n, \v, \f and \r.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view Trim(std::string_view input) {
   size_t begin = 0;
   size_t end = input.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(input[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(input[end - 1]))) {
-    --end;
-  }
+  while (begin < end && IsAsciiSpace(input[begin])) ++begin;
+  while (end > begin && IsAsciiSpace(input[end - 1])) --end;
   return input.substr(begin, end - begin);
 }
 
@@ -67,30 +71,127 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
              0;
 }
 
-std::optional<int64_t> ParseInt64(std::string_view text) {
-  std::string_view trimmed = Trim(text);
-  if (trimmed.empty()) return std::nullopt;
-  std::string buffer(trimmed);
-  errno = 0;
-  char* end = nullptr;
-  long long value = std::strtoll(buffer.c_str(), &end, 10);
-  if (errno == ERANGE || end != buffer.c_str() + buffer.size()) {
-    return std::nullopt;
+namespace {
+
+// 10^0 .. 10^22, the powers of ten a double holds exactly (5^22 < 2^53).
+constexpr double kExactPowersOfTen[] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+// A trimmed text in the plain decimal grammar `[sign] digits [. digits]`
+// with at least one digit. The significant digits (leading zeros are
+// not) form `mantissa` while it fits in 64 bits; `overflow` says it did
+// not. `scale` counts the digits after the dot.
+struct PlainDecimal {
+  bool negative = false;
+  bool has_dot = false;
+  bool overflow = false;
+  uint64_t mantissa = 0;
+  size_t scale = 0;
+};
+
+std::optional<PlainDecimal> ScanPlainDecimal(std::string_view text) {
+  PlainDecimal decimal;
+  size_t i = 0;
+  if (i < text.size() && (text[i] == '+' || text[i] == '-')) {
+    decimal.negative = text[i] == '-';
+    ++i;
   }
-  return static_cast<int64_t>(value);
+  bool any_digit = false;
+  size_t significant = 0;
+  for (; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '.' && !decimal.has_dot) {
+      decimal.has_dot = true;
+      continue;
+    }
+    if (c < '0' || c > '9') return std::nullopt;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    any_digit = true;
+    if (decimal.has_dot) ++decimal.scale;
+    if (significant == 0 && digit == 0) continue;
+    // 19 digits always fit; a 20th only below 2^64.
+    if (significant < 19 ||
+        (significant == 19 && !decimal.overflow &&
+         decimal.mantissa <=
+             (std::numeric_limits<uint64_t>::max() - digit) / 10)) {
+      decimal.mantissa = decimal.mantissa * 10 + digit;
+      ++significant;
+    } else {
+      decimal.overflow = true;
+    }
+  }
+  if (!any_digit) return std::nullopt;
+  return decimal;
 }
 
-std::optional<double> ParseDouble(std::string_view text) {
-  std::string_view trimmed = Trim(text);
-  if (trimmed.empty()) return std::nullopt;
-  std::string buffer(trimmed);
+std::optional<int64_t> Int64Of(const PlainDecimal& decimal) {
+  if (decimal.has_dot || decimal.overflow) return std::nullopt;
+  const uint64_t magnitude = decimal.mantissa;
+  if (!decimal.negative) {
+    if (magnitude > static_cast<uint64_t>(INT64_MAX)) return std::nullopt;
+    return static_cast<int64_t>(magnitude);
+  }
+  if (magnitude > uint64_t{1} << 63) return std::nullopt;
+  if (magnitude == 0) return 0;
+  return -static_cast<int64_t>(magnitude - 1) - 1;
+}
+
+// The value of a plain decimal without strtod, when one division of two
+// exact doubles gives it correctly rounded (see ParseDouble); nullopt
+// otherwise. Needs arithmetic in double precision, not a wider format.
+std::optional<double> ExactDoubleOf(const PlainDecimal& decimal) {
+  if (FLT_EVAL_METHOD != 0 || decimal.overflow ||
+      decimal.mantissa > uint64_t{1} << 53 || decimal.scale > 22) {
+    return std::nullopt;
+  }
+  double value = static_cast<double>(decimal.mantissa);
+  if (decimal.scale > 0) value /= kExactPowersOfTen[decimal.scale];
+  return decimal.negative ? -value : value;
+}
+
+std::optional<double> StrtodOf(std::string_view trimmed) {
+  const std::string buffer(trimmed);
   errno = 0;
   char* end = nullptr;
-  double value = std::strtod(buffer.c_str(), &end);
+  const double value = std::strtod(buffer.c_str(), &end);
   if (errno == ERANGE || end != buffer.c_str() + buffer.size()) {
     return std::nullopt;
   }
   return value;
+}
+
+}  // namespace
+
+std::optional<int64_t> ParseInt64(std::string_view text) {
+  const std::optional<PlainDecimal> decimal = ScanPlainDecimal(Trim(text));
+  return decimal.has_value() ? Int64Of(*decimal) : std::nullopt;
+}
+
+std::optional<uint64_t> ParseUint64(std::string_view text) {
+  const std::string_view trimmed = Trim(text);
+  if (!trimmed.empty() && trimmed.front() == '-') return std::nullopt;
+  const std::optional<PlainDecimal> decimal = ScanPlainDecimal(trimmed);
+  if (!decimal.has_value() || decimal->has_dot || decimal->overflow) {
+    return std::nullopt;
+  }
+  return decimal->mantissa;
+}
+
+std::optional<double> ParseDouble(std::string_view text) {
+  return ReadNumber(text).real;
+}
+
+NumberReading ReadNumber(std::string_view text) {
+  const std::string_view trimmed = Trim(text);
+  NumberReading reading;
+  if (trimmed.empty()) return reading;
+  if (const std::optional<PlainDecimal> decimal = ScanPlainDecimal(trimmed)) {
+    reading.integer = Int64Of(*decimal).has_value();
+    reading.real = ExactDoubleOf(*decimal);
+  }
+  if (!reading.real.has_value()) reading.real = StrtodOf(trimmed);
+  return reading;
 }
 
 std::string FormatDouble(double value, int precision) {

@@ -30,12 +30,35 @@ std::string ToLower(std::string_view input);
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 
-/// Parses a whole string as a signed 64-bit integer (optionally surrounded
-/// by whitespace). Returns nullopt on trailing garbage or overflow.
+/// Parses a whole string as a signed 64-bit integer: after Trim, an
+/// optional sign and one or more ASCII digits, as strtoll reads base 10.
+/// Returns nullopt on anything else and on overflow (strtoll's ERANGE).
+/// An exact digit loop; no copy of the text is made.
 std::optional<int64_t> ParseInt64(std::string_view text);
 
-/// Parses a whole string as a double. Returns nullopt on trailing garbage.
+/// ParseInt64's grammar without the minus sign, for counts and sizes:
+/// "-1" is rejected rather than read as 2^64 - 1, and so is overflow.
+std::optional<uint64_t> ParseUint64(std::string_view text);
+
+/// Parses a whole string (after Trim) as a double, exactly as strtod
+/// does: the same value bit for bit, -0.0 included, and nullopt on
+/// trailing garbage and on ERANGE. A plain decimal `[sign] digits
+/// [. digits]` whose significant digits form an integer mantissa of at
+/// most 2^53 and whose fraction has at most 22 digits is read without
+/// strtod: mantissa and 10^scale are both exact doubles, so their one
+/// correctly rounded quotient is the correctly rounded value strtod
+/// returns. Everything else (exponents, hex floats, inf/nan, longer
+/// mantissas, garbage) goes to strtod.
 std::optional<double> ParseDouble(std::string_view text);
+
+/// What ParseInt64 and ParseDouble say about one text, from one scan.
+struct NumberReading {
+  /// ParseInt64(text).has_value().
+  bool integer = false;
+  /// ParseDouble(text).
+  std::optional<double> real;
+};
+NumberReading ReadNumber(std::string_view text);
 
 /// Formats a double with up to `precision` significant decimal digits,
 /// dropping a trailing ".0" for integral values. Used by report renderers.

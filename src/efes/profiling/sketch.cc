@@ -158,18 +158,32 @@ void StatisticsSketch::CountNumber(double number) {
 
 void StatisticsSketch::Infer(std::string_view text) {
   if (!may_be_real_) return;
-  const std::optional<double> number = ParseDouble(text);
-  if (!number.has_value()) {
+  const NumberReading reading = ReadNumber(text);
+  if (!reading.real.has_value()) {
     // Every integer parses as a double too, so no numeric type is left.
     may_be_integer_ = false;
     may_be_real_ = false;
     DropNumbersUnlessReal();
     return;
   }
-  if (may_be_integer_ && !ParseInt64(text).has_value()) {
-    may_be_integer_ = false;
+  if (!reading.integer) may_be_integer_ = false;
+  if (std::isfinite(*reading.real)) CountNumber(*reading.real);
+}
+
+void StatisticsSketch::TypeText(std::string_view text) {
+  if (!IsNumericTarget(target_type_)) {
+    if (!Value::TextCastsTo(text, target_type_)) ++uncastable_count_;
+    return;
   }
-  if (std::isfinite(*number)) CountNumber(*number);
+  // Value::TextCastsTo and NumericOf, from one scan of the text.
+  const NumberReading reading = ReadNumber(text);
+  const bool castable = target_type_ == DataType::kInteger
+                            ? reading.integer
+                            : reading.real.has_value();
+  if (!castable) ++uncastable_count_;
+  if (reading.real.has_value() && std::isfinite(*reading.real)) {
+    CountNumber(*reading.real);
+  }
 }
 
 void StatisticsSketch::DropNumbersUnlessReal() {
@@ -192,9 +206,13 @@ Status StatisticsSketch::Absorb(const Value& value) {
     ++null_count_;
     return Status::OK();
   }
-  if (!value.CanCastTo(target_type_)) ++uncastable_count_;
-  if (IsNumericTarget(target_type_)) {
-    if (std::optional<double> num = NumericOf(value)) CountNumber(*num);
+  if (value.type() == DataType::kText) {
+    TypeText(value.AsText());
+  } else {
+    if (!value.CanCastTo(target_type_)) ++uncastable_count_;
+    if (IsNumericTarget(target_type_)) {
+      if (std::optional<double> num = NumericOf(value)) CountNumber(*num);
+    }
   }
   // Only a budget can raise the level and drop values, and Merge refuses
   // sketches with different budgets, so without one the hash is never
@@ -219,11 +237,7 @@ Status StatisticsSketch::AbsorbText(std::string_view text) {
   if (inferring_) {
     Infer(text);
   } else {
-    if (!Value::TextCastsTo(text, target_type_)) ++uncastable_count_;
-    if (IsNumericTarget(target_type_)) {
-      const std::optional<double> number = ParseDouble(text);
-      if (number.has_value() && std::isfinite(*number)) CountNumber(*number);
-    }
+    TypeText(text);
   }
   uint64_t hash = 0;
   if (cap_bytes_ != 0) {

@@ -181,6 +181,9 @@ class StatisticsSketch {
   /// Updates the inference flags (and scalars) of an Inferring sketch
   /// with one non-null cell.
   void Infer(std::string_view text);
+  /// Counts one non-null text cell of a typed sketch: whether it casts
+  /// to the target and, for a numeric target, its finite reading.
+  void TypeText(std::string_view text);
   /// Zeroes the scalars once an Inferring sketch cannot be numeric.
   void DropNumbersUnlessReal();
 

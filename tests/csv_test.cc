@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "csv_reference.h"
 #include "efes/common/file_io.h"
 #include "test_paths.h"
 
@@ -559,6 +560,88 @@ TEST(ChunkedCsvTest, RecordsStraddlingReadsAndBlocksMatchTheWholeParse) {
                 "CSV row 89 has 5 cells, expected 4 (" + path + ")");
       const size_t block = chunk_rows == 0 ? 3000 : chunk_rows;
       EXPECT_EQ(reader->rows_delivered(), 88 / block * block);
+    }
+  }
+}
+
+/// `length` plain cell bytes, cycling from `start` through bytes that
+/// end no run under any delimiter tested here: bytes >= 0x80, 0x01,
+/// 0x7f, and each break byte with its low bit flipped, the byte the
+/// classic has-zero-byte trick borrows into.
+std::string RunBytes(size_t length, size_t start) {
+  static const std::string kPlain =
+      "a\x80\xff\x01-:\x08#\x0c\x0b\xc3\xa9\x7fz\xfe\x81";
+  std::string run;
+  for (size_t i = 0; i < length; ++i) {
+    run.push_back(kPlain[(start + i) % kPlain.size()]);
+  }
+  return run;
+}
+
+/// Three-cell records that put the delimiter, a literal quote, LF, CRLF
+/// and a bare CR at every offset 0..17 of a run of plain bytes (every
+/// offset mod 8, in a run's first word and in its second), a 0x01 byte
+/// right after a delimiter, and quoted cells holding all of them. The
+/// last record has no line end.
+std::string WordOffsetRecords(char delimiter) {
+  const std::string d(1, delimiter);
+  std::string text;
+  for (size_t length = 0; length <= 17; ++length) {
+    const std::string f = RunBytes(length, length);
+    const std::string g = RunBytes(length, length + 5);
+    text += f + d + "m" + g + "\"q" + d + g + "\n";
+    text += g + d + "\x01" + f + d + f + "\r\n";
+    text += f + d + g + d + f + "\r";
+  }
+  for (size_t length : {0, 7, 8, 9}) {
+    const std::string f = RunBytes(length, 3);
+    text += "\"" + f + d + "\n\"\"" + f + "\"" + d + f + d + "\r\n";
+  }
+  return text + RunBytes(5, 1) + d + RunBytes(3, 2) + d + "end";
+}
+
+TEST(ChunkedCsvTest, BreakBytesAtEveryWordOffsetMatchTheByteScanner) {
+  constexpr size_t kRead = size_t{1} << 16;  // the reader's read size
+  for (char delimiter : {',', ';', '\t'}) {
+    SCOPED_TRACE("delimiter " + std::to_string(delimiter));
+    CsvReadOptions options;
+    options.delimiter = delimiter;
+    const std::string names =
+        std::string(1, delimiter) + "h1" + delimiter + "h2\n";
+    const std::string body = WordOffsetRecords(delimiter);
+    const ReferenceCsv reference =
+        ReferenceScanCsv("h0" + names + body, delimiter);
+    ASSERT_FALSE(reference.unterminated_quote);
+    const Rows expected(reference.records.begin() + 1,
+                        reference.records.end());
+    ASSERT_EQ(expected.size(), 18u * 3 + 4 + 1);
+    for (const std::vector<std::string>& row : expected) {
+      ASSERT_EQ(row.size(), 3u);
+    }
+    auto whole = ParseCsv("h0" + names + body, options);
+    ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+    EXPECT_EQ(whole->rows, expected);
+    // A header cell of padding puts the boundary between the reader's
+    // first two reads at every byte of the body.
+    for (size_t split = 0; split <= body.size(); ++split) {
+      const std::string path = ChunkedScratchFile(
+          "word_offsets",
+          std::string(kRead - names.size() - split, 'p') + names + body);
+      const std::vector<size_t> chunk_sizes =
+          split == 0 ? std::vector<size_t>{1, 2, 3, 7, 0}
+                     : std::vector<size_t>{1, 0};
+      for (size_t chunk_rows : chunk_sizes) {
+        for (Via via : kVias) {
+          if (split != 0 && via != Via::kRows) continue;
+          SCOPED_TRACE("split " + std::to_string(split) + " chunk_rows=" +
+                       std::to_string(chunk_rows) + " " + ViaName(via));
+          auto reader = ChunkedCsvReader::Open(path, options, chunk_rows);
+          ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+          auto rows = DrainChunks(*reader, via);
+          ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+          ASSERT_EQ(*rows, expected);
+        }
+      }
     }
   }
 }

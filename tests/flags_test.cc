@@ -64,13 +64,18 @@ TEST(FlagSetTest, MalformedValueIsTheExit2Class) {
   flags.AddUint("threads", "<n>", "worker threads", &threads)
       .AddChoice("format", {"text", "json"}, "output format", &format)
       .AddString("out", "<file>", "output path", &out);
+  // A minus sign is not a huge count, and overflow does not saturate.
   for (const char* bad : {"--threads=zero", "--threads=0", "--threads=",
+                          "--threads=-1", "--threads=-0",
+                          "--threads=18446744073709551616",
+                          "--threads=99999999999999999999", "--threads=1.5",
                           "--format=xml", "--out="}) {
     std::vector<std::string> args = Args({bad});
     Status status = flags.Parse(&args);
     ASSERT_FALSE(status.ok()) << "accepted: " << bad;
     EXPECT_FALSE(IsUnknownFlagError(status)) << bad;
   }
+  EXPECT_EQ(threads, 0u);
 }
 
 TEST(FlagSetTest, BoolFlagRejectsAValueAndValueFlagRequiresOne) {

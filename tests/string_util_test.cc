@@ -58,6 +58,24 @@ TEST(ParseInt64Test, RejectsGarbage) {
   EXPECT_FALSE(ParseInt64("999999999999999999999999").has_value());
 }
 
+TEST(ParseUint64Test, ParsesCountsAndSizes) {
+  EXPECT_EQ(ParseUint64("0"), 0u);
+  EXPECT_EQ(ParseUint64("42"), 42u);
+  EXPECT_EQ(ParseUint64("+7"), 7u);
+  EXPECT_EQ(ParseUint64(" 99 "), 99u);
+  EXPECT_EQ(ParseUint64("18446744073709551615"), UINT64_MAX);
+}
+
+TEST(ParseUint64Test, RejectsMinusSignsOverflowAndGarbage) {
+  for (const char* bad : {"-1", "-0", " -5", "-18446744073709551615",
+                          "18446744073709551616", "99999999999999999999",
+                          "", " ", "+", "-", "abc", "1.5", "1e3", "0x10",
+                          "12abc", "4 2"}) {
+    EXPECT_FALSE(ParseUint64(bad).has_value()) << "accepted: '" << bad
+                                                << "'";
+  }
+}
+
 TEST(ParseDoubleTest, ParsesValidDoubles) {
   EXPECT_DOUBLE_EQ(*ParseDouble("1.5"), 1.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("-2e3"), -2000.0);

@@ -48,6 +48,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -120,14 +121,12 @@ efes::ProfileCache* g_cache = nullptr;
 /// Parses a base-10 size_t where zero is a legal value (AddUint rejects
 /// it), for flags whose zero means "whole file" or "unlimited".
 efes::Status ParseNonNegative(std::string_view value, size_t* target) {
-  std::string buffer(value);
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(buffer.c_str(), &end, 10);
-  if (buffer.empty() || end != buffer.c_str() + buffer.size()) {
+  const std::optional<uint64_t> v = efes::ParseUint64(value);
+  if (!v.has_value() || *v > std::numeric_limits<size_t>::max()) {
     return efes::Status::InvalidArgument(
-        "expected a non-negative integer, got '" + buffer + "'");
+        "expected a non-negative integer, got '" + std::string(value) + "'");
   }
-  *target = static_cast<size_t>(v);
+  *target = static_cast<size_t>(*v);
   return efes::Status::OK();
 }
 
@@ -167,19 +166,16 @@ efes::FlagSet& GlobalFlags() {
                  "worker threads for parallel phases (default: hardware "
                  "concurrency; results do not depend on the thread count)",
                  [](std::string_view value) {
-                   std::string buffer(value);
-                   char* end = nullptr;
-                   unsigned long long threads =
-                       std::strtoull(buffer.c_str(), &end, 10);
-                   if (buffer.empty() ||
-                       end != buffer.c_str() + buffer.size() ||
-                       threads == 0) {
+                   const std::optional<uint64_t> threads =
+                       efes::ParseUint64(value);
+                   if (!threads.has_value() || *threads == 0 ||
+                       *threads > std::numeric_limits<size_t>::max()) {
                      return efes::Status::InvalidArgument(
-                         "expected a positive thread count, got '" + buffer +
-                         "'");
+                         "expected a positive thread count, got '" +
+                         std::string(value) + "'");
                    }
                    efes::SetThreadCountOverride(
-                       static_cast<size_t>(threads));
+                       static_cast<size_t>(*threads));
                    return efes::Status::OK();
                  });
     f->AddBool("lenient",
@@ -206,8 +202,10 @@ efes::FlagSet& GlobalFlags() {
                "(checked at batch boundaries; no partial output)",
                &g_flags.timeout_ms);
     f->AddAction("approx", "exact|sketch|auto",
-                 "statistics approximation mode (default exact; sketch "
-                 "caps per-column memory, auto degrades only on overflow)",
+                 "statistics approximation mode (default exact, which "
+                 "fails once a column's value set outgrows --max-memory; "
+                 "sketch and auto both stay exact while it fits, coarsen "
+                 "deterministically on overflow, and render the same)",
                  [](std::string_view value) {
                    EFES_ASSIGN_OR_RETURN(
                        g_flags.profile.mode,

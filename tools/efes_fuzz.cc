@@ -23,6 +23,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,14 +70,12 @@ int Fail(const efes::Status& status) {
 }
 
 efes::Status ParseUint(std::string_view value, uint64_t* out) {
-  std::string buffer(value);
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(buffer.c_str(), &end, 10);
-  if (buffer.empty() || end != buffer.c_str() + buffer.size()) {
+  const std::optional<uint64_t> parsed = efes::ParseUint64(value);
+  if (!parsed.has_value()) {
     return efes::Status::InvalidArgument("expected a number, got '" +
-                                         buffer + "'");
+                                         std::string(value) + "'");
   }
-  *out = parsed;
+  *out = *parsed;
   return efes::Status::OK();
 }
 

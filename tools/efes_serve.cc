@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "efes/common/flags.h"
 #include "efes/common/parallel.h"
 #include "efes/common/status.h"
+#include "efes/common/string_util.h"
 #include "efes/serve/server.h"
 
 namespace {
@@ -73,19 +76,16 @@ efes::FlagSet& Flags() {
                  "(default: hardware concurrency; results do not depend "
                  "on the thread count)",
                  [](std::string_view value) {
-                   std::string buffer(value);
-                   char* end = nullptr;
-                   unsigned long long threads =
-                       std::strtoull(buffer.c_str(), &end, 10);
-                   if (buffer.empty() ||
-                       end != buffer.c_str() + buffer.size() ||
-                       threads == 0) {
+                   const std::optional<uint64_t> threads =
+                       efes::ParseUint64(value);
+                   if (!threads.has_value() || *threads == 0 ||
+                       *threads > std::numeric_limits<size_t>::max()) {
                      return efes::Status::InvalidArgument(
-                         "expected a positive thread count, got '" + buffer +
-                         "'");
+                         "expected a positive thread count, got '" +
+                         std::string(value) + "'");
                    }
                    efes::SetThreadCountOverride(
-                       static_cast<size_t>(threads));
+                       static_cast<size_t>(*threads));
                    return efes::Status::OK();
                  });
     f->AddAction("inject-fault", "<point>[:spec]",
