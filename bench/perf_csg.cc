@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.h"
 #include "efes/common/random.h"
 #include "efes/csg/builder.h"
 #include "efes/csg/path_search.h"
@@ -105,27 +104,7 @@ void BM_PathViolationCounting(benchmark::State& state) {
 }
 BENCHMARK(BM_PathViolationCounting)->Arg(500)->Arg(2000)->Arg(8000);
 
-/// CSG build + path search + violation counting. BuildCsg records its
-/// own `csg.build.ms` histogram; the workload adds size and count gauges.
-/// Nothing here profiles, so the cache goes unused.
-void JsonLineWorkload(ProfileCache* /*cache*/) {
-  Database db = ScaledSource(2000);
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  Csg csg = BuildCsg(db);
-  metrics.GetGauge("csg.build.nodes")
-      .Set(static_cast<double>(csg.graph.nodes().size()));
-  NodeId start = *csg.graph.FindTableNode("albums");
-  NodeId end = *csg.graph.FindAttributeNode("artist_credits", "artist");
-  auto best = FindBestPath(csg.graph, start, end);
-  size_t violations = csg.instance.CountPathViolations(
-      csg.graph, best->path, Cardinality::Exactly(1));
-  metrics.GetCounter("csg.path.violations").Increment(violations);
-}
-
 }  // namespace
 }  // namespace efes
 
-int main(int argc, char** argv) {
-  return efes::bench::BenchMain(argc, argv, "perf_csg",
-                                efes::JsonLineWorkload);
-}
+BENCHMARK_MAIN();

@@ -11,7 +11,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.h"
 #include "efes/dedup/dedup_module.h"
 #include "efes/experiment/default_pipeline.h"
 #include "efes/scenario/fuzzer.h"
@@ -67,21 +66,7 @@ void BM_FuzzScenarioGeneration(benchmark::State& state) {
 BENCHMARK(BM_FuzzScenarioGeneration)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
-/// One estimation run over a mid-size fuzz, through `cache`; the emitted
-/// counters cover profiling and the dedup detector.
-void JsonLineWorkload(ProfileCache* cache) {
-  FuzzedScenario fuzzed = ScaledFuzz(400);
-  EfesEngine engine = MakeDefaultEngine();
-  RunOptions options;
-  options.cache = cache;
-  auto result = engine.Run(fuzzed.scenario, options);
-  benchmark::DoNotOptimize(result->estimate.TotalMinutes());
-}
-
 }  // namespace
 }  // namespace efes
 
-int main(int argc, char** argv) {
-  return efes::bench::BenchMain(argc, argv, "perf_dedup",
-                                efes::JsonLineWorkload);
-}
+BENCHMARK_MAIN();

@@ -3,7 +3,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_json.h"
 #include "efes/execute/integration_executor.h"
 #include "efes/scenario/paper_example.h"
 
@@ -50,21 +49,7 @@ void BM_ExecuteLowEffort(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteLowEffort)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-/// One high-quality integration; the emitted counters are the
-/// execute.run.* work counts. Nothing here profiles, so the cache goes
-/// unused.
-void JsonLineWorkload(ProfileCache* /*cache*/) {
-  IntegrationScenario scenario = ScaledScenario(2000);
-  IntegrationExecutor executor;
-  ExecutionReport report;
-  auto result = executor.Execute(scenario, &report);
-  benchmark::DoNotOptimize(result->TotalRowCount());
-}
-
 }  // namespace
 }  // namespace efes
 
-int main(int argc, char** argv) {
-  return efes::bench::BenchMain(argc, argv, "perf_executor",
-                                efes::JsonLineWorkload);
-}
+BENCHMARK_MAIN();

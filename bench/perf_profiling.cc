@@ -3,19 +3,12 @@
 // load that turns CSV bytes into the typed columns they profile
 // (BM_LoadScenario), for the value and dedup assessments that
 // profile those columns in one batch each (BM_AssessValues,
-// BM_AssessDedup), and for the two halves of `efes profile`: reading
+// BM_AssessDedup), for the two halves of `efes profile`: reading
 // row blocks (BM_CsvBlocks) and absorbing text cells into sketches
-// (BM_SketchAbsorbText).
-//
-// Two workload shapes:
-//   - default: a 32-column in-memory batch through ProfileColumns, wide
-//     enough that --threads scaling and the profile-cache cold/warm
-//     delta show up in the JSON lines;
-//   - --rows=<n>: an out-of-core sweep — 8 column streams of n rows
-//     each, generated chunk-by-chunk and absorbed into budgeted
-//     sketches, so the input never exists whole in memory. This is the
-//     scale regime (rows=1e6/1e7) an exact profile of the materialized
-//     column cannot reach under the same --max-memory budget.
+// (BM_SketchAbsorbText), and for the streaming-scale sweep of
+// EXPERIMENTS.md (BM_SketchStream: 8 column streams of 1M and 10M rows,
+// absorbed chunk by chunk into budgeted sketches, so the input never
+// exists whole in memory).
 
 #include <benchmark/benchmark.h>
 
@@ -29,13 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.h"
-#include "efes/cache/profile_cache.h"
-#include "efes/common/clock.h"
 #include "efes/common/csv.h"
 #include "efes/common/file_io.h"
-#include "efes/common/flags.h"
-#include "efes/common/metrics.h"
 #include "efes/common/parallel.h"
 #include "efes/common/random.h"
 #include "efes/common/string_util.h"
@@ -77,7 +65,7 @@ std::vector<Value> RandomNumericColumn(size_t n, uint64_t seed = 77) {
 
 /// Sketch-mode options with a budget an exact whole-column profile of
 /// the text columns could not satisfy: 1 MiB per sketch versus tens of
-/// MiB of distinct values at the --rows scales below.
+/// MiB of distinct values at BM_SketchStream's row counts.
 ProfileOptions SketchBudgetOptions() {
   ProfileOptions options;
   options.max_memory_bytes = 1 << 20;
@@ -506,48 +494,14 @@ void BM_ProfileColumns(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileColumns);
 
-/// The default workload's input: 32 columns of 20000 values, every
-/// column with its own seed so all 32 contents (and therefore cache
-/// keys) are distinct. Generated once — the timed section below
-/// measures profiling, not data generation.
-const std::vector<std::vector<Value>>& WorkloadColumns() {
-  static const std::vector<std::vector<Value>> columns = [] {
-    std::vector<std::vector<Value>> generated;
-    for (size_t i = 0; i < 32; ++i) {
-      generated.push_back(i % 2 == 0 ? RandomTextColumn(20000, 99 + i)
-                                     : RandomNumericColumn(20000, 777 + i));
-    }
-    return generated;
-  }();
-  return columns;
-}
+/// The streaming-scale sweep's chunk size and stream count.
+constexpr size_t kStreamChunkRows = 65536;
+constexpr size_t kStreams = 8;
 
-/// Representative workload for the telemetry JSON line: a 32-column
-/// batch profile through `cache` (wide enough that --threads scaling
-/// shows up in wall_ms) plus one pairwise fit comparison.
-void JsonLineWorkload(ProfileCache* cache) {
-  const std::vector<std::vector<Value>>& columns = WorkloadColumns();
-  std::vector<ProfileRequest> requests;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    requests.push_back(ProfileRequest{
-        &columns[i], i % 2 == 0 ? DataType::kText : DataType::kInteger});
-  }
-  auto batch = ProfileColumns(requests, {}, cache);
-  benchmark::DoNotOptimize(batch);
-  if (batch.ok() && batch->size() >= 4) {
-    benchmark::DoNotOptimize(OverallFit((*batch)[0], (*batch)[2]));
-  }
-}
-
-// --- scaled out-of-core workload (--rows=<n>) ------------------------------
-
-constexpr size_t kScaledStreams = 8;
-constexpr size_t kScaledChunkRows = 65536;
-
-/// Regenerates chunk `chunk_index` of stream `stream` into `out`. The
-/// seed depends only on (stream, chunk_index), so the stream's content
-/// is deterministic however the chunks are iterated — the out-of-core
-/// analog of WorkloadColumns' fixed seeds.
+/// Regenerates chunk `chunk_index` of stream `stream` into `out`: text
+/// for even streams, integers for odd ones. The seed depends only on
+/// (stream, chunk_index), so a stream's content is the same however its
+/// chunks are cut or scheduled.
 void GenerateChunk(size_t stream, size_t chunk_index, size_t count,
                    std::vector<Value>* out) {
   out->clear();
@@ -568,97 +522,44 @@ void GenerateChunk(size_t stream, size_t chunk_index, size_t count,
   }
 }
 
-/// Streams 8 columns of `rows` values each through budgeted sketches:
-/// every chunk is generated, absorbed, and discarded, so peak memory is
-/// one chunk plus one capped sketch per stream regardless of `rows`.
-/// Counters and the profile-time histogram mirror ProfileColumn's
-/// instrumentation so the emitted JSON line carries the same fields as
-/// the default workload.
-void ScaledWorkload(size_t rows) {
-  static Counter& columns_profiled =
-      MetricsRegistry::Global().GetCounter("profiling.statistics.columns");
-  static Counter& cells_scanned =
-      MetricsRegistry::Global().GetCounter("profiling.statistics.cells");
-  static Histogram& compute_ms =
-      MetricsRegistry::Global().GetHistogram("profiling.statistics.ms");
-
+/// The streaming-scale sweep: 8 streams of as many rows as the argument,
+/// one sketch each under SketchBudgetOptions(), one pool task per
+/// stream. Every chunk is generated, absorbed and discarded, so memory
+/// stays one chunk plus one capped sketch per stream at any row count,
+/// where an exact profile of the materialized columns could not stay
+/// within the budget.
+void BM_SketchStream(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
   const ProfileOptions options = SketchBudgetOptions();
-  auto finalized = ParallelMap(kScaledStreams, [&](size_t stream) {
-        const int64_t start_nanos = Clock::Default()->NowNanos();
-        const DataType type =
-            stream % 2 == 0 ? DataType::kText : DataType::kInteger;
-        StatisticsSketch sketch(type, options);
-        std::vector<Value> chunk;
-        chunk.reserve(kScaledChunkRows);
-        size_t chunk_index = 0;
-        for (size_t absorbed = 0; absorbed < rows; ++chunk_index) {
-          const size_t count = std::min(kScaledChunkRows, rows - absorbed);
-          GenerateChunk(stream, chunk_index, count, &chunk);
-          Status status = sketch.AbsorbRange(chunk, 0, chunk.size());
-          if (!status.ok()) {
-            // Unreachable in sketch mode (only exact-mode budgets fail);
-            // a wrong result here would poison the trajectory file.
-            std::fprintf(stderr, "perf_profiling: absorb failed: %s\n",
-                         status.ToString().c_str());
-            std::abort();
-          }
-          absorbed += count;
-        }
-        AttributeStatistics stats = sketch.Finalize();
-        columns_profiled.Increment();
-        cells_scanned.Increment(rows);
-        compute_ms.Observe(
-            static_cast<double>(Clock::Default()->NowNanos() - start_nanos) /
-            1e6);
-        return stats;
-  });
-  if (!finalized.ok()) {
-    std::fprintf(stderr, "perf_profiling: scaled workload failed: %s\n",
-                 finalized.status().ToString().c_str());
-    std::abort();
+  for (auto _ : state) {
+    std::vector<AttributeStatistics> finalized(kStreams);
+    Status streamed = ParallelFor(kStreams, [&](size_t stream) -> Status {
+      StatisticsSketch sketch(
+          stream % 2 == 0 ? DataType::kText : DataType::kInteger, options);
+      std::vector<Value> chunk;
+      chunk.reserve(kStreamChunkRows);
+      for (size_t absorbed = 0, index = 0; absorbed < rows; ++index) {
+        GenerateChunk(stream, index,
+                      std::min(kStreamChunkRows, rows - absorbed), &chunk);
+        EFES_RETURN_IF_ERROR(sketch.AbsorbRange(chunk, 0, chunk.size()));
+        absorbed += chunk.size();
+      }
+      finalized[stream] = sketch.Finalize();
+      return Status::OK();
+    });
+    if (!streamed.ok()) {
+      state.SkipWithError(streamed.ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(finalized);
   }
-  benchmark::DoNotOptimize(*finalized);
-  if (finalized->size() >= 3) {
-    benchmark::DoNotOptimize(OverallFit((*finalized)[0], (*finalized)[2]));
-  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kStreams * rows));
 }
-
-/// "1e6"-style label for exact powers of ten, plain digits otherwise.
-std::string RowsLabel(size_t rows) {
-  size_t power = 0;
-  size_t value = rows;
-  while (value >= 10 && value % 10 == 0) {
-    value /= 10;
-    ++power;
-  }
-  if (value == 1 && power > 0) return "1e" + std::to_string(power);
-  return std::to_string(rows);
-}
+BENCHMARK(BM_SketchStream)->Arg(1000000)->Arg(10000000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace efes
 
-int main(int argc, char** argv) {
-  // --rows=<n> switches to the out-of-core workload; stripped before
-  // google-benchmark (which rejects unknown flags) sees the argv.
-  static size_t rows = 0;
-  {
-    efes::FlagSet flags;
-    flags.AddUint("rows", "<n>",
-                  "rows per stream for the scaled out-of-core workload",
-                  &rows);
-    flags.ParseArgvKeepUnknown(&argc, argv);
-  }
-  if (rows > 0) {
-    const std::string name =
-        "perf_profiling_rows" + efes::RowsLabel(rows);
-    return efes::bench::BenchMain(
-        argc, argv, name,
-        [](efes::ProfileCache*) { efes::ScaledWorkload(rows); });
-  }
-  // Generate the workload input before anything is timed, so the
-  // cold/warm delta measures profiling work only.
-  efes::WorkloadColumns();
-  return efes::bench::BenchMain(argc, argv, "perf_profiling",
-                                efes::JsonLineWorkload);
-}
+BENCHMARK_MAIN();

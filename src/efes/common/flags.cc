@@ -156,25 +156,6 @@ Status FlagSet::Parse(std::vector<std::string>* args,
   return Status::OK();
 }
 
-void FlagSet::ParseArgvKeepUnknown(int* argc, char** argv) const {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    std::string_view name;
-    std::string_view value;
-    bool has_value = false;
-    bool consumed = false;
-    if (SplitFlag(argv[i], &name, &value, &has_value)) {
-      const Flag* flag = Find(name);
-      if (flag != nullptr && (flag->optional_value ||
-                              (!flag->value_name.empty()) == has_value)) {
-        consumed = flag->apply(value).ok();
-      }
-    }
-    if (!consumed) argv[out++] = argv[i];
-  }
-  *argc = out;
-}
-
 std::string FlagSet::UsageText() const {
   // Two-column layout: flag spelling, padded to the widest, then help.
   std::vector<std::string> spellings;

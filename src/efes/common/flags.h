@@ -78,12 +78,6 @@ class FlagSet {
   [[nodiscard]] Status Parse(std::vector<std::string>* args,
                              UnknownFlags policy = UnknownFlags::kReject) const;
 
-  /// argc/argv variant with UnknownFlags::kKeep semantics, for harnesses
-  /// that forward the remaining argv to another parser (the perf benches
-  /// hand theirs to google-benchmark). Malformed values of registered
-  /// flags are also kept, so the downstream parser reports them.
-  void ParseArgvKeepUnknown(int* argc, char** argv) const;
-
   /// Aligned help block, two-space indented, one line per flag:
   ///   --name=<value>       help text
   std::string UsageText() const;

@@ -1,6 +1,7 @@
 #include "efes/core/engine.h"
 
 #include <cmath>
+#include <exception>
 #include <sstream>
 
 #include "efes/cache/profile_cache.h"
@@ -85,11 +86,29 @@ RunContext ContextFor(const RunOptions& options, ProfileMemo* memo) {
   return RunContext{options.cache, options.profile, options.recorder, memo};
 }
 
+/// The kInternal status for the exception in flight, which escaped
+/// `module`: modules are third-party extension code, and the engine's
+/// containment sees every failure as a Status. Call only from a catch
+/// handler.
+Status ModuleExceptionStatus(const EstimationModule& module) {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return Status::Internal("exception in module '" + module.name() +
+                            "': " + e.what());
+  } catch (...) {
+    return Status::Internal("unknown exception in module '" + module.name() +
+                            "'");
+  }
+}
+
 /// Runs phase 1 of one module under a `<module>.assess` span, feeding the
-/// shared assessment-latency histogram. Fault point: `engine.assess`.
+/// shared assessment-latency histogram. An exception escaping the module
+/// becomes kInternal here, so `Run` and `AssessComplexity` report it
+/// alike. Fault point: `engine.assess`.
 Result<std::unique_ptr<ComplexityReport>> AssessModule(
     const EstimationModule& module, const IntegrationScenario& scenario,
-    const RunContext& context) {
+    const RunContext& context) try {
   MetricsRegistry& metrics = MetricsRegistry::Global();
   static Histogram& assess_ms = metrics.GetHistogram("engine.assess.ms");
   metrics.GetCounter("engine.assess.calls").Increment();
@@ -103,13 +122,13 @@ Result<std::unique_ptr<ComplexityReport>> AssessModule(
     span.set_provenance((*report)->provenance_node());
   }
   return report;
+} catch (...) {
+  return ModuleExceptionStatus(module);
 }
 
 /// Runs both phases of one module into `run` (report + planned tasks,
-/// unpriced). Exceptions escaping the module — modules are third-party
-/// extension code — are converted to kInternal so the engine's
-/// containment sees every failure as a Status. Fault point:
-/// `engine.plan`.
+/// unpriced). An exception escaping the module's planning becomes
+/// kInternal, as in AssessModule. Fault point: `engine.plan`.
 Status RunModule(const EstimationModule& module,
                  const IntegrationScenario& scenario,
                  const RunContext& context, ExpectedQuality quality,
@@ -123,12 +142,8 @@ Status RunModule(const EstimationModule& module,
   EFES_ASSIGN_OR_RETURN(*tasks,
                         module.PlanTasks(*run->report, quality, settings));
   return Status::OK();
-} catch (const std::exception& e) {
-  return Status::Internal("exception in module '" + module.name() +
-                          "': " + e.what());
 } catch (...) {
-  return Status::Internal("unknown exception in module '" + module.name() +
-                          "'");
+  return ModuleExceptionStatus(module);
 }
 
 }  // namespace

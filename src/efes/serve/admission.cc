@@ -7,8 +7,8 @@
 namespace efes {
 
 AdmissionController::AdmissionController(AdmissionOptions options)
-    : options_(options) {
-  size_t workers = options_.workers == 0 ? 1 : options_.workers;
+    : max_queue_(options.max_queue) {
+  size_t workers = options.workers == 0 ? 1 : options.workers;
   MetricsRegistry::Global().GetGauge("serve.admission.workers")
       .Set(static_cast<double>(workers));
   workers_.reserve(workers);
@@ -28,10 +28,10 @@ Status AdmissionController::Admit(std::string strand, Task task) {
       return Status::Unavailable(
           "server is draining and refuses new requests");
     }
-    if (queued_count_ >= options_.max_queue) {
+    if (queued_count_ >= max_queue_) {
       metrics.GetCounter("serve.admission.rejected_overload").Increment();
       return Status::ResourceExhausted(
-          "admission queue full (" + std::to_string(options_.max_queue) +
+          "admission queue full (" + std::to_string(max_queue_) +
           " requests waiting)");
     }
     ++queued_count_;

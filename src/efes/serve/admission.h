@@ -47,9 +47,6 @@ struct AdmissionOptions {
   /// shedding kicks in. Running tasks do not count (they are bounded by
   /// `workers`).
   size_t max_queue = 64;
-  /// The Retry-After hint attached to overload rejections, fixed so
-  /// rejection responses stay byte-deterministic.
-  int64_t retry_after_ms = 50;
 };
 
 class AdmissionController {
@@ -78,9 +75,6 @@ class AdmissionController {
 
   [[nodiscard]] bool draining() const;
   [[nodiscard]] size_t queued() const;
-  [[nodiscard]] int64_t retry_after_ms() const {
-    return options_.retry_after_ms;
-  }
 
  private:
   struct Queued {
@@ -90,7 +84,9 @@ class AdmissionController {
 
   void WorkerLoop();
 
-  const AdmissionOptions options_;
+  // Immutable after construction, but only ever read while deciding
+  // admission under the lock, so it carries the annotation too.
+  const size_t max_queue_ EFES_GUARDED_BY(mutex_);
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;  // workers: ready_ nonempty or stop_

@@ -27,6 +27,9 @@ constexpr char kDrainRefusal[] =
 /// across runs, so no elapsed times or module names in here.
 constexpr char kWatchdogMessage[] =
     "deadline expired mid-module; the watchdog discarded the result";
+/// The Retry-After hint on overload rejections, fixed so rejection
+/// responses stay byte-deterministic.
+constexpr int64_t kOverloadRetryAfterMs = 50;
 
 Counter& ServeCounter(const char* name) {
   return MetricsRegistry::Global().GetCounter(name);
@@ -43,8 +46,7 @@ EfesServer::EfesServer(ServeOptions options) : options_(std::move(options)),
                                                sessions_(options_.max_sessions),
                                                admission_(AdmissionOptions{
                                                    options_.workers,
-                                                   options_.max_queue,
-                                                   options_.retry_after_ms}) {
+                                                   options_.max_queue}) {
   watchdog_ = std::thread([this] { WatchdogLoop(); });
 }
 
@@ -231,7 +233,7 @@ bool EfesServer::HandleLine(const std::string& line,
     rejection.id = request.id;
     rejection.status = admitted;
     if (admitted.code() == StatusCode::kResourceExhausted) {
-      rejection.retry_after_ms = admission_.retry_after_ms();
+      rejection.retry_after_ms = kOverloadRetryAfterMs;
     }
     Respond(pending, std::move(rejection), write_line);
   }

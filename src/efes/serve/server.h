@@ -62,8 +62,6 @@ struct ServeOptions {
   /// How long past its deadline a request may run before the watchdog
   /// force-fails it (the cooperative checkpoints normally fire first).
   uint64_t watchdog_grace_ms = 200;
-  /// Retry-After hint on overload rejections.
-  int64_t retry_after_ms = 50;
   /// Server-lifetime profile cache, shared by every session's runs. May
   /// be null: then every run computes all of its profiles.
   ProfileCache* cache = nullptr;

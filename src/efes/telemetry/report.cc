@@ -76,64 +76,4 @@ void WriteMetricsJson(const MetricsSnapshot& snapshot, JsonWriter& json) {
   json.EndObject();
 }
 
-std::string BenchJsonLine(std::string_view bench_name, double wall_ms,
-                          size_t threads, const MetricsSnapshot& snapshot) {
-  return BenchJsonLine(bench_name, wall_ms, threads, {}, snapshot);
-}
-
-BenchJsonField BenchJsonField::Text(std::string key, std::string value) {
-  BenchJsonField field;
-  field.key = std::move(key);
-  field.text = std::move(value);
-  return field;
-}
-
-BenchJsonField BenchJsonField::Number(std::string key, double value) {
-  BenchJsonField field;
-  field.key = std::move(key);
-  field.number = value;
-  field.numeric = true;
-  return field;
-}
-
-std::string BenchJsonLine(std::string_view bench_name, double wall_ms,
-                          size_t threads,
-                          const std::vector<BenchJsonField>& extras,
-                          const MetricsSnapshot& snapshot) {
-  JsonWriter json;
-  json.BeginObject()
-      .Key("bench")
-      .String(bench_name)
-      .Key("wall_ms")
-      .Number(wall_ms)
-      .Key("threads")
-      .Number(static_cast<int64_t>(threads));
-  for (const BenchJsonField& field : extras) {
-    json.Key(field.key);
-    if (field.numeric) {
-      json.Number(field.number);
-    } else {
-      json.String(field.text);
-    }
-  }
-  json.Key("counters").BeginObject();
-  for (const auto& counter : snapshot.counters) {
-    json.Key(counter.name).Number(static_cast<int64_t>(counter.value));
-  }
-  for (const auto& gauge : snapshot.gauges) {
-    json.Key(gauge.name).Number(gauge.value);
-  }
-  for (const auto& histogram : snapshot.histograms) {
-    json.Key(histogram.name + ".count")
-        .Number(static_cast<int64_t>(histogram.count));
-    json.Key(histogram.name + ".sum_ms").Number(histogram.sum);
-    json.Key(histogram.name + ".p50_ms").Number(histogram.Quantile(0.5));
-    json.Key(histogram.name + ".p95_ms").Number(histogram.Quantile(0.95));
-    json.Key(histogram.name + ".min_ms").Number(histogram.min);
-    json.Key(histogram.name + ".max_ms").Number(histogram.max);
-  }
-  json.EndObject().EndObject();
-  return json.ToString();
-}
-
 }  // namespace efes

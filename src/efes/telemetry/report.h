@@ -1,14 +1,11 @@
 // Human- and machine-readable renderings of a MetricsSnapshot: the
-// `--metrics` text table, the `telemetry` JSON section of exported
-// estimates, and the one-line JSON records the perf benches emit for the
-// BENCH_*.json trajectories.
+// `--metrics` text table and the `telemetry` JSON section of exported
+// estimates.
 
 #ifndef EFES_TELEMETRY_REPORT_H_
 #define EFES_TELEMETRY_REPORT_H_
 
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "efes/common/metrics.h"
 
@@ -27,35 +24,6 @@ std::string RenderMetricsReport(const MetricsSnapshot& snapshot);
 ///  "max"}, ...}}.
 /// The caller has positioned `json` where a value is expected.
 void WriteMetricsJson(const MetricsSnapshot& snapshot, JsonWriter& json);
-
-/// One self-contained JSON line for benchmark harnesses:
-/// {"bench": name, "wall_ms": ..., "threads": ..., "counters": {...}}
-/// where counters holds every counter plus gauges and histogram
-/// count/sum/p50/p95/min/max entries, flattened by name. `threads`
-/// records the worker thread count the workload ran with, so perf
-/// trajectories stay comparable across machines and --threads overrides.
-std::string BenchJsonLine(std::string_view bench_name, double wall_ms,
-                          size_t threads, const MetricsSnapshot& snapshot);
-
-/// One extra top-level field for BenchJsonLine — either a string or a
-/// number, keyed by `key`. Used by the cold/warm cache harness to stamp
-/// lines with {"cache": "warm", "speedup": ..., ...}.
-struct BenchJsonField {
-  static BenchJsonField Text(std::string key, std::string value);
-  static BenchJsonField Number(std::string key, double value);
-
-  std::string key;
-  std::string text;
-  double number = 0.0;
-  bool numeric = false;
-};
-
-/// BenchJsonLine with extra top-level fields, emitted after `threads`
-/// and before `counters`, in the given order.
-std::string BenchJsonLine(std::string_view bench_name, double wall_ms,
-                          size_t threads,
-                          const std::vector<BenchJsonField>& extras,
-                          const MetricsSnapshot& snapshot);
 
 }  // namespace efes
 

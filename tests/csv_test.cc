@@ -162,9 +162,9 @@ TEST(CsvTest, FileRoundTrip) {
   CsvDocument doc;
   doc.header = {"a", "b"};
   doc.rows = {{"1", "2"}, {"3", ""}};
-  std::string path = TestScratchPath("efes_csv_test") + ".csv";
-  ASSERT_TRUE(WriteCsvFile(doc, path).ok());
-  auto read = ReadCsvFile(path);
+  const ScopedScratchPath file("efes_csv_test");
+  ASSERT_TRUE(WriteCsvFile(doc, file.path()).ok());
+  auto read = ReadCsvFile(file.path());
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->rows, doc.rows);
 }
@@ -251,10 +251,11 @@ TEST(CsvGuardTest, DefaultLimitsAcceptNormalDocuments) {
 
 // --- Chunked streaming reader ---------------------------------------------
 
-std::string ChunkedScratchFile(const std::string& tag, std::string_view text) {
-  std::string path = TestScratchPath("efes_csv_chunked_" + tag) + ".csv";
-  EXPECT_TRUE(WriteFileAtomic(path, text).ok());
-  return path;
+ScopedScratchPath ChunkedScratchFile(const std::string& tag,
+                                     std::string_view text) {
+  ScopedScratchPath file("efes_csv_chunked_" + tag);
+  EXPECT_TRUE(WriteFileAtomic(file.path(), text).ok());
+  return file;
 }
 
 using Rows = std::vector<std::vector<std::string>>;
@@ -327,17 +328,17 @@ TEST(CsvGuardTest, FieldLimitIsExactInsideAndOutsideQuotes) {
     EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
     EXPECT_EQ(rejected.status().message(), expected_error);
 
-    const std::string fits_path = ChunkedScratchFile("limit_fits", fits);
-    auto reader = ChunkedCsvReader::Open(fits_path, options, 0);
+    const ScopedScratchPath fits_file = ChunkedScratchFile("limit_fits", fits);
+    auto reader = ChunkedCsvReader::Open(fits_file.path(), options, 0);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
     auto rows = DrainChunks(*reader, Via::kRows);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     EXPECT_EQ(*rows, accepted->rows);
-    const std::string over_path = ChunkedScratchFile("limit_over", over);
-    auto failed = ChunkedCsvReader::Open(over_path, options, 0);
+    const ScopedScratchPath over_file = ChunkedScratchFile("limit_over", over);
+    auto failed = ChunkedCsvReader::Open(over_file.path(), options, 0);
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.status().message(),
-              expected_error + " (" + over_path + ")");
+              expected_error + " (" + over_file.path() + ")");
   }
 }
 
@@ -346,7 +347,7 @@ TEST(ChunkedCsvTest, DeliversAllRowsInOrderForAnyChunkSize) {
   for (int i = 0; i < 100; ++i) {
     text += std::to_string(i) + ",row-" + std::to_string(i) + "\n";
   }
-  const std::string path = ChunkedScratchFile("sizes", text);
+  const ScopedScratchPath file = ChunkedScratchFile("sizes", text);
   auto whole = ParseCsv(text);
   ASSERT_TRUE(whole.ok());
   for (size_t chunk_rows : {size_t{1}, size_t{3}, size_t{7}, size_t{100},
@@ -355,7 +356,7 @@ TEST(ChunkedCsvTest, DeliversAllRowsInOrderForAnyChunkSize) {
       SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) + " " +
                    ViaName(via));
       auto reader =
-          ChunkedCsvReader::Open(path, CsvReadOptions{}, chunk_rows);
+          ChunkedCsvReader::Open(file.path(), CsvReadOptions{}, chunk_rows);
       ASSERT_TRUE(reader.ok()) << reader.status().ToString();
       EXPECT_EQ(reader->header(), whole->header);
       auto rows = DrainChunks(*reader, via);
@@ -376,7 +377,7 @@ TEST(ChunkedCsvTest, QuotedNewlinesAndCrLfStraddleChunkBoundaries) {
       "\"multi\nline\",\"a,b\"\r\n"
       "\"he said \"\"hi\"\"\",plain\r\n"
       "last,\"trailing\r\nbreak\"\r\n";
-  const std::string path = ChunkedScratchFile("straddle", text);
+  const ScopedScratchPath file = ChunkedScratchFile("straddle", text);
   auto whole = ParseCsv(text);
   ASSERT_TRUE(whole.ok());
   for (size_t chunk_rows : {size_t{1}, size_t{2}}) {
@@ -384,7 +385,7 @@ TEST(ChunkedCsvTest, QuotedNewlinesAndCrLfStraddleChunkBoundaries) {
       SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) + " " +
                    ViaName(via));
       auto reader =
-          ChunkedCsvReader::Open(path, CsvReadOptions{}, chunk_rows);
+          ChunkedCsvReader::Open(file.path(), CsvReadOptions{}, chunk_rows);
       ASSERT_TRUE(reader.ok());
       auto rows = DrainChunks(*reader, via);
       ASSERT_TRUE(rows.ok()) << rows.status().ToString();
@@ -412,10 +413,10 @@ TEST(ChunkedCsvTest, EveryBlockSplitOfQuotedCrLfInputYieldsTheSameRecords) {
     auto whole = ParseCsv(text);
     ASSERT_TRUE(whole.ok()) << whole.status().ToString();
     ASSERT_EQ(whole->rows.size(), 5u);
-    const std::string path = ChunkedScratchFile("split", text);
+    const ScopedScratchPath file = ChunkedScratchFile("split", text);
     for (Via via : kVias) {
       SCOPED_TRACE(ViaName(via));
-      auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, 2);
+      auto reader = ChunkedCsvReader::Open(file.path(), CsvReadOptions{}, 2);
       ASSERT_TRUE(reader.ok()) << reader.status().ToString();
       auto rows = DrainChunks(*reader, via);
       ASSERT_TRUE(rows.ok()) << rows.status().ToString();
@@ -425,11 +426,11 @@ TEST(ChunkedCsvTest, EveryBlockSplitOfQuotedCrLfInputYieldsTheSameRecords) {
 }
 
 TEST(ChunkedCsvTest, StrictShapeErrorIsSticky) {
-  const std::string path =
+  const ScopedScratchPath file =
       ChunkedScratchFile("sticky", "a,b\n1,2\n3,4\nonly-one-cell\n5,6\n");
   for (Via via : kVias) {
     SCOPED_TRACE(ViaName(via));
-    auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, 1);
+    auto reader = ChunkedCsvReader::Open(file.path(), CsvReadOptions{}, 1);
     ASSERT_TRUE(reader.ok());
     auto first = NextBlock(*reader, via);
     ASSERT_TRUE(first.ok());
@@ -440,7 +441,7 @@ TEST(ChunkedCsvTest, StrictShapeErrorIsSticky) {
     auto bad = NextBlock(*reader, via);
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.status().message(),
-              "CSV row 3 has 1 cells, expected 2 (" + path + ")");
+              "CSV row 3 has 1 cells, expected 2 (" + file.path() + ")");
     EXPECT_EQ(reader->rows_delivered(), 2u);
     // Sticky: the reader never recovers past a strict-mode failure.
     auto again = NextBlock(*reader, via);
@@ -452,14 +453,14 @@ TEST(ChunkedCsvTest, StrictShapeErrorIsSticky) {
 
 TEST(ChunkedCsvTest, RecoverModeRepairsAcrossChunks) {
   const std::string text = "a,b\n1\n2,3,4\n5,6\n";
-  const std::string path = ChunkedScratchFile("recover", text);
+  const ScopedScratchPath file = ChunkedScratchFile("recover", text);
   std::vector<DataIssue> whole_issues;
   auto whole = ParseCsv(text, RecoverOptions(), &whole_issues);
   ASSERT_TRUE(whole.ok());
   ASSERT_EQ(whole_issues.size(), 2u);
   for (Via via : kVias) {
     SCOPED_TRACE(ViaName(via));
-    auto reader = ChunkedCsvReader::Open(path, RecoverOptions(), 2);
+    auto reader = ChunkedCsvReader::Open(file.path(), RecoverOptions(), 2);
     ASSERT_TRUE(reader.ok());
     std::vector<DataIssue> issues;
     auto rows = DrainChunks(*reader, via, &issues);
@@ -479,13 +480,13 @@ TEST(ChunkedCsvTest, MissingFileFailsAtOpen) {
 TEST(ChunkedCsvTest, RowLimitIsEnforced) {
   CsvReadOptions options;
   options.max_rows = 3;  // header + two data rows
-  const std::string path =
+  const ScopedScratchPath file =
       ChunkedScratchFile("limit", "a\n1\n2\n3\n4\n");
   // The guard trips wherever the scanner first sees the excess row —
   // here inside Open, since the whole file fits the first block.
   for (Via via : kVias) {
     SCOPED_TRACE(ViaName(via));
-    auto reader = ChunkedCsvReader::Open(path, options, 1);
+    auto reader = ChunkedCsvReader::Open(file.path(), options, 1);
     if (reader.ok()) {
       auto rows = DrainChunks(*reader, via);
       ASSERT_FALSE(rows.ok());
@@ -527,13 +528,13 @@ TEST(ChunkedCsvTest, RecordsStraddlingReadsAndBlocksMatchTheWholeParse) {
     ASSERT_TRUE(whole.ok()) << whole.status().ToString();
     ASSERT_EQ(whole->rows.size(), 3000u);
     EXPECT_EQ(whole_issues.empty(), !recover);
-    const std::string path = ChunkedScratchFile("stress", text);
+    const ScopedScratchPath file = ChunkedScratchFile("stress", text);
     for (size_t chunk_rows : {size_t{1}, size_t{7}, size_t{1000}, size_t{0}}) {
       for (Via via : kVias) {
         SCOPED_TRACE(std::string(recover ? "recover" : "strict") +
                      " chunk_rows=" + std::to_string(chunk_rows) + " " +
                      ViaName(via));
-        auto reader = ChunkedCsvReader::Open(path, options, chunk_rows);
+        auto reader = ChunkedCsvReader::Open(file.path(), options, chunk_rows);
         ASSERT_TRUE(reader.ok()) << reader.status().ToString();
         EXPECT_EQ(reader->header(), whole->header);
         std::vector<DataIssue> issues;
@@ -547,17 +548,18 @@ TEST(ChunkedCsvTest, RecordsStraddlingReadsAndBlocksMatchTheWholeParse) {
   // Strict mode stops at the first misshapen row, row 89: each call
   // delivers the same rows before it, and then the same error.
   const std::string text = QuotedStressCsv(3000, true);
-  const std::string path = ChunkedScratchFile("stress_strict", text);
+  const ScopedScratchPath file = ChunkedScratchFile("stress_strict", text);
   for (size_t chunk_rows : {size_t{1}, size_t{7}, size_t{1000}, size_t{0}}) {
     for (Via via : kVias) {
       SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows) + " " +
                    ViaName(via));
-      auto reader = ChunkedCsvReader::Open(path, CsvReadOptions{}, chunk_rows);
+      auto reader =
+          ChunkedCsvReader::Open(file.path(), CsvReadOptions{}, chunk_rows);
       ASSERT_TRUE(reader.ok()) << reader.status().ToString();
       auto rows = DrainChunks(*reader, via);
       ASSERT_FALSE(rows.ok());
       EXPECT_EQ(rows.status().message(),
-                "CSV row 89 has 5 cells, expected 4 (" + path + ")");
+                "CSV row 89 has 5 cells, expected 4 (" + file.path() + ")");
       const size_t block = chunk_rows == 0 ? 3000 : chunk_rows;
       EXPECT_EQ(reader->rows_delivered(), 88 / block * block);
     }
@@ -624,7 +626,7 @@ TEST(ChunkedCsvTest, BreakBytesAtEveryWordOffsetMatchTheByteScanner) {
     // A header cell of padding puts the boundary between the reader's
     // first two reads at every byte of the body.
     for (size_t split = 0; split <= body.size(); ++split) {
-      const std::string path = ChunkedScratchFile(
+      const ScopedScratchPath file = ChunkedScratchFile(
           "word_offsets",
           std::string(kRead - names.size() - split, 'p') + names + body);
       const std::vector<size_t> chunk_sizes =
@@ -635,7 +637,8 @@ TEST(ChunkedCsvTest, BreakBytesAtEveryWordOffsetMatchTheByteScanner) {
           if (split != 0 && via != Via::kRows) continue;
           SCOPED_TRACE("split " + std::to_string(split) + " chunk_rows=" +
                        std::to_string(chunk_rows) + " " + ViaName(via));
-          auto reader = ChunkedCsvReader::Open(path, options, chunk_rows);
+          auto reader =
+              ChunkedCsvReader::Open(file.path(), options, chunk_rows);
           ASSERT_TRUE(reader.ok()) << reader.status().ToString();
           auto rows = DrainChunks(*reader, via);
           ASSERT_TRUE(rows.ok()) << rows.status().ToString();

@@ -241,14 +241,20 @@ TEST_F(FaultMatrixTest, ThrowingEnginePointIsContainedToo) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->degraded);
   ASSERT_FALSE(result->module_runs.empty());
-  bool saw_exception_status = false;
+  const Status& first_failure = result->module_runs.front().status;
   for (const ModuleRun& run : result->module_runs) {
-    if (!run.status.ok() &&
-        run.status.message().find("exception") != std::string::npos) {
-      saw_exception_status = true;
-    }
+    EXPECT_EQ(run.status.code(), StatusCode::kInternal) << run.module;
+    EXPECT_NE(run.status.message().find("exception in module"),
+              std::string::npos)
+        << run.status.ToString();
   }
-  EXPECT_TRUE(saw_exception_status);
+  // The phase-1-only pass fails whole, with the status Run recorded for
+  // the first module.
+  auto scenario = LoadScenario(directory_);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  auto reports = MakeDefaultEngine().AssessComplexity(*scenario);
+  ASSERT_FALSE(reports.ok());
+  EXPECT_EQ(reports.status().ToString(), first_failure.ToString());
 }
 
 TEST_F(FaultMatrixTest, WritePointsFailSavesCleanly) {

@@ -130,27 +130,6 @@ TEST(FlagSetTest, PositionalsSurviveInOrder) {
   EXPECT_EQ(args, Args({"first", "second", "third"}));
 }
 
-TEST(FlagSetTest, ParseArgvKeepUnknownRewritesArgcArgv) {
-  FlagSet flags;
-  size_t threads = 0;
-  flags.AddUint("threads", "<n>", "worker threads", &threads);
-  // Writable argv storage (the function compacts argv in place).
-  std::string a0 = "bench";
-  std::string a1 = "--threads=4";
-  std::string a2 = "--benchmark_filter=x";
-  std::string a3 = "--threads=broken";
-  char* argv[] = {a0.data(), a1.data(), a2.data(), a3.data(), nullptr};
-  int argc = 4;
-  flags.ParseArgvKeepUnknown(&argc, argv);
-  EXPECT_EQ(threads, 4u);
-  // The well-formed registered flag was consumed; the unknown flag and
-  // the malformed one stay for the downstream parser to report.
-  ASSERT_EQ(argc, 3);
-  EXPECT_STREQ(argv[0], "bench");
-  EXPECT_STREQ(argv[1], "--benchmark_filter=x");
-  EXPECT_STREQ(argv[2], "--threads=broken");
-}
-
 TEST(FlagSetTest, UsageTextListsEveryFlagWithItsValueShape) {
   FlagSet flags;
   bool verbose = false;

@@ -238,10 +238,10 @@ TEST(EffortConfigTest, MalformedGlobalScaleCarriesLineNumber) {
 }
 
 TEST(EffortConfigTest, LoadFromFile) {
-  std::string path = TestScratchPath("efes_config_test") + ".conf";
+  const ScopedScratchPath file("efes_config_test");
   ASSERT_TRUE(
-      WriteFileAtomic(path, "[settings]\ncriticality = 2\n").ok());
-  auto config = LoadEffortConfig(path);
+      WriteFileAtomic(file.path(), "[settings]\ncriticality = 2\n").ok());
+  auto config = LoadEffortConfig(file.path());
   ASSERT_TRUE(config.ok());
   EXPECT_DOUBLE_EQ(config->settings.criticality, 2.0);
   EXPECT_FALSE(LoadEffortConfig("/no/such/file.conf").ok());

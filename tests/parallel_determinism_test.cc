@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -191,7 +190,7 @@ TEST(ParallelDeterminismTest, FailingBatchIsThreadCountInvariant) {
   // not only the report.
   auto scenario = MakePaperExample();
   ASSERT_TRUE(scenario.ok());
-  const std::string path = TestScratchPath("efes_failing_batch_cache");
+  const ScopedScratchPath file("efes_failing_batch_cache");
   struct Outcome {
     std::string json;
     std::vector<uint64_t> counters;
@@ -220,14 +219,13 @@ TEST(ParallelDeterminismTest, FailingBatchIsThreadCountInvariant) {
                                  before.CounterValue(name));
     }
     outcome.entries = cache.entry_count();
-    ASSERT_TRUE(cache.SaveToFile(path).ok());
-    auto saved = ReadFileToString(path);
+    ASSERT_TRUE(cache.SaveToFile(file.path()).ok());
+    auto saved = ReadFileToString(file.path());
     ASSERT_TRUE(saved.ok()) << saved.status();
     outcome.snapshot = *std::move(saved);
     outcomes.push_back(std::move(outcome));
   }
   SetThreadCountOverride(0);
-  std::filesystem::remove(path);
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_NE(outcomes[0].json.find("\"degraded\":true"), std::string::npos);
   for (size_t i = 1; i < outcomes.size(); ++i) {

@@ -27,6 +27,7 @@
 #include "efes/profiling/profiler.h"
 #include "efes/profiling/statistics.h"
 #include "efes/scenario/bibliographic.h"
+#include "test_paths.h"
 
 namespace efes {
 namespace {
@@ -379,14 +380,14 @@ TEST(CacheInvalidationPropertyTest, MutatedSourceRecomputesExactly) {
 
 // --- Disk persistence ------------------------------------------------------
 
-std::string TempCachePath(const std::string& tag) {
-  return testing::TempDir() + "/efes_cache_" + tag + ".efes";
+ScopedScratchPath TempCachePath(const std::string& tag) {
+  return ScopedScratchPath("efes_cache_" + tag);
 }
 
 TEST(CachePersistenceTest, SaveLoadRoundtripServesIdenticalEntries) {
   // Exercise the create_directories path with a nested file location.
-  const std::string path =
-      testing::TempDir() + "/efes_cache_nested/profile_cache.efes";
+  const ScopedScratchPath nested = TempCachePath("nested");
+  const std::string path = nested.path() + "/profile_cache.efes";
   ProfileCache cache;
   (void)Stats(MixedColumn(), DataType::kText, &cache);
   (void)Stats(NumericColumn(), DataType::kReal, &cache);
@@ -406,10 +407,10 @@ TEST(CachePersistenceTest, SaveLoadRoundtripServesIdenticalEntries) {
 
   // A reloaded cache saved again is byte-identical: the format is
   // canonical (ordered keys, hexfloat doubles).
-  const std::string resaved = TempCachePath("resave");
-  ASSERT_TRUE(reloaded.SaveToFile(resaved).ok());
+  const ScopedScratchPath resaved = TempCachePath("resave");
+  ASSERT_TRUE(reloaded.SaveToFile(resaved.path()).ok());
   auto first = ReadFileToString(path);
-  auto second = ReadFileToString(resaved);
+  auto second = ReadFileToString(resaved.path());
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*first, *second);
@@ -417,17 +418,17 @@ TEST(CachePersistenceTest, SaveLoadRoundtripServesIdenticalEntries) {
 
 TEST(CachePersistenceTest, MissingFileIsAColdStartNotAnError) {
   ProfileCache cache;
-  EXPECT_TRUE(cache.LoadFromFile(TempCachePath("does-not-exist")).ok());
+  EXPECT_TRUE(cache.LoadFromFile(TempCachePath("does-not-exist").path()).ok());
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
 TEST(CachePersistenceTest, VersionMismatchIsIgnoredWholesale) {
-  const std::string path = TempCachePath("version");
-  ASSERT_TRUE(WriteFileAtomic(path,
+  const ScopedScratchPath file = TempCachePath("version");
+  ASSERT_TRUE(WriteFileAtomic(file.path(),
                               "EFESCACHE 999\nS 0000000000000000 3 1 0 0\n")
                   .ok());
   ProfileCache cache;
-  EXPECT_TRUE(cache.LoadFromFile(path).ok());
+  EXPECT_TRUE(cache.LoadFromFile(file.path()).ok());
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
@@ -435,20 +436,20 @@ TEST(CachePersistenceTest, PreSketchV1SnapshotDegradesToAMiss) {
   // Snapshots from older builds load as empty (a cold start), never
   // crash or resurrect entries: v1 predates the sketch key scheme, and
   // v2 may hold per-chunk `K` sketch lines that no parser reads anymore.
-  const std::string v1 = TempCachePath("v1");
-  ASSERT_TRUE(WriteFileAtomic(v1,
+  const ScopedScratchPath v1 = TempCachePath("v1");
+  ASSERT_TRUE(WriteFileAtomic(v1.path(),
                               "EFESCACHE 1\n"
                               "S 00000000deadbeef 3 1 0 0\n"
                               "C 00000000deadbeef 0\n")
                   .ok());
-  const std::string v2 = TempCachePath("v2");
-  ASSERT_TRUE(WriteFileAtomic(v2,
+  const ScopedScratchPath v2 = TempCachePath("v2");
+  ASSERT_TRUE(WriteFileAtomic(v2.path(),
                               "EFESCACHE 2\n"
                               "C 00000000deadbeef 0\n"
                               "K 00000000deadbeef 4 0 0 0 1 0 0 0 0x0p+0 "
                               "0x0p+0 1 tx 1\n")
                   .ok());
-  for (const std::string& path : {v1, v2}) {
+  for (const std::string& path : {v1.path(), v2.path()}) {
     ProfileCache cache;
     EXPECT_TRUE(cache.LoadFromFile(path).ok()) << path;
     EXPECT_EQ(cache.entry_count(), 0u) << path;
@@ -463,9 +464,9 @@ TEST(CachePersistenceTest, Version3StatisticsDegradeToAMiss) {
   ProfileCache cache;
   cache.StoreStatistics(FingerprintColumn(MixedColumn(), DataType::kText),
                         Stats(MixedColumn(), DataType::kText));
-  const std::string current = TempCachePath("v4");
-  ASSERT_TRUE(cache.SaveToFile(current).ok());
-  Result<std::string> text = ReadFileToString(current);
+  const ScopedScratchPath current = TempCachePath("v4");
+  ASSERT_TRUE(cache.SaveToFile(current.path()).ok());
+  Result<std::string> text = ReadFileToString(current.path());
   ASSERT_TRUE(text.ok());
   const std::string header =
       "EFESCACHE " + std::to_string(kProfileCacheFormatVersion) + "\n";
@@ -473,15 +474,15 @@ TEST(CachePersistenceTest, Version3StatisticsDegradeToAMiss) {
   ASSERT_NE(text->find("\nS "), std::string::npos) << *text;
 
   ProfileCache reloaded;
-  ASSERT_TRUE(reloaded.LoadFromFile(current).ok());
+  ASSERT_TRUE(reloaded.LoadFromFile(current.path()).ok());
   EXPECT_EQ(reloaded.entry_count(), 1u);
 
-  const std::string v3 = TempCachePath("v3");
-  ASSERT_TRUE(
-      WriteFileAtomic(v3, "EFESCACHE 3\n" + text->substr(header.size()))
-          .ok());
+  const ScopedScratchPath v3 = TempCachePath("v3");
+  ASSERT_TRUE(WriteFileAtomic(v3.path(),
+                              "EFESCACHE 3\n" + text->substr(header.size()))
+                  .ok());
   ProfileCache stale;
-  EXPECT_TRUE(stale.LoadFromFile(v3).ok());
+  EXPECT_TRUE(stale.LoadFromFile(v3.path()).ok());
   EXPECT_EQ(stale.entry_count(), 0u);
 }
 
@@ -528,7 +529,8 @@ TEST(CachePersistenceTest, CorruptSnapshotsDegradeToRecomputationNotError) {
   (void)Stats(MixedColumn(), DataType::kText, &cache);
   (void)Stats(NumericColumn(), DataType::kReal, &cache);
   ASSERT_TRUE(DiscoverConstraints(MakeTinyDatabase(), {}, &cache).ok());
-  const std::string path = TempCachePath("corrupt");
+  const ScopedScratchPath file = TempCachePath("corrupt");
+  const std::string& path = file.path();
   ASSERT_TRUE(cache.SaveToFile(path).ok());
   auto pristine = ReadFileToString(path);
   ASSERT_TRUE(pristine.ok());
@@ -554,7 +556,8 @@ class CacheFaultTest : public testing::Test {
 };
 
 TEST_F(CacheFaultTest, LoadAndSaveFaultPointsAreInjectable) {
-  const std::string path = TempCachePath("faults");
+  const ScopedScratchPath file = TempCachePath("faults");
+  const std::string& path = file.path();
   ProfileCache cache;
   (void)Stats(MixedColumn(), DataType::kText, &cache);
   ASSERT_TRUE(cache.SaveToFile(path).ok());

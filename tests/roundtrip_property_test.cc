@@ -12,6 +12,7 @@
 #include "efes/core/formula.h"
 #include "efes/relational/schema_text.h"
 #include "efes/scenario/scenario_io.h"
+#include "test_paths.h"
 
 namespace efes {
 namespace {
@@ -138,8 +139,9 @@ class ScenarioRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ScenarioRoundTripTest, RandomDatabaseSurvivesSaveLoad) {
   Random rng(GetParam());
-  std::string directory = testing::TempDir() + "/efes_roundtrip_" +
-                          std::to_string(GetParam());
+  const ScopedScratchPath scratch("efes_roundtrip_" +
+                                  std::to_string(GetParam()));
+  const std::string& directory = scratch.path();
   std::filesystem::remove_all(directory);
 
   // Constraint-free schemas so arbitrary random data is a valid instance.
@@ -189,7 +191,6 @@ TEST_P(ScenarioRoundTripTest, RandomDatabaseSurvivesSaveLoad) {
           << "row " << r << " col " << c;
     }
   }
-  std::filesystem::remove_all(directory);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScenarioRoundTripTest,

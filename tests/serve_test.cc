@@ -245,6 +245,31 @@ TEST_F(ServeTest, RequestFaultIsContainedToItsRequest) {
   EXPECT_EQ(with_fault["good"], clean["good"]);
 }
 
+TEST_F(ServeTest, ThrowingModuleFailsOnlyItsRequest) {
+  // A module that throws in open's warm pass fails that pass like any
+  // other module failure: the open answers ok and degraded, and its
+  // session estimates and closes normally. A phase-1-only assess fails
+  // whole with the module's exception status.
+  auto responses = Run({
+      "{\"id\":\"o\",\"op\":\"open\",\"session\":\"movies\",\"dir\":\"" +
+          scenario_dir_ + "\",\"faults\":\"engine.assess:throw\"}",
+      R"({"id":"a","op":"assess","session":"movies",)"
+      R"("faults":"engine.assess:throw"})",
+      R"({"id":"e","op":"estimate","session":"movies"})",
+      R"({"id":"c","op":"close","session":"movies"})",
+  });
+  EXPECT_NE(responses["o"].find("\"ok\":true"), std::string::npos)
+      << responses["o"];
+  EXPECT_NE(responses["o"].find("\"degraded\":true"), std::string::npos);
+  EXPECT_NE(responses["a"].find("\"code\":\"internal error\""),
+            std::string::npos)
+      << responses["a"];
+  EXPECT_NE(responses["a"].find("exception in module"), std::string::npos);
+  EXPECT_NE(responses["e"].find("\"ok\":true"), std::string::npos);
+  EXPECT_NE(responses["e"].find("\"degraded\":false"), std::string::npos);
+  EXPECT_NE(responses["c"].find("\"closed\":true"), std::string::npos);
+}
+
 TEST_F(ServeTest, RequestTaskFaultIsThreadCountInvariant) {
   // A request's faults reach the pool threads that run its tasks, so a
   // `parallel.task` fault fires on the same task, and degrades the same

@@ -455,17 +455,6 @@ TEST(ReportTest, WriteMetricsJsonIsLoadable) {
   EXPECT_NE(text.find("\"a.b.c\":3"), std::string::npos);
 }
 
-TEST(ReportTest, BenchJsonLineGolden) {
-  MetricsRegistry registry;
-  registry.GetCounter("profiling.statistics.cells").Increment(100);
-  std::string line =
-      BenchJsonLine("perf_test", 12.5, 4, registry.Snapshot());
-  EXPECT_EQ(line,
-            "{\"bench\":\"perf_test\",\"wall_ms\":12.5,\"threads\":4,"
-            "\"counters\":{\"profiling.statistics.cells\":100}}");
-  EXPECT_TRUE(JsonChecker(line).Valid());
-}
-
 // --- Instrumented library code --------------------------------------------
 
 TEST(InstrumentationTest, ProfilingBumpsStatisticsCounters) {

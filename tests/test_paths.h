@@ -14,7 +14,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <filesystem>
 #include <string>
+#include <system_error>
+#include <utility>
 
 namespace efes {
 
@@ -22,6 +25,29 @@ namespace efes {
 inline std::string TestScratchPath(const std::string& name) {
   return testing::TempDir() + "/" + name + "-" + std::to_string(::getpid());
 }
+
+/// A TestScratchPath that removes whatever it names — a file or a whole
+/// directory tree — when it goes out of scope, so a test leaves nothing
+/// behind in TempDir(), whether it passes or fails.
+class ScopedScratchPath {
+ public:
+  explicit ScopedScratchPath(const std::string& name)
+      : path_(TestScratchPath(name)) {}
+  ScopedScratchPath(ScopedScratchPath&& other) noexcept
+      : path_(std::exchange(other.path_, {})) {}
+  ScopedScratchPath(const ScopedScratchPath&) = delete;
+  ScopedScratchPath& operator=(const ScopedScratchPath&) = delete;
+  ~ScopedScratchPath() {
+    if (path_.empty()) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace efes
 
